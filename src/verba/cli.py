@@ -258,13 +258,15 @@ def _cmd_verbal(args, cfg: RunConfig) -> int:
 
 
 def _cmd_series(args, cfg: RunConfig) -> int:
+    if args.r is not None and args.r < 1:
+        raise VerbaError("--r must be at least 1")
     G = resolve_group(args.group, cfg.cap)
     budget = cfg.budget
     if args.tuple_spec:
         tup = parse_tuple_spec(args.tuple_spec, G)
     else:
         if args.kind == "gamma":
-            arity = args.r or 2
+            arity = 2 if args.r is None else args.r
         else:
             arity = 2 ** (args.k or 1)
         tup = parse_tuple_spec(",".join(["G"] * arity), G)

@@ -60,7 +60,12 @@ class FiniteGroup:
             else [str(i) for i in range(self.order)]
         )
         self.perm_images = list(perm_images) if perm_images is not None else None
+        # Memos that live as long as the group: sub-word value arrays, finished
+        # value sets, subgroup closures by seed, and quotients by modulus.
         self._value_cache: dict = {}
+        self._value_sets: dict = {}
+        self._closures: dict[bytes, SubgroupHandle] = {}
+        self._quotients: dict[bytes, tuple[np.ndarray, FiniteGroup]] = {}
         self._center: SubgroupHandle | None = None
         self._derived: SubgroupHandle | None = None
 
@@ -415,8 +420,16 @@ def _conjugation_closed(G: FiniteGroup, elems: np.ndarray, mask: np.ndarray) -> 
 
 
 def closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHandle:
-    """Smallest subgroup containing `seed`, by breadth-first products."""
+    """Smallest subgroup containing `seed`, by breadth-first products.
+
+    Results are memoised on the group by seed; `generators` is the sorted,
+    distinct seed.
+    """
     seed_elems = _seed_elements(G, seed)
+    key = seed_elems.tobytes()
+    out = G._closures.get(key)
+    if out is not None:
+        return out
     gens = np.unique(
         np.concatenate([seed_elems, G.inverse_table[seed_elems]])
     ).astype(np.int32)
@@ -428,7 +441,9 @@ def closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHand
         new = prods[~mask[prods]]
         mask[new] = True
         frontier = new.astype(np.int32)
-    return SubgroupHandle(G, mask, generators=tuple(int(g) for g in seed_elems))
+    out = SubgroupHandle(G, mask, generators=tuple(int(g) for g in seed_elems))
+    G._closures[key] = out
+    return out
 
 
 def normal_closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHandle:
@@ -469,15 +484,13 @@ def star_power(G: FiniteGroup, S: ElementSubset, n: int) -> ElementSubset:
             [S.elements, G.inverse_table[S.elements], np.array([0], dtype=np.int32)]
         )
     ).astype(np.int32)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
     cur = np.array([0], dtype=np.int32)
     for _ in range(n):
         nxt = np.unique(G.table[cur[:, None], base[None, :]]).astype(np.int32)
         if nxt.size == cur.size and (nxt == cur).all():
             break
         cur = nxt
-    mask[:] = False
+    mask = np.zeros(G.order, dtype=bool)
     mask[cur] = True
     return ElementSubset(G, mask)
 
@@ -522,6 +535,35 @@ def subgroup_product(H: SubgroupHandle, K: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(
         G, mask, generators=tuple(H.generators) + tuple(K.generators), normal=normal
     )
+
+
+def quotient(P: SubgroupHandle) -> tuple[np.ndarray, FiniteGroup]:
+    """Coset labels of the normal subgroup P and the quotient group G/P.
+
+    ``labels[g]`` is the coset of g.  Cosets are numbered by their smallest
+    element, so P itself is label 0, the identity of the quotient.  The
+    quotient is built once per (G, P) and kept on G; for a trivial P it is G
+    itself, with the identity labelling.
+    """
+    P.require_normal()
+    G = P.group
+    hit = G._quotients.get(P.key)
+    if hit is not None:
+        return hit
+    if P.order == 1:
+        out = (np.arange(G.order, dtype=np.int32), G)
+    else:
+        labels = np.full(G.order, -1, dtype=np.int32)
+        reps: list[int] = []
+        for g in range(G.order):
+            if labels[g] < 0:
+                labels[G.table[g, P.elements]] = len(reps)
+                reps.append(g)
+        r = np.array(reps, dtype=np.int32)
+        table = labels[G.table[r[:, None], r[None, :]]]
+        out = (labels, FiniteGroup(table, label=f"{G.label}/P", _validated=True))
+    G._quotients[P.key] = out
+    return out
 
 
 def congruent_mod(a: int, b: int, P: SubgroupHandle) -> bool:

@@ -341,9 +341,6 @@ def _check_star_membership_sweep(spec, G, word, tup, budget) -> CheckResult:
     return _result(spec, "pass", f"{checked} collapsed tuples over {len(leaves)} positions")
 
 
-_WIDTH_VECTORS = ((1,), (2,))
-
-
 def _width_vectors(r: int) -> list[tuple[int, ...]]:
     out = [tuple([1] * r), tuple([2] + [1] * (r - 1))]
     if r > 1:
@@ -357,7 +354,6 @@ def _check_width_sweep(spec, G, word, tup, budget) -> CheckResult:
     leaves = tree.leaves()
     subsets = [class_generating_subset(s)[0] for s in tup.subgroups]
     base = value_set(tree, subsets, budget)
-    checked = 0
     for mvec in _width_vectors(len(leaves)):
         starred = [star_power(G, s, m) for s, m in zip(subsets, mvec)]
         vs = value_set(tree, starred, budget)
@@ -369,7 +365,6 @@ def _check_width_sweep(spec, G, word, tup, budget) -> CheckResult:
         if bad.size:
             wit = vs.witnesses[int(bad[0])]
             return _result(spec, "fail", f"m={mvec}, value {int(bad[0])} from {wit}")
-        checked += vs.size
     return _result(spec, "pass", f"{len(_width_vectors(len(leaves)))} multiplicity vectors")
 
 
@@ -404,7 +399,6 @@ def _check_comm_congruence_sweep(spec, G, word, tup, budget) -> CheckResult:
 
 
 def _check_gamma_series(spec, G, word, tup, budget) -> CheckResult:
-    r = tup.arity
     series = build_gamma_series(tup, budget, audit=G.order <= 48)
     rep = verify_series(series, mode=spec.mode, seed=spec.seed, budget=budget)
     status = "pass" if rep.all_ok else "fail"
@@ -512,7 +506,6 @@ def _check_extended_width_sweep(spec, G, word, tup, budget) -> CheckResult:
     full = G.full_subgroup()
     degree = 1
     ext = enumerate_extended(tree, degree, 2)
-    checked = 0
     for mvec in (tuple([1] * len(leaves)), tuple([2] + [1] * (len(leaves) - 1))):
         total = 2**degree
         for m in mvec:
@@ -533,7 +526,6 @@ def _check_extended_width_sweep(spec, G, word, tup, budget) -> CheckResult:
                     "fail",
                     f"{member.render()} with m={mvec}: value {int(bad[0])} escapes",
                 )
-            checked += 1
     return _result(spec, "pass", f"{len(ext)} extended words x 2 multiplicity vectors")
 
 
@@ -748,7 +740,6 @@ class SurveyRow:
     tuple_spec: str
     m: int
     verbal_order: int
-    factor_orders: tuple[int, ...]
     mode: str
     seed: int
 
@@ -772,8 +763,7 @@ def survey(
     budget: int | None = None,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> list[SurveyRow]:
-    """One row per (group, tuple): m = |w{N}| against |w(N)|, plus the factor
-    orders of the linear series when the word is a gamma or delta word."""
+    """One row per (group, tuple): m = |w{N}| against |w(N)|."""
     word, label = resolve_word(word_spec)
     tree = _require_ocw(word, "survey")
     arity = len(tree.leaves())
@@ -785,18 +775,6 @@ def survey(
             try:
                 vs = value_set(tree, [s.as_subset() for s in tup.subgroups], budget)
                 sub = closure(G, vs.members)
-                factors: tuple[int, ...] = ()
-                if re.fullmatch(r"gamma:\d+", label):
-                    series = build_gamma_series(tup, budget)
-                    factors = tuple(
-                        f.upper.order // f.lower.order for f in series.factors
-                    )
-                elif re.fullmatch(r"delta:\d+", label):
-                    k = max(1, arity.bit_length() - 1)
-                    series = build_delta_series(tup, k, budget)
-                    factors = tuple(
-                        f.upper.order // f.lower.order for f in series.factors
-                    )
                 rows.append(
                     SurveyRow(
                         group=gspec,
@@ -805,7 +783,6 @@ def survey(
                         tuple_spec=tspec,
                         m=vs.size,
                         verbal_order=sub.order,
-                        factor_orders=factors,
                         mode="exhaustive",
                         seed=seed,
                     )
@@ -819,7 +796,6 @@ def survey(
                         tuple_spec=tspec,
                         m=0,
                         verbal_order=0,
-                        factor_orders=(),
                         mode="skipped",
                         seed=seed,
                     )
@@ -860,7 +836,6 @@ def conjecture_probe(
                         tuple_spec=tspec,
                         m=vs.size,
                         verbal_order=sub.order,
-                        factor_orders=(),
                         mode="exhaustive",
                         seed=seed,
                     )
@@ -874,7 +849,6 @@ def conjecture_probe(
                         tuple_spec=tspec,
                         m=0,
                         verbal_order=0,
-                        factor_orders=(),
                         mode="skipped",
                         seed=seed,
                     )

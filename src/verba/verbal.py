@@ -31,6 +31,7 @@ from .groups import (
     congruent_mod,
     evaluate,
     evaluate_arrays,
+    quotient,
     star_power,
     subgroup_product,
 )
@@ -116,22 +117,32 @@ def value_set_over(
     env: Mapping[Var, Subsetish],
     budget: int | None = None,
 ) -> ValueSet:
+    """Values of `w` with each variable ranging over its subset in `env`.
+
+    The finished ValueSet is memoised on the group by word text and subset
+    masks, so equal words over equal subsets share one result.
+    """
     expr = _as_word(w)
     vars_ = variables(expr)
     missing = [v for v in vars_ if v not in env]
     if missing:
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
-    sets = {v: _as_subset(env[v]) for v in vars_}
     if not vars_:
         raise ArityMismatch(f"word {render(expr)} has no variables")
-    group = next(iter(sets.values())).group
+    group = env[vars_[0]].group
+    memo_key = (render(expr), tuple(env[v].key for v in vars_))
+    cached = group._value_sets.get(memo_key)
+    if cached is not None:
+        return cached
+    sets = {v: _as_subset(env[v]) for v in vars_}
     vals, rows = _values(expr, sets, group, budget)
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     mask = np.zeros(group.order, dtype=bool)
     mask[sorted_vals] = True
     witnesses = {int(v): tuple(int(e) for e in row) for v, row in zip(vals, rows)}
-    return ValueSet(
+    sorted_vals.setflags(write=False)
+    out = ValueSet(
         word=expr,
         variables=vars_,
         subsets=tuple(sets[v] for v in vars_),
@@ -139,6 +150,8 @@ def value_set_over(
         members=ElementSubset(group, mask),
         witnesses=witnesses,
     )
+    group._value_sets[memo_key] = out
+    return out
 
 
 def _values(
@@ -612,10 +625,13 @@ def check_linearity(
 ) -> LinearityReport:
     """Test multiplicativity of `w` in one component modulo a normal subgroup.
 
-    Exhaustive mode covers the full tuple space exactly: whenever a subtree
-    does not contain the tested component, only its set of values matters,
-    so those subtrees are enumerated through their value sets, with witness
-    tuples used to reconstruct a counterexample assignment.
+    Exhaustive mode covers the full tuple space exactly, and does so in the
+    quotient G/P by the modulus P: the congruence only depends on cosets, so
+    each axis is replaced by its distinct images there.  Subtrees that do not
+    contain the tested component enter through their value sets.  A failing
+    quotient tuple is lifted back to G through the first value or element of
+    each coset, in enumeration order, and the value-set witnesses, so the
+    counterexample is an assignment in G.  `space` counts the quotient tuples.
     """
     modulus.require_normal()
     subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
@@ -628,7 +644,6 @@ def check_linearity(
     env = dict(zip(vars_, subgroups))
     G = modulus.group
     entry_orders = tuple(s.order for s in subgroups)
-    lin_set = env[pivot].elements.astype(np.int64)
 
     if mode == "sampled":
         if seed is None:
@@ -641,39 +656,34 @@ def check_linearity(
 
     path = spine_decompose(w, pivot)
     sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
-    axes = [vs.values.astype(np.int64) for vs in sib_sets] + [lin_set, lin_set]
-    space = ProductSpace(axes)
+    labels, Q = quotient(modulus)
+    sib_axes = [_coset_images(labels, vs.values) for vs in sib_sets]
+    pivot_axis, pivot_lift = _coset_images(labels, env[pivot].elements)
+    space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, pivot_axis])
     space.require_within(budget, f"linearity of {w.render()} in position {position}")
 
+    counterexample: dict[str, int] | None = None
     for start, cols in space.blocks(DEFAULT_BLOCK):
         sib_vals, xv, yv = cols[:-2], cols[-2], cols[-1]
-        lhs = spine_eval(G, path, G.mul_arr(xv, yv), sib_vals)
-        rhs = G.mul_arr(
-            spine_eval(G, path, xv, sib_vals), spine_eval(G, path, yv, sib_vals)
+        lhs = spine_eval(Q, path, Q.mul_arr(xv, yv), sib_vals)
+        rhs = Q.mul_arr(
+            spine_eval(Q, path, xv, sib_vals), spine_eval(Q, path, yv, sib_vals)
         )
-        ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
-        if not ok.all():
-            flat = start + int(np.flatnonzero(~ok)[0])
-            point = space.tuple_at(flat)
-            assignment: dict[str, int] = {}
-            for vs, val in zip(sib_sets, point[:-2]):
-                assignment.update(
-                    {str(var): e for var, e in vs.witness_assignment(int(val)).items()}
+        bad = np.flatnonzero(lhs != rhs)
+        if bad.size:
+            point = space.tuple_at(start + int(bad[0]))
+            lifts = sib_axes + [(pivot_axis, pivot_lift)] * 2
+            elems = [
+                dict(zip(axis.tolist(), lift.tolist()))[label]
+                for (axis, lift), label in zip(lifts, point)
+            ]
+            counterexample = {}
+            for vs, value in zip(sib_sets, elems[:-2]):
+                counterexample.update(
+                    {str(var): e for var, e in vs.witness_assignment(value).items()}
                 )
-            assignment[str(pivot)] = int(point[-2])
-            assignment["y"] = int(point[-1])
-            return LinearityReport(
-                word=w.render(),
-                position=position,
-                entry_orders=entry_orders,
-                modulus_order=modulus.order,
-                mode="exhaustive",
-                seed=None,
-                samples=None,
-                space=space.size,
-                holds=False,
-                counterexample=assignment,
-            )
+            counterexample[str(pivot)], counterexample["y"] = elems[-2:]
+            break
     return LinearityReport(
         word=w.render(),
         position=position,
@@ -683,8 +693,18 @@ def check_linearity(
         seed=None,
         samples=None,
         space=space.size,
-        holds=True,
+        holds=counterexample is None,
+        counterexample=counterexample,
     )
+
+
+def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct coset labels of `elems` in order of first appearance, with the
+    first element of `elems` in each of those cosets."""
+    images = labels[elems]
+    _, first = np.unique(images, return_index=True)
+    first.sort()
+    return images[first], elems[first]
 
 
 def _linearity_sampled(

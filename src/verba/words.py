@@ -37,9 +37,14 @@ class Var:
             raise ValueError(f"variable family must be x or y, got {self.family!r}")
         if self.index < 1:
             raise ValueError("variable indices are positive")
+        object.__setattr__(self, "_text", f"{self.family}{self.index}")
+
+    @property
+    def _vars(self) -> tuple["Var", ...]:
+        return (self,)
 
     def __str__(self) -> str:
-        return f"{self.family}{self.index}"
+        return self._text
 
 
 def xvar(i: int) -> Var:
@@ -50,9 +55,35 @@ def yvar(i: int) -> Var:
     return Var(Y_FAMILY, i)
 
 
+# Every node stores its canonical text and its variables when it is built,
+# from its children's stored values, so `render` and `variables` are attribute
+# reads and no word tree is walked twice.  The stored attributes are not
+# dataclass fields: equality, hashing and ordering ignore them.
+
+
+def _store(node, text: str, vars_: tuple[Var, ...]) -> None:
+    object.__setattr__(node, "_text", text)
+    object.__setattr__(node, "_vars", vars_)
+
+
+def _merged_vars(children) -> tuple[Var, ...]:
+    if len(children) == 1:
+        return children[0]._vars
+    return tuple(sorted(set().union(*(c._vars for c in children))))
+
+
+def _atomish(w: "WordExpr") -> str:
+    if isinstance(w, (Var, Commutator)):
+        return w._text
+    return f"({w._text})"
+
+
 @dataclass(frozen=True)
 class Inverse:
     child: "WordExpr"
+
+    def __post_init__(self):
+        _store(self, f"{_atomish(self.child)}^-1", self.child._vars)
 
 
 @dataclass(frozen=True)
@@ -60,16 +91,30 @@ class Power:
     child: "WordExpr"
     exponent: int
 
+    def __post_init__(self):
+        _store(self, f"{_atomish(self.child)}^{self.exponent}", self.child._vars)
+
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["WordExpr", ...]
+
+    def __post_init__(self):
+        text = "*".join(_atomish(f) for f in self.factors) or "()"
+        _store(self, text, _merged_vars(self.factors))
 
 
 @dataclass(frozen=True)
 class Commutator:
     left: "WordExpr"
     right: "WordExpr"
+
+    def __post_init__(self):
+        _store(
+            self,
+            f"[{self.left._text},{self.right._text}]",
+            _merged_vars((self.left, self.right)),
+        )
 
 
 WordExpr = Union[Var, Inverse, Power, Product, Commutator]
@@ -79,22 +124,7 @@ EMPTY_WORD: WordExpr = Product(())
 
 def variables(w: WordExpr) -> tuple[Var, ...]:
     """All variables of `w`, x-family first, each family by index."""
-    seen: set[Var] = set()
-    _collect_vars(w, seen)
-    return tuple(sorted(seen))
-
-
-def _collect_vars(w: WordExpr, out: set[Var]) -> None:
-    if isinstance(w, Var):
-        out.add(w)
-    elif isinstance(w, (Inverse, Power)):
-        _collect_vars(w.child, out)
-    elif isinstance(w, Product):
-        for f in w.factors:
-            _collect_vars(f, out)
-    else:
-        _collect_vars(w.left, out)
-        _collect_vars(w.right, out)
+    return w._vars
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +134,7 @@ def _collect_vars(w: WordExpr, out: set[Var]) -> None:
 
 def render(w: WordExpr) -> str:
     """Canonical text form; reparsing a parser-produced AST is the identity."""
-    if isinstance(w, Var):
-        return str(w)
-    if isinstance(w, Commutator):
-        return f"[{render(w.left)},{render(w.right)}]"
-    if isinstance(w, Product):
-        if not w.factors:
-            return "()"
-        return "*".join(_atomish(f) for f in w.factors)
-    if isinstance(w, Power):
-        return f"{_atomish(w.child)}^{w.exponent}"
-    return f"{_atomish(w.child)}^-1"
-
-
-def _atomish(w: WordExpr) -> str:
-    if isinstance(w, (Var, Commutator)):
-        return render(w)
-    return f"({render(w)})"
+    return w._text
 
 
 _Token = tuple[str, object, int]  # kind, payload, position
@@ -365,6 +379,14 @@ class OcwTree:
     left: "OcwTree | None" = None
     right: "OcwTree | None" = None
 
+    def __post_init__(self):
+        if self.var is not None:
+            leaves: tuple[Var, ...] = (self.var,)
+        else:
+            leaves = self.left._leaves + self.right._leaves  # type: ignore[union-attr]
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_word", None)
+
     @staticmethod
     def leaf(v: Var) -> "OcwTree":
         return OcwTree(var=v)
@@ -383,14 +405,18 @@ class OcwTree:
         return self.var is not None
 
     def leaves(self) -> tuple[Var, ...]:
-        if self.var is not None:
-            return (self.var,)
-        return self.left.leaves() + self.right.leaves()  # type: ignore[union-attr]
+        return self._leaves
 
     def to_word(self) -> WordExpr:
-        if self.var is not None:
-            return self.var
-        return Commutator(self.left.to_word(), self.right.to_word())  # type: ignore[union-attr]
+        """The commutator word of the tree, built on first use and kept."""
+        if self._word is None:
+            word = (
+                self.var
+                if self.var is not None
+                else Commutator(self.left.to_word(), self.right.to_word())  # type: ignore[union-attr]
+            )
+            object.__setattr__(self, "_word", word)
+        return self._word
 
     def render(self) -> str:
         return render(self.to_word())

@@ -1,13 +1,16 @@
 """Independent brute-force oracles, deliberately free of package imports.
 
 Everything here recomputes group data from first principles with plain
-Python sets and dicts, so the main engine can be checked against a second
-implementation that shares no code with it.
+Python sets and dicts (numpy only for the linearity sweep), so the main
+engine can be checked against a second implementation that shares no code
+with it.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 # quaternion units as strings
 _QUAT = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -112,3 +115,41 @@ def pinned_verbal_orders() -> dict[str, int]:
         sym_elements(4), perm_mul, perm_inv
     )
     return out
+
+
+def linearity_in_g(table, inverse, modulus_mask, pivot_left, sibling_values, pivot_elems, block=1 << 18):
+    """First tuple breaking linearity modulo P, swept over G itself; None if none does.
+
+    This is the sweep the engine ran before it moved to the quotient G/P.
+    Along the root-to-pivot path of an outer commutator word, depth i has
+    the sibling values `sibling_values[i]` and `pivot_left[i]` tells whether
+    the pivot lies in the left child.  Every tuple (s_1, ..., s_d, x, y) with
+    x, y in `pivot_elems` is checked for w(..xy..) = w(..x..) w(..y..)
+    modulo the normal subgroup whose membership mask is `modulus_mask`;
+    tuples run in row-major order and the first failure is returned.
+    """
+    table = np.asarray(table)
+    inverse = np.asarray(inverse)
+    axes = [np.asarray(v) for v in sibling_values] + [np.asarray(pivot_elems)] * 2
+    shape = tuple(a.size for a in axes)
+    total = int(np.prod(shape, dtype=np.int64))
+
+    def comm(a, b):
+        return table[table[table[inverse[a], inverse[b]], a], b]
+
+    def spine(x, sibs):
+        out = x
+        for left, s in zip(reversed(pivot_left), reversed(sibs)):
+            out = comm(out, s) if left else comm(s, out)
+        return out
+
+    for start in range(0, total, block):
+        idx = np.unravel_index(np.arange(start, min(total, start + block)), shape)
+        cols = [a[i] for a, i in zip(axes, idx)]
+        sibs, x, y = cols[:-2], cols[-2], cols[-1]
+        lhs = spine(table[x, y], sibs)
+        rhs = table[spine(x, sibs), spine(y, sibs)]
+        bad = np.flatnonzero(~modulus_mask[table[lhs, inverse[rhs]]])
+        if bad.size:
+            return tuple(int(c[bad[0]]) for c in cols)
+    return None

@@ -69,6 +69,12 @@ def test_series_gamma_command():
     assert code == 0 and "2 factors" in out
 
 
+def test_series_rejects_non_positive_r():
+    for r in ("0", "-1"):
+        code, out = run_cli(["series", "gamma", "--group", "sym:3", "--r", r])
+        assert code == 2 and out == ""
+
+
 def test_check_command():
     code, out = run_cli(["check", "L2.3", "--group", "sym:3", "--word", "gamma:2", "--tuple", "G,G"])
     assert code == 0 and "pass" in out

@@ -1,0 +1,152 @@
+"""Linearity in the quotient G/P against the sweep in G, and the per-group memos."""
+
+from __future__ import annotations
+
+import numpy as np
+
+import verba.verbal as verbal
+from verba.groups import builtin_group, closure, commutator_subgroup, evaluate, quotient
+from verba.harness import (
+    DEFAULT_CATALOG,
+    CheckSpec,
+    build_suite_specs,
+    parse_tuple_spec,
+    resolve_word,
+    run_check,
+)
+from verba.series import build_delta_series, build_gamma_series
+from verba.verbal import check_linearity, spine_decompose, value_set_over
+from verba.words import gamma, parse_word, variables
+
+from .oracles import close_under_products, linearity_in_g
+
+
+def _reference(G, tree, subgroups, position, modulus):
+    """The G-level sweep of tests/oracles.py on the engine's sibling value sets."""
+    vars_ = variables(tree.to_word())
+    env = dict(zip(vars_, subgroups))
+    path = spine_decompose(tree, vars_[position - 1])
+    sibs = [value_set_over(sub.to_word(), env).values for sub, _ in path]
+    return linearity_in_g(
+        G.table, G.inverse_table, modulus.mask, [left for _, left in path], sibs,
+        env[vars_[position - 1]].elements,
+    )
+
+
+def _series_factors(spec, G):
+    word, _ = resolve_word(spec.word)
+    tup = parse_tuple_spec(spec.tuple_spec, G)
+    if spec.check_id == "T2.10":
+        return build_gamma_series(tup).factors
+    k = max(1, len(word.leaves()).bit_length() - 1)
+    return build_delta_series(tup, k).factors
+
+
+def test_quotient_verdicts_match_the_sweep_in_g():
+    small = [g for g in DEFAULT_CATALOG if builtin_group(g).order <= 24]
+    specs, groups = build_suite_specs(small, ["T2.10", "T3.6"])
+    compared = 0
+    for spec in specs:
+        G = groups[spec.group]
+        for f in _series_factors(spec, G):
+            rep = check_linearity(f.word, f.subgroups, f.linear_position, f.lower)
+            ref = _reference(G, f.word, f.subgroups, f.linear_position, f.lower)
+            assert rep.holds == (ref is None), (spec, f.index)
+            compared += 1
+    assert compared > 1000
+
+
+def _breaks_linearity(G, tree, position, modulus, ce):
+    """w(..xy..) and w(..x..)w(..y..) differ modulo P at the assignment `ce`."""
+    word = tree.to_word()
+    vars_ = variables(word)
+    pivot = vars_[position - 1]
+    env = {v: ce[str(v)] for v in vars_}
+    x, y = env[pivot], ce["y"]
+    lhs = evaluate(word, G, {**env, pivot: G.mul(x, y)})
+    rhs = G.mul(evaluate(word, G, env), evaluate(word, G, {**env, pivot: y}))
+    return not modulus.mask[G.mul(lhs, G.inv(rhs))]
+
+
+def test_lifted_counterexamples_break_linearity_in_g():
+    sym3, sym4 = builtin_group("sym:3"), builtin_group("sym:4")
+    v4 = commutator_subgroup(sym4.derived_subgroup(), sym4.derived_subgroup())
+    assert v4.order == 4
+    cases = [
+        (sym3, gamma(2), [sym3.full_subgroup()] * 2, 2, sym3.trivial_subgroup()),
+        (sym4, gamma(3), [sym4.full_subgroup()] * 3, 3, v4),
+    ]
+    for G, tree, subs, pos, modulus in cases:
+        rep = check_linearity(tree, subs, pos, modulus)
+        assert not rep.holds
+        assert _reference(G, tree, subs, pos, modulus) is not None
+        assert _breaks_linearity(G, tree, pos, modulus, rep.counterexample)
+    # the non-trivial modulus is enumerated in S4/V4, of order 6
+    assert quotient(v4)[1].order == 6
+    assert rep.space == 3 * 6 * 6
+
+
+def test_trivial_modulus_reuses_the_group():
+    G = builtin_group("dih:4")
+    labels, Q = quotient(G.trivial_subgroup())
+    assert Q is G and labels.dtype == np.int32
+    assert np.array_equal(labels, np.arange(G.order))
+    labels, Q = quotient(G.center())
+    assert labels.dtype == np.int32 and Q.order == G.order // G.center().order
+    assert quotient(G.center())[1] is Q
+
+
+def test_corrupted_coset_label_flips_a_series_check(monkeypatch):
+    spec = CheckSpec("T2.10", "sym:4", "gamma:2", "G,G")
+    assert run_check(spec).status == "pass"
+    real = verbal.quotient
+
+    def corrupt(P):
+        labels, Q = real(P)
+        if Q.order < 2:
+            return labels, Q
+        bad = labels.copy()
+        bad[-1] = (bad[-1] + 1) % Q.order
+        return bad, Q
+
+    monkeypatch.setattr(verbal, "quotient", corrupt)
+    assert run_check(spec).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# memos
+# ---------------------------------------------------------------------------
+
+
+def test_memoised_closure_matches_the_oracle():
+    G = builtin_group("sym:4")
+
+    def mul(a, b):
+        return int(G.table[a, b])
+
+    def inv(a):
+        return int(G.inverse_table[a])
+
+    for seed in ([3], [5, 1], [7, 11, 2], [1, 5]):
+        first = closure(G, seed)
+        again = closure(G, np.array(seed))
+        assert again is first
+        assert first.generators == tuple(sorted(set(seed)))
+        want = close_under_products(seed, mul, inv)
+        assert set(map(int, first.elements)) == want
+
+
+def test_value_set_memo_ignores_word_identity():
+    G = builtin_group("dih:4")
+    full = G.full_subgroup()
+    a, b = parse_word("[[x1,x2],x3]"), gamma(3).to_word()
+    assert a == b and a is not b
+    va = value_set_over(a, {v: full for v in variables(a)})
+    vb = value_set_over(b, {v: G.full_subset() for v in variables(b)})
+    assert np.array_equal(va.values, vb.values)
+    assert va.witnesses == vb.witnesses
+    cold = builtin_group("dih:4")
+    vc = value_set_over(b, {v: cold.full_subset() for v in variables(b)})
+    assert np.array_equal(vc.values, va.values) and vc.witnesses == va.witnesses
+    for value in va.values:
+        assert evaluate(b, G, vb.witness_assignment(int(value))) == int(value)

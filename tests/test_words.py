@@ -109,6 +109,42 @@ def test_render_parse_round_trip(word):
     assert parse_word(render(word)) == word
 
 
+def _plain_render(w):
+    """Text by recursion over the tree, ignoring what the nodes store."""
+    def atomish(c):
+        return _plain_render(c) if isinstance(c, (Var, Commutator)) else f"({_plain_render(c)})"
+
+    if isinstance(w, Var):
+        return f"{w.family}{w.index}"
+    if isinstance(w, Commutator):
+        return f"[{_plain_render(w.left)},{_plain_render(w.right)}]"
+    if isinstance(w, Product):
+        return "*".join(atomish(f) for f in w.factors) if w.factors else "()"
+    if isinstance(w, Power):
+        return f"{atomish(w.child)}^{w.exponent}"
+    return f"{atomish(w.child)}^-1"
+
+
+def _plain_vars(w):
+    if isinstance(w, Var):
+        return {w}
+    if isinstance(w, (Inverse, Power)):
+        return _plain_vars(w.child)
+    if isinstance(w, Product):
+        return set().union(*map(_plain_vars, w.factors))
+    return _plain_vars(w.left) | _plain_vars(w.right)
+
+
+@given(_parseable)
+@settings(max_examples=150, deadline=None)
+def test_stored_render_and_variables_match_recursion(word):
+    assert render(word) == _plain_render(word)
+    assert variables(word) == tuple(sorted(_plain_vars(word)))
+    for wrapped in (Inverse(word), Product((word, word)), Product(())):
+        assert render(wrapped) == _plain_render(wrapped)
+        assert variables(wrapped) == tuple(sorted(_plain_vars(wrapped)))
+
+
 # ---------------------------------------------------------------------------
 # reduction and exponent sums
 # ---------------------------------------------------------------------------
