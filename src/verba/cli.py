@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .enumeration import DEFAULT_BUDGET
 from .errors import (
+    BadIndex,
     BudgetExceeded,
     InternalInvariantViolation,
     VerbaError,
@@ -218,7 +219,11 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     for part in args.assign.split(","):
         name, _, idx = part.strip().partition("=")
         var = parse_word(name)
-        assignment[var] = G.check_index(int(idx))
+        try:
+            index = int(idx)
+        except ValueError:
+            raise BadIndex(f"element index {idx.strip()!r} is not a number") from None
+        assignment[var] = G.check_index(index)
     val = evaluate(expr, G, assignment)
     _emit(f"{val} ({G.element_name(val)})\n", cfg.out)
     return EXIT_OK

@@ -28,6 +28,10 @@ from .words import Inverse, Power, Product, Var, WordExpr
 DEFAULT_ORDER_CAP = 5040
 ASSOC_EXHAUSTIVE_LIMIT = 256
 ASSOC_SPOT_SAMPLES = 100_000
+# Groups up to this order keep an n-by-n commutator table (at most 1 MiB of
+# int32), so `comm_arr` is one gather instead of five.  Larger groups use the
+# formula: at sym:7 the table alone would take about 100 MB.
+COMM_TABLE_LIMIT = 512
 
 
 class FiniteGroup:
@@ -61,11 +65,17 @@ class FiniteGroup:
         )
         self.perm_images = list(perm_images) if perm_images is not None else None
         # Memos that live as long as the group: sub-word value arrays, finished
-        # value sets, subgroup closures by seed, and quotients by modulus.
+        # value sets, subgroup closures by seed, quotients by modulus, class
+        # generating subsets by subgroup mask, parsed tuple specs by text, and
+        # the commutator table.  Each entry is built in full before it is
+        # stored, so threads sharing the group never see a partial one.
         self._value_cache: dict = {}
         self._value_sets: dict = {}
         self._closures: dict[bytes, SubgroupHandle] = {}
         self._quotients: dict[bytes, tuple[np.ndarray, FiniteGroup]] = {}
+        self._class_subsets: dict = {}
+        self._tuple_specs: dict = {}
+        self._comm_table: np.ndarray | None = None
         self._center: SubgroupHandle | None = None
         self._derived: SubgroupHandle | None = None
 
@@ -84,8 +94,7 @@ class FiniteGroup:
         return int(self.table[self.table[self.inverse_table[g], a], g])
 
     def comm(self, a: int, b: int) -> int:
-        t = self.table
-        return int(t[t[t[self.inverse_table[a], self.inverse_table[b]], a], b])
+        return int(self.comm_arr(a, b))
 
     def power(self, a: int, e: int) -> int:
         if e < 0:
@@ -114,8 +123,23 @@ class FiniteGroup:
         return self.inverse_table[a]
 
     def comm_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ct = self._commutator_table()
+        if ct is not None:
+            return ct[a, b]
         t = self.table
         return t[t[t[self.inverse_table[a], self.inverse_table[b]], a], b]
+
+    def _commutator_table(self) -> np.ndarray | None:
+        """``ct[a, b] = [a, b]``, built on first use for orders up to
+        COMM_TABLE_LIMIT and kept read-only; None above the limit."""
+        ct = self._comm_table
+        if ct is None and self.order <= COMM_TABLE_LIMIT:
+            t, inv = self.table, self.inverse_table
+            idx = np.arange(self.order, dtype=np.int32)
+            ct = t[t[t[inv[:, None], inv[None, :]], idx[:, None]], idx[None, :]]
+            ct.setflags(write=False)
+            self._comm_table = ct
+        return ct
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -275,8 +299,9 @@ class ElementSubset:
     @property
     def elements(self) -> np.ndarray:
         if self._elements is None:
-            self._elements = np.flatnonzero(self.mask).astype(np.int32)
-            self._elements.setflags(write=False)
+            elems = np.flatnonzero(self.mask).astype(np.int32)
+            elems.setflags(write=False)
+            self._elements = elems
         return self._elements
 
     @property
@@ -343,8 +368,9 @@ class SubgroupHandle:
     @property
     def elements(self) -> np.ndarray:
         if self._elements is None:
-            self._elements = np.flatnonzero(self.mask).astype(np.int32)
-            self._elements.setflags(write=False)
+            elems = np.flatnonzero(self.mask).astype(np.int32)
+            elems.setflags(write=False)
+            self._elements = elems
         return self._elements
 
     @property

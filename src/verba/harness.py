@@ -20,6 +20,7 @@ from .errors import (
     ArityMismatch,
     BadIndex,
     BudgetExceeded,
+    InternalInvariantViolation,
     PreconditionFailed,
     UnknownCheckId,
     UnknownSpec,
@@ -173,7 +174,14 @@ def _require_ocw(word: OcwTree | WordExpr, what: str) -> OcwTree:
 
 
 def parse_tuple_spec(text: str, G: FiniteGroup) -> NormalTuple:
-    """Comma-separated entries: G, derived, center, ncl(i,...), set:(i,...);n=k."""
+    """Comma-separated entries: G, derived, center, ncl(i,...), set:(i,...);n=k.
+
+    A parsed tuple is memoised on the group by the spec text; a spec that
+    raises is not stored, so it raises again on every call.
+    """
+    cached = G._tuple_specs.get(text)
+    if cached is not None:
+        return cached
     entries: list[TupleEntry] = []
     labels: list[str] = []
     for part in _split_entries(text):
@@ -197,7 +205,9 @@ def parse_tuple_spec(text: str, G: FiniteGroup) -> NormalTuple:
             entries.append(TupleEntry(sub, subset, int(m.group(2))))
         else:
             raise UnknownSpec(f"unknown tuple entry {part!r}")
-    return NormalTuple(G, entries, labels=labels)
+    out = NormalTuple(G, entries, labels=labels)
+    G._tuple_specs[text] = out
+    return out
 
 
 def _split_entries(text: str) -> list[str]:
@@ -827,7 +837,9 @@ def conjecture_probe(
                 sub = closure(G, vs.members)
                 verbal = verbal_subgroup(tree, tup, budget)
                 if sub != verbal:
-                    raise VerbaError("value-set closure differs from verbal subgroup")
+                    raise InternalInvariantViolation(
+                        f"{gspec} {tspec}: value-set closure differs from verbal subgroup"
+                    )
                 rows.append(
                     SurveyRow(
                         group=gspec,

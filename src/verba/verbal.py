@@ -343,9 +343,14 @@ def check_power_condition(entry: TupleEntry) -> bool:
 def class_generating_subset(N: SubgroupHandle) -> tuple[ElementSubset, int]:
     """A proper normal generating subset of N: a union of G-conjugacy classes
     plus the identity, greedily chosen, with the least exponent n such that
-    all n-th powers of N land inside it."""
+    all n-th powers of N land inside it.
+
+    The result is memoised on the group by the mask of N."""
     G = N.group
     N.require_normal()
+    cached = G._class_subsets.get(N.key)
+    if cached is not None:
+        return cached
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     have = closure(G, [])
@@ -366,6 +371,7 @@ def class_generating_subset(N: SubgroupHandle) -> tuple[ElementSubset, int]:
         if subset.mask[powers].all():
             break
         n += 1
+    G._class_subsets[N.key] = (subset, n)
     return subset, n
 
 

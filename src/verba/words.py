@@ -13,6 +13,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -571,6 +572,10 @@ def _max_y(t: OcwTree) -> int:
     return max((v.index for v in t.leaves() if v.family == Y_FAMILY), default=0)
 
 
+# Distinct (tree, degree, shape bound) inputs kept by `enumerate_extended`.
+EXTENDED_CACHE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class ExtendedWordSet:
     """Degree-k extensions of `word`, with inserted y-commutators bounded."""
@@ -590,6 +595,7 @@ class ExtendedWordSet:
         return iter(self.members)
 
 
+@functools.lru_cache(maxsize=EXTENDED_CACHE_SIZE)
 def enumerate_extended(w: OcwTree, k: int, shape_bound: int) -> ExtendedWordSet:
     """Enumerate degree-k extensions of `w` by outer commutators.
 
@@ -597,7 +603,9 @@ def enumerate_extended(w: OcwTree, k: int, shape_bound: int) -> ExtendedWordSet:
     `shape_bound` leaves (the full definition quantifies over all of them;
     the bound keeps the set finite).  Fresh y-variables take the smallest
     unused indices left to right, and members are deduplicated under
-    canonical y-renumbering.
+    canonical y-renumbering.  Results are cached for the process by
+    (tree, k, shape_bound); trees and the result are frozen, so equal trees
+    share one result.
     """
     if k < 0:
         raise ValueError("extension degree must be >= 0")

@@ -42,6 +42,17 @@ def test_eval_command():
     assert code == 0 and "(-1)" in out
 
 
+def test_eval_non_numeric_index_is_a_usage_error(capsys):
+    for bad in ("zz", "a1", "1.5", ""):
+        code, out = run_cli(
+            ["eval", "--group", "sym:3", "--word", "gamma:2", "--assign", f"x1={bad},x2=0"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: element index") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_verbal_command_quat():
     code, out = run_cli(["verbal", "--group", "quat:8", "--word", "[x1,x2]", "--tuple", "G,G"])
     assert code == 0
@@ -118,6 +129,21 @@ def _quat_catalog(tmp_path):
 def test_probe_command():
     code, out = run_cli(["probe", "--word", "[[x1,x2],x3,x4]", "--catalog", "/dev/null"])
     assert code == 0
+
+
+def test_probe_mismatch_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("sym:3\n")
+    args = ["probe", "--word", "gamma:2", "--catalog", str(catalog)]
+    assert run_cli(args)[0] == 0
+    # A verbal subgroup that disagrees with the value-set closure: the full
+    # group where [S3,S3] is A3.
+    monkeypatch.setattr(
+        harness, "verbal_subgroup", lambda w, tup, budget=None: tup.group.full_subgroup()
+    )
+    code, out = run_cli(args)
+    assert code == 1 and out == ""
+    assert "internal invariant violated" in capsys.readouterr().err
 
 
 def test_group_file_through_cli(tmp_path):

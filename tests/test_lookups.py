@@ -1,0 +1,186 @@
+"""Lookups that replace recomputation: the commutator table and the memos for
+class subsets, extended words and parsed tuple specs, each against a fresh
+computation."""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from verba.errors import BadIndex, NotNormalSubset, UnknownSpec
+from verba.groups import (
+    COMM_TABLE_LIMIT,
+    SubgroupHandle,
+    builtin_group,
+    closure,
+    evaluate,
+    normal_closure,
+)
+from verba.harness import (
+    DEFAULT_CATALOG,
+    CheckSpec,
+    build_suite_specs,
+    parse_tuple_spec,
+    run_check,
+)
+from verba.verbal import class_generating_subset
+from verba.words import EXTENDED_CACHE_SIZE, delta, enumerate_extended, gamma, parse_word
+
+
+def _formula(G, a, b):
+    """[a,b] = a^-1 b^-1 a b straight from the multiplication table."""
+    t, inv = G.table, G.inverse_table
+    return t[t[t[inv[a], inv[b]], a], b]
+
+
+def _assert_table_matches(G):
+    n = G.order
+    idx = np.arange(n, dtype=np.int32)
+    # broadcast mesh over every pair
+    mesh = G.comm_arr(idx[:, None], idx[None, :])
+    assert mesh.shape == (n, n)
+    assert np.array_equal(mesh, _formula(G, idx[:, None], idx[None, :]))
+    # element-wise arrays of equal shape
+    a = np.repeat(idx, n).astype(np.int64)
+    b = np.tile(idx, n).astype(np.int64)
+    assert np.array_equal(G.comm_arr(a, b), _formula(G, a, b))
+    # 0-d scalars, as `evaluate` passes them
+    for x in range(min(n, 6)):
+        for y in range(min(n, 6)):
+            got = G.comm_arr(np.asarray(x), np.asarray(y))
+            assert np.ndim(got) == 0 and int(got) == int(_formula(G, x, y))
+            assert G.comm(x, y) == int(got)
+
+
+def test_comm_table_matches_the_formula_on_the_catalog():
+    for spec in DEFAULT_CATALOG:
+        G = builtin_group(spec)
+        _assert_table_matches(G)
+        ct = G._comm_table
+        assert ct is not None and ct.shape == (G.order, G.order)
+        assert not ct.flags.writeable
+
+
+def test_comm_table_matches_the_formula_on_every_suite_quotient():
+    specs, groups = build_suite_specs(DEFAULT_CATALOG, ["T2.10", "T3.6"], seed=0)
+    for spec in specs:
+        assert run_check(spec, G=groups[spec.group]).status == "pass"
+    quotients = {
+        id(Q): Q
+        for G in groups.values()
+        for _, Q in G._quotients.values()
+        if Q is not G
+    }
+    assert len(quotients) >= 10
+    # the linearity sweeps built tables on the quotients they multiplied in
+    assert any(Q._comm_table is not None for Q in quotients.values())
+    for Q in quotients.values():
+        _assert_table_matches(Q)
+
+
+def test_no_comm_table_above_the_limit():
+    G = builtin_group("sym:6")
+    assert G.order > COMM_TABLE_LIMIT
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, G.order, 500)
+    b = rng.integers(0, G.order, 500)
+    assert np.array_equal(G.comm_arr(a, b), _formula(G, a, b))
+    a2, b2 = a[:20, None], b[None, :20]
+    assert np.array_equal(G.comm_arr(a2, b2), _formula(G, a2, b2))
+    x, y = int(a[0]), int(b[0])
+    assert int(G.comm_arr(np.asarray(x), np.asarray(y))) == int(_formula(G, x, y))
+    assert evaluate(parse_word("[x1,x2]"), G, {parse_word("x1"): x, parse_word("x2"): y}) == int(
+        _formula(G, x, y)
+    )
+    assert G._comm_table is None
+
+
+def test_concurrent_first_use_sees_a_whole_table():
+    G = builtin_group("alt:5")
+    idx = np.arange(G.order, dtype=np.int32)
+    want = _formula(G, idx[:, None], idx[None, :])
+    results = []
+
+    def use():
+        results.append(G.comm_arr(idx[:, None], idx[None, :]))
+
+    threads = [threading.Thread(target=use) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 4 and all(np.array_equal(r, want) for r in results)
+
+
+def test_a_corrupted_comm_table_entry_flips_a_suite_row():
+    spec = CheckSpec("T2.10", "sym:4", "gamma:2", "derived,derived")
+    assert run_check(spec, G=builtin_group("sym:4")).status == "pass"
+    G = builtin_group("sym:4")  # a private copy: its table is not shared
+    ct = G._commutator_table().copy()
+    assert ct[3, 7] != 23
+    ct[3, 7] = 23
+    ct.setflags(write=False)
+    G._comm_table = ct
+    assert run_check(spec, G=G).status == "fail"
+
+
+def test_extended_words_are_shared_between_equal_trees():
+    assert enumerate_extended.cache_info().maxsize == EXTENDED_CACHE_SIZE
+    for build in (lambda: gamma(2), lambda: delta(2)):
+        first = enumerate_extended(build(), 1, 2)
+        again = enumerate_extended(build(), 1, 2)
+        assert again is first
+        assert enumerate_extended.__wrapped__(build(), 1, 2) == first
+    with pytest.raises(ValueError):
+        enumerate_extended(gamma(2), -1, 2)
+    with pytest.raises(ValueError):
+        enumerate_extended(gamma(2), -1, 2)
+
+
+def test_class_generating_subset_memo_matches_a_fresh_computation():
+    G = builtin_group("dih:4")  # cold: no memo entries yet
+    assert not G._class_subsets
+    # dih:4 has three normal subgroups of order 4, so a memo keyed by
+    # anything coarser than the subgroup would mix them up
+    subgroups = [G.full_subgroup(), G.derived_subgroup(), G.center(), G.trivial_subgroup()]
+    subgroups += [normal_closure(G, [g]) for g in range(1, G.order)]
+    first = [class_generating_subset(N) for N in subgroups]
+    for N, (subset, n) in zip(subgroups, first):
+        # an equal subgroup held by a different object hits the memo
+        hit = class_generating_subset(SubgroupHandle(G, N.mask, normal=True))
+        assert hit[0] is subset and hit[1] == n
+    for N, (subset, n) in zip(subgroups, first):
+        G._class_subsets.clear()
+        fresh, fresh_n = class_generating_subset(N)
+        assert fresh is not subset
+        assert fresh.key == subset.key and fresh_n == n
+        assert closure(G, fresh) == N
+
+
+def test_parsed_tuple_memo_per_group():
+    G, H = builtin_group("sym:4"), builtin_group("sym:4")
+    text = "G,derived,center,ncl(7),set:(0,3,4,8,11,12,15,19,20);n=2"
+    tup = parse_tuple_spec(text, G)
+    assert parse_tuple_spec(text, G) is tup
+    other = parse_tuple_spec(text, H)
+    assert other is not tup and other.group is H
+    assert all(s.group is H for s in other.subgroups)
+    G._tuple_specs.clear()
+    fresh = parse_tuple_spec(text, G)
+    assert fresh is not tup and fresh.labels == tup.labels
+    assert [s.key for s in fresh.subgroups] == [s.key for s in tup.subgroups]
+    assert [e.exponent for e in fresh.entries] == [e.exponent for e in tup.entries]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("G,bogus", UnknownSpec), ("ncl(99)", BadIndex), ("set:(1);n=2", NotNormalSubset)],
+)
+def test_malformed_tuple_specs_raise_on_every_call(text, error):
+    G = builtin_group("sym:4")
+    for _ in range(2):
+        with pytest.raises(error):
+            parse_tuple_spec(text, G)
+    assert text not in G._tuple_specs
