@@ -30,9 +30,8 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
-    ElementSubset,
     FiniteGroup,
-    SubgroupHandle,
+    Subset,
     builtin_group,
     closure,
     commutator_of_subsets,

@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .enumeration import DEFAULT_BUDGET
@@ -27,8 +26,6 @@ from .harness import (
     CHECK_ID_SET,
     CheckSpec,
     DEFAULT_CATALOG,
-    SurveyRow,
-    conjecture_probe,
     parse_tuple_spec,
     resolve_group,
     resolve_word,
@@ -39,7 +36,8 @@ from .harness import (
 from .series import build_delta_series, build_gamma_series, verify_series
 from .verbal import value_set, verbal_subgroup
 from .words import (
-    OcwTree,
+    arity,
+    as_word,
     classify_outer_commutator,
     exponent_sum,
     is_non_commutator,
@@ -56,36 +54,6 @@ EXIT_BUDGET = 3
 
 SURVEY_HEADER = ["group", "order", "word", "tuple", "m", "verbal_order", "mode", "seed"]
 SUITE_HEADER = ["check", "group", "word", "tuple", "mode", "status", "detail"]
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    group: str | None = None
-    word: str | None = None
-    tuple_spec: str | None = None
-    mode: str = "exhaustive"
-    seed: int | None = None
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "table"
-    out: str | None = None
-    workers: int = 1
-    cap: int = DEFAULT_ORDER_CAP
-
-    def validate(self) -> "RunConfig":
-        if self.budget < 1:
-            raise VerbaError("budget must be at least 1")
-        if self.mode == "sampled" and self.seed is None:
-            raise VerbaError("sampled mode requires --seed")
-        if self.workers < 1:
-            raise VerbaError("workers must be at least 1")
-        return self
-
-    @property
-    def effective_seed(self) -> int:
-        return 0 if self.seed is None else self.seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, group=False, word=False, tup=False)
     p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
     p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("survey", help="value-set size versus verbal subgroup order")
     common(p, group=False, tup=False)
@@ -161,7 +128,16 @@ def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("VERBA_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise VerbaError(f"VERBA_BUDGET {env!r} is not a number") from None
+
+
+def _seed(args) -> int:
+    return 0 if args.seed is None else args.seed
 
 
 def _emit(lines: str, out: str | None) -> None:
@@ -194,7 +170,7 @@ def _format_rows(rows: list[dict], header: list[str], fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args, cfg: RunConfig) -> int:
+def _cmd_parse(args) -> int:
     expr = parse_word(args.word)
     tree = classify_outer_commutator(expr)
     non_comm, witness, esum = is_non_commutator(expr)
@@ -211,10 +187,9 @@ def _cmd_parse(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args, cfg: RunConfig) -> int:
-    G = resolve_group(args.group, cfg.cap)
-    word, _ = resolve_word(args.word)
-    expr = word.to_word() if isinstance(word, OcwTree) else word
+def _cmd_eval(args) -> int:
+    G = resolve_group(args.group, args.cap)
+    expr = as_word(resolve_word(args.word)[0])
     assignment = {}
     for part in args.assign.split(","):
         name, _, idx = part.strip().partition("=")
@@ -225,48 +200,42 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
             raise BadIndex(f"element index {idx.strip()!r} is not a number") from None
         assignment[var] = G.check_index(index)
     val = evaluate(expr, G, assignment)
-    _emit(f"{val} ({G.element_name(val)})\n", cfg.out)
+    _emit(f"{val} ({G.element_name(val)})\n", args.out)
     return EXIT_OK
 
 
-def _resolved(args, cfg: RunConfig, need_tuple=True):
-    G = resolve_group(args.group, cfg.cap)
+def _resolved(args):
+    G = resolve_group(args.group, args.cap)
     word, label = resolve_word(args.word)
-    arity = len(variables(word.to_word() if isinstance(word, OcwTree) else word))
-    if getattr(args, "tuple_spec", None):
-        tup = parse_tuple_spec(args.tuple_spec, G)
-    elif need_tuple:
-        tup = parse_tuple_spec(",".join(["G"] * arity), G)
-    else:
-        tup = None
+    tup = parse_tuple_spec(args.tuple_spec or ",".join(["G"] * arity(word)), G)
     return G, word, label, tup
 
 
-def _cmd_values(args, cfg: RunConfig) -> int:
-    G, word, label, tup = _resolved(args, cfg)
-    vs = value_set(word, [e.subgroup for e in tup.entries], cfg.budget)
+def _cmd_values(args) -> int:
+    G, word, label, tup = _resolved(args)
+    vs = value_set(word, tup.subgroups, args.budget)
     names = [G.element_name(int(v)) for v in vs.values]
     rows = [{"word": label, "tuple": ",".join(tup.labels or []), "m": vs.size,
              "values": " ".join(names)}]
-    _emit(_format_rows(rows, ["word", "tuple", "m", "values"], cfg.fmt), cfg.out)
+    _emit(_format_rows(rows, ["word", "tuple", "m", "values"], args.fmt), args.out)
     return EXIT_OK
 
 
-def _cmd_verbal(args, cfg: RunConfig) -> int:
-    G, word, label, tup = _resolved(args, cfg)
-    sub = verbal_subgroup(word, tup, cfg.budget)
+def _cmd_verbal(args) -> int:
+    G, word, label, tup = _resolved(args)
+    sub = verbal_subgroup(word, tup, args.budget)
     gens = [G.element_name(int(g)) for g in sub.generators[:12]]
     rows = [{"word": label, "tuple": ",".join(tup.labels or []), "order": sub.order,
              "generators": " ".join(gens) + (" ..." if len(sub.generators) > 12 else "")}]
-    _emit(_format_rows(rows, ["word", "tuple", "order", "generators"], cfg.fmt), cfg.out)
+    _emit(_format_rows(rows, ["word", "tuple", "order", "generators"], args.fmt), args.out)
     return EXIT_OK
 
 
-def _cmd_series(args, cfg: RunConfig) -> int:
+def _cmd_series(args) -> int:
     if args.r is not None and args.r < 1:
         raise VerbaError("--r must be at least 1")
-    G = resolve_group(args.group, cfg.cap)
-    budget = cfg.budget
+    G = resolve_group(args.group, args.cap)
+    budget = args.budget
     if args.tuple_spec:
         tup = parse_tuple_spec(args.tuple_spec, G)
     else:
@@ -280,7 +249,7 @@ def _cmd_series(args, cfg: RunConfig) -> int:
     else:
         k = args.k if args.k is not None else max(1, tup.arity.bit_length() - 1)
         series = build_delta_series(tup, k, budget)
-    report = verify_series(series, mode=cfg.mode, seed=cfg.effective_seed, budget=budget)
+    report = verify_series(series, mode=args.mode, seed=_seed(args), budget=budget)
     lines = [
         f"{args.kind} series on {G.label}, parameter {series.parameter}: "
         f"{len(series.factors)} factors"
@@ -304,27 +273,17 @@ def _cmd_series(args, cfg: RunConfig) -> int:
     body = _format_rows(
         rows,
         ["factor", "provenance", "word", "entries", "linear@", "degree", "section", "checks", "linearity"],
-        cfg.fmt,
+        args.fmt,
     )
-    _emit("\n".join(lines) + "\n" + body, cfg.out)
+    _emit("\n".join(lines) + "\n" + body, args.out)
     return EXIT_OK if report.all_ok else EXIT_FAIL
 
 
-def _cmd_check(args, cfg: RunConfig) -> int:
-    spec = CheckSpec(
-        check_id=args.check_id,
-        group=args.group,
-        word=args.word,
-        tuple_spec=args.tuple_spec or "",
-        mode=cfg.mode,
-        seed=cfg.effective_seed,
-    )
-    if not spec.tuple_spec:
-        word, _ = resolve_word(args.word)
-        arity = len(variables(word.to_word() if isinstance(word, OcwTree) else word))
-        spec = CheckSpec(args.check_id, args.group, args.word, ",".join(["G"] * arity), cfg.mode, cfg.effective_seed)
-    res = run_check(spec, budget=cfg.budget, cap=cfg.cap)
-    _emit(_format_rows([res.as_dict()], SUITE_HEADER, cfg.fmt), cfg.out)
+def _cmd_check(args) -> int:
+    tuple_spec = args.tuple_spec or ",".join(["G"] * arity(resolve_word(args.word)[0]))
+    spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec, args.mode, _seed(args))
+    res = run_check(spec, budget=args.budget, cap=args.cap)
+    _emit(_format_rows([res.as_dict()], SUITE_HEADER, args.fmt), args.out)
     if res.status == "fail":
         return EXIT_FAIL
     if res.status == "skip-budget":
@@ -332,21 +291,15 @@ def _cmd_check(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_suite(args, cfg: RunConfig) -> int:
+def _cmd_suite(args) -> int:
     catalog = _read_catalog(args.catalog)
     ids = args.ids.split(",") if args.ids else None
     report = run_suite(
-        catalog,
-        ids=ids,
-        seed=cfg.effective_seed,
-        mode=cfg.mode,
-        budget=cfg.budget,
-        workers=cfg.workers,
-        cap=cfg.cap,
+        catalog, ids=ids, seed=_seed(args), mode=args.mode, budget=args.budget, cap=args.cap
     )
     rows = [r.as_dict() for r in report.rows]
-    body = _format_rows(rows, SUITE_HEADER, cfg.fmt)
-    _emit(body + report.summary() + "\n", cfg.out)
+    body = _format_rows(rows, SUITE_HEADER, args.fmt)
+    _emit(body + report.summary() + "\n", args.out)
     if report.failures:
         return EXIT_FAIL
     if report.skipped:
@@ -354,21 +307,17 @@ def _cmd_suite(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _survey_rows(rows: list[SurveyRow]) -> list[dict]:
-    return [r.as_dict() for r in rows]
-
-
-def _cmd_survey(args, cfg: RunConfig) -> int:
-    catalog = _read_catalog(args.catalog)
-    rows = survey(catalog, args.word, seed=cfg.effective_seed, budget=cfg.budget, cap=cfg.cap)
-    _emit(_format_rows(_survey_rows(rows), SURVEY_HEADER, cfg.fmt), cfg.out)
-    return EXIT_OK if all(r.mode != "skipped" for r in rows) else EXIT_BUDGET
-
-
-def _cmd_probe(args, cfg: RunConfig) -> int:
-    catalog = _read_catalog(args.catalog)
-    rows = conjecture_probe(catalog, args.word, seed=cfg.effective_seed, budget=cfg.budget, cap=cfg.cap)
-    _emit(_format_rows(_survey_rows(rows), SURVEY_HEADER, cfg.fmt), cfg.out)
+def _cmd_survey(args) -> int:
+    """`survey` and `probe`: the probe also cross-checks every row."""
+    rows = survey(
+        _read_catalog(args.catalog),
+        args.word,
+        seed=_seed(args),
+        budget=args.budget,
+        cap=args.cap,
+        probe=args.command == "probe",
+    )
+    _emit(_format_rows([r.as_dict() for r in rows], SURVEY_HEADER, args.fmt), args.out)
     return EXIT_OK if all(r.mode != "skipped" for r in rows) else EXIT_BUDGET
 
 
@@ -381,7 +330,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "suite": _cmd_suite,
     "survey": _cmd_survey,
-    "probe": _cmd_probe,
+    "probe": _cmd_survey,
 }
 
 
@@ -392,20 +341,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = RunConfig(
-            command=args.command,
-            group=getattr(args, "group", None),
-            word=getattr(args, "word", None),
-            tuple_spec=getattr(args, "tuple_spec", None),
-            mode=getattr(args, "mode", "exhaustive"),
-            seed=getattr(args, "seed", None),
-            budget=_budget(args),
-            fmt=getattr(args, "fmt", "table"),
-            out=getattr(args, "out", None),
-            workers=getattr(args, "workers", 1),
-            cap=getattr(args, "cap", DEFAULT_ORDER_CAP),
-        ).validate()
-        return _COMMANDS[args.command](args, cfg)
+        args.budget = _budget(args)
+        if args.budget < 1:
+            raise VerbaError("budget must be at least 1")
+        if getattr(args, "mode", None) == "sampled" and args.seed is None:
+            raise VerbaError("sampled mode requires --seed")
+        return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET

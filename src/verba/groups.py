@@ -26,8 +26,6 @@ from .errors import (
 from .words import Inverse, Power, Product, Var, WordExpr
 
 DEFAULT_ORDER_CAP = 5040
-ASSOC_EXHAUSTIVE_LIMIT = 256
-ASSOC_SPOT_SAMPLES = 100_000
 # Groups up to this order keep an n-by-n commutator table (at most 1 MiB of
 # int32), so `comm_arr` is one gather instead of five.  Larger groups use the
 # formula: at sym:7 the table alone would take about 100 MB.
@@ -71,13 +69,13 @@ class FiniteGroup:
         # stored, so threads sharing the group never see a partial one.
         self._value_cache: dict = {}
         self._value_sets: dict = {}
-        self._closures: dict[bytes, SubgroupHandle] = {}
+        self._closures: dict[bytes, Subset] = {}
         self._quotients: dict[bytes, tuple[np.ndarray, FiniteGroup]] = {}
         self._class_subsets: dict = {}
         self._tuple_specs: dict = {}
         self._comm_table: np.ndarray | None = None
-        self._center: SubgroupHandle | None = None
-        self._derived: SubgroupHandle | None = None
+        self._center: Subset | None = None
+        self._derived: Subset | None = None
 
     # -- scalar operations ---------------------------------------------------
 
@@ -163,41 +161,37 @@ class FiniteGroup:
             raise BadIndex(f"element index {i} outside 0..{self.order - 1}")
         return i
 
-    def subset(self, elements: Iterable[int] | np.ndarray) -> "ElementSubset":
+    def subset(self, elements: Iterable[int] | np.ndarray) -> "Subset":
         mask = np.zeros(self.order, dtype=bool)
         for e in list(elements):
             mask[self.check_index(int(e))] = True
-        return ElementSubset(self, mask)
+        return Subset(self, mask)
 
-    def subset_from_mask(self, mask: np.ndarray) -> "ElementSubset":
-        return ElementSubset(self, mask)
+    def subset_from_mask(self, mask: np.ndarray) -> "Subset":
+        return Subset(self, mask)
 
-    def full_subset(self) -> "ElementSubset":
-        return ElementSubset(self, np.ones(self.order, dtype=bool))
-
-    def full_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(
+    def full_subgroup(self) -> "Subset":
+        return Subset(
             self, np.ones(self.order, dtype=bool), generators=tuple(range(self.order))
         )
 
-    def trivial_subgroup(self) -> "SubgroupHandle":
+    def trivial_subgroup(self) -> "Subset":
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
-        return SubgroupHandle(self, mask, generators=())
+        return Subset(self, mask, generators=())
 
-    def center(self) -> "SubgroupHandle":
+    def center(self) -> "Subset":
         if self._center is None:
             mask = (self.table == self.table.T).all(axis=1)
-            self._center = SubgroupHandle(
+            self._center = Subset(
                 self, mask, generators=tuple(int(i) for i in np.flatnonzero(mask))
             )
         return self._center
 
-    def derived_subgroup(self) -> "SubgroupHandle":
+    def derived_subgroup(self) -> "Subset":
         if self._derived is None:
-            self._derived = commutator_of_subsets(
-                self, self.full_subset(), self.full_subset()
-            )
+            full = self.full_subgroup()
+            self._derived = commutator_of_subsets(self, full, full)
         return self._derived
 
     def __repr__(self) -> str:
@@ -248,7 +242,7 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (left_inv & right_inv).any(axis=1).all():
         a = int(np.flatnonzero(~(left_inv & right_inv).any(axis=1))[0])
         raise NotAGroup(f"element {a} has no two-sided inverse", (a,))
-    _check_associativity(table)
+    _check_associativity(table, e)
     if e != 0:
         perm = np.arange(n, dtype=np.int32)
         perm[e], perm[0] = 0, e
@@ -258,94 +252,46 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, np.arange(n, dtype=np.int32)
 
 
-def _check_associativity(table: np.ndarray) -> None:
+def _check_associativity(table: np.ndarray, e: int) -> None:
+    """Light's associativity test (Clifford & Preston, *Algebraic Theory of
+    Semigroups* I, section 1.2), exact in O(n^2 |gens|).
+
+    The elements g with (xg)y = x(gy) for all x, y are closed under products,
+    so it is enough to test a set of g whose products reach every element.
+    `gens` is picked greedily: the least element not yet reached, until the
+    right products of the identity by `gens` cover the table.
+    """
     n = table.shape[0]
-    if n <= ASSOC_EXHAUSTIVE_LIMIT:
-        left = table[table]  # (a,b,c) -> (ab)c
-        right = table[:, table]  # (a,b,c) -> a(bc)
-        if not np.array_equal(left, right):
-            a, b, c = map(int, np.argwhere(left != right)[0])
-            raise NotAGroup(f"associativity fails on ({a},{b},{c})", (a, b, c))
-    else:
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, n, ASSOC_SPOT_SAMPLES)
-        b = rng.integers(0, n, ASSOC_SPOT_SAMPLES)
-        c = rng.integers(0, n, ASSOC_SPOT_SAMPLES)
-        bad = table[table[a, b], c] != table[a, table[b, c]]
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise NotAGroup(
-                f"associativity fails on ({int(a[i])},{int(b[i])},{int(c[i])})",
-                (int(a[i]), int(b[i]), int(c[i])),
-            )
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.flatnonzero(~reached)[0]))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            prods = np.unique(table[frontier[:, None], gens])
+            frontier = prods[~reached[prods]]
+            reached[frontier] = True
+    rows = max(1, (1 << 20) // n)  # x-rows per block: about 1M cells
+    for g in gens:
+        for start in range(0, n, rows):
+            left = table[table[start : start + rows, g]]  # (xg)y
+            right = np.take(table[start : start + rows], table[g], axis=1)  # x(gy)
+            if (left != right).any():
+                i, y = map(int, np.argwhere(left != right)[0])
+                x = start + i
+                raise NotAGroup(f"associativity fails on ({x},{g},{y})", (x, g, y))
 
 
-class ElementSubset:
-    """Subset of a group as a boolean membership mask."""
+class Subset:
+    """Subset of a group as a read-only boolean membership mask.
 
-    __slots__ = ("group", "mask", "_elements", "_key", "_normal")
-
-    def __init__(self, group: FiniteGroup, mask: np.ndarray):
-        self.group = group
-        mask = np.array(mask, dtype=bool, copy=True)
-        if mask.shape != (group.order,):
-            raise BadIndex("mask length does not match group order")
-        mask.setflags(write=False)
-        self.mask = mask
-        self._elements: np.ndarray | None = None
-        self._key: bytes | None = None
-        self._normal: bool | None = None
-
-    @property
-    def elements(self) -> np.ndarray:
-        if self._elements is None:
-            elems = np.flatnonzero(self.mask).astype(np.int32)
-            elems.setflags(write=False)
-            self._elements = elems
-        return self._elements
-
-    @property
-    def size(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def key(self) -> bytes:
-        if self._key is None:
-            self._key = self.mask.tobytes()
-        return self._key
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask[i])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, (ElementSubset, SubgroupHandle))
-            and other.group is self.group
-            and other.key == self.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.key))
-
-    @property
-    def is_normal_subset(self) -> bool:
-        if self._normal is None:
-            self._normal = _conjugation_closed(self.group, self.elements, self.mask)
-        return self._normal
-
-    def require_normal_subset(self) -> "ElementSubset":
-        if not self.is_normal_subset:
-            raise NotNormalSubset(
-                f"subset of {self.group.label} is not closed under conjugation"
-            )
-        return self
-
-    def __repr__(self) -> str:
-        return f"ElementSubset({self.group.label}, size={self.size})"
-
-
-class SubgroupHandle:
-    """Subgroup as a membership mask plus a chosen generating list."""
+    A subgroup is a subset closed under products, so subsets and subgroups
+    share this one type.  `order` is the number of elements.  `generators`
+    is a chosen generating list where the subset was built as a subgroup
+    (empty otherwise), and normality (closure under conjugation) is worked
+    out once, on first use, unless the constructor is told.
+    """
 
     __slots__ = ("group", "mask", "generators", "_elements", "_key", "_normal")
 
@@ -358,6 +304,8 @@ class SubgroupHandle:
     ):
         self.group = group
         mask = np.array(mask, dtype=bool, copy=True)
+        if mask.shape != (group.order,):
+            raise BadIndex("mask length does not match group order")
         mask.setflags(write=False)
         self.mask = mask
         self.generators = generators
@@ -387,17 +335,13 @@ class SubgroupHandle:
         return bool(self.mask[i])
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, (ElementSubset, SubgroupHandle))
-            and other.group is self.group
-            and other.key == self.key
-        )
+        return isinstance(other, Subset) and other.group is self.group and other.key == self.key
 
     def __hash__(self) -> int:
         return hash((id(self.group), self.key))
 
-    def __le__(self, other: "SubgroupHandle") -> bool:
-        return bool((~other.mask[self.elements]).sum() == 0)
+    def __le__(self, other: "Subset") -> bool:
+        return bool(other.mask[self.elements].all())
 
     @property
     def is_normal(self) -> bool:
@@ -405,30 +349,20 @@ class SubgroupHandle:
             self._normal = _conjugation_closed(self.group, self.elements, self.mask)
         return self._normal
 
-    def require_normal(self) -> "SubgroupHandle":
+    def require_normal(self) -> "Subset":
         if not self.is_normal:
             raise NotNormal(f"subgroup of order {self.order} is not normal")
         return self
 
-    def as_subset(self) -> ElementSubset:
-        sub = ElementSubset(self.group, self.mask)
-        sub._normal = self._normal
-        return sub
-
-    def exponent(self) -> int:
-        out = 1
-        for g in self.elements:
-            out = _lcm(out, self.group.element_order(int(g)))
-        return out
+    def require_normal_subset(self) -> "Subset":
+        if not self.is_normal:
+            raise NotNormalSubset(
+                f"subset of {self.group.label} is not closed under conjugation"
+            )
+        return self
 
     def __repr__(self) -> str:
-        return f"SubgroupHandle({self.group.label}, order={self.order})"
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+        return f"Subset({self.group.label}, order={self.order})"
 
 
 def _conjugation_closed(G: FiniteGroup, elems: np.ndarray, mask: np.ndarray) -> bool:
@@ -445,7 +379,7 @@ def _conjugation_closed(G: FiniteGroup, elems: np.ndarray, mask: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
-def closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHandle:
+def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     """Smallest subgroup containing `seed`, by breadth-first products.
 
     Results are memoised on the group by seed; `generators` is the sorted,
@@ -467,12 +401,12 @@ def closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHand
         new = prods[~mask[prods]]
         mask[new] = True
         frontier = new.astype(np.int32)
-    out = SubgroupHandle(G, mask, generators=tuple(int(g) for g in seed_elems))
+    out = Subset(G, mask, generators=tuple(int(g) for g in seed_elems))
     G._closures[key] = out
     return out
 
 
-def normal_closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> SubgroupHandle:
+def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     """Smallest normal subgroup containing `seed`."""
     seed_elems = _seed_elements(G, seed)
     if seed_elems.size == 0:
@@ -483,21 +417,18 @@ def normal_closure(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> Subgr
     all_g = np.arange(G.order, dtype=np.int32)
     conj = t[t[G.inverse_table[:, None], seed_elems[None, :]], all_g[:, None]]
     out = closure(G, np.unique(conj))
-    out = SubgroupHandle(G, out.mask, generators=tuple(int(g) for g in seed_elems), normal=True)
-    return out
+    return Subset(G, out.mask, generators=tuple(int(g) for g in seed_elems), normal=True)
 
 
-def _seed_elements(G: FiniteGroup, seed: ElementSubset | Iterable[int]) -> np.ndarray:
-    if isinstance(seed, ElementSubset):
+def _seed_elements(G: FiniteGroup, seed: Subset | Iterable[int]) -> np.ndarray:
+    if isinstance(seed, Subset):
         if seed.group is not G:
             raise BadIndex("subset belongs to a different group")
-        return seed.elements
-    if isinstance(seed, SubgroupHandle):
         return seed.elements
     return G.subset(seed).elements
 
 
-def star_power(G: FiniteGroup, S: ElementSubset, n: int) -> ElementSubset:
+def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     """Products of length at most n over S and its inverses.
 
     The identity (empty product) is always included, so star powers are
@@ -518,32 +449,30 @@ def star_power(G: FiniteGroup, S: ElementSubset, n: int) -> ElementSubset:
         cur = nxt
     mask = np.zeros(G.order, dtype=bool)
     mask[cur] = True
-    return ElementSubset(G, mask)
+    return Subset(G, mask)
 
 
-def commutator_of_subsets(
-    G: FiniteGroup, S: ElementSubset, T: ElementSubset
-) -> SubgroupHandle:
+def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
     """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal subsets."""
     S.require_normal_subset()
     T.require_normal_subset()
-    if S.size == 0 or T.size == 0:
+    if S.order == 0 or T.order == 0:
         out = G.trivial_subgroup()
         out._normal = True
         return out
     comms = np.unique(G.comm_arr(S.elements[:, None], T.elements[None, :]))
     out = closure(G, comms)
-    return SubgroupHandle(G, out.mask, generators=tuple(int(c) for c in comms), normal=True)
+    return Subset(G, out.mask, generators=tuple(int(c) for c in comms), normal=True)
 
 
-def commutator_subgroup(H: SubgroupHandle, K: SubgroupHandle) -> SubgroupHandle:
+def commutator_subgroup(H: Subset, K: Subset) -> Subset:
     """[H,K] for normal subgroups H, K of the same group."""
     H.require_normal()
     K.require_normal()
-    return commutator_of_subsets(H.group, H.as_subset(), K.as_subset())
+    return commutator_of_subsets(H.group, H, K)
 
 
-def subgroup_product(H: SubgroupHandle, K: SubgroupHandle) -> SubgroupHandle:
+def subgroup_product(H: Subset, K: Subset) -> Subset:
     """The set product HK, which must again be a subgroup."""
     if H.group is not K.group:
         raise BadIndex("subgroups of different groups")
@@ -558,12 +487,12 @@ def subgroup_product(H: SubgroupHandle, K: SubgroupHandle) -> SubgroupHandle:
                 "neither factor is normal and the set product is not closed"
             )
     normal = True if (H.is_normal and K.is_normal) else None
-    return SubgroupHandle(
+    return Subset(
         G, mask, generators=tuple(H.generators) + tuple(K.generators), normal=normal
     )
 
 
-def quotient(P: SubgroupHandle) -> tuple[np.ndarray, FiniteGroup]:
+def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
     """Coset labels of the normal subgroup P and the quotient group G/P.
 
     ``labels[g]`` is the coset of g.  Cosets are numbered by their smallest
@@ -592,7 +521,7 @@ def quotient(P: SubgroupHandle) -> tuple[np.ndarray, FiniteGroup]:
     return out
 
 
-def congruent_mod(a: int, b: int, P: SubgroupHandle) -> bool:
+def congruent_mod(a: int, b: int, P: Subset) -> bool:
     """a == b modulo the normal subgroup P, i.e. a b^-1 lies in P."""
     P.require_normal()
     G = P.group

@@ -9,7 +9,6 @@ never count as full passes.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +30,7 @@ from .groups import (
     FiniteGroup,
     builtin_group,
     closure,
+    evaluate_arrays,
     load_group_file,
     normal_closure,
     star_power,
@@ -59,6 +59,7 @@ from .words import (
     OcwTree,
     Power,
     WordExpr,
+    arity,
     classify_outer_commutator,
     delta,
     enumerate_extended,
@@ -364,7 +365,8 @@ def _check_width_sweep(spec, G, word, tup, budget) -> CheckResult:
     leaves = tree.leaves()
     subsets = [class_generating_subset(s)[0] for s in tup.subgroups]
     base = value_set(tree, subsets, budget)
-    for mvec in _width_vectors(len(leaves)):
+    mvecs = _width_vectors(len(leaves))
+    for mvec in mvecs:
         starred = [star_power(G, s, m) for s, m in zip(subsets, mvec)]
         vs = value_set(tree, starred, budget)
         total = 1
@@ -375,7 +377,7 @@ def _check_width_sweep(spec, G, word, tup, budget) -> CheckResult:
         if bad.size:
             wit = vs.witnesses[int(bad[0])]
             return _result(spec, "fail", f"m={mvec}, value {int(bad[0])} from {wit}")
-    return _result(spec, "pass", f"{len(_width_vectors(len(leaves)))} multiplicity vectors")
+    return _result(spec, "pass", f"{len(mvecs)} multiplicity vectors")
 
 
 def _check_comm_congruence_sweep(spec, G, word, tup, budget) -> CheckResult:
@@ -451,7 +453,7 @@ def _check_delta_bound(spec, G, word, tup, budget) -> CheckResult:
 def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
     """Value set computed two independent ways; its closure is the verbal subgroup."""
     tree = _require_ocw(word, spec.check_id)
-    sets = [s.as_subset() for s in tup.subgroups]
+    sets = tup.subgroups
     vs = value_set(tree, sets, budget)
     direct = _value_set_by_direct_enumeration(tree, sets, G, budget)
     if direct is not None and (
@@ -470,15 +472,13 @@ def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
 
 def _value_set_by_direct_enumeration(tree, sets, G, budget) -> np.ndarray | None:
     """Raw assignment-space enumeration, as an independent cross-check."""
-    from .groups import evaluate_arrays
-
-    vars_ = variables(tree.to_word())
+    expr = tree.to_word()
+    vars_ = variables(expr)
     space = ProductSpace([s.elements.astype(np.int64) for s in sets])
     limit = DEFAULT_BUDGET if budget is None else budget
     if space.size > min(limit, 2_000_000):  # keep the oracle cheap
         return None
     seen = np.zeros(G.order, dtype=bool)
-    expr = tree.to_word()
     for _, cols in space.blocks(DEFAULT_BLOCK):
         seen[evaluate_arrays(expr, G, dict(zip(vars_, cols)))] = True
     return np.flatnonzero(seen).astype(np.int64)
@@ -494,8 +494,6 @@ def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
     everyone = np.arange(G.order, dtype=np.int64)
     for u, e in zip(args, exps):
         # u evaluated at a single non-identity entry returns the e-th power
-        from .groups import evaluate_arrays
-
         if not np.array_equal(
             evaluate_arrays(u, G, {u.child: everyone}), G.pow_arr(everyone, e)
         ):
@@ -543,8 +541,7 @@ def _check_probe(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "CONJ")
     if len(tree.leaves()) > 7:
         raise PreconditionFailed("probe words are capped at 7 leaves")
-    sets = [s.as_subset() for s in tup.subgroups]
-    vs = value_set(tree, sets, budget)
+    vs = value_set(tree, tup.subgroups, budget)
     sub = closure(G, vs.members)
     verbal = verbal_subgroup(tree, tup, budget)
     ok = sub == verbal and G.order % sub.order == 0
@@ -581,16 +578,11 @@ def run_check(
     if spec.check_id not in _CHECK_TABLE:
         raise UnknownCheckId(f"unknown check id {spec.check_id!r}")
     group = G if G is not None else resolve_group(spec.group, cap)
-    word, _ = resolve_word(spec.word) if spec.word != "-" else (gamma(1), "-")
-    if spec.word == "-":
-        arity = 3
-        word = None
-    else:
-        arity = len(variables(word.to_word() if isinstance(word, OcwTree) else word))
+    word = None if spec.word == "-" else resolve_word(spec.word)[0]
     tup = parse_tuple_spec(spec.tuple_spec, group)
-    if tup.arity != arity and spec.word != "-":
+    if word is not None and tup.arity != arity(word):
         raise ArityMismatch(
-            f"word {spec.word} needs {arity} tuple entries, got {tup.arity}"
+            f"word {spec.word} needs {arity(word)} tuple entries, got {tup.arity}"
         )
     try:
         return _CHECK_TABLE[spec.check_id](spec, group, word, tup, budget)
@@ -689,14 +681,8 @@ def build_suite_specs(
             if check_id not in ids:
                 continue
             for wspec in _words_for(check_id, G):
-                if wspec == "-":
-                    arity = 3
-                else:
-                    word, _ = resolve_word(wspec)
-                    arity = len(
-                        variables(word.to_word() if isinstance(word, OcwTree) else word)
-                    )
-                for tspec in _tuples_for(check_id, G, arity, seed):
+                r = 3 if wspec == "-" else arity(resolve_word(wspec)[0])
+                for tspec in _tuples_for(check_id, G, r, seed):
                     specs.append(
                         CheckSpec(
                             check_id=check_id,
@@ -716,24 +702,17 @@ def run_suite(
     seed: int = 0,
     mode: str = "exhaustive",
     budget: int | None = None,
-    workers: int = 1,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> SuiteReport:
-    """Cartesian sweep of checks over the catalog; deterministic row order."""
+    """Cartesian sweep of checks over the catalog, serial, in a fixed row order."""
     ids = list(ids) if ids is not None else list(CHECK_ID_SET)
     specs, groups = build_suite_specs(catalog, ids, seed=seed, mode=mode, cap=cap)
-
-    def job(spec: CheckSpec) -> CheckResult:
+    rows = []
+    for spec in specs:
         try:
-            return run_check(spec, G=groups[spec.group], budget=budget, cap=cap)
+            rows.append(run_check(spec, G=groups[spec.group], budget=budget, cap=cap))
         except VerbaError as exc:
-            return _result(spec, "fail", f"{type(exc).__name__}: {exc}")
-
-    if workers <= 1:
-        rows = [job(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, specs))
+            rows.append(_result(spec, "fail", f"{type(exc).__name__}: {exc}"))
     return SuiteReport(rows=rows, seed=seed)
 
 
@@ -772,44 +751,45 @@ def survey(
     seed: int = 0,
     budget: int | None = None,
     cap: int = DEFAULT_ORDER_CAP,
+    probe: bool = False,
 ) -> list[SurveyRow]:
-    """One row per (group, tuple): m = |w{N}| against |w(N)|."""
+    """One row per (group, tuple): m = |w{N}| against |w(N)|.
+
+    With `probe`, the word is capped at 7 leaves and the closure of each value
+    set is cross-checked against `verbal_subgroup`.
+    """
     word, label = resolve_word(word_spec)
-    tree = _require_ocw(word, "survey")
-    arity = len(tree.leaves())
+    tree = _require_ocw(word, "probe" if probe else "survey")
+    leaves = len(tree.leaves())
+    if probe and leaves > 7:
+        raise PreconditionFailed("probe words are capped at 7 leaves")
     rows: list[SurveyRow] = []
     for gspec in catalog:
         G = resolve_group(gspec, cap)
-        for tspec in default_tuple_specs(G, arity, seed):
+        for tspec in default_tuple_specs(G, leaves, seed):
             tup = parse_tuple_spec(tspec, G)
             try:
-                vs = value_set(tree, [s.as_subset() for s in tup.subgroups], budget)
+                vs = value_set(tree, tup.subgroups, budget)
                 sub = closure(G, vs.members)
-                rows.append(
-                    SurveyRow(
-                        group=gspec,
-                        order=G.order,
-                        word=label,
-                        tuple_spec=tspec,
-                        m=vs.size,
-                        verbal_order=sub.order,
-                        mode="exhaustive",
-                        seed=seed,
+                if probe and sub != verbal_subgroup(tree, tup, budget):
+                    raise InternalInvariantViolation(
+                        f"{gspec} {tspec}: value-set closure differs from verbal subgroup"
                     )
-                )
+                m, verbal_order, mode = vs.size, sub.order, "exhaustive"
             except BudgetExceeded:
-                rows.append(
-                    SurveyRow(
-                        group=gspec,
-                        order=G.order,
-                        word=label,
-                        tuple_spec=tspec,
-                        m=0,
-                        verbal_order=0,
-                        mode="skipped",
-                        seed=seed,
-                    )
+                m, verbal_order, mode = 0, 0, "skipped"
+            rows.append(
+                SurveyRow(
+                    group=gspec,
+                    order=G.order,
+                    word=label,
+                    tuple_spec=tspec,
+                    m=m,
+                    verbal_order=verbal_order,
+                    mode=mode,
+                    seed=seed,
                 )
+            )
     rows.sort(key=lambda r: (r.m, r.order, r.group, r.tuple_spec))
     return rows
 
@@ -821,49 +801,5 @@ def conjecture_probe(
     budget: int | None = None,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> list[SurveyRow]:
-    """Survey rows for arbitrary outer commutator words (<= 7 leaves); the
-    closure of the value set is checked to equal the verbal subgroup."""
-    word, label = resolve_word(word_spec)
-    tree = _require_ocw(word, "probe")
-    if len(tree.leaves()) > 7:
-        raise PreconditionFailed("probe words are capped at 7 leaves")
-    rows = []
-    for gspec in catalog:
-        G = resolve_group(gspec, cap)
-        for tspec in default_tuple_specs(G, len(tree.leaves()), seed):
-            tup = parse_tuple_spec(tspec, G)
-            try:
-                vs = value_set(tree, [s.as_subset() for s in tup.subgroups], budget)
-                sub = closure(G, vs.members)
-                verbal = verbal_subgroup(tree, tup, budget)
-                if sub != verbal:
-                    raise InternalInvariantViolation(
-                        f"{gspec} {tspec}: value-set closure differs from verbal subgroup"
-                    )
-                rows.append(
-                    SurveyRow(
-                        group=gspec,
-                        order=G.order,
-                        word=label,
-                        tuple_spec=tspec,
-                        m=vs.size,
-                        verbal_order=sub.order,
-                        mode="exhaustive",
-                        seed=seed,
-                    )
-                )
-            except BudgetExceeded:
-                rows.append(
-                    SurveyRow(
-                        group=gspec,
-                        order=G.order,
-                        word=label,
-                        tuple_spec=tspec,
-                        m=0,
-                        verbal_order=0,
-                        mode="skipped",
-                        seed=seed,
-                    )
-                )
-    rows.sort(key=lambda r: (r.m, r.order, r.group, r.tuple_spec))
-    return rows
+    """`survey` for arbitrary outer commutator words of at most 7 leaves."""
+    return survey(catalog, word_spec, seed, budget, cap, probe=True)

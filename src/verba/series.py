@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .groups import (
-    SubgroupHandle,
+    Subset,
     closure,
     commutator_subgroup,
     star_power,
@@ -50,7 +50,7 @@ class AnnotatedEntry:
     """One tuple component M_j = source(base components), feeding `var`."""
 
     var: Var
-    subgroup: SubgroupHandle
+    subgroup: Subset
     source: OcwTree
     components: tuple[int, ...]  # 1-based positions into the base tuple
 
@@ -58,8 +58,8 @@ class AnnotatedEntry:
 @dataclass(frozen=True)
 class SeriesFactor:
     index: int  # 1-based position in the ascending chain
-    lower: SubgroupHandle
-    upper: SubgroupHandle
+    lower: Subset
+    upper: Subset
     word: OcwTree
     entries: tuple[AnnotatedEntry, ...]  # canonical variable order
     linear_position: int  # 1-based into entries
@@ -71,7 +71,7 @@ class SeriesFactor:
         return self.entries[self.linear_position - 1].var
 
     @property
-    def subgroups(self) -> tuple[SubgroupHandle, ...]:
+    def subgroups(self) -> tuple[Subset, ...]:
         return tuple(e.subgroup for e in self.entries)
 
 
@@ -80,15 +80,15 @@ class LinearSeries:
     kind: str  # "gamma" | "delta"
     parameter: int  # r for gamma, k for delta
     base: NormalTuple
-    terms: tuple[SubgroupHandle, ...]  # ascending chain, bottom first
+    terms: tuple[Subset, ...]  # ascending chain, bottom first
     factors: tuple[SeriesFactor, ...]
 
     @property
-    def bottom(self) -> SubgroupHandle:
+    def bottom(self) -> Subset:
         return self.terms[0]
 
     @property
-    def top(self) -> SubgroupHandle:
+    def top(self) -> Subset:
         return self.terms[-1]
 
     @property
@@ -101,7 +101,7 @@ def _require(cond: bool, message: str) -> None:
         raise InternalInvariantViolation(message)
 
 
-def _leaf_entry(j: int, sub: SubgroupHandle) -> AnnotatedEntry:
+def _leaf_entry(j: int, sub: Subset) -> AnnotatedEntry:
     return AnnotatedEntry(
         var=xvar(j), subgroup=sub, source=OcwTree.leaf(xvar(1)), components=(j,)
     )
@@ -109,8 +109,8 @@ def _leaf_entry(j: int, sub: SubgroupHandle) -> AnnotatedEntry:
 
 def _canonical_factor(
     index: int,
-    lower: SubgroupHandle,
-    upper: SubgroupHandle,
+    lower: Subset,
+    upper: Subset,
     word_raw: OcwTree,
     entries_raw: Sequence[AnnotatedEntry],
     linear_var: Var,
@@ -167,7 +167,7 @@ def build_gamma_series(
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
     subs = T.subgroups
     word = gamma(r)
-    q_subgroups: dict[int, SubgroupHandle] = {}
+    q_subgroups: dict[int, Subset] = {}
     entries_at: dict[int, tuple[AnnotatedEntry, ...]] = {}
     for i in range(1, r + 1):
         gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
@@ -188,7 +188,7 @@ def build_gamma_series(
         q_subgroups[i] = verbal_subgroup(word, [e.subgroup for e in entries], budget)
     top = q_subgroups[1]
     q_subgroups[r + 1] = commutator_subgroup(top, top)
-    p_subgroups: dict[int, SubgroupHandle] = {r + 1: q_subgroups[r + 1]}
+    p_subgroups: dict[int, Subset] = {r + 1: q_subgroups[r + 1]}
     for i in range(r, 0, -1):
         p_subgroups[i] = subgroup_product(q_subgroups[i], p_subgroups[i + 1])
     _require(p_subgroups[1] == top, "chain top must equal the full verbal subgroup")
@@ -224,7 +224,7 @@ def _audit_gamma(T: NormalTuple, p_subgroups, budget) -> None:
     starred = build_gamma_series(T.sub_tuple(0, r - 1), budget)
     # starred chain is ascending: starred.terms[pos] = P*_{r+1-pos} for length r-1
     p_star = {r - pos: starred.terms[pos] for pos in range(r)}
-    q_star: dict[int, SubgroupHandle] = {}
+    q_star: dict[int, Subset] = {}
     for i in range(1, r):
         gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
         tuple_i = list(subs[: r - 1])
@@ -636,7 +636,7 @@ def generator_bound_report(
                 if e.var.family == "x" and e.var.index <= r:
                     s_j = sets[e.var.index - 1]
                     d = 0
-                    while not _subset_of(t_vals, star_power(G, s_j, d)):
+                    while not t_vals <= star_power(G, s_j, d):
                         d += 1
                     depth = max(depth, d)
             n = depth ** (2**k) * 2 ** (k - 1)
@@ -661,7 +661,3 @@ def generator_bound_report(
         base_values=m,
         rows=rows,
     )
-
-
-def _subset_of(smaller, larger) -> bool:
-    return bool((smaller.mask & ~larger.mask).sum() == 0)

@@ -10,7 +10,7 @@ back to the raw assignment space when variables repeat inside a subtree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .groups import (
-    ElementSubset,
     FiniteGroup,
-    SubgroupHandle,
+    Subset,
     closure,
     commutator_subgroup,
     congruent_mod,
@@ -43,6 +42,7 @@ from .words import (
     Product,
     Var,
     WordExpr,
+    as_word,
     extension_degree,
     render,
     substitute,
@@ -50,19 +50,6 @@ from .words import (
 )
 
 DEFAULT_SAMPLES = 100_000
-
-Subsetish = Union[ElementSubset, SubgroupHandle]
-
-
-def _as_subset(s: Subsetish) -> ElementSubset:
-    if isinstance(s, SubgroupHandle):
-        return s.as_subset()
-    return s
-
-
-def _as_word(w: WordExpr | OcwTree) -> WordExpr:
-    return w.to_word() if isinstance(w, OcwTree) else w
-
 
 # ---------------------------------------------------------------------------
 # value sets
@@ -80,9 +67,9 @@ class ValueSet:
 
     word: WordExpr
     variables: tuple[Var, ...]
-    subsets: tuple[ElementSubset, ...]
+    subsets: tuple[Subset, ...]
     values: np.ndarray  # sorted ascending
-    members: ElementSubset
+    members: Subset
     witnesses: dict[int, tuple[int, ...]]
 
     @property
@@ -95,7 +82,7 @@ class ValueSet:
 
 def value_set(
     w: WordExpr | OcwTree,
-    subsets: Sequence[Subsetish],
+    subsets: Sequence[Subset],
     budget: int | None = None,
 ) -> ValueSet:
     """Values of `w` as its variables range over `subsets` positionally.
@@ -103,7 +90,7 @@ def value_set(
     Positions follow the canonical variable order of the word (x-family by
     index, then y-family by index).
     """
-    expr = _as_word(w)
+    expr = as_word(w)
     vars_ = variables(expr)
     if len(subsets) != len(vars_):
         raise ArityMismatch(
@@ -114,7 +101,7 @@ def value_set(
 
 def value_set_over(
     w: WordExpr | OcwTree,
-    env: Mapping[Var, Subsetish],
+    env: Mapping[Var, Subset],
     budget: int | None = None,
 ) -> ValueSet:
     """Values of `w` with each variable ranging over its subset in `env`.
@@ -122,7 +109,7 @@ def value_set_over(
     The finished ValueSet is memoised on the group by word text and subset
     masks, so equal words over equal subsets share one result.
     """
-    expr = _as_word(w)
+    expr = as_word(w)
     vars_ = variables(expr)
     missing = [v for v in vars_ if v not in env]
     if missing:
@@ -134,8 +121,7 @@ def value_set_over(
     cached = group._value_sets.get(memo_key)
     if cached is not None:
         return cached
-    sets = {v: _as_subset(env[v]) for v in vars_}
-    vals, rows = _values(expr, sets, group, budget)
+    vals, rows = _values(expr, env, group, budget)
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     mask = np.zeros(group.order, dtype=bool)
@@ -145,9 +131,9 @@ def value_set_over(
     out = ValueSet(
         word=expr,
         variables=vars_,
-        subsets=tuple(sets[v] for v in vars_),
+        subsets=tuple(env[v] for v in vars_),
         values=sorted_vals,
-        members=ElementSubset(group, mask),
+        members=Subset(group, mask),
         witnesses=witnesses,
     )
     group._value_sets[memo_key] = out
@@ -156,7 +142,7 @@ def value_set_over(
 
 def _values(
     expr: WordExpr,
-    sets: Mapping[Var, ElementSubset],
+    sets: Mapping[Var, Subset],
     group: FiniteGroup,
     budget: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +251,8 @@ class TupleEntry:
     """One component: a normal subgroup, optionally with a generating normal
     subset and a power-closure exponent."""
 
-    subgroup: SubgroupHandle
-    subset: ElementSubset | None = None
+    subgroup: Subset
+    subset: Subset | None = None
     exponent: int | None = None
 
 
@@ -277,13 +263,13 @@ class NormalTuple:
     def __init__(
         self,
         group: FiniteGroup,
-        entries: Sequence[TupleEntry | SubgroupHandle],
+        entries: Sequence[TupleEntry | Subset],
         labels: Sequence[str] | None = None,
     ):
         self.group = group
         norm: list[TupleEntry] = []
         for e in entries:
-            if isinstance(e, SubgroupHandle):
+            if isinstance(e, Subset):
                 e = TupleEntry(subgroup=e)
             norm.append(e)
         for pos, entry in enumerate(norm, start=1):
@@ -315,12 +301,12 @@ class NormalTuple:
         return len(self.entries)
 
     @property
-    def subgroups(self) -> tuple[SubgroupHandle, ...]:
+    def subgroups(self) -> tuple[Subset, ...]:
         return tuple(e.subgroup for e in self.entries)
 
-    def chosen_sets(self, use_subsets: bool = True) -> tuple[ElementSubset, ...]:
+    def chosen_sets(self, use_subsets: bool = True) -> tuple[Subset, ...]:
         return tuple(
-            e.subset if (use_subsets and e.subset is not None) else e.subgroup.as_subset()
+            e.subset if (use_subsets and e.subset is not None) else e.subgroup
             for e in self.entries
         )
 
@@ -340,7 +326,7 @@ def check_power_condition(entry: TupleEntry) -> bool:
     return bool(entry.subset.mask[powers].all())
 
 
-def class_generating_subset(N: SubgroupHandle) -> tuple[ElementSubset, int]:
+def class_generating_subset(N: Subset) -> tuple[Subset, int]:
     """A proper normal generating subset of N: a union of G-conjugacy classes
     plus the identity, greedily chosen, with the least exponent n such that
     all n-th powers of N land inside it.
@@ -364,7 +350,7 @@ def class_generating_subset(N: SubgroupHandle) -> tuple[ElementSubset, int]:
         have = closure(G, np.flatnonzero(mask))
         if have == N:
             break
-    subset = ElementSubset(G, mask)
+    subset = Subset(G, mask)
     n = 1
     while True:
         powers = G.pow_arr(N.elements, n)
@@ -382,10 +368,10 @@ def class_generating_subset(N: SubgroupHandle) -> tuple[ElementSubset, int]:
 
 def verbal_subgroup(
     w: WordExpr | OcwTree,
-    tup: NormalTuple | Sequence[Subsetish],
+    tup: NormalTuple | Sequence[Subset],
     budget: int | None = None,
     use_subsets: bool = True,
-) -> SubgroupHandle:
+) -> Subset:
     """Subgroup generated by the values of `w` over the tuple.
 
     For a NormalTuple the values are taken over the generating subsets where
@@ -393,20 +379,17 @@ def verbal_subgroup(
     subgroups the result is the same either way (checkable via
     `check_generator_independence`).
     """
-    if isinstance(tup, NormalTuple):
-        sets: Sequence[Subsetish] = tup.chosen_sets(use_subsets)
-    else:
-        sets = tup
+    sets = tup.chosen_sets(use_subsets) if isinstance(tup, NormalTuple) else tup
     vs = value_set(w, sets, budget)
-    out = closure(vs.members.group, vs.members)
-    return out
+    return closure(vs.members.group, vs.members)
 
 
 def verbal_subgroup_of_word(
     w: WordExpr, G: FiniteGroup, budget: int | None = None
-) -> SubgroupHandle:
+) -> Subset:
     """w(G): values over full-group tuples; valid for arbitrary words."""
-    env = {v: G.full_subset() for v in variables(w)}
+    full = G.full_subgroup()
+    env = {v: full for v in variables(w)}
     vs = value_set_over(w, env, budget)
     return closure(G, vs.members)
 
@@ -427,14 +410,14 @@ def check_generator_independence(
 @dataclass
 class SplitReport:
     equal: bool
-    whole: SubgroupHandle
-    left: SubgroupHandle
-    right: SubgroupHandle
+    whole: Subset
+    left: Subset
+    right: Subset
     split_at: int
 
 
 def check_disjoint_split(
-    w: OcwTree, tup: NormalTuple | Sequence[SubgroupHandle], budget: int | None = None
+    w: OcwTree, tup: NormalTuple | Sequence[Subset], budget: int | None = None
 ) -> SplitReport:
     """Both sides of w(N1..Nr) = [alpha(N1..Nq), beta(N(q+1)..Nr)]."""
     if w.is_leaf:
@@ -487,7 +470,7 @@ def check_substitution(
 
 def check_star_membership(
     w: OcwTree,
-    S: ElementSubset,
+    S: Subset,
     t: Sequence[int],
     position: int,
     budget: int | None = None,
@@ -509,7 +492,7 @@ def check_star_membership(
 
 def check_width(
     w: OcwTree,
-    subsets: Sequence[ElementSubset],
+    subsets: Sequence[Subset],
     multiplicities: Sequence[int],
     t: Sequence[int],
     budget: int | None = None,
@@ -534,7 +517,7 @@ def check_width(
 def check_extended_width(
     v: OcwTree,
     w: OcwTree,
-    subsets: Sequence[ElementSubset],
+    subsets: Sequence[Subset],
     multiplicities: Sequence[int],
     assignment: Mapping[Var, int],
     budget: int | None = None,
@@ -621,9 +604,9 @@ def spine_eval(
 
 def check_linearity(
     w: OcwTree,
-    tup: NormalTuple | Sequence[SubgroupHandle],
+    tup: NormalTuple | Sequence[Subset],
     position: int,
-    modulus: SubgroupHandle,
+    modulus: Subset,
     mode: str = "exhaustive",
     seed: int | None = None,
     samples: int = DEFAULT_SAMPLES,
@@ -715,9 +698,9 @@ def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np
 
 def _linearity_sampled(
     w: OcwTree,
-    env: Mapping[Var, SubgroupHandle],
+    env: Mapping[Var, Subset],
     pivot: Var,
-    modulus: SubgroupHandle,
+    modulus: Subset,
     G: FiniteGroup,
     seed: int,
     samples: int,
@@ -727,8 +710,9 @@ def _linearity_sampled(
     rng = np.random.default_rng(seed)
     vars_ = list(env.keys())
     expr = w.to_word()
+    counterexample: dict[str, int] | None = None
     remaining = samples
-    while remaining > 0:
+    while remaining > 0 and counterexample is None:
         block = min(remaining, DEFAULT_BLOCK)
         draw = {
             v: env[v].elements[rng.integers(0, env[v].order, block)].astype(np.int64)
@@ -743,20 +727,8 @@ def _linearity_sampled(
         ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
-            assignment = {str(v): int(draw[v][i]) for v in vars_}
-            assignment["y"] = int(yv[i])
-            return LinearityReport(
-                word=w.render(),
-                position=position,
-                entry_orders=entry_orders,
-                modulus_order=modulus.order,
-                mode="sampled",
-                seed=seed,
-                samples=samples,
-                space=samples,
-                holds=False,
-                counterexample=assignment,
-            )
+            counterexample = {str(v): int(draw[v][i]) for v in vars_}
+            counterexample["y"] = int(yv[i])
         remaining -= block
     return LinearityReport(
         word=w.render(),
@@ -767,7 +739,8 @@ def _linearity_sampled(
         seed=seed,
         samples=samples,
         space=samples,
-        holds=True,
+        holds=counterexample is None,
+        counterexample=counterexample,
     )
 
 
@@ -776,9 +749,7 @@ def _linearity_sampled(
 # ---------------------------------------------------------------------------
 
 
-def comm_congruence_modulus(
-    K: SubgroupHandle, L: SubgroupHandle, N: SubgroupHandle
-) -> SubgroupHandle:
+def comm_congruence_modulus(K: Subset, L: Subset, N: Subset) -> Subset:
     """The subgroup [K,N,K][L,N]."""
     knk = commutator_subgroup(commutator_subgroup(K, N), K)
     ln = commutator_subgroup(L, N)
@@ -787,9 +758,9 @@ def comm_congruence_modulus(
 
 def check_comm_congruence(
     G: FiniteGroup,
-    K: SubgroupHandle,
-    L: SubgroupHandle,
-    N: SubgroupHandle,
+    K: Subset,
+    L: Subset,
+    N: Subset,
     x: int,
     y: int,
     z: int,

@@ -26,6 +26,10 @@ from .errors import (
 
 X_FAMILY = "x"
 Y_FAMILY = "y"
+# Deepest nesting `parse_word` accepts, counted both as open brackets and as
+# levels of the parsed tree; deeper words would overflow the recursion of the
+# parser and of the evaluators.
+MAX_WORD_DEPTH = 100
 
 
 @dataclass(frozen=True, order=True)
@@ -39,6 +43,8 @@ class Var:
         if self.index < 1:
             raise ValueError("variable indices are positive")
         object.__setattr__(self, "_text", f"{self.family}{self.index}")
+
+    _depth = 0
 
     @property
     def _vars(self) -> tuple["Var", ...]:
@@ -56,15 +62,16 @@ def yvar(i: int) -> Var:
     return Var(Y_FAMILY, i)
 
 
-# Every node stores its canonical text and its variables when it is built,
-# from its children's stored values, so `render` and `variables` are attribute
-# reads and no word tree is walked twice.  The stored attributes are not
-# dataclass fields: equality, hashing and ordering ignore them.
+# Every node stores its canonical text, its variables and its depth when it
+# is built, from its children's stored values, so `render` and `variables` are
+# attribute reads and no word tree is walked twice.  The stored attributes are
+# not dataclass fields: equality, hashing and ordering ignore them.
 
 
-def _store(node, text: str, vars_: tuple[Var, ...]) -> None:
+def _store(node, text: str, vars_: tuple[Var, ...], children) -> None:
     object.__setattr__(node, "_text", text)
     object.__setattr__(node, "_vars", vars_)
+    object.__setattr__(node, "_depth", 1 + max((c._depth for c in children), default=0))
 
 
 def _merged_vars(children) -> tuple[Var, ...]:
@@ -84,7 +91,7 @@ class Inverse:
     child: "WordExpr"
 
     def __post_init__(self):
-        _store(self, f"{_atomish(self.child)}^-1", self.child._vars)
+        _store(self, f"{_atomish(self.child)}^-1", self.child._vars, (self.child,))
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class Power:
     exponent: int
 
     def __post_init__(self):
-        _store(self, f"{_atomish(self.child)}^{self.exponent}", self.child._vars)
+        _store(self, f"{_atomish(self.child)}^{self.exponent}", self.child._vars, (self.child,))
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class Product:
 
     def __post_init__(self):
         text = "*".join(_atomish(f) for f in self.factors) or "()"
-        _store(self, text, _merged_vars(self.factors))
+        _store(self, text, _merged_vars(self.factors), self.factors)
 
 
 @dataclass(frozen=True)
@@ -111,11 +118,8 @@ class Commutator:
     right: "WordExpr"
 
     def __post_init__(self):
-        _store(
-            self,
-            f"[{self.left._text},{self.right._text}]",
-            _merged_vars((self.left, self.right)),
-        )
+        children = (self.left, self.right)
+        _store(self, f"[{self.left._text},{self.right._text}]", _merged_vars(children), children)
 
 
 WordExpr = Union[Var, Inverse, Power, Product, Commutator]
@@ -185,6 +189,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # brackets open at the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -215,6 +220,16 @@ class _Parser:
             return factors[0]
         return Product(tuple(factors))
 
+    def inner(self) -> WordExpr:
+        """A word inside one more bracket; bounding the nesting bounds the
+        parser's recursion."""
+        self.nesting += 1
+        if self.nesting > MAX_WORD_DEPTH:
+            raise WordSyntaxError(f"brackets nest deeper than {MAX_WORD_DEPTH}", self.peek()[2])
+        out = self.word()
+        self.nesting -= 1
+        return out
+
     def term(self) -> WordExpr:
         atom = self.atom()
         kind, payload, _ = self.peek()
@@ -242,17 +257,17 @@ class _Parser:
             return payload  # type: ignore[return-value]
         if kind == "op" and payload == "(":
             self.take()
-            inner = self.word()
+            inner = self.inner()
             self.expect_op(")")
             return inner
         if kind == "op" and payload == "[":
             self.take()
-            entries = [self.word()]
+            entries = [self.inner()]
             while True:
                 k, p, a = self.peek()
                 if k == "op" and p == ",":
                     self.take()
-                    entries.append(self.word())
+                    entries.append(self.inner())
                 else:
                     break
             self.expect_op("]")
@@ -261,6 +276,8 @@ class _Parser:
             out = entries[0]
             for entry in entries[1:]:
                 out = Commutator(out, entry)
+                if out._depth > MAX_WORD_DEPTH:
+                    raise WordSyntaxError(f"word nests deeper than {MAX_WORD_DEPTH} levels", at)
             return out
         raise WordSyntaxError("expected a variable, '(' or '['", at)
 
@@ -272,6 +289,8 @@ def parse_word(text: str) -> WordExpr:
     kind, _, at = parser.peek()
     if kind != "end":
         raise WordSyntaxError("trailing input", at)
+    if out._depth > MAX_WORD_DEPTH:
+        raise WordSyntaxError(f"word nests deeper than {MAX_WORD_DEPTH} levels", 0)
     return out
 
 
@@ -429,6 +448,16 @@ class OcwTree:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def as_word(w: WordExpr | OcwTree) -> WordExpr:
+    """The word itself, or the commutator word of a tree."""
+    return w.to_word() if isinstance(w, OcwTree) else w
+
+
+def arity(w: WordExpr | OcwTree) -> int:
+    """Number of distinct variables of a word or a tree."""
+    return len(variables(as_word(w)))
 
 
 def gamma(r: int) -> OcwTree:

@@ -97,7 +97,7 @@ def test_suite_csv_deterministic(tmp_path):
         "--seed", "7", "--format", "csv",
     ]
     code1, out1 = run_cli(args)
-    code2, out2 = run_cli(args + ["--workers", "3"])
+    code2, out2 = run_cli(args)
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.startswith("check,group,word,tuple,mode,status,detail")
@@ -169,6 +169,23 @@ def test_usage_errors_are_exit_2():
     assert run_cli(["check", "L9.9", "--group", "sym:3", "--word", "gamma:2"])[0] == 2
 
 
+def test_suite_workers_flag_is_a_usage_error():
+    assert run_cli(["suite", "--catalog", "/dev/null", "--workers", "2"])[0] == 2
+
+
+def test_deeply_nested_word_is_a_usage_error(capsys):
+    nested = "x1"
+    for i in range(2, 1202):
+        nested = f"[{nested},x{i}]"  # [[[x1,x2],x3],...,x1201]
+    flat = "[" + ",".join(f"x{i}" for i in range(1, 1202)) + "]"  # the same word
+    for word in (nested, flat):
+        for argv in (["parse", word], ["values", "--group", "cyc:2", "--word", word]):
+            code, out = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code == 2 and out == ""
+            assert err.startswith("error: syntax error") and "Traceback" not in err
+
+
 def test_budget_exit_is_3():
     code, _ = run_cli(["values", "--group", "sym:4", "--word", "x1*x2*x1", "--budget", "10"])
     assert code == 3
@@ -193,4 +210,6 @@ def test_env_budget(monkeypatch):
     monkeypatch.setenv("VERBA_BUDGET", "10")
     code, _ = run_cli(["values", "--group", "sym:4", "--word", "x1*x2*x1"])
     assert code == 3
+    monkeypatch.setenv("VERBA_BUDGET", "lots")
+    assert run_cli(["values", "--group", "sym:3", "--word", "gamma:2"])[0] == 2
     monkeypatch.delenv("VERBA_BUDGET")

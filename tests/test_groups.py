@@ -79,6 +79,20 @@ def test_nonassociative_loop_rejected_with_witness():
     assert t[t[a][b]][c] != t[a][t[b][c]]
 
 
+def test_nonassociative_table_of_order_2000_rejected():
+    # Z_2000 with one intercalate swapped stays a Latin square with identity
+    # and inverses, but (2*3)*1 != 2*(3*1); a sampled check misses it
+    n = 2000
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    t[2, 3], t[2, 1003] = t[2, 1003], t[2, 3]
+    t[1002, 3], t[1002, 1003] = t[1002, 1003], t[1002, 3]
+    assert (np.sort(t, axis=0) == np.arange(n)[:, None]).all()  # still Latin
+    with pytest.raises(NotAGroup) as err:
+        group_from_cayley(t)
+    a, b, c = err.value.witness
+    assert t[t[a, b], c] != t[a, t[b, c]]
+
+
 def test_identity_relocated_to_zero():
     # C3 written with identity at index 2
     table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
@@ -106,7 +120,7 @@ def test_order_cap():
 
 
 def test_validation_above_exhaustive_limit():
-    # order 720 > 256 takes the randomised associativity spot-check path
+    # order 720: Light's test over a greedy generating set, no sampling
     g = builtin_group("sym:6")
     assert g.order == 720
     assert g.mul(g.inv(5), 5) == 0
@@ -264,7 +278,7 @@ def test_normal_closure_is_conjugation_closed(sym4):
 def test_star_power_examples():
     c6 = builtin_group("cyc:6")
     s = c6.subset([1])
-    assert star_power(c6, s, 0).size == 1
+    assert star_power(c6, s, 0).order == 1
     got = star_power(c6, s, 2)
     assert sorted(map(int, got.elements)) == [0, 1, 2, 4, 5]
 
@@ -280,7 +294,7 @@ def test_star_power_monotone_and_bounded(sym4):
             assert bool((prev.mask & ~cur.mask).sum() == 0)
             assert bool((cur.mask & ~h.mask).sum() == 0)
             prev = cur
-        assert star_power(sym4, s, sym4.order) == h.as_subset()
+        assert star_power(sym4, s, sym4.order) == h
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +303,18 @@ def test_star_power_monotone_and_bounded(sym4):
 
 
 def test_commutator_of_subsets(quat8, sym3):
-    full = quat8.full_subset()
+    full = quat8.full_subgroup()
     assert commutator_of_subsets(quat8, full, full).order == 2
     one = quat8.subset([0])
     assert commutator_of_subsets(quat8, full, one).order == 1
-    a3 = sym3.derived_subgroup().as_subset()
+    a3 = sym3.derived_subgroup()
     assert commutator_of_subsets(sym3, a3, a3).order == 1
 
 
 def test_commutator_requires_normal_subsets(quat8):
     i_only = quat8.subset([quat8.element_names.index("i")])
     with pytest.raises(NotNormalSubset):
-        commutator_of_subsets(quat8, i_only, quat8.full_subset())
+        commutator_of_subsets(quat8, i_only, quat8.full_subgroup())
 
 
 def test_commutator_symmetric(sym4):

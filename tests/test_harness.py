@@ -75,7 +75,7 @@ def test_parse_tuple_spec_set_entry():
     c8 = resolve_group("cyc:8")
     tup = parse_tuple_spec("set:(0,2,4,6);n=2", c8)
     entry = tup.entries[0]
-    assert entry.subgroup.order == 4 and entry.subset.size == 4 and entry.exponent == 2
+    assert entry.subgroup.order == 4 and entry.subset.order == 4 and entry.exponent == 2
 
 
 def test_default_tuple_specs_deterministic(sym4):
@@ -127,9 +127,9 @@ def test_run_suite_small_catalog_all_ids():
     assert report.rows and report.all_pass, [r for r in report.failures][:3]
 
 
-def test_run_suite_deterministic_across_workers():
-    one = run_suite(SMALL_CATALOG, seed=0, workers=1)
-    two = run_suite(SMALL_CATALOG, seed=0, workers=2)
+def test_run_suite_deterministic_across_runs():
+    one = run_suite(SMALL_CATALOG, seed=0)
+    two = run_suite(SMALL_CATALOG, seed=0)
     as_json = lambda rep: json.dumps([r.as_dict() for r in rep.rows])
     assert as_json(one) == as_json(two)
 

@@ -12,7 +12,7 @@ import pytest
 from verba.errors import BadIndex, NotNormalSubset, UnknownSpec
 from verba.groups import (
     COMM_TABLE_LIMIT,
-    SubgroupHandle,
+    Subset,
     builtin_group,
     closure,
     evaluate,
@@ -149,7 +149,7 @@ def test_class_generating_subset_memo_matches_a_fresh_computation():
     first = [class_generating_subset(N) for N in subgroups]
     for N, (subset, n) in zip(subgroups, first):
         # an equal subgroup held by a different object hits the memo
-        hit = class_generating_subset(SubgroupHandle(G, N.mask, normal=True))
+        hit = class_generating_subset(Subset(G, N.mask, normal=True))
         assert hit[0] is subset and hit[1] == n
     for N, (subset, n) in zip(subgroups, first):
         G._class_subsets.clear()

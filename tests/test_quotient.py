@@ -142,11 +142,11 @@ def test_value_set_memo_ignores_word_identity():
     a, b = parse_word("[[x1,x2],x3]"), gamma(3).to_word()
     assert a == b and a is not b
     va = value_set_over(a, {v: full for v in variables(a)})
-    vb = value_set_over(b, {v: G.full_subset() for v in variables(b)})
+    vb = value_set_over(b, {v: G.full_subgroup() for v in variables(b)})
     assert np.array_equal(va.values, vb.values)
     assert va.witnesses == vb.witnesses
     cold = builtin_group("dih:4")
-    vc = value_set_over(b, {v: cold.full_subset() for v in variables(b)})
+    vc = value_set_over(b, {v: cold.full_subgroup() for v in variables(b)})
     assert np.array_equal(vc.values, va.values) and vc.witnesses == va.witnesses
     for value in va.values:
         assert evaluate(b, G, vb.witness_assignment(int(value))) == int(value)

@@ -85,7 +85,7 @@ def test_value_set_witnesses_are_preimages(sym4):
 
 def test_value_set_normal_when_inputs_normal(sym4):
     vs = value_set(gamma(2), full_tuple(sym4, 2))
-    assert vs.members.is_normal_subset
+    assert vs.members.is_normal
 
 
 def test_value_set_arity_mismatch(sym3):
@@ -247,14 +247,14 @@ def test_star_membership_sweep_gamma3(sym4):
     rng = np.random.default_rng(5)
     for _ in range(30):
         t = [int(rng.integers(0, 24)) for _ in range(3)]
-        t[1] = int(s.elements[rng.integers(0, s.size)])
+        t[1] = int(s.elements[rng.integers(0, s.order)])
         val = evaluate(gamma(3).to_word(), sym4, dict(zip(gamma(3).leaves(), t)))
         assert star.mask[val]
         assert check_star_membership(gamma(3), s, tuple(t), 2)
 
 
 def test_star_membership_precondition(sym3):
-    s = sym3.derived_subgroup().as_subset()
+    s = sym3.derived_subgroup()
     with pytest.raises(PreconditionFailed):
         check_star_membership(gamma(2), s, (sym3.element_names.index("(1 2)"), 0), 1)
 
@@ -275,7 +275,7 @@ def test_width_examples(sym4):
 
 
 def test_width_precondition(sym4):
-    s = sym4.derived_subgroup().as_subset()
+    s = sym4.derived_subgroup()
     outside = next(i for i in range(24) if not s.mask[i])
     with pytest.raises(PreconditionFailed):
         check_width(gamma(2), [s, s], [1, 1], (outside, 0))
@@ -287,8 +287,8 @@ def test_extended_width(sym4):
     rng = np.random.default_rng(6)
     for _ in range(20):
         assignment = {
-            xvar(1): int(s.elements[rng.integers(0, s.size)]),
-            xvar(2): int(s.elements[rng.integers(0, s.size)]),
+            xvar(1): int(s.elements[rng.integers(0, s.order)]),
+            xvar(2): int(s.elements[rng.integers(0, s.order)]),
             yvar(1): int(rng.integers(0, 24)),
             yvar(2): int(rng.integers(0, 24)),
         }

@@ -13,6 +13,7 @@ from verba.errors import (
     WordSyntaxError,
 )
 from verba.words import (
+    MAX_WORD_DEPTH,
     Commutator,
     Inverse,
     OcwTree,
@@ -86,6 +87,24 @@ def test_parse_errors_carry_position():
         parse_word("x1)")
     with pytest.raises(WordSyntaxError):
         parse_word("")
+
+
+def test_parse_depth_is_bounded():
+    def left_normed(levels):
+        text = "x1"
+        for i in range(2, levels + 2):
+            text = f"[{text},x{i}]"
+        return text
+
+    assert parse_word(left_normed(MAX_WORD_DEPTH)) == gamma(MAX_WORD_DEPTH + 1).to_word()
+    for text in (
+        left_normed(MAX_WORD_DEPTH + 1),
+        "[" + ",".join(f"x{i}" for i in range(1, MAX_WORD_DEPTH + 3)) + "]",
+        "(" * (MAX_WORD_DEPTH + 1) + "x1" + ")" * (MAX_WORD_DEPTH + 1),
+        "(" * MAX_WORD_DEPTH + "x1^2" + ")^2" * MAX_WORD_DEPTH,
+    ):
+        with pytest.raises(WordSyntaxError):
+            parse_word(text)
 
 
 _vars = st.builds(Var, st.sampled_from("xy"), st.integers(1, 5))
