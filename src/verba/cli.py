@@ -63,17 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, word=True, tup=True):
+    def common(p, group=True, word=True, tup=True, seed=False, fmt=True):
         if group:
             p.add_argument("--group", required=True, help="builtin spec (e.g. sym:4) or group file path")
         if word:
             p.add_argument("--word", required=True, help="word text, gamma:r, or delta:k")
         if tup:
             p.add_argument("--tuple", dest="tuple_spec", help="tuple spec, e.g. G,derived,ncl(3)")
-        p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="picks the ncl(...) tuple entries (default 0)")
         p.add_argument("--budget", type=int, default=None, help="enumeration budget (default 10^8 or VERBA_BUDGET)")
-        p.add_argument("--format", dest="fmt", choices=["table", "csv", "jsonl"], default="table")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=["table", "csv", "jsonl"], default="table")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
 
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = sub.add_parser("eval", help="evaluate a word at an assignment")
-    common(p, tup=False)
+    common(p, tup=False, fmt=False)
     p.add_argument("--assign", required=True, help="comma list var=element-index, e.g. x1=2,x2=5")
 
     p = sub.add_parser("values", help="value set of a word over a tuple")
@@ -102,16 +103,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("suite", help="run checks over a group catalog")
-    common(p, group=False, word=False, tup=False)
+    common(p, group=False, word=False, tup=False, seed=True)
     p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
     p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
 
     p = sub.add_parser("survey", help="value-set size versus verbal subgroup order")
-    common(p, group=False, tup=False)
+    common(p, group=False, tup=False, seed=True)
     p.add_argument("--catalog", default=None)
 
     p = sub.add_parser("probe", help="survey for arbitrary outer commutator words")
-    common(p, group=False, tup=False)
+    common(p, group=False, tup=False, seed=True)
     p.add_argument("--catalog", default=None)
 
     return top
@@ -134,10 +135,6 @@ def _budget(args) -> int:
         return int(env)
     except ValueError:
         raise VerbaError(f"VERBA_BUDGET {env!r} is not a number") from None
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
 
 
 def _emit(lines: str, out: str | None) -> None:
@@ -249,7 +246,7 @@ def _cmd_series(args) -> int:
     else:
         k = args.k if args.k is not None else max(1, tup.arity.bit_length() - 1)
         series = build_delta_series(tup, k, budget)
-    report = verify_series(series, mode=args.mode, seed=_seed(args), budget=budget)
+    report = verify_series(series, budget=budget)
     lines = [
         f"{args.kind} series on {G.label}, parameter {series.parameter}: "
         f"{len(series.factors)} factors"
@@ -281,7 +278,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_check(args) -> int:
     tuple_spec = args.tuple_spec or ",".join(["G"] * arity(resolve_word(args.word)[0]))
-    spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec, args.mode, _seed(args))
+    spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec)
     res = run_check(spec, budget=args.budget, cap=args.cap)
     _emit(_format_rows([res.as_dict()], SUITE_HEADER, args.fmt), args.out)
     if res.status == "fail":
@@ -294,9 +291,7 @@ def _cmd_check(args) -> int:
 def _cmd_suite(args) -> int:
     catalog = _read_catalog(args.catalog)
     ids = args.ids.split(",") if args.ids else None
-    report = run_suite(
-        catalog, ids=ids, seed=_seed(args), mode=args.mode, budget=args.budget, cap=args.cap
-    )
+    report = run_suite(catalog, ids=ids, seed=args.seed, budget=args.budget, cap=args.cap)
     rows = [r.as_dict() for r in report.rows]
     body = _format_rows(rows, SUITE_HEADER, args.fmt)
     _emit(body + report.summary() + "\n", args.out)
@@ -312,7 +307,7 @@ def _cmd_survey(args) -> int:
     rows = survey(
         _read_catalog(args.catalog),
         args.word,
-        seed=_seed(args),
+        seed=args.seed,
         budget=args.budget,
         cap=args.cap,
         probe=args.command == "probe",
@@ -344,8 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.budget = _budget(args)
         if args.budget < 1:
             raise VerbaError("budget must be at least 1")
-        if getattr(args, "mode", None) == "sampled" and args.seed is None:
-            raise VerbaError("sampled mode requires --seed")
         return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

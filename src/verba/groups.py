@@ -633,6 +633,8 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     img = list(range(degree))
     if text in ("", "()", "e", "id"):
         return tuple(img)
+    if not re.fullmatch(r"(\s*\([\d,\s]*\)\s*)+", text):
+        raise NotAGroup(f"cannot parse cycle notation {text!r}")
     for cyc in re.findall(r"\(([^()]*)\)", text):
         pts = [int(s) for s in re.split(r"[,\s]+", cyc.strip()) if s]
         if any(p < 1 or p > degree for p in pts):
@@ -641,8 +643,6 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
             raise NotAGroup(f"repeated point in cycle ({cyc})")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b - 1
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", text):
-        raise NotAGroup(f"cannot parse cycle notation {text!r}")
     return tuple(img)
 
 
@@ -823,23 +823,43 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP, label: str | None = None) -> FiniteGroup:
-    """Read a group from the plain-text cayley/perm file format."""
+    """Read a group from the plain-text cayley/perm file format.
+
+    Every malformed file raises `NotAGroup`: a bad header, a missing or
+    non-numeric number, a short or ragged table, or a short generator list.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise NotAGroup(f"{path}: empty file")
-    head = lines[0].split()
+    kind, *params = lines[0].split()
+    wanted = {"cayley": 1, "perm": 2}.get(kind)
+    if wanted is None:
+        raise NotAGroup(f"{path}: unknown header {lines[0]!r}")
+    if len(params) < wanted:
+        raise NotAGroup(f"{path}: header {lines[0]!r} needs {wanted} number(s)")
     name = label or path
-    if head[0] == "cayley":
-        n = int(head[1])
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
+    if kind == "cayley":
+        (n,) = _file_ints(path, params[:1])
+        rows = [_file_ints(path, ln.split()) for ln in lines[1 : n + 1]]
         if len(rows) != n:
             raise NotAGroup(f"{path}: expected {n} table rows, got {len(rows)}")
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise NotAGroup(f"{path}: table row {i} has {len(row)} entries, expected {n}")
+            # checked here, before the int32 table wraps an entry into range
+            if not all(0 <= v < n for v in row):
+                raise NotAGroup(f"{path}: table row {i} has an entry outside 0..{n - 1}")
         return group_from_cayley(rows, label=name)
-    if head[0] == "perm":
-        degree, count = int(head[1]), int(head[2])
-        gens = [parse_cycles(ln, degree) for ln in lines[1 : count + 1]]
-        if len(gens) != count:
-            raise NotAGroup(f"{path}: expected {count} generators, got {len(gens)}")
-        return group_from_permutations(gens, degree, label=name, cap=cap)
-    raise NotAGroup(f"{path}: unknown header {lines[0]!r}")
+    degree, count = _file_ints(path, params[:2])
+    gens = [parse_cycles(ln, degree) for ln in lines[1 : count + 1]]
+    if len(gens) != count:
+        raise NotAGroup(f"{path}: expected {count} generators, got {len(gens)}")
+    return group_from_permutations(gens, degree, label=name, cap=cap)
+
+
+def _file_ints(path: str, tokens: Sequence[str]) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise NotAGroup(f"{path}: expected numbers, got {' '.join(tokens)!r}") from None

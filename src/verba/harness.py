@@ -1,16 +1,15 @@
 """Batch verification suites over a group catalog, plus survey and probe.
 
 Every check id names one verification routine.  A suite row is one
-(id, group, word, tuple) instance; its status is "pass" only when the
-underlying sweep ran exhaustively.  Sampled runs report "sampled-pass" and
-never count as full passes.
+(id, group, word, tuple) instance.  Every sweep is exhaustive: a row
+passes, fails, or is skipped when its enumeration would exceed the budget.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     UnknownCheckId,
     UnknownSpec,
     VerbaError,
+    WordSyntaxError,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -36,6 +36,7 @@ from .groups import (
     star_power,
 )
 from .series import (
+    LinearSeries,
     build_delta_series,
     build_gamma_series,
     generator_bound_report,
@@ -56,6 +57,7 @@ from .verbal import (
     verbal_subgroup,
 )
 from .words import (
+    MAX_WORD_DEPTH,
     OcwTree,
     Power,
     WordExpr,
@@ -109,8 +111,7 @@ class CheckSpec:
     group: str
     word: str
     tuple_spec: str
-    mode: str = "exhaustive"
-    seed: int = 0
+    mode: ClassVar[str] = "exhaustive"  # the CSV `mode` column; every check is exhaustive
 
 
 @dataclass
@@ -120,7 +121,7 @@ class CheckResult:
     word: str
     tuple_spec: str
     mode: str
-    status: str  # pass | fail | sampled-pass | skip-budget
+    status: str  # pass | fail | skip-budget
     detail: str = ""
 
     @property
@@ -153,13 +154,22 @@ def resolve_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def resolve_word(text: str) -> tuple[OcwTree | WordExpr, str]:
-    """Word spec: gamma:r, delta:k, or literal word text."""
-    m = re.fullmatch(r"gamma:(\d+)", text.strip())
+    """Word spec: gamma:r, delta:k, or literal word text.
+
+    gamma:r and delta:k are bounded like parsed text, before any tree is
+    built: the word may have 1 to MAX_WORD_DEPTH + 1 variables, so
+    1 <= r <= 101 and k <= 6.  A parameter of more than nine digits is not
+    a spec and falls through to the word parser, which rejects it.
+    """
+    m = re.fullmatch(r"(gamma|delta):0*(\d{1,9})", text.strip())
     if m:
-        return gamma(int(m.group(1))), text.strip()
-    m = re.fullmatch(r"delta:(\d+)", text.strip())
-    if m:
-        return delta(int(m.group(1))), text.strip()
+        kind, n = m.group(1), int(m.group(2))
+        leaves = n if kind == "gamma" else 2 ** min(n, MAX_WORD_DEPTH)
+        if not 1 <= leaves <= MAX_WORD_DEPTH + 1:
+            raise WordSyntaxError(
+                f"{m.group(0)} needs 1 to {MAX_WORD_DEPTH + 1} variables", m.start(2)
+            )
+        return (gamma(n) if kind == "gamma" else delta(n)), text.strip()
     expr = parse_word(text)
     tree = classify_outer_commutator(expr)
     return (tree if tree is not None else expr), render(expr)
@@ -251,13 +261,16 @@ def default_tuple_specs(G: FiniteGroup, r: int, seed: int) -> list[str]:
         rng = np.random.default_rng([seed, G.order, *G.label.encode()])
         picks = [int(rng.integers(1, G.order)) for _ in range(r)]
         specs.append(",".join(f"ncl({p})" for p in picks))
-    seen: dict[tuple[bytes, ...], str] = {}
-    out = []
+    return _distinct_specs(G, specs)
+
+
+def _distinct_specs(G: FiniteGroup, specs: list[str]) -> list[str]:
+    """`specs` less each one naming the same subgroups as an earlier one."""
+    seen, out = set(), []
     for spec in specs:
-        tup = parse_tuple_spec(spec, G)
-        key = tuple(e.subgroup.key for e in tup.entries)
+        key = tuple(e.subgroup.key for e in parse_tuple_spec(spec, G).entries)
         if key not in seen:
-            seen[key] = spec
+            seen.add(key)
             out.append(spec)
     return out
 
@@ -276,8 +289,6 @@ def _with_class_subsets(tup: NormalTuple) -> NormalTuple:
 
 
 def _result(spec: CheckSpec, status: str, detail: str = "") -> CheckResult:
-    if status == "pass" and spec.mode == "sampled":
-        status = "sampled-pass"  # a sampled run never counts as a full pass
     return CheckResult(
         check_id=spec.check_id,
         group=spec.group,
@@ -410,41 +421,28 @@ def _check_comm_congruence_sweep(spec, G, word, tup, budget) -> CheckResult:
     )
 
 
-def _check_gamma_series(spec, G, word, tup, budget) -> CheckResult:
-    series = build_gamma_series(tup, budget, audit=G.order <= 48)
-    rep = verify_series(series, mode=spec.mode, seed=spec.seed, budget=budget)
-    status = "pass" if rep.all_ok else "fail"
-    detail = f"{rep.factor_count} factors, orders {[t.order for t in series.terms]}"
-    if not rep.all_ok:
-        bad = [f.index for f in rep.factors if not f.ok]
-        detail += f"; failing factors {bad}"
-    return _result(spec, status, detail)
-
-
-def _check_delta_series(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "T3.6")
+def _series(spec, word, tup, budget, audit=False) -> LinearSeries:
+    """The gamma series of `tup` for the T2 ids, the delta series for T3."""
+    if spec.check_id.startswith("T2."):
+        return build_gamma_series(tup, budget, audit=audit)
+    tree = _require_ocw(word, spec.check_id)
     k = max(1, len(tree.leaves()).bit_length() - 1)
-    series = build_delta_series(tup, k, budget)
-    rep = verify_series(series, mode=spec.mode, seed=spec.seed, budget=budget)
-    status = "pass" if rep.all_ok else "fail"
-    detail = f"t={rep.factor_count}, orders {[t.order for t in series.terms]}"
+    return build_delta_series(tup, k, budget)
+
+
+def _check_series(spec, G, word, tup, budget) -> CheckResult:
+    series = _series(spec, word, tup, budget, audit=G.order <= 48)
+    rep = verify_series(series, budget=budget)
+    count = f"{rep.factor_count} factors" if series.kind == "gamma" else f"t={rep.factor_count}"
+    detail = f"{count}, orders {[t.order for t in series.terms]}"
     if not rep.all_ok:
         bad = [f.index for f in rep.factors if not f.ok]
         detail += f"; failing factors {bad}"
-    return _result(spec, status, detail)
-
-
-def _check_gamma_bound(spec, G, word, tup, budget) -> CheckResult:
-    series = build_gamma_series(_with_class_subsets(tup), budget)
-    rep = generator_bound_report(series, budget)
-    detail = f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}"
     return _result(spec, "pass" if rep.all_ok else "fail", detail)
 
 
-def _check_delta_bound(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "T3.7-bound")
-    k = max(1, len(tree.leaves()).bit_length() - 1)
-    series = build_delta_series(_with_class_subsets(tup), k, budget)
+def _check_bound(spec, G, word, tup, budget) -> CheckResult:
+    series = _series(spec, word, _with_class_subsets(tup), budget)
     rep = generator_bound_report(series, budget)
     detail = f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}"
     return _result(spec, "pass" if rep.all_ok else "fail", detail)
@@ -555,13 +553,13 @@ _CHECK_TABLE: dict[str, Callable] = {
     "L2.5": _check_star_membership_sweep,
     "L2.6": _check_width_sweep,
     "L2.8": _check_comm_congruence_sweep,
-    "T2.10": _check_gamma_series,
-    "T2.11-bound": _check_gamma_bound,
+    "T2.10": _check_series,
+    "T2.11-bound": _check_bound,
     "C2.12": _check_concise_on_normal,
     "C2.13": _check_power_words,
     "L3.2": _check_extended_width_sweep,
-    "T3.6": _check_delta_series,
-    "T3.7-bound": _check_delta_bound,
+    "T3.6": _check_series,
+    "T3.7-bound": _check_bound,
     "C3.8": _check_concise_on_normal,
     "C3.9": _check_power_words,
     "CONJ": _check_probe,
@@ -631,15 +629,11 @@ def _words_for(check_id: str, G: FiniteGroup) -> list[str]:
         if G.order <= 16:
             words.append("gamma:4")
         return words
-    if check_id in ("T2.11-bound", "C2.12"):
-        return ["gamma:2", "gamma:3"]
-    if check_id == "C2.13":
+    if check_id in ("T2.11-bound", "C2.12", "C2.13"):
         return ["gamma:2", "gamma:3"]
     if check_id == "L3.2":
         return ["gamma:2", "delta:2"]
-    if check_id == "T3.6":
-        return ["delta:1"] + (["delta:2"] if small else [])
-    if check_id == "T3.7-bound":
+    if check_id in ("T3.6", "T3.7-bound"):
         return ["delta:1"] + (["delta:2"] if small else [])
     if check_id in ("C3.8", "C3.9"):
         return ["delta:2"] if small else ["delta:1"]
@@ -650,14 +644,7 @@ def _words_for(check_id: str, G: FiniteGroup) -> list[str]:
 
 def _tuples_for(check_id: str, G: FiniteGroup, arity: int, seed: int) -> list[str]:
     if check_id in ("T3.6", "T3.7-bound"):
-        specs = [",".join(["G"] * arity), ",".join(["derived"] * arity)]
-        seen, out = set(), []
-        for s in specs:
-            key = tuple(e.subgroup.key for e in parse_tuple_spec(s, G).entries)
-            if key not in seen:
-                seen.add(key)
-                out.append(s)
-        return out
+        return _distinct_specs(G, [",".join(["G"] * arity), ",".join(["derived"] * arity)])
     return default_tuple_specs(G, arity, seed)
 
 
@@ -665,7 +652,6 @@ def build_suite_specs(
     catalog: Sequence[str],
     ids: Sequence[str],
     seed: int = 0,
-    mode: str = "exhaustive",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> tuple[list[CheckSpec], dict[str, FiniteGroup]]:
     for check_id in ids:
@@ -683,16 +669,7 @@ def build_suite_specs(
             for wspec in _words_for(check_id, G):
                 r = 3 if wspec == "-" else arity(resolve_word(wspec)[0])
                 for tspec in _tuples_for(check_id, G, r, seed):
-                    specs.append(
-                        CheckSpec(
-                            check_id=check_id,
-                            group=gspec,
-                            word=wspec,
-                            tuple_spec=tspec,
-                            mode=mode,
-                            seed=seed,
-                        )
-                    )
+                    specs.append(CheckSpec(check_id, gspec, wspec, tspec))
     return specs, groups
 
 
@@ -700,13 +677,12 @@ def run_suite(
     catalog: Sequence[str],
     ids: Sequence[str] | None = None,
     seed: int = 0,
-    mode: str = "exhaustive",
     budget: int | None = None,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> SuiteReport:
     """Cartesian sweep of checks over the catalog, serial, in a fixed row order."""
     ids = list(ids) if ids is not None else list(CHECK_ID_SET)
-    specs, groups = build_suite_specs(catalog, ids, seed=seed, mode=mode, cap=cap)
+    specs, groups = build_suite_specs(catalog, ids, seed=seed, cap=cap)
     rows = []
     for spec in specs:
         try:

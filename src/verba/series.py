@@ -485,9 +485,6 @@ class SeriesReport:
 
 def verify_series(
     series: LinearSeries,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    samples: int = 100_000,
     budget: int | None = None,
 ) -> SeriesReport:
     """Re-check every stated property of a built series, factor by factor."""
@@ -528,9 +525,6 @@ def verify_series(
             f.subgroups,
             f.linear_position,
             f.lower,
-            mode=mode,
-            seed=seed,
-            samples=samples,
             budget=budget,
         )
         reports.append(

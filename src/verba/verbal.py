@@ -49,8 +49,6 @@ from .words import (
     variables,
 )
 
-DEFAULT_SAMPLES = 100_000
-
 # ---------------------------------------------------------------------------
 # value sets
 # ---------------------------------------------------------------------------
@@ -562,18 +560,13 @@ class LinearityReport:
     position: int
     entry_orders: tuple[int, ...]
     modulus_order: int
-    mode: str
-    seed: int | None
-    samples: int | None
     space: int
     holds: bool
     counterexample: dict[str, int] | None = None
 
     @property
     def verdict(self) -> str:
-        if self.holds:
-            return "holds" if self.mode == "exhaustive" else "holds-sampled"
-        return "fails"
+        return "holds" if self.holds else "fails"
 
 
 def spine_decompose(w: OcwTree, pivot: Var) -> list[tuple[OcwTree, bool]]:
@@ -607,14 +600,11 @@ def check_linearity(
     tup: NormalTuple | Sequence[Subset],
     position: int,
     modulus: Subset,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    samples: int = DEFAULT_SAMPLES,
     budget: int | None = None,
 ) -> LinearityReport:
     """Test multiplicativity of `w` in one component modulo a normal subgroup.
 
-    Exhaustive mode covers the full tuple space exactly, and does so in the
+    The check covers the full tuple space exactly, and does so in the
     quotient G/P by the modulus P: the congruence only depends on cosets, so
     each axis is replaced by its distinct images there.  Subtrees that do not
     contain the tested component enter through their value sets.  A failing
@@ -631,17 +621,6 @@ def check_linearity(
         raise PreconditionFailed("position out of range")
     pivot = vars_[position - 1]
     env = dict(zip(vars_, subgroups))
-    G = modulus.group
-    entry_orders = tuple(s.order for s in subgroups)
-
-    if mode == "sampled":
-        if seed is None:
-            raise PreconditionFailed("sampled mode requires a seed")
-        return _linearity_sampled(
-            w, env, pivot, modulus, G, seed, samples, entry_orders, position
-        )
-    if mode != "exhaustive":
-        raise PreconditionFailed(f"unknown mode {mode!r}")
 
     path = spine_decompose(w, pivot)
     sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
@@ -676,11 +655,8 @@ def check_linearity(
     return LinearityReport(
         word=w.render(),
         position=position,
-        entry_orders=entry_orders,
+        entry_orders=tuple(s.order for s in subgroups),
         modulus_order=modulus.order,
-        mode="exhaustive",
-        seed=None,
-        samples=None,
         space=space.size,
         holds=counterexample is None,
         counterexample=counterexample,
@@ -694,54 +670,6 @@ def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np
     _, first = np.unique(images, return_index=True)
     first.sort()
     return images[first], elems[first]
-
-
-def _linearity_sampled(
-    w: OcwTree,
-    env: Mapping[Var, Subset],
-    pivot: Var,
-    modulus: Subset,
-    G: FiniteGroup,
-    seed: int,
-    samples: int,
-    entry_orders: tuple[int, ...],
-    position: int,
-) -> LinearityReport:
-    rng = np.random.default_rng(seed)
-    vars_ = list(env.keys())
-    expr = w.to_word()
-    counterexample: dict[str, int] | None = None
-    remaining = samples
-    while remaining > 0 and counterexample is None:
-        block = min(remaining, DEFAULT_BLOCK)
-        draw = {
-            v: env[v].elements[rng.integers(0, env[v].order, block)].astype(np.int64)
-            for v in vars_
-        }
-        yv = env[pivot].elements[rng.integers(0, env[pivot].order, block)].astype(np.int64)
-        xv = draw[pivot]
-        lhs = evaluate_arrays(expr, G, {**draw, pivot: G.mul_arr(xv, yv)})
-        rhs = G.mul_arr(
-            evaluate_arrays(expr, G, draw), evaluate_arrays(expr, G, {**draw, pivot: yv})
-        )
-        ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            counterexample = {str(v): int(draw[v][i]) for v in vars_}
-            counterexample["y"] = int(yv[i])
-        remaining -= block
-    return LinearityReport(
-        word=w.render(),
-        position=position,
-        entry_orders=entry_orders,
-        modulus_order=modulus.order,
-        mode="sampled",
-        seed=seed,
-        samples=samples,
-        space=samples,
-        holds=counterexample is None,
-        counterexample=counterexample,
-    )
 
 
 # ---------------------------------------------------------------------------

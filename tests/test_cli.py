@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verba.harness as harness
 from verba.cli import main
@@ -153,12 +158,48 @@ def test_group_file_through_cli(tmp_path):
     assert code == 0 and "1" in out.splitlines()[1]
 
 
-def test_series_sampled_mode_through_cli():
-    code, out = run_cli([
-        "series", "gamma", "--group", "sym:3", "--r", "2",
-        "--mode", "sampled", "--seed", "9",
-    ])
-    assert code == 0 and "holds-sampled" in out
+MALFORMED_GROUP_FILES = {
+    "non-numeric order": "cayley x\n0\n",
+    "no generator count": "perm 3\n(1 2)\n",
+    "non-numeric entry": "cayley 2\n0 1\n1 q\n",
+    "short row": "cayley 2\n0 1\n1\n",
+    "long row": "cayley 2\n0 1 0\n1 0\n",
+    "entry beyond int32": "cayley 2\n0 1\n1 4294967296\n",
+    "entry beyond int64": "cayley 1\n99999999999999999999\n",
+    "non-numeric cycle point": "perm 3 1\n(1 q)\n",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_GROUP_FILES.values()), ids=list(MALFORMED_GROUP_FILES))
+def test_malformed_group_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    code, out = run_cli(["values", "--group", str(path), "--word", "gamma:2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "gamma", "--group", "sym:3", "--mode", "sampled", "--seed", "9"],
+    ["values", "--group", "sym:3", "--word", "gamma:2", "--seed", "1"],
+    ["eval", "--group", "sym:3", "--word", "gamma:2", "--assign", "x1=1,x2=2", "--format", "csv"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    assert run_cli(argv)[0] == 2
+
+
+@pytest.mark.parametrize("word", ["gamma:1500", "gamma:0", "delta:40", "delta:" + "9" * 5000])
+def test_oversized_word_specs_are_usage_errors(capsys, word):
+    code, out = run_cli(["values", "--group", "cyc:2", "--word", word])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: syntax error") and "Traceback" not in err
+
+
+def test_largest_word_specs_still_run():
+    for word in ("gamma:101", "delta:6"):
+        assert run_cli(["values", "--group", "cyc:2", "--word", word])[0] == 0
 
 
 def test_usage_errors_are_exit_2():
@@ -213,3 +254,69 @@ def test_env_budget(monkeypatch):
     monkeypatch.setenv("VERBA_BUDGET", "lots")
     assert run_cli(["values", "--group", "sym:3", "--word", "gamma:2"])[0] == 2
     monkeypatch.delenv("VERBA_BUDGET")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated argv
+# ---------------------------------------------------------------------------
+
+SMALL_GROUPS = ("cyc:1", "cyc:2", "cyc:4", "cyc:6", "dih:2", "dih:3", "sym:3", "alt:3")
+
+_var_names = st.builds("{}{}".format, st.sampled_from("xy"), st.integers(1, 3))
+_atoms = st.builds(
+    lambda v, e: v if e is None else f"{v}^{e}", _var_names, st.none() | st.integers(-5, 5)
+)
+_word_texts = st.recursive(
+    _atoms,
+    lambda inner: (
+        st.lists(inner, min_size=2, max_size=3).map(lambda ws: "[" + ",".join(ws) + "]")
+        | st.lists(inner, min_size=2, max_size=3).map(lambda ws: "(" + "*".join(ws) + ")")
+        | st.builds("{}^{}".format, inner, st.integers(-5, 5))
+    ),
+    max_leaves=6,
+)
+_word_specs = st.one_of(
+    _word_texts,
+    st.builds("gamma:{}".format, st.integers(0, 2000)),
+    st.builds("delta:{}".format, st.integers(0, 60)),
+    st.text(alphabet="xy0123456789[](),*^- :gamd", max_size=14),
+)
+_assignments = st.lists(
+    st.builds(
+        "{}={}".format,
+        _var_names,
+        st.integers(-2, 8).map(str) | st.sampled_from(["", "q", "1.5", "x1"]),
+    ),
+    max_size=4,
+).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def malformed_group_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("groups")
+    paths = []
+    for i, text in enumerate(MALFORMED_GROUP_FILES.values()):
+        path = root / f"bad{i}.grp"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_exit_codes_hold_for_generated_argv(malformed_group_paths, data):
+    command = data.draw(st.sampled_from(["parse", "values", "eval"]))
+    word = data.draw(_word_specs)
+    if command == "parse":
+        argv = ["parse", word]
+    else:
+        group = data.draw(st.sampled_from(SMALL_GROUPS + tuple(malformed_group_paths)))
+        argv = [command, "--group", group, "--word", word]
+        if command == "eval":
+            argv += ["--assign", data.draw(_assignments)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    # these subcommands verify nothing, so exit 1 (verification failure) never fits
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -118,8 +118,7 @@ def test_delta_series_sym4_k2(sym4):
         assert low <= high
     report = verify_series(series)
     assert report.all_ok
-    for f in report.factors:
-        assert f.linearity.mode == "exhaustive"
+    assert all(f.linearity.verdict == "holds" for f in report.factors)
 
 
 def test_delta_series_words_match_walkthrough(sym4):
@@ -205,13 +204,6 @@ def test_delta_series_arity_check(quat8):
         build_delta_series(full_normal_tuple(quat8, 3), 2)
     with pytest.raises(PreconditionFailed):
         build_delta_series(full_normal_tuple(quat8, 2), 0)
-
-
-def test_verify_series_sampled_mode(sym4):
-    series = build_delta_series(full_normal_tuple(sym4, 4), 2)
-    report = verify_series(series, mode="sampled", seed=3, samples=500)
-    assert report.all_ok
-    assert all(f.linearity.verdict == "holds-sampled" for f in report.factors)
 
 
 # ---------------------------------------------------------------------------
