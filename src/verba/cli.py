@@ -191,6 +191,8 @@ def _cmd_eval(args) -> int:
     for part in args.assign.split(","):
         name, _, idx = part.strip().partition("=")
         var = parse_word(name)
+        if var not in variables(expr):
+            raise VerbaError(f"{name.strip()!r} is not a variable of the word {render(expr)}")
         try:
             index = int(idx)
         except ValueError:

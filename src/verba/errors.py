@@ -62,8 +62,8 @@ class ProductNotSubgroup(VerbaError):
 class BudgetExceeded(VerbaError):
     """An enumeration would materialize more tuples than allowed."""
 
-    def __init__(self, size: int, budget: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {size} tuples, budget is {budget}")
+    def __init__(self, size: int, budget: int, what: str = "enumeration", unit: str = "tuples"):
+        super().__init__(f"{what} needs {size} {unit}, budget is {budget}")
         self.size = size
         self.budget = budget
 

@@ -63,13 +63,17 @@ class FiniteGroup:
         )
         self.perm_images = list(perm_images) if perm_images is not None else None
         # Memos that live as long as the group: sub-word value arrays, finished
-        # value sets, subgroup closures by seed, quotients by modulus, class
-        # generating subsets by subgroup mask, parsed tuple specs by text, and
-        # the commutator table.  Each entry is built in full before it is
-        # stored, so threads sharing the group never see a partial one.
+        # value sets, subgroup closures by seed, star powers by (mask, n),
+        # quotients by modulus, class generating subsets by subgroup mask,
+        # parsed tuple specs by text, built series by (kind, parameter,
+        # subgroup masks), and the commutator table.  Each entry is built in
+        # full before it is stored, so threads sharing the group never see a
+        # partial one.
         self._value_cache: dict = {}
         self._value_sets: dict = {}
         self._closures: dict[bytes, Subset] = {}
+        self._star_powers: dict[tuple[bytes, int], Subset] = {}
+        self._series: dict = {}
         self._quotients: dict[bytes, tuple[np.ndarray, FiniteGroup]] = {}
         self._class_subsets: dict = {}
         self._tuple_specs: dict = {}
@@ -432,10 +436,15 @@ def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     """Products of length at most n over S and its inverses.
 
     The identity (empty product) is always included, so star powers are
-    monotone in n and stabilise at the subgroup generated by S.
+    monotone in n and stabilise at the subgroup generated by S.  Results are
+    memoised on the group by (mask of S, n).
     """
     if n < 0:
         raise ValueError("star power needs n >= 0")
+    key = (S.key, n)
+    out = G._star_powers.get(key)
+    if out is not None:
+        return out
     base = np.unique(
         np.concatenate(
             [S.elements, G.inverse_table[S.elements], np.array([0], dtype=np.int32)]
@@ -449,7 +458,9 @@ def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
         cur = nxt
     mask = np.zeros(G.order, dtype=bool)
     mask[cur] = True
-    return Subset(G, mask)
+    out = Subset(G, mask)
+    G._star_powers[key] = out
+    return out
 
 
 def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:

@@ -157,14 +157,42 @@ def _canonical_factor(
 # ---------------------------------------------------------------------------
 
 
+def _memoised(kind: str, parameter: int, T: NormalTuple, build) -> LinearSeries:
+    """The series `build()` returns, built once per group and subgroups.
+
+    Terms and factors depend only on the subgroups of T, so they are kept on
+    the group by (kind, parameter, subgroup masks), and a memo hit is
+    wrapped with the caller's T as its base (which may carry generating
+    subsets the first caller's tuple did not).
+    """
+    key = (kind, parameter, tuple(sub.key for sub in T.subgroups))
+    hit = T.group._series.get(key)
+    if hit is None:
+        built = build()
+        hit = (built.terms, built.factors)
+        T.group._series[key] = hit
+    return LinearSeries(kind, parameter, T, *hit)
+
+
 def build_gamma_series(
     T: NormalTuple, budget: int | None = None, audit: bool = False
 ) -> LinearSeries:
     """Chain P_{r+1} <= ... <= P_1 with factor i generated by the word on the
-    tuple whose i-th entry is the length-i left-normed verbal subgroup."""
+    tuple whose i-th entry is the length-i left-normed verbal subgroup.
+
+    With `audit`, the containments between this chain and the length-(r-1)
+    one are checked, also when the series comes from the memo."""
     r = T.arity
     if r < 1:
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
+    series = _memoised("gamma", r, T, lambda: _build_gamma(T, budget))
+    if audit:
+        _audit_gamma(T, series.terms, budget)
+    return series
+
+
+def _build_gamma(T: NormalTuple, budget: int | None) -> LinearSeries:
+    r = T.arity
     subs = T.subgroups
     word = gamma(r)
     q_subgroups: dict[int, Subset] = {}
@@ -192,8 +220,6 @@ def build_gamma_series(
     for i in range(r, 0, -1):
         p_subgroups[i] = subgroup_product(q_subgroups[i], p_subgroups[i + 1])
     _require(p_subgroups[1] == top, "chain top must equal the full verbal subgroup")
-    if audit:
-        _audit_gamma(T, p_subgroups, budget)
     terms = tuple(p_subgroups[i] for i in range(r + 1, 0, -1))
     factors = []
     for j in range(1, r + 1):
@@ -215,14 +241,15 @@ def build_gamma_series(
     )
 
 
-def _audit_gamma(T: NormalTuple, p_subgroups, budget) -> None:
+def _audit_gamma(T: NormalTuple, terms: tuple[Subset, ...], budget) -> None:
     """Containments used between the length-r and length-(r-1) chains."""
     r = T.arity
     if r < 2:
         return
     subs = T.subgroups
+    # both chains ascend: terms[pos] = P_{r+1-pos}, starred.terms[pos] = P*_{r-pos}
+    p_subgroups = {r + 1 - pos: term for pos, term in enumerate(terms)}
     starred = build_gamma_series(T.sub_tuple(0, r - 1), budget)
-    # starred chain is ascending: starred.terms[pos] = P*_{r+1-pos} for length r-1
     p_star = {r - pos: starred.terms[pos] for pos in range(r)}
     q_star: dict[int, Subset] = {}
     for i in range(1, r):
@@ -254,7 +281,7 @@ def build_delta_series(T: NormalTuple, k: int, budget: int | None = None) -> Lin
         raise PreconditionFailed("delta series needs k >= 1")
     if T.arity != 2**k:
         raise PreconditionFailed(f"delta series at k={k} needs a tuple of length {2**k}")
-    series = _build_delta(T, k, budget)
+    series = _delta(T, k, budget)
     _require(
         len(series.factors) == delta_series_length(k),
         "factor count disagrees with 2^k + 2^(k-1) - 1",
@@ -262,8 +289,11 @@ def build_delta_series(T: NormalTuple, k: int, budget: int | None = None) -> Lin
     return series
 
 
+def _delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
+    return _memoised("delta", k, T, lambda: _build_delta(T, k, budget))
+
+
 def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
-    G = T.group
     subs = T.subgroups
     if k == 1:
         n1, n2 = subs
@@ -292,8 +322,8 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
     t = delta_series_length(k)
     left_tuple = T.sub_tuple(0, half)
     right_tuple = T.sub_tuple(half, 2**k)
-    first = _build_delta(left_tuple, k - 1, budget)
-    second = _build_delta(right_tuple, k - 1, budget)
+    first = _delta(left_tuple, k - 1, budget)
+    second = _delta(right_tuple, k - 1, budget)
     d1, d2 = first.top, second.top
     dk = commutator_subgroup(d1, d2)
     _require(

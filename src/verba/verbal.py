@@ -9,6 +9,7 @@ back to the raw assignment space when variables repeat inside a subtree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,7 +61,8 @@ class ValueSet:
 
     `witnesses` maps each value to one preimage, the first found in the
     deterministic enumeration order; witness tuples follow `variables`
-    (x-family first, each family by index).
+    (x-family first, each family by index).  Only failure details read it,
+    so the dict is built from `discovered` on first read.
     """
 
     word: WordExpr
@@ -68,7 +70,12 @@ class ValueSet:
     subsets: tuple[Subset, ...]
     values: np.ndarray  # sorted ascending
     members: Subset
-    witnesses: dict[int, tuple[int, ...]]
+    discovered: tuple[np.ndarray, np.ndarray]  # values and witness rows, discovery order
+
+    @functools.cached_property
+    def witnesses(self) -> dict[int, tuple[int, ...]]:
+        vals, rows = self.discovered
+        return {int(v): tuple(int(e) for e in row) for v, row in zip(vals, rows)}
 
     @property
     def size(self) -> int:
@@ -124,7 +131,6 @@ def value_set_over(
     sorted_vals = vals[order]
     mask = np.zeros(group.order, dtype=bool)
     mask[sorted_vals] = True
-    witnesses = {int(v): tuple(int(e) for e in row) for v, row in zip(vals, rows)}
     sorted_vals.setflags(write=False)
     out = ValueSet(
         word=expr,
@@ -132,7 +138,7 @@ def value_set_over(
         subsets=tuple(env[v] for v in vars_),
         values=sorted_vals,
         members=Subset(group, mask),
-        witnesses=witnesses,
+        discovered=(vals, rows),
     )
     group._value_sets[memo_key] = out
     return out
@@ -604,13 +610,18 @@ def check_linearity(
 ) -> LinearityReport:
     """Test multiplicativity of `w` in one component modulo a normal subgroup.
 
-    The check covers the full tuple space exactly, and does so in the
-    quotient G/P by the modulus P: the congruence only depends on cosets, so
-    each axis is replaced by its distinct images there.  Subtrees that do not
-    contain the tested component enter through their value sets.  A failing
-    quotient tuple is lifted back to G through the first value or element of
-    each coset, in enumeration order, and the value-set witnesses, so the
-    counterexample is an assignment in G.  `space` counts the quotient tuples.
+    The check is exact, and runs in the quotient G/P by the modulus P: the
+    congruence only depends on cosets, so each axis is replaced by its
+    distinct images there.  Subtrees that do not contain the tested component
+    enter through their value sets.  With the sibling values fixed, the word
+    is a map f on the pivot image H = NP/P, and f(xs) = f(x)f(s) for every x
+    in H and every s in a generating set S of H makes f a homomorphism: the
+    good s are closed under products (Light's argument), and in a finite
+    group the products of S reach all of H.  So the second pivot axis runs
+    over a greedy S only.  A failing quotient tuple is lifted back to G
+    through the first value or element of each coset, in enumeration order,
+    and the value-set witnesses, so the counterexample is an assignment in G.
+    `space` counts the quotient tuples, |siblings| x |H| x |S|.
     """
     modulus.require_normal()
     subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
@@ -627,7 +638,8 @@ def check_linearity(
     labels, Q = quotient(modulus)
     sib_axes = [_coset_images(labels, vs.values) for vs in sib_sets]
     pivot_axis, pivot_lift = _coset_images(labels, env[pivot].elements)
-    space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, pivot_axis])
+    gens = _greedy_generators(Q, pivot_axis)
+    space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, gens])
     space.require_within(budget, f"linearity of {w.render()} in position {position}")
 
     counterexample: dict[str, int] | None = None
@@ -661,6 +673,25 @@ def check_linearity(
         holds=counterexample is None,
         counterexample=counterexample,
     )
+
+
+def _greedy_generators(Q: FiniteGroup, axis: np.ndarray) -> np.ndarray:
+    """The elements of `axis`, in order, that are not in the closure of the
+    ones taken before them: a generating set of the subgroup `axis` lists.
+
+    For the trivial subgroup it is empty.  Then no tuple is tested, and none
+    needs to be: an outer commutator word takes the value 1 when one of its
+    variables is 1, so f(1) = 1 and f is a homomorphism on {1}.
+    """
+    gens: list[int] = []
+    reached = closure(Q, gens)
+    for a in axis.tolist():
+        if reached.order == axis.size:
+            break
+        if not reached.mask[a]:
+            gens.append(a)
+            reached = closure(Q, gens)
+    return np.array(gens, dtype=axis.dtype)
 
 
 def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

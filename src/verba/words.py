@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     DisjointnessViolation,
     UnknownVariableFamily,
     WordSyntaxError,
@@ -30,6 +31,10 @@ Y_FAMILY = "y"
 # levels of the parsed tree; deeper words would overflow the recursion of the
 # parser and of the evaluators.
 MAX_WORD_DEPTH = 100
+# Most letters `reduce_word` expands a word into before it cancels.  The
+# count is worked out from the tree first, so a longer word (x1^1000000000)
+# is refused before anything is allocated.
+MAX_REDUCED_LETTERS = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -315,6 +320,19 @@ class ReducedWord:
         return "*".join(str(v) if s > 0 else f"{v}^-1" for v, s in self.letters)
 
 
+def _letter_count(w: WordExpr) -> int:
+    """Number of letters `_expand` returns for `w`."""
+    if isinstance(w, Var):
+        return 1
+    if isinstance(w, Inverse):
+        return _letter_count(w.child)
+    if isinstance(w, Power):
+        return abs(w.exponent) * _letter_count(w.child)
+    if isinstance(w, Product):
+        return sum(_letter_count(f) for f in w.factors)
+    return 2 * (_letter_count(w.left) + _letter_count(w.right))
+
+
 def _expand(w: WordExpr) -> list[tuple[Var, int]]:
     if isinstance(w, Var):
         return [(w, 1)]
@@ -339,7 +357,13 @@ def _expand(w: WordExpr) -> list[tuple[Var, int]]:
 
 
 def reduce_word(w: WordExpr) -> ReducedWord:
-    """Expand commutators and powers, then cancel adjacent inverse pairs."""
+    """Expand commutators and powers, then cancel adjacent inverse pairs.
+
+    Raises BudgetExceeded when the expansion would pass MAX_REDUCED_LETTERS.
+    """
+    size = _letter_count(w)
+    if size > MAX_REDUCED_LETTERS:
+        raise BudgetExceeded(size, MAX_REDUCED_LETTERS, "free reduction", unit="letters")
     stack: list[tuple[Var, int]] = []
     for letter in _expand(w):
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
@@ -460,6 +484,12 @@ def arity(w: WordExpr | OcwTree) -> int:
     return len(variables(as_word(w)))
 
 
+# Distinct parameters kept by `gamma` and by `delta`; trees are frozen, so
+# every caller can share one tree and the word it builds.
+WORD_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def gamma(r: int) -> OcwTree:
     """Left-normed lower central word on x1..xr; gamma(1) is x1."""
     if r < 1:
@@ -470,6 +500,7 @@ def gamma(r: int) -> OcwTree:
     return out
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def delta(k: int) -> OcwTree:
     """Balanced derived word on x1..x(2^k); delta(0) is x1."""
     if k < 0:

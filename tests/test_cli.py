@@ -58,6 +58,35 @@ def test_eval_non_numeric_index_is_a_usage_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("assign", [
+    "x1=1,x2=2,x5=3",  # a variable the word does not have
+    "x1=1,x2=2,y1=0",
+    "x1=1,x2=2,x1^2=3",  # a word that is not a variable
+    "[x1,x2]=1",  # split at its comma into "[x1" and "x2]=1"
+])
+def test_eval_unknown_names_are_usage_errors(capsys, assign):
+    code, out = run_cli(["eval", "--group", "sym:3", "--word", "gamma:2", "--assign", assign])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parse_refuses_long_expansions_before_allocating(capsys):
+    import tracemalloc
+
+    for word in ("x1^1000000000", "((x1^1000)^1000)^1000"):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["parse", word])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded: free reduction needs 1000000000 letters")
+        assert peak < 1 << 20
+
+
 def test_verbal_command_quat():
     code, out = run_cli(["verbal", "--group", "quat:8", "--word", "[x1,x2]", "--tuple", "G,G"])
     assert code == 0

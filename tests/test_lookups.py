@@ -1,6 +1,6 @@
 """Lookups that replace recomputation: the commutator table and the memos for
-class subsets, extended words and parsed tuple specs, each against a fresh
-computation."""
+class subsets, extended words, gamma/delta trees, parsed tuple specs, star
+powers and built series, each against a fresh computation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from verba.errors import BadIndex, NotNormalSubset, UnknownSpec
+import verba.harness as harness
+import verba.series as series_mod
+from verba.errors import BadIndex, InternalInvariantViolation, NotNormalSubset, UnknownSpec
 from verba.groups import (
     COMM_TABLE_LIMIT,
     Subset,
@@ -17,6 +19,7 @@ from verba.groups import (
     closure,
     evaluate,
     normal_closure,
+    star_power,
 )
 from verba.harness import (
     DEFAULT_CATALOG,
@@ -25,8 +28,16 @@ from verba.harness import (
     parse_tuple_spec,
     run_check,
 )
+from verba.series import build_delta_series, build_gamma_series
 from verba.verbal import class_generating_subset
-from verba.words import EXTENDED_CACHE_SIZE, delta, enumerate_extended, gamma, parse_word
+from verba.words import (
+    EXTENDED_CACHE_SIZE,
+    WORD_CACHE_SIZE,
+    delta,
+    enumerate_extended,
+    gamma,
+    parse_word,
+)
 
 
 def _formula(G, a, b):
@@ -137,6 +148,95 @@ def test_extended_words_are_shared_between_equal_trees():
         enumerate_extended(gamma(2), -1, 2)
     with pytest.raises(ValueError):
         enumerate_extended(gamma(2), -1, 2)
+
+
+def test_gamma_and_delta_trees_are_shared():
+    for build, params in ((gamma, range(1, 6)), (delta, range(0, 4))):
+        assert build.cache_info().maxsize == WORD_CACHE_SIZE
+        for n in params:
+            assert build(n) is build(n)
+            assert build.__wrapped__(n) == build(n)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build(-1)
+
+
+def _star_power_by_sets(G, S, n):
+    """Products of at most n factors from S, its inverses and 1, with sets."""
+    base = {0} | {int(s) for s in S.elements} | {int(G.inverse_table[s]) for s in S.elements}
+    cur = {0}
+    for _ in range(n):
+        cur = {int(G.table[a, b]) for a in cur for b in base}
+    return cur
+
+
+def test_star_power_memo_matches_a_fresh_group():
+    G, cold = builtin_group("sym:4"), builtin_group("sym:4")
+    subsets = [G.subset([1]), G.subset([3, 7])]
+    subsets += [class_generating_subset(N)[0] for N in (G.full_subgroup(), G.derived_subgroup())]
+    for S in subsets:
+        for n in range(5):
+            first = star_power(G, S, n)
+            # an equal subset held by a different object hits the memo
+            assert star_power(G, Subset(G, S.mask), n) is first
+            fresh = star_power(cold, Subset(cold, S.mask), n)
+            assert fresh is not first and fresh.key == first.key
+            assert set(map(int, first.elements)) == _star_power_by_sets(G, S, n)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            star_power(G, subsets[0], -1)
+
+
+def test_bound_rows_reuse_the_series_with_their_class_subsets(monkeypatch):
+    G, cold = builtin_group("sym:4"), builtin_group("sym:4")
+    seen = []
+    real_verify, real_bound = harness.verify_series, harness.generator_bound_report
+
+    def spy_verify(series, budget=None):
+        seen.append(series)
+        return real_verify(series, budget=budget)
+
+    def spy_bound(series, budget=None):
+        seen.append(series)
+        return real_bound(series, budget)
+
+    monkeypatch.setattr(harness, "verify_series", spy_verify)
+    monkeypatch.setattr(harness, "generator_bound_report", spy_bound)
+    cases = (
+        ("T2.10", "T2.11-bound", "gamma:3", "G,derived,G", build_gamma_series),
+        ("T3.6", "T3.7-bound", "delta:1", "G,G", lambda T: build_delta_series(T, 1)),
+    )
+    for series_id, bound_id, word, tspec, build in cases:
+        seen.clear()
+        assert run_check(CheckSpec(series_id, "sym:4", word, tspec), G=G).status == "pass"
+        assert run_check(CheckSpec(bound_id, "sym:4", word, tspec), G=G).status == "pass"
+        built, reused = seen
+        assert reused.terms is built.terms and reused.factors is built.factors
+        assert all(e.subset is None for e in built.base.entries)
+        assert all(e.subset is not None for e in reused.base.entries)
+        fresh = build(parse_tuple_spec(tspec, cold))
+        assert [t.key for t in fresh.terms] == [t.key for t in built.terms]
+
+
+def test_an_audit_failure_flips_a_series_row_served_by_the_memo(monkeypatch):
+    G = builtin_group("sym:4")
+    spec = CheckSpec("T2.10", "sym:4", "gamma:3", "G,G,G")
+    assert run_check(spec, G=G).status == "pass"  # builds, audits and stores the series
+    builds = []
+    real_build, real_require = series_mod._build_gamma, series_mod._require
+
+    def counting_build(T, budget):
+        builds.append(T)
+        return real_build(T, budget)
+
+    def audit_fails(cond, message):
+        real_require(cond and "escapes P_" not in message, message)
+
+    monkeypatch.setattr(series_mod, "_build_gamma", counting_build)
+    monkeypatch.setattr(series_mod, "_require", audit_fails)
+    with pytest.raises(InternalInvariantViolation, match="escapes P_"):
+        run_check(spec, G=G)
+    assert not builds  # the series and the audit's shorter series both came from the memo
 
 
 def test_class_generating_subset_memo_matches_a_fresh_computation():

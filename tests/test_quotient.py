@@ -16,7 +16,7 @@ from verba.harness import (
 )
 from verba.series import build_delta_series, build_gamma_series
 from verba.verbal import check_linearity, spine_decompose, value_set_over
-from verba.words import gamma, parse_word, variables
+from verba.words import delta, gamma, parse_word, variables
 
 from .oracles import close_under_products, linearity_in_g
 
@@ -81,9 +81,61 @@ def test_lifted_counterexamples_break_linearity_in_g():
         assert not rep.holds
         assert _reference(G, tree, subs, pos, modulus) is not None
         assert _breaks_linearity(G, tree, pos, modulus, rep.counterexample)
-    # the non-trivial modulus is enumerated in S4/V4, of order 6
+    # the non-trivial modulus is enumerated in S4/V4 ≅ S3, of order 6: 3 sibling
+    # images x 6 pivot images x a 2-element generating set of S3
     assert quotient(v4)[1].order == 6
-    assert rep.space == 3 * 6 * 6
+    assert rep.space == 3 * 6 * 2
+
+
+DIFFERENTIAL_GROUPS = ("sym:3", "sym:4", "dih:4", "quat:8", "heis:3")
+
+
+def test_generator_axis_matches_the_full_square():
+    """The verdict with y over a generating set of H = NP/P against the sweep
+    of the full square H x H in G, failing cases included."""
+    verdicts = {True: 0, False: 0}
+    for spec in DIFFERENTIAL_GROUPS:
+        G = builtin_group(spec)
+        for tree in (gamma(2), gamma(3), delta(1)):
+            subs = [G.full_subgroup()] * len(tree.leaves())
+            for modulus in (G.trivial_subgroup(), G.center(), G.derived_subgroup()):
+                for pos in range(1, len(subs) + 1):
+                    rep = check_linearity(tree, subs, pos, modulus)
+                    ref = _reference(G, tree, subs, pos, modulus)
+                    case = (spec, tree.render(), pos, modulus.order)
+                    assert rep.holds == (ref is None), case
+                    if not rep.holds:
+                        assert _breaks_linearity(G, tree, pos, modulus, rep.counterexample), case
+                    verdicts[rep.holds] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_greedy_generators_generate_the_pivot_image():
+    for spec in DIFFERENTIAL_GROUPS:
+        G = builtin_group(spec)
+        for modulus in (G.trivial_subgroup(), G.center(), G.derived_subgroup()):
+            labels, Q = quotient(modulus)
+            for N in (G.full_subgroup(), G.derived_subgroup(), G.center()):
+                axis = verbal._coset_images(labels, N.elements)[0]
+                gens = verbal._greedy_generators(Q, axis)
+                assert set(np.flatnonzero(closure(Q, gens).mask)) == set(axis.tolist())
+                # each generator lies outside the closure of those before it
+                for i in range(len(gens)):
+                    assert not closure(Q, gens[:i]).mask[gens[i]]
+
+
+def test_pivot_inside_the_modulus_tests_no_tuple():
+    """H = NP/P is trivial, so its generating set is empty and the check
+    holds with an empty space, as the full square in G confirms."""
+    for spec in DIFFERENTIAL_GROUPS:
+        G = builtin_group(spec)
+        D = G.derived_subgroup()
+        for tree in (gamma(2), gamma(3)):
+            subs = [G.full_subgroup()] * (len(tree.leaves()) - 1) + [D]
+            pos = len(subs)
+            rep = check_linearity(tree, subs, pos, D)
+            assert rep.holds and rep.space == 0
+            assert _reference(G, tree, subs, pos, D) is None
 
 
 def test_trivial_modulus_reuses_the_group():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verba.words as words
 from verba.errors import (
     ArityMismatch,
+    BudgetExceeded,
     DisjointnessViolation,
     UnknownVariableFamily,
     WordSyntaxError,
@@ -199,6 +201,21 @@ _any_word = st.recursive(
 def test_reduce_idempotent(word):
     once = reduce_word(word)
     assert reduce_word(reduced_to_expr(once)) == once
+
+
+@given(_any_word)
+@settings(max_examples=150, deadline=None)
+def test_letter_count_matches_the_expansion(word):
+    assert words._letter_count(word) == len(words._expand(word))
+
+
+def test_reduce_word_is_bounded(monkeypatch):
+    monkeypatch.setattr(words, "MAX_REDUCED_LETTERS", 4)
+    assert len(reduce_word(parse_word("[x1,x2]")).letters) == 4
+    with pytest.raises(BudgetExceeded):
+        reduce_word(parse_word("x1^5"))
+    with pytest.raises(BudgetExceeded):
+        reduce_word(parse_word("[x1,x2^2]"))  # 6 letters, though only 4 survive
 
 
 def test_exponent_sum_examples():
