@@ -36,7 +36,6 @@ from .groups import (
     closure,
     commutator_of_subsets,
     commutator_subgroup,
-    congruent_mod,
     direct_product,
     evaluate,
     evaluate_arrays,
@@ -70,21 +69,22 @@ from .series import (
 from .verbal import (
     LinearityReport,
     NormalTuple,
+    SweepReport,
     TupleEntry,
     ValueSet,
-    check_comm_congruence,
     check_disjoint_split,
-    check_extended_width,
     check_linearity,
     check_power_condition,
-    check_star_membership,
     check_substitution,
-    check_width,
     class_generating_subset,
+    comm_congruence_sweep,
+    extended_width_sweep,
+    star_membership_sweep,
     value_set,
     value_set_over,
     verbal_subgroup,
     verbal_subgroup_of_word,
+    width_sweep,
 )
 from .words import (
     ExtendedWordSet,

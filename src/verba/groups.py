@@ -45,7 +45,7 @@ class FiniteGroup:
     ):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         if not _validated:
-            table, perm = _validate_table(table)
+            table, perm = _validate_table(table, ())
             if element_names is not None:
                 element_names = [element_names[int(j)] for j in np.argsort(perm)]
             if perm_images is not None:
@@ -210,10 +210,13 @@ def _inverse_table(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _validate_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validate_table(
+    table: np.ndarray, gens: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Checks group axioms, returns the table relabelled so identity is 0.
 
-    The returned permutation maps old indices to new ones.
+    `gens` are elements known to generate the group, if any; Light's test
+    starts from them.  The returned permutation maps old indices to new ones.
     """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("multiplication table must be square")
@@ -246,7 +249,7 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (left_inv & right_inv).any(axis=1).all():
         a = int(np.flatnonzero(~(left_inv & right_inv).any(axis=1))[0])
         raise NotAGroup(f"element {a} has no two-sided inverse", (a,))
-    _check_associativity(table, e)
+    _check_associativity(table, e, gens)
     if e != 0:
         perm = np.arange(n, dtype=np.int32)
         perm[e], perm[0] = 0, e
@@ -256,26 +259,30 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, np.arange(n, dtype=np.int32)
 
 
-def _check_associativity(table: np.ndarray, e: int) -> None:
+def _check_associativity(table: np.ndarray, e: int, gens: Sequence[int]) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2), exact in O(n^2 |gens|).
 
     The elements g with (xg)y = x(gy) for all x, y are closed under products,
     so it is enough to test a set of g whose products reach every element.
-    `gens` is picked greedily: the least element not yet reached, until the
-    right products of the identity by `gens` cover the table.
+    The given `gens` are topped up greedily: the least element not yet
+    reached, until the right products of the identity by `gens` cover the
+    table.  So given elements that do not generate cost nothing in
+    exactness, only the greedy picks for what they leave unreached.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
-    gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.flatnonzero(~reached)[0]))
+    gens = [int(g) for g in gens]
+    while True:
         frontier = np.flatnonzero(reached)
-        while frontier.size:
+        while frontier.size and gens:
             prods = np.unique(table[frontier[:, None], gens])
             frontier = prods[~reached[prods]]
             reached[frontier] = True
+        if reached.all():
+            break
+        gens.append(int(np.flatnonzero(~reached)[0]))
     rows = max(1, (1 << 20) // n)  # x-rows per block: about 1M cells
     for g in gens:
         for start in range(0, n, rows):
@@ -532,13 +539,6 @@ def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
     return out
 
 
-def congruent_mod(a: int, b: int, P: Subset) -> bool:
-    """a == b modulo the normal subgroup P, i.e. a b^-1 lies in P."""
-    P.require_normal()
-    G = P.group
-    return bool(P.mask[G.table[a, G.inverse_table[b]]])
-
-
 # ---------------------------------------------------------------------------
 # word evaluation
 # ---------------------------------------------------------------------------
@@ -632,9 +632,11 @@ def group_from_permutations(
         comp = block[:, perms]  # [ci, j, k] = block[ci, perms[j, k]]
         pos = np.searchsorted(sorted_codes, comp.astype(np.int64) @ radix)
         table[start : start + chunk] = sort_idx[pos]
+    # the identity is element 0, so validation relabels nothing
+    table, _ = _validate_table(table, [order.index(g) for g in gens])
     names = [cycles_str(p) for p in order]
     return FiniteGroup(
-        table, label=label, element_names=names, perm_images=order, _validated=False
+        table, label=label, element_names=names, perm_images=order, _validated=True
     )
 
 

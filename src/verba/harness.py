@@ -28,12 +28,12 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
+    Subset,
     builtin_group,
     closure,
     evaluate_arrays,
     load_group_file,
     normal_closure,
-    star_power,
 )
 from .series import (
     LinearSeries,
@@ -49,12 +49,13 @@ from .verbal import (
     check_disjoint_split,
     check_substitution,
     class_generating_subset,
-    comm_congruence_modulus,
-    spine_decompose,
-    spine_eval,
+    comm_congruence_sweep,
+    extended_width_sweep,
+    star_membership_sweep,
     value_set,
     value_set_over,
     verbal_subgroup,
+    width_sweep,
 )
 from .words import (
     MAX_WORD_DEPTH,
@@ -336,31 +337,18 @@ def _check_generators(spec, G, word, tup, budget) -> CheckResult:
     return _result(spec, "pass" if ok else "fail", f"|<w{{S}}>|={via_s} |<w{{N}}>|={via_n}")
 
 
-def _check_star_membership_sweep(spec, G, word, tup, budget) -> CheckResult:
+def _class_subsets(tup: NormalTuple) -> list[Subset]:
+    return [class_generating_subset(s)[0] for s in tup.subgroups]
+
+
+def _check_star_membership(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.5")
-    leaves = tree.leaves()
-    full = G.full_subgroup()
-    checked = 0
-    for pos, leaf in enumerate(leaves, start=1):
-        subset, _ = class_generating_subset(tup.subgroups[pos - 1])
-        star = star_power(G, subset, 2 ** (len(leaves) - 1))
-        env = {v: full for v in leaves}
-        path = spine_decompose(tree, leaf)
-        sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
-        axes = [vs.values.astype(np.int64) for vs in sib_sets] + [
-            subset.elements.astype(np.int64)
-        ]
-        space = ProductSpace(axes).require_within(budget, "star membership sweep")
-        for start, cols in space.blocks(DEFAULT_BLOCK):
-            vals = spine_eval(G, path, cols[-1], cols[:-1])
-            ok = star.mask[vals]
-            if not ok.all():
-                flat = start + int(np.flatnonzero(~ok)[0])
-                return _result(
-                    spec, "fail", f"position {pos}, point {space.tuple_at(flat)}"
-                )
-        checked += space.size
-    return _result(spec, "pass", f"{checked} collapsed tuples over {len(leaves)} positions")
+    rep = star_membership_sweep(tree, _class_subsets(tup), budget)
+    if not rep.holds:
+        pos, point = rep.counterexample
+        return _result(spec, "fail", f"position {pos}, point {point}")
+    positions = len(tree.leaves())
+    return _result(spec, "pass", f"{rep.swept} collapsed tuples over {positions} positions")
 
 
 def _width_vectors(r: int) -> list[tuple[int, ...]]:
@@ -371,53 +359,28 @@ def _width_vectors(r: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_width_sweep(spec, G, word, tup, budget) -> CheckResult:
+def _check_width(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.6")
-    leaves = tree.leaves()
-    subsets = [class_generating_subset(s)[0] for s in tup.subgroups]
-    base = value_set(tree, subsets, budget)
-    mvecs = _width_vectors(len(leaves))
-    for mvec in mvecs:
-        starred = [star_power(G, s, m) for s, m in zip(subsets, mvec)]
-        vs = value_set(tree, starred, budget)
-        total = 1
-        for m in mvec:
-            total *= m
-        star = star_power(G, base.members, total)
-        bad = vs.values[~star.mask[vs.values]]
-        if bad.size:
-            wit = vs.witnesses[int(bad[0])]
-            return _result(spec, "fail", f"m={mvec}, value {int(bad[0])} from {wit}")
+    mvecs = _width_vectors(len(tree.leaves()))
+    rep = width_sweep(tree, _class_subsets(tup), mvecs, budget)
+    if not rep.holds:
+        _, mvec, value, wit = rep.counterexample
+        return _result(spec, "fail", f"m={mvec}, value {value} from {wit}")
     return _result(spec, "pass", f"{len(mvecs)} multiplicity vectors")
 
 
-def _check_comm_congruence_sweep(spec, G, word, tup, budget) -> CheckResult:
+def _check_comm_congruence(spec, G, word, tup, budget) -> CheckResult:
     subs = tup.subgroups
     K = subs[0]
     L = subs[1 % len(subs)]
     N = subs[2 % len(subs)]
-    modulus = comm_congruence_modulus(K, L, N)
-    lk = G.subset_from_mask(K.mask & L.mask)
-    space = ProductSpace(
-        [
-            K.elements.astype(np.int64),
-            K.elements.astype(np.int64),
-            lk.elements.astype(np.int64),
-            N.elements.astype(np.int64),
-        ]
-    ).require_within(budget, "commutator congruence sweep")
-    for start, (yv, zv, lv, nv) in space.blocks(DEFAULT_BLOCK):
-        xv = G.mul_arr(G.mul_arr(yv, zv), lv)
-        lhs = G.comm_arr(xv, nv)
-        rhs = G.mul_arr(G.comm_arr(yv, nv), G.comm_arr(zv, nv))
-        ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
-        if not ok.all():
-            flat = start + int(np.flatnonzero(~ok)[0])
-            return _result(spec, "fail", f"(y,z,l,n)={space.tuple_at(flat)}")
+    rep = comm_congruence_sweep(K, L, N, budget)
+    if not rep.holds:
+        return _result(spec, "fail", f"(y,z,l,n)={rep.counterexample}")
     return _result(
         spec,
         "pass",
-        f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={modulus.order} ({space.size} tuples)",
+        f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={rep.modulus.order} ({rep.swept} tuples)",
     )
 
 
@@ -504,35 +467,16 @@ def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
     return _result(spec, "pass" if rep.equal else "fail", detail)
 
 
-def _check_extended_width_sweep(spec, G, word, tup, budget) -> CheckResult:
+def _check_extended_width(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L3.2")
-    leaves = tree.leaves()
-    subsets = [class_generating_subset(s)[0] for s in tup.subgroups]
-    base = value_set(tree, subsets, budget)
-    full = G.full_subgroup()
-    degree = 1
-    ext = enumerate_extended(tree, degree, 2)
-    for mvec in (tuple([1] * len(leaves)), tuple([2] + [1] * (len(leaves) - 1))):
-        total = 2**degree
-        for m in mvec:
-            total *= m
-        star = star_power(G, base.members, total)
-        starred = {
-            leaf: star_power(G, s, m) for leaf, s, m in zip(leaves, subsets, mvec)
-        }
-        for member in ext:
-            env = {}
-            for v in member.leaves():
-                env[v] = starred[v] if v in starred else full
-            vs = value_set_over(member.to_word(), env, budget)
-            bad = vs.values[~star.mask[vs.values]]
-            if bad.size:
-                return _result(
-                    spec,
-                    "fail",
-                    f"{member.render()} with m={mvec}: value {int(bad[0])} escapes",
-                )
-    return _result(spec, "pass", f"{len(ext)} extended words x 2 multiplicity vectors")
+    r = len(tree.leaves())
+    ext = enumerate_extended(tree, 1, 2)
+    mvecs = (tuple([1] * r), tuple([2] + [1] * (r - 1)))
+    rep = extended_width_sweep(ext, tree, _class_subsets(tup), mvecs, budget)
+    if not rep.holds:
+        member, mvec, value, _ = rep.counterexample
+        return _result(spec, "fail", f"{member.render()} with m={mvec}: value {value} escapes")
+    return _result(spec, "pass", f"{len(ext)} extended words x {len(mvecs)} multiplicity vectors")
 
 
 def _check_probe(spec, G, word, tup, budget) -> CheckResult:
@@ -550,14 +494,14 @@ _CHECK_TABLE: dict[str, Callable] = {
     "L2.1": _check_disjoint,
     "L2.2": _check_substitution,
     "L2.3": _check_generators,
-    "L2.5": _check_star_membership_sweep,
-    "L2.6": _check_width_sweep,
-    "L2.8": _check_comm_congruence_sweep,
+    "L2.5": _check_star_membership,
+    "L2.6": _check_width,
+    "L2.8": _check_comm_congruence,
     "T2.10": _check_series,
     "T2.11-bound": _check_bound,
     "C2.12": _check_concise_on_normal,
     "C2.13": _check_power_words,
-    "L3.2": _check_extended_width_sweep,
+    "L3.2": _check_extended_width,
     "T3.6": _check_series,
     "T3.7-bound": _check_bound,
     "C3.8": _check_concise_on_normal,

@@ -10,6 +10,7 @@ back to the raw assignment space when variables repeat inside a subtree.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,8 +29,6 @@ from .groups import (
     Subset,
     closure,
     commutator_subgroup,
-    congruent_mod,
-    evaluate,
     evaluate_arrays,
     quotient,
     star_power,
@@ -468,94 +467,6 @@ def check_substitution(
 
 
 # ---------------------------------------------------------------------------
-# star membership and width checks (single instances)
-# ---------------------------------------------------------------------------
-
-
-def check_star_membership(
-    w: OcwTree,
-    S: Subset,
-    t: Sequence[int],
-    position: int,
-    budget: int | None = None,
-) -> bool:
-    """w(t) lies in the 2^(r-1) star power of S when t[position] does in S."""
-    S.require_normal_subset()
-    leaves = w.leaves()
-    if len(t) != len(leaves):
-        raise ArityMismatch(f"{len(leaves)} leaves vs {len(t)} entries")
-    if not 1 <= position <= len(leaves):
-        raise PreconditionFailed("position out of range")
-    if t[position - 1] not in S:
-        raise PreconditionFailed("the distinguished component does not lie in S")
-    G = S.group
-    val = evaluate(w.to_word(), G, dict(zip(leaves, t)))
-    star = star_power(G, S, 2 ** (len(leaves) - 1))
-    return val in star
-
-
-def check_width(
-    w: OcwTree,
-    subsets: Sequence[Subset],
-    multiplicities: Sequence[int],
-    t: Sequence[int],
-    budget: int | None = None,
-) -> bool:
-    """w(t) lies in the product star power of the value set."""
-    leaves = w.leaves()
-    if not (len(subsets) == len(multiplicities) == len(t) == len(leaves)):
-        raise ArityMismatch("subsets, multiplicities and tuple must match the leaves")
-    G = subsets[0].group
-    total = 1
-    for S, m, ti in zip(subsets, multiplicities, t):
-        S.require_normal_subset()
-        if ti not in star_power(G, S, m):
-            raise PreconditionFailed(f"component {ti} is not in the m-star power")
-        total *= m
-    vs = value_set(w, list(subsets), budget)
-    star = star_power(G, vs.members, total)
-    val = evaluate(w.to_word(), G, dict(zip(leaves, t)))
-    return val in star
-
-
-def check_extended_width(
-    v: OcwTree,
-    w: OcwTree,
-    subsets: Sequence[Subset],
-    multiplicities: Sequence[int],
-    assignment: Mapping[Var, int],
-    budget: int | None = None,
-    degree: int | None = None,
-) -> bool:
-    """Width membership for a degree-k extension of w, y-entries free.
-
-    The degree recorded at enumeration time may be passed in; it must not
-    undercut the recognised minimal degree.  By default the minimal degree is
-    used, which gives the tightest star power.
-    """
-    minimal = extension_degree(v, w)
-    if minimal is None:
-        raise PreconditionFailed("first word is not an extension of the second")
-    if degree is not None and degree < minimal:
-        raise PreconditionFailed(f"recorded degree {degree} undercuts minimal {minimal}")
-    k = minimal if degree is None else degree
-    base_leaves = w.leaves()
-    if len(subsets) != len(base_leaves) or len(multiplicities) != len(base_leaves):
-        raise ArityMismatch("need one subset and multiplicity per base leaf")
-    G = subsets[0].group
-    total = 1
-    for leaf, S, m in zip(base_leaves, subsets, multiplicities):
-        S.require_normal_subset()
-        if assignment[leaf] not in star_power(G, S, m):
-            raise PreconditionFailed(f"entry for {leaf} is not in the m-star power")
-        total *= m
-    vs = value_set(w, list(subsets), budget)
-    star = star_power(G, vs.members, total * 2**k)
-    val = evaluate(v.to_word(), G, dict(assignment))
-    return val in star
-
-
-# ---------------------------------------------------------------------------
 # linearity
 # ---------------------------------------------------------------------------
 
@@ -704,8 +615,133 @@ def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# commutator congruence
+# lemma sweeps: star membership, width, extended width, commutator congruence
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """Outcome of one exhaustive lemma sweep.
+
+    `counterexample` is the first failing point in enumeration order, or
+    None when the lemma holds on the whole space; each sweep documents its
+    shape.  `swept` counts the points tested before the sweep stopped.
+    `modulus` is the subgroup a congruence is taken modulo, for the lemma
+    that has one, and None otherwise.
+    """
+
+    counterexample: tuple | None
+    swept: int
+    modulus: Subset | None
+
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
+
+
+def star_membership_sweep(
+    w: OcwTree, subsets: Sequence[Subset], budget: int | None
+) -> SweepReport:
+    """Lemma 2.5: w(t) lies in the 2^(r-1) star power of S_i whenever the
+    i-th entry of t lies in the normal subset S_i and the others in G.
+
+    Position i takes `subsets[i-1]`; positions are swept in order.  The
+    subtrees off the spine of position i enter through their value sets, so
+    the points are collapsed tuples: the sibling values, root first, then
+    the entry from S_i.  A counterexample is (position, point).
+    """
+    leaves = w.leaves()
+    if len(subsets) != len(leaves):
+        raise ArityMismatch(f"{len(leaves)} leaves vs {len(subsets)} subsets")
+    for S in subsets:
+        S.require_normal_subset()
+    G = subsets[0].group
+    full = G.full_subgroup()
+    env = {v: full for v in leaves}
+    swept = 0
+    for pos, (leaf, subset) in enumerate(zip(leaves, subsets), start=1):
+        star = star_power(G, subset, 2 ** (len(leaves) - 1))
+        path = spine_decompose(w, leaf)
+        sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
+        axes = [vs.values.astype(np.int64) for vs in sib_sets] + [
+            subset.elements.astype(np.int64)
+        ]
+        space = ProductSpace(axes).require_within(budget, "star membership sweep")
+        for start, cols in space.blocks(DEFAULT_BLOCK):
+            ok = star.mask[spine_eval(G, path, cols[-1], cols[:-1])]
+            if not ok.all():
+                flat = start + int(np.flatnonzero(~ok)[0])
+                return SweepReport((pos, space.tuple_at(flat)), swept + flat, None)
+        swept += space.size
+    return SweepReport(None, swept, None)
+
+
+def width_sweep(
+    w: OcwTree,
+    subsets: Sequence[Subset],
+    multiplicities: Sequence[Sequence[int]],
+    budget: int | None,
+) -> SweepReport:
+    """Lemma 2.6: w(t) lies in the (m_1...m_r) star power of w{S_1..S_r}
+    whenever each t_i lies in the m_i star power of the normal subset S_i.
+
+    This is Lemma 3.2 for the degree-0 extension, w itself, so it runs as
+    `extended_width_sweep([w], w, ...)` and reports the same way.
+    """
+    return extended_width_sweep([w], w, subsets, multiplicities, budget)
+
+
+def extended_width_sweep(
+    extensions: Sequence[OcwTree],
+    w: OcwTree,
+    subsets: Sequence[Subset],
+    multiplicities: Sequence[Sequence[int]],
+    budget: int | None,
+) -> SweepReport:
+    """Lemma 3.2: for v an extension of w of degree k, v(t, y) lies in the
+    (m_1...m_r 2^k) star power of w{S_1..S_r} whenever each t_i lies in the
+    m_i star power of the normal subset S_i, with the y entries in G.
+
+    The i-th leaf of w takes `subsets[i-1]` and the i-th entry of each
+    multiplicity vector.  k is the minimal degree `extension_degree`
+    recognises, which gives the tightest star power; a word that is not an
+    extension of w is rejected.  The vectors are swept in order and, for
+    each, the extensions in order, each through its value set, so the points
+    are values.  A counterexample is (extension, vector, value, witness),
+    the witness following the extension's variables.
+    """
+    leaves = w.leaves()
+    if len(subsets) != len(leaves):
+        raise ArityMismatch(f"{len(leaves)} leaves vs {len(subsets)} subsets")
+    for S in subsets:
+        S.require_normal_subset()
+    mvecs = [tuple(m) for m in multiplicities]
+    if any(len(m) != len(leaves) for m in mvecs):
+        raise ArityMismatch(f"need one multiplicity per leaf of {w.render()}")
+    members = []
+    for v in extensions:
+        k = extension_degree(v, w)
+        if k is None:
+            raise PreconditionFailed(f"{v.render()} is not an extension of {w.render()}")
+        members.append((v, k))
+    base = value_set_over(w, dict(zip(leaves, subsets)), budget)
+    G = base.members.group
+    full = G.full_subgroup()
+    swept = 0
+    for mvec in mvecs:
+        starred = {leaf: star_power(G, S, m) for leaf, S, m in zip(leaves, subsets, mvec)}
+        for v, k in members:
+            star = star_power(G, base.members, math.prod(mvec) * 2**k)
+            env = {u: starred.get(u, full) for u in v.leaves()}
+            vs = value_set_over(v, env, budget)
+            ok = star.mask[vs.values]
+            if not ok.all():
+                i = int(np.flatnonzero(~ok)[0])
+                value = int(vs.values[i])
+                point = (v, mvec, value, vs.witnesses[value])
+                return SweepReport(point, swept + i, None)
+            swept += vs.size
+    return SweepReport(None, swept, None)
 
 
 def comm_congruence_modulus(K: Subset, L: Subset, N: Subset) -> Subset:
@@ -715,27 +751,35 @@ def comm_congruence_modulus(K: Subset, L: Subset, N: Subset) -> Subset:
     return subgroup_product(knk, ln)
 
 
-def check_comm_congruence(
-    G: FiniteGroup,
-    K: Subset,
-    L: Subset,
-    N: Subset,
-    x: int,
-    y: int,
-    z: int,
-    n: int,
-) -> bool:
-    """[x,n] == [y,n][z,n] modulo [K,N,K][L,N], given x == yz modulo L."""
+def comm_congruence_sweep(
+    K: Subset, L: Subset, N: Subset, budget: int | None
+) -> SweepReport:
+    """Lemma 2.8: [x,n] = [y,n][z,n] modulo [K,N,K][L,N] for x, y, z in K
+    with x = yz modulo L, and n in N.
+
+    x runs as yzl with y, z in K and l in the intersection of L and K, which
+    keeps x in K, so the points are (y, z, l, n) and a counterexample is
+    one of them.  `modulus` is [K,N,K][L,N].
+    """
     for sub in (K, L, N):
         sub.require_normal()
-    if not (x in K and y in K and z in K):
-        raise PreconditionFailed("x, y, z must lie in K")
-    if n not in N:
-        raise PreconditionFailed("n must lie in N")
-    yz = G.mul(y, z)
-    if not L.mask[G.mul(x, G.inv(yz))]:
-        raise PreconditionFailed("x is not congruent to yz modulo L")
+    G = K.group
     modulus = comm_congruence_modulus(K, L, N)
-    lhs = G.comm(x, n)
-    rhs = G.mul(G.comm(y, n), G.comm(z, n))
-    return congruent_mod(lhs, rhs, modulus)
+    lk = G.subset_from_mask(K.mask & L.mask)
+    space = ProductSpace(
+        [
+            K.elements.astype(np.int64),
+            K.elements.astype(np.int64),
+            lk.elements.astype(np.int64),
+            N.elements.astype(np.int64),
+        ]
+    ).require_within(budget, "commutator congruence sweep")
+    for start, (yv, zv, lv, nv) in space.blocks(DEFAULT_BLOCK):
+        xv = G.mul_arr(G.mul_arr(yv, zv), lv)
+        lhs = G.comm_arr(xv, nv)
+        rhs = G.mul_arr(G.comm_arr(yv, nv), G.comm_arr(zv, nv))
+        ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
+        if not ok.all():
+            flat = start + int(np.flatnonzero(~ok)[0])
+            return SweepReport(space.tuple_at(flat), flat, modulus)
+    return SweepReport(None, space.size, modulus)

@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 from verba.errors import (
     BadIndex,
     NotAGroup,
-    NotNormal,
     NotNormalSubset,
     OrderCapExceeded,
     ProductNotSubgroup,
     UnassignedVariable,
     UnknownSpec,
 )
+from verba import groups
 from verba.groups import (
     builtin_group,
     closure,
     commutator_of_subsets,
     commutator_subgroup,
-    congruent_mod,
     cycles_str,
     direct_product,
     evaluate,
@@ -110,6 +109,54 @@ def test_permutation_closure_empty_and_cycle():
     assert group_from_permutations([], 3).order == 1
     seven = tuple(list(range(1, 7)) + [0])
     assert group_from_permutations([seven], 7).order == 7
+
+
+def test_permutation_build_starts_light_test_from_its_generators(monkeypatch):
+    seen = []
+    real = groups._check_associativity
+
+    def spy(table, e, start):
+        seen.append(list(start))
+        return real(table, e, start)
+
+    monkeypatch.setattr(groups, "_check_associativity", spy)
+    gens = groups._symmetric_gens(5)
+    g = group_from_permutations(gens, 5)
+    assert len(seen) == 1
+    assert [g.perm_images[i] for i in seen[0]] == gens
+
+
+def test_light_test_with_true_generators_still_catches_a_corrupt_table(sym4):
+    gens = [sym4.perm_images.index(p) for p in groups._symmetric_gens(4)]
+    groups._check_associativity(np.array(sym4.table), 0, gens)  # the true table passes
+    # one corrupted cell, tested directly by Light's test
+    bad = np.array(sym4.table)
+    bad[5, 7] = (bad[5, 7] + 1) % 24
+    with pytest.raises(NotAGroup) as err:
+        groups._check_associativity(bad, 0, gens)
+    x, g, y = err.value.witness
+    assert bad[bad[x, g], y] != bad[x, bad[g, y]]
+    with pytest.raises(NotAGroup):
+        groups._validate_table(bad, gens)
+    # an intercalate swap keeps the Latin square, identity and inverses:
+    # rows a and a*u, columns c and u*c, for an involution u, away from
+    # the identity's row, column and cells
+    u = sym4.perm_images.index((1, 0, 2, 3))
+    a, c = next(
+        (a, c)
+        for a in range(1, 24)
+        for c in range(1, 24)
+        if 0 not in (sym4.mul(a, u), sym4.mul(u, c), sym4.mul(a, c), sym4.mul(sym4.mul(a, u), c))
+    )
+    b, d = sym4.mul(a, u), sym4.mul(u, c)
+    swapped = np.array(sym4.table)
+    swapped[a, c], swapped[a, d] = swapped[a, d], swapped[a, c]
+    swapped[b, c], swapped[b, d] = swapped[b, d], swapped[b, c]
+    assert (np.sort(swapped, axis=0) == np.arange(24)[:, None]).all()
+    with pytest.raises(NotAGroup) as err:
+        groups._validate_table(swapped, gens)
+    x, g, y = err.value.witness
+    assert swapped[swapped[x, g], y] != swapped[x, swapped[g, y]]
 
 
 def test_order_cap():
@@ -354,19 +401,6 @@ def test_subgroup_product_associative_on_normal_pool(sym4):
                 left = subgroup_product(subgroup_product(a, b), c)
                 right = subgroup_product(a, subgroup_product(b, c))
                 assert left == right
-
-
-def test_congruent_mod(sym3):
-    a3 = sym3.derived_subgroup()
-    a = sym3.element_names.index("(1 2)")
-    b = sym3.element_names.index("(1 3)")
-    assert congruent_mod(a, a, a3)
-    assert congruent_mod(a, b, a3)
-    assert congruent_mod(a, b, sym3.full_subgroup())
-    assert not congruent_mod(a, 0, a3)
-    swap = closure(sym3, [a])
-    with pytest.raises(NotNormal):
-        congruent_mod(a, b, swap)
 
 
 def test_direct_product_structure():

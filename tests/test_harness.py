@@ -22,8 +22,17 @@ from verba.harness import (
     run_suite,
     survey,
 )
-from verba.verbal import value_set
-from verba.words import OcwTree, gamma
+from verba import verbal
+from verba.groups import evaluate
+from verba.verbal import (
+    class_generating_subset,
+    comm_congruence_sweep,
+    extended_width_sweep,
+    star_membership_sweep,
+    value_set,
+    width_sweep,
+)
+from verba.words import OcwTree, enumerate_extended, gamma, variables
 
 SMALL_CATALOG = ["cyc:6", "sym:3", "quat:8"]
 
@@ -184,3 +193,92 @@ def test_default_catalog_contents():
     assert "sym:4" in DEFAULT_CATALOG and "quat:8" in DEFAULT_CATALOG
     assert "heis:3" in DEFAULT_CATALOG
     assert len(DEFAULT_CATALOG) == 26
+
+
+# ---------------------------------------------------------------------------
+# seeded faults: each lemma sweep, and the suite row built on it, can fail
+# ---------------------------------------------------------------------------
+
+
+def _shrink_star_power(monkeypatch, only=None):
+    """Make `verbal.star_power` one step too small, for every subset or for
+    the one equal to `only`."""
+    real = verbal.star_power
+
+    def star(G, S, n):
+        return real(G, S, n - 1 if only is None or S == only else n)
+
+    monkeypatch.setattr(verbal, "star_power", star)
+    return real
+
+
+def test_seeded_small_star_power_flips_l25(monkeypatch):
+    spec = CheckSpec("L2.5", "sym:3", "gamma:2", "G,G")
+    G = resolve_group("sym:3")
+    s = class_generating_subset(G.full_subgroup())[0]
+    assert star_membership_sweep(gamma(2), [s, s], None).holds
+    assert run_check(spec, G=G).status == "pass"
+
+    real = _shrink_star_power(monkeypatch)
+    rep = star_membership_sweep(gamma(2), [s, s], None)
+    pos, (g, x) = rep.counterexample
+    # position 1: [x, g] with x in S escapes S^(*1)
+    assert pos == 1 and s.mask[x] and not real(G, s, 1).mask[G.comm(x, g)]
+    row = run_check(spec, G=G)
+    assert row.status == "fail" and row.detail == f"position 1, point {(g, x)}"
+
+
+def test_seeded_small_star_power_flips_l26(monkeypatch):
+    spec = CheckSpec("L2.6", "sym:3", "gamma:2", "G,G")
+    G = resolve_group("sym:3")
+    s = class_generating_subset(G.full_subgroup())[0]
+    assert width_sweep(gamma(2), [s, s], [(1, 1)], None).holds
+    assert run_check(spec, G=G).status == "pass"
+
+    base = value_set(gamma(2), [s, s]).members
+    real = _shrink_star_power(monkeypatch, only=base)
+    rep = width_sweep(gamma(2), [s, s], [(1, 1)], None)
+    _, mvec, value, wit = rep.counterexample
+    assert mvec == (1, 1) and G.comm(*wit) == value
+    assert not real(G, base, 0).mask[value]
+    row = run_check(spec, G=G)
+    assert row.status == "fail" and row.detail == f"m=(1, 1), value {value} from {wit}"
+
+
+def test_seeded_trivial_modulus_flips_l28(monkeypatch):
+    spec = CheckSpec("L2.8", "sym:3", "-", "G,G,G")
+    G = resolve_group("sym:3")
+    full = G.full_subgroup()
+    assert comm_congruence_sweep(full, full, full, None).holds
+    assert run_check(spec, G=G).status == "pass"
+
+    monkeypatch.setattr(
+        verbal, "comm_congruence_modulus", lambda K, L, N: K.group.trivial_subgroup()
+    )
+    rep = comm_congruence_sweep(full, full, full, None)
+    y, z, ell, n = rep.counterexample
+    x = G.mul(G.mul(y, z), ell)
+    assert G.comm(x, n) != G.mul(G.comm(y, n), G.comm(z, n))
+    row = run_check(spec, G=G)
+    assert row.status == "fail" and row.detail == f"(y,z,l,n)={(y, z, ell, n)}"
+
+
+def test_seeded_small_star_power_flips_l32(monkeypatch):
+    # in sym:4 the commutators of the class subset are not a subgroup, so
+    # one step less of their star power is a real loss
+    spec = CheckSpec("L3.2", "sym:4", "gamma:2", "G,G")
+    G = resolve_group("sym:4")
+    s = class_generating_subset(G.full_subgroup())[0]
+    ext = enumerate_extended(gamma(2), 1, 2)
+    assert extended_width_sweep(ext, gamma(2), [s, s], [(1, 1)], None).holds
+    assert run_check(spec, G=G).status == "pass"
+
+    base = value_set(gamma(2), [s, s]).members
+    real = _shrink_star_power(monkeypatch, only=base)
+    rep = extended_width_sweep(ext, gamma(2), [s, s], [(1, 1)], None)
+    v, mvec, value, wit = rep.counterexample
+    assert evaluate(v.to_word(), G, dict(zip(variables(v.to_word()), wit))) == value
+    assert not real(G, base, 1).mask[value]
+    row = run_check(spec, G=G)
+    assert row.status == "fail"
+    assert row.detail == f"{v.render()} with m={mvec}: value {value} escapes"

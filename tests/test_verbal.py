@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from verba import verbal
 from verba.enumeration import ProductSpace
 from verba.errors import (
     ArityMismatch,
     BudgetExceeded,
     NotNormal,
+    NotNormalSubset,
     PowerConditionFailed,
     PreconditionFailed,
 )
@@ -24,20 +26,20 @@ from verba.groups import (
 from verba.verbal import (
     NormalTuple,
     TupleEntry,
-    check_comm_congruence,
     check_disjoint_split,
     check_generator_independence,
     check_linearity,
     check_power_condition,
-    check_star_membership,
     check_substitution,
-    check_extended_width,
-    check_width,
     class_generating_subset,
+    comm_congruence_sweep,
+    extended_width_sweep,
+    star_membership_sweep,
     value_set,
     value_set_over,
     verbal_subgroup,
     verbal_subgroup_of_word,
+    width_sweep,
 )
 from verba.words import (
     OcwTree,
@@ -230,14 +232,17 @@ def test_substitution_examples(sym3, sym4, quat8):
 def test_star_membership_base_case(sym3):
     s = class_generating_subset(sym3.full_subgroup())[0]
     leaf = OcwTree.leaf(xvar(1))
-    el = int(s.elements[1])
-    assert check_star_membership(leaf, s, (el,), 1)
+    rep = star_membership_sweep(leaf, [s], None)
+    # a single leaf: the points are the elements of S, each in S^(*1)
+    assert rep.holds and rep.swept == s.order
 
 
 def test_star_membership_quat(quat8):
     s = quat8.subset([quat8.element_names.index("i"), quat8.element_names.index("-i")])
-    t = (quat8.element_names.index("i"), quat8.element_names.index("j"))
-    assert check_star_membership(gamma(2), s, t, 1)
+    # covers t = (i, j) at position 1, and every other (S, G) and (G, S) pair
+    rep = star_membership_sweep(gamma(2), [s, s], None)
+    # two positions, each |S| x |G| = 2 x 8 collapsed tuples
+    assert rep.holds and rep.swept == 32
 
 
 def test_star_membership_sweep_gamma3(sym4):
@@ -250,13 +255,17 @@ def test_star_membership_sweep_gamma3(sym4):
         t[1] = int(s.elements[rng.integers(0, s.order)])
         val = evaluate(gamma(3).to_word(), sym4, dict(zip(gamma(3).leaves(), t)))
         assert star.mask[val]
-        assert check_star_membership(gamma(3), s, tuple(t), 2)
+    # the sweep covers every such tuple, at every position
+    assert star_membership_sweep(gamma(3), [s, s, s], None).holds
 
 
 def test_star_membership_precondition(sym3):
-    s = sym3.derived_subgroup()
-    with pytest.raises(PreconditionFailed):
-        check_star_membership(gamma(2), s, (sym3.element_names.index("(1 2)"), 0), 1)
+    swap = sym3.subset([sym3.element_names.index("(1 2)")])
+    s = class_generating_subset(sym3.full_subgroup())[0]
+    with pytest.raises(NotNormalSubset):
+        star_membership_sweep(gamma(2), [s, swap], None)
+    with pytest.raises(ArityMismatch):
+        star_membership_sweep(gamma(2), [s], None)
 
 
 def test_width_examples(sym4):
@@ -265,47 +274,49 @@ def test_width_examples(sym4):
     )
     transpositions.require_normal_subset()
     sets = [transpositions, transpositions]
-    double = star_power(sym4, transpositions, 2)
-    t1 = next(int(e) for e in double.elements if e not in transpositions and e != 0)
-    t2 = int(transpositions.elements[0])
-    assert check_width(gamma(2), sets, [2, 1], (t1, t2))
-    assert check_width(gamma(2), sets, [1, 1], (t2, t2))
-    # identity component: trivially inside any star power
-    assert check_width(gamma(2), sets, [1, 3], (t2, 0))
+    # a product of two transpositions against one at m = (2, 1), two
+    # transpositions at (1, 1), and a transposition against the identity at
+    # (1, 3): each lies in the space swept for its vector
+    vectors = [(2, 1), (1, 1), (1, 3)]
+    rep = width_sweep(gamma(2), sets, vectors, None)
+    values = [
+        value_set(gamma(2), [star_power(sym4, transpositions, m) for m in mvec]).size
+        for mvec in vectors
+    ]
+    assert rep.holds and rep.swept == sum(values)
 
 
 def test_width_precondition(sym4):
-    s = sym4.derived_subgroup()
-    outside = next(i for i in range(24) if not s.mask[i])
-    with pytest.raises(PreconditionFailed):
-        check_width(gamma(2), [s, s], [1, 1], (outside, 0))
+    s = class_generating_subset(sym4.full_subgroup())[0]
+    with pytest.raises(ArityMismatch):
+        width_sweep(gamma(2), [s, s], [(1, 1, 1)], None)
+    swap = sym4.subset([1])
+    with pytest.raises(NotNormalSubset):
+        width_sweep(gamma(2), [s, swap], [(1, 1)], None)
 
 
 def test_extended_width(sym4):
     s = class_generating_subset(sym4.full_subgroup())[0]
     v = classify_outer_commutator(parse_word("[[y1,y2],[x1,x2]]"))
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        assignment = {
-            xvar(1): int(s.elements[rng.integers(0, s.order)]),
-            xvar(2): int(s.elements[rng.integers(0, s.order)]),
-            yvar(1): int(rng.integers(0, 24)),
-            yvar(2): int(rng.integers(0, 24)),
-        }
-        assert check_extended_width(v, gamma(2), [s, s], [1, 1], assignment)
+    # every (x1, x2) in S x S and (y1, y2) in G x G, through the value set
+    rep = extended_width_sweep([v], gamma(2), [s, s], [(1, 1)], None)
+    full = sym4.full_subgroup()
+    env = {xvar(1): s, xvar(2): s, yvar(1): full, yvar(2): full}
+    assert rep.holds and rep.swept == value_set_over(v, env).size
 
 
 def test_extended_width_identity_y_collapses(sym4):
     s = class_generating_subset(sym4.full_subgroup())[0]
     v = classify_outer_commutator(parse_word("[[y1,y2],[x1,x2]]"))
     assignment = {xvar(1): int(s.elements[1]), xvar(2): int(s.elements[2]), yvar(1): 0, yvar(2): 0}
-    assert check_extended_width(v, gamma(2), [s, s], [1, 1], assignment)
+    assert evaluate(v.to_word(), sym4, assignment) == 0
+    assert extended_width_sweep([v], gamma(2), [s, s], [(1, 1)], None).holds
 
 
 def test_extended_width_rejects_non_extension(sym4):
     s = class_generating_subset(sym4.full_subgroup())[0]
     with pytest.raises(PreconditionFailed):
-        check_extended_width(gamma(3), gamma(2), [s, s], [1, 1], {})
+        extended_width_sweep([gamma(3)], gamma(2), [s, s], [(1, 1)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +405,39 @@ def test_linearity_collapse_matches_raw_enumeration(sym3, quat8):
         assert rep.holds == raw, (G.label, tree.render(), pos, rep.holds, raw)
 
 
-def test_star_membership_collapse_matches_raw(sym3):
-    # the swept form used by the harness versus scalar over the whole space
+def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
+    # the swept form versus scalar evaluation over the whole space, with the
+    # lemma's star power and with one too small to hold
     import itertools
 
     s = class_generating_subset(sym3.full_subgroup())[0]
     tree = gamma(3)
     leaves = tree.leaves()
-    star = star_power(sym3, s, 4)
-    for pos in (1, 2, 3):
-        raw_all = True
-        for combo in itertools.product(range(6), repeat=2):
-            for sv in map(int, s.elements):
-                t = list(combo)
-                t.insert(pos - 1, sv)
-                val = evaluate(tree.to_word(), sym3, dict(zip(leaves, t)))
-                raw_all &= bool(star.mask[val])
-                assert check_star_membership(tree, s, tuple(t), pos) == bool(
-                    star.mask[val]
-                )
-        assert raw_all
+
+    def first_raw_failure(n):
+        star = star_power(sym3, s, n)
+        for pos in (1, 2, 3):
+            for combo in itertools.product(range(6), repeat=2):
+                for sv in map(int, s.elements):
+                    t = list(combo)
+                    t.insert(pos - 1, sv)
+                    val = evaluate(tree.to_word(), sym3, dict(zip(leaves, t)))
+                    if not star.mask[val]:
+                        return pos
+        return None
+
+    rep = star_membership_sweep(tree, [s, s, s], None)
+    assert first_raw_failure(4) is None and rep.holds
+    # collapsing the siblings to their value sets never grows the space
+    assert rep.swept <= 3 * 36 * s.order
+
+    real = verbal.star_power
+    monkeypatch.setattr(verbal, "star_power", lambda G, S, n: real(G, S, 1))
+    rep = star_membership_sweep(tree, [s, s, s], None)
+    pos, (x3, x2, x1) = rep.counterexample  # siblings root first, then S
+    assert pos == first_raw_failure(1) == 1
+    val = evaluate(tree.to_word(), sym3, dict(zip(leaves, (x1, x2, x3))))
+    assert s.mask[x1] and not real(sym3, s, 1).mask[val]
 
 
 def test_value_set_witness_is_first_in_leaf_order(sym3):
@@ -435,36 +459,30 @@ def test_value_set_witness_is_first_in_leaf_order(sym3):
 def test_comm_congruence_exact_product(sym4):
     k = sym4.derived_subgroup()
     trivial = sym4.trivial_subgroup()
-    y, z = int(k.elements[2]), int(k.elements[5])
-    x = sym4.mul(y, z)
-    n = int(k.elements[3])
-    assert check_comm_congruence(sym4, k, trivial, k, x, y, z, n)
+    # L trivial: x = yz exactly, for every y, z, n in K
+    rep = comm_congruence_sweep(k, trivial, k, None)
+    assert rep.holds and rep.swept == k.order**3
 
 
 def test_comm_congruence_identity_n(sym4):
     k = sym4.derived_subgroup()
-    y, z = int(k.elements[1]), int(k.elements[2])
-    assert check_comm_congruence(sym4, k, k, k, sym4.mul(y, z), y, z, 0)
+    rep = comm_congruence_sweep(k, k, k, None)
+    # n = 1 is in every swept (y, z, l, n); the modulus is [K,K,K][K,K]
+    assert rep.holds and rep.modulus.order == 4
+    assert rep.swept == k.order**4
 
 
 def test_comm_congruence_sym4_sweep(sym4):
     k = sym4.derived_subgroup()
     v4 = normal_closure(sym4, [next(i for i in range(24) if sym4.element_order(i) == 2 and k.mask[i])])
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        y = int(k.elements[rng.integers(0, k.order)])
-        z = int(k.elements[rng.integers(0, k.order)])
-        ell = int(v4.elements[rng.integers(0, v4.order)])
-        x = sym4.mul(sym4.mul(y, z), ell)
-        n = int(k.elements[rng.integers(0, k.order)])
-        assert check_comm_congruence(sym4, k, v4, k, x, y, z, n)
+    rep = comm_congruence_sweep(k, v4, k, None)
+    assert rep.holds and rep.swept == k.order**3 * v4.order
 
 
 def test_comm_congruence_preconditions(sym4):
     k = sym4.derived_subgroup()
-    with pytest.raises(PreconditionFailed):
-        check_comm_congruence(sym4, k, k, k, 1, 0, 0, 0)  # 1 is odd, not in K
-    y, z = int(k.elements[1]), int(k.elements[2])
-    bad_x = sym4.mul(sym4.mul(y, z), next(i for i in range(24) if not k.mask[i]))
-    with pytest.raises(PreconditionFailed):
-        check_comm_congruence(sym4, k, sym4.trivial_subgroup(), k, bad_x, y, z, 0)
+    swap = closure(sym4, [1])
+    assert not swap.is_normal
+    for args in ((swap, k, k), (k, swap, k), (k, k, swap)):
+        with pytest.raises(NotNormal):
+            comm_congruence_sweep(*args, None)
