@@ -88,17 +88,18 @@ from .verbal import (
 )
 from .words import (
     ExtendedWordSet,
-    OcwTree,
     ReducedWord,
     Var,
     WordExpr,
     classify_outer_commutator,
+    comm,
     delta,
     enumerate_extended,
     exponent_sum,
     extension_degree,
     gamma,
     is_non_commutator,
+    is_outer_commutator,
     parse_word,
     reduce_word,
     render,

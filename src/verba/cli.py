@@ -36,8 +36,6 @@ from .harness import (
 from .series import build_delta_series, build_gamma_series, verify_series
 from .verbal import value_set, verbal_subgroup
 from .words import (
-    arity,
-    as_word,
     classify_outer_commutator,
     exponent_sum,
     is_non_commutator,
@@ -186,7 +184,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_eval(args) -> int:
     G = resolve_group(args.group, args.cap)
-    expr = as_word(resolve_word(args.word)[0])
+    expr = resolve_word(args.word)[0]
     assignment = {}
     for part in args.assign.split(","):
         name, _, idx = part.strip().partition("=")
@@ -206,7 +204,7 @@ def _cmd_eval(args) -> int:
 def _resolved(args):
     G = resolve_group(args.group, args.cap)
     word, label = resolve_word(args.word)
-    tup = parse_tuple_spec(args.tuple_spec or ",".join(["G"] * arity(word)), G)
+    tup = parse_tuple_spec(args.tuple_spec or ",".join(["G"] * len(variables(word))), G)
     return G, word, label, tup
 
 
@@ -260,7 +258,7 @@ def _cmd_series(args) -> int:
             {
                 "factor": f.index,
                 "provenance": f.provenance,
-                "word": f.word.render(),
+                "word": render(f.word),
                 "entries": ",".join(str(e.subgroup.order) for e in f.entries),
                 "linear@": f.linear_position,
                 "degree": f.degree,
@@ -279,7 +277,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tuple_spec = args.tuple_spec or ",".join(["G"] * arity(resolve_word(args.word)[0]))
+    tuple_spec = args.tuple_spec or ",".join(["G"] * len(variables(resolve_word(args.word)[0])))
     spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec)
     res = run_check(spec, budget=args.budget, cap=args.cap)
     _emit(_format_rows([res.as_dict()], SUITE_HEADER, args.fmt), args.out)

@@ -62,14 +62,14 @@ class FiniteGroup:
             else [str(i) for i in range(self.order)]
         )
         self.perm_images = list(perm_images) if perm_images is not None else None
-        # Memos that live as long as the group: sub-word value arrays, finished
-        # value sets, subgroup closures by seed, star powers by (mask, n),
-        # quotients by modulus, class generating subsets by subgroup mask,
-        # parsed tuple specs by text, built series by (kind, parameter,
-        # subgroup masks), and the commutator table.  Each entry is built in
+        # Memos that live as long as the group: value sets of words and of
+        # their sub-words by (word text, subset masks), subgroup closures by
+        # seed, star powers by (mask, n), quotients by modulus, class
+        # generating subsets by subgroup mask, parsed tuple specs by text,
+        # built series by (kind, parameter, subgroup masks), and the
+        # commutator table.  Each entry is built in
         # full before it is stored, so threads sharing the group never see a
         # partial one.
-        self._value_cache: dict = {}
         self._value_sets: dict = {}
         self._closures: dict[bytes, Subset] = {}
         self._star_powers: dict[tuple[bytes, int], Subset] = {}
@@ -120,9 +120,6 @@ class FiniteGroup:
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
-
-    def inv_arr(self, a: np.ndarray) -> np.ndarray:
-        return self.inverse_table[a]
 
     def comm_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ct = self._commutator_table()

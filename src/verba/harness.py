@@ -59,10 +59,9 @@ from .verbal import (
 )
 from .words import (
     MAX_WORD_DEPTH,
-    OcwTree,
     Power,
+    Var,
     WordExpr,
-    arity,
     classify_outer_commutator,
     delta,
     enumerate_extended,
@@ -154,8 +153,11 @@ def resolve_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return builtin_group(spec, cap=cap)
 
 
-def resolve_word(text: str) -> tuple[OcwTree | WordExpr, str]:
-    """Word spec: gamma:r, delta:k, or literal word text.
+def resolve_word(text: str) -> tuple[WordExpr, str]:
+    """Word spec: gamma:r, delta:k, or literal word text, with the label.
+
+    Literal text that is an outer commutator word once first powers and
+    one-factor products are stripped resolves to the stripped word.
 
     gamma:r and delta:k are bounded like parsed text, before any tree is
     built: the word may have 1 to MAX_WORD_DEPTH + 1 variables, so
@@ -172,13 +174,10 @@ def resolve_word(text: str) -> tuple[OcwTree | WordExpr, str]:
             )
         return (gamma(n) if kind == "gamma" else delta(n)), text.strip()
     expr = parse_word(text)
-    tree = classify_outer_commutator(expr)
-    return (tree if tree is not None else expr), render(expr)
+    return classify_outer_commutator(expr) or expr, render(expr)
 
 
-def _require_ocw(word: OcwTree | WordExpr, what: str) -> OcwTree:
-    if isinstance(word, OcwTree):
-        return word
+def _require_ocw(word: WordExpr, what: str) -> WordExpr:
     tree = classify_outer_commutator(word)
     if tree is None:
         raise PreconditionFailed(f"{what} needs an outer commutator word")
@@ -303,7 +302,7 @@ def _result(spec: CheckSpec, status: str, detail: str = "") -> CheckResult:
 
 def _check_disjoint(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.1")
-    if tree.is_leaf:
+    if isinstance(tree, Var):
         return _result(spec, "pass", "single variable, nothing to split")
     rep = check_disjoint_split(tree, tup, budget)
     detail = f"|w(N)|={rep.whole.order} |[alpha,beta]|={rep.left.order}x{rep.right.order}"
@@ -312,13 +311,11 @@ def _check_disjoint(spec, G, word, tup, budget) -> CheckResult:
 
 def _check_substitution(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.2")
-    leaves = tree.leaves()
+    vars_ = variables(tree)
     worst = ""
-    for combo in range(2 ** len(leaves)):
-        exps = [
-            _SUBSTITUTION_EXPONENTS[(combo >> i) & 1] for i in range(len(leaves))
-        ]
-        args = [Power(v, e) for v, e in zip(leaves, exps)]
+    for combo in range(2 ** len(vars_)):
+        exps = [_SUBSTITUTION_EXPONENTS[(combo >> i) & 1] for i in range(len(vars_))]
+        args = [Power(v, e) for v, e in zip(vars_, exps)]
         rep = check_substitution(tree, args, G, budget)
         if not rep.equal:
             return _result(
@@ -327,7 +324,7 @@ def _check_substitution(spec, G, word, tup, budget) -> CheckResult:
                 f"exponents {tuple(exps)}: {rep.direct_order} != {rep.composed_order}",
             )
         worst = f"last orders {rep.direct_order}={rep.composed_order}"
-    return _result(spec, "pass", f"{2 ** len(leaves)} exponent patterns; {worst}")
+    return _result(spec, "pass", f"{2 ** len(vars_)} exponent patterns; {worst}")
 
 
 def _check_generators(spec, G, word, tup, budget) -> CheckResult:
@@ -347,7 +344,7 @@ def _check_star_membership(spec, G, word, tup, budget) -> CheckResult:
     if not rep.holds:
         pos, point = rep.counterexample
         return _result(spec, "fail", f"position {pos}, point {point}")
-    positions = len(tree.leaves())
+    positions = len(variables(tree))
     return _result(spec, "pass", f"{rep.swept} collapsed tuples over {positions} positions")
 
 
@@ -361,7 +358,7 @@ def _width_vectors(r: int) -> list[tuple[int, ...]]:
 
 def _check_width(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.6")
-    mvecs = _width_vectors(len(tree.leaves()))
+    mvecs = _width_vectors(len(variables(tree)))
     rep = width_sweep(tree, _class_subsets(tup), mvecs, budget)
     if not rep.holds:
         _, mvec, value, wit = rep.counterexample
@@ -389,7 +386,7 @@ def _series(spec, word, tup, budget, audit=False) -> LinearSeries:
     if spec.check_id.startswith("T2."):
         return build_gamma_series(tup, budget, audit=audit)
     tree = _require_ocw(word, spec.check_id)
-    k = max(1, len(tree.leaves()).bit_length() - 1)
+    k = max(1, len(variables(tree)).bit_length() - 1)
     return build_delta_series(tup, k, budget)
 
 
@@ -431,9 +428,8 @@ def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
     )
 
 
-def _value_set_by_direct_enumeration(tree, sets, G, budget) -> np.ndarray | None:
+def _value_set_by_direct_enumeration(expr, sets, G, budget) -> np.ndarray | None:
     """Raw assignment-space enumeration, as an independent cross-check."""
-    expr = tree.to_word()
     vars_ = variables(expr)
     space = ProductSpace([s.elements.astype(np.int64) for s in sets])
     limit = DEFAULT_BUDGET if budget is None else budget
@@ -449,9 +445,9 @@ def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
     """Non-commutator argument words: their value sets absorb n-th powers and
     composition matches substitution."""
     tree = _require_ocw(word, spec.check_id)
-    leaves = tree.leaves()
-    exps = [_SUBSTITUTION_EXPONENTS[i % 2] for i in range(len(leaves))]
-    args = [Power(v, e) for v, e in zip(leaves, exps)]
+    vars_ = variables(tree)
+    exps = [_SUBSTITUTION_EXPONENTS[i % 2] for i in range(len(vars_))]
+    args = [Power(v, e) for v, e in zip(vars_, exps)]
     everyone = np.arange(G.order, dtype=np.int64)
     for u, e in zip(args, exps):
         # u evaluated at a single non-identity entry returns the e-th power
@@ -463,25 +459,26 @@ def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
         if not uv.members.mask[G.pow_arr(everyone, e)].all():
             return _result(spec, "fail", f"some g^{e} lies outside the value set")
     rep = check_substitution(tree, args, G, budget)
-    detail = f"exponents {tuple(exps)}, orders {rep.direct_order}={rep.composed_order}"
+    sep = "=" if rep.direct_order == rep.composed_order else " != "
+    detail = f"exponents {tuple(exps)}, orders {rep.direct_order}{sep}{rep.composed_order}"
     return _result(spec, "pass" if rep.equal else "fail", detail)
 
 
 def _check_extended_width(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L3.2")
-    r = len(tree.leaves())
+    r = len(variables(tree))
     ext = enumerate_extended(tree, 1, 2)
     mvecs = (tuple([1] * r), tuple([2] + [1] * (r - 1)))
     rep = extended_width_sweep(ext, tree, _class_subsets(tup), mvecs, budget)
     if not rep.holds:
         member, mvec, value, _ = rep.counterexample
-        return _result(spec, "fail", f"{member.render()} with m={mvec}: value {value} escapes")
+        return _result(spec, "fail", f"{render(member)} with m={mvec}: value {value} escapes")
     return _result(spec, "pass", f"{len(ext)} extended words x {len(mvecs)} multiplicity vectors")
 
 
 def _check_probe(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "CONJ")
-    if len(tree.leaves()) > 7:
+    if len(variables(tree)) > 7:
         raise PreconditionFailed("probe words are capped at 7 leaves")
     vs = value_set(tree, tup.subgroups, budget)
     sub = closure(G, vs.members)
@@ -522,9 +519,9 @@ def run_check(
     group = G if G is not None else resolve_group(spec.group, cap)
     word = None if spec.word == "-" else resolve_word(spec.word)[0]
     tup = parse_tuple_spec(spec.tuple_spec, group)
-    if word is not None and tup.arity != arity(word):
+    if word is not None and tup.arity != len(variables(word)):
         raise ArityMismatch(
-            f"word {spec.word} needs {arity(word)} tuple entries, got {tup.arity}"
+            f"word {spec.word} needs {len(variables(word))} tuple entries, got {tup.arity}"
         )
     try:
         return _CHECK_TABLE[spec.check_id](spec, group, word, tup, budget)
@@ -611,7 +608,7 @@ def build_suite_specs(
             if check_id not in ids:
                 continue
             for wspec in _words_for(check_id, G):
-                r = 3 if wspec == "-" else arity(resolve_word(wspec)[0])
+                r = 3 if wspec == "-" else len(variables(resolve_word(wspec)[0]))
                 for tspec in _tuples_for(check_id, G, r, seed):
                     specs.append(CheckSpec(check_id, gspec, wspec, tspec))
     return specs, groups
@@ -680,7 +677,7 @@ def survey(
     """
     word, label = resolve_word(word_spec)
     tree = _require_ocw(word, "probe" if probe else "survey")
-    leaves = len(tree.leaves())
+    leaves = len(variables(tree))
     if probe and leaves > 7:
         raise PreconditionFailed("probe words are capped at 7 leaves")
     rows: list[SurveyRow] = []

@@ -33,14 +33,19 @@ from .verbal import (
     verbal_subgroup,
 )
 from .words import (
-    OcwTree,
     Var,
+    WordExpr,
     Y_FAMILY,
+    comm,
     delta,
     extension_degree,
     gamma,
+    render,
     shift_x,
+    substitute,
+    variables,
     xvar,
+    y_renumbering,
     yvar,
 )
 
@@ -51,7 +56,7 @@ class AnnotatedEntry:
 
     var: Var
     subgroup: Subset
-    source: OcwTree
+    source: WordExpr
     components: tuple[int, ...]  # 1-based positions into the base tuple
 
 
@@ -60,7 +65,7 @@ class SeriesFactor:
     index: int  # 1-based position in the ascending chain
     lower: Subset
     upper: Subset
-    word: OcwTree
+    word: WordExpr
     entries: tuple[AnnotatedEntry, ...]  # canonical variable order
     linear_position: int  # 1-based into entries
     degree: int  # recorded extension degree of `word`
@@ -92,7 +97,7 @@ class LinearSeries:
         return self.terms[-1]
 
     @property
-    def word(self) -> OcwTree:
+    def word(self) -> WordExpr:
         return gamma(self.parameter) if self.kind == "gamma" else delta(self.parameter)
 
 
@@ -103,7 +108,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _leaf_entry(j: int, sub: Subset) -> AnnotatedEntry:
     return AnnotatedEntry(
-        var=xvar(j), subgroup=sub, source=OcwTree.leaf(xvar(1)), components=(j,)
+        var=xvar(j), subgroup=sub, source=xvar(1), components=(j,)
     )
 
 
@@ -111,18 +116,15 @@ def _canonical_factor(
     index: int,
     lower: Subset,
     upper: Subset,
-    word_raw: OcwTree,
+    word_raw: WordExpr,
     entries_raw: Sequence[AnnotatedEntry],
     linear_var: Var,
     degree: int,
     provenance: str,
 ) -> SeriesFactor:
     """Renumber y-variables canonically and sort entries into variable order."""
-    mapping: dict[Var, Var] = {}
-    for v in word_raw.leaves():
-        if v.family == Y_FAMILY and v not in mapping:
-            mapping[v] = yvar(len(mapping) + 1)
-    word = word_raw.rename(mapping) if mapping else word_raw
+    mapping = y_renumbering(word_raw)
+    word = substitute(word_raw, mapping) if mapping else word_raw
     renamed = [
         AnnotatedEntry(
             var=mapping.get(e.var, e.var),
@@ -133,9 +135,9 @@ def _canonical_factor(
         for e in entries_raw
     ]
     renamed.sort(key=lambda e: e.var)
-    leaf_set = set(word.leaves())
+    word_vars = set(variables(word))
     _require(
-        leaf_set == {e.var for e in renamed} and len(renamed) == len(leaf_set),
+        word_vars == {e.var for e in renamed} and len(renamed) == len(word_vars),
         "annotation entries do not match the word's variables",
     )
     lin = mapping.get(linear_var, linear_var)
@@ -369,9 +371,7 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
 
     # factor 1: linear in the fresh y-component ranging over the top subgroup
     y0 = yvar(1)
-    word_top = OcwTree.comm(
-        delta(k - 1), OcwTree.comm(OcwTree.leaf(y0), shift_x(delta(k - 1), half))
-    )
+    word_top = comm(delta(k - 1), comm(y0, shift_x(delta(k - 1), half)))
     entries_top = [_leaf_entry(j, subs[j - 1]) for j in range(1, 2**k + 1)] + [
         AnnotatedEntry(
             var=y0, subgroup=dk, source=delta(k), components=tuple(range(1, 2**k + 1))
@@ -390,17 +390,15 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
             sub_factor, half
         )
         y_top = max(
-            (v.index for v in shifted_word.leaves() if v.family == Y_FAMILY), default=0
+            (v.index for v in variables(shifted_word) if v.family == Y_FAMILY), default=0
         )
         y_block = _pure_y_delta(k - 1, y_top)
-        w_word = OcwTree.comm(y_block, shifted_word)
+        w_word = comm(y_block, shifted_word)
         w_entries = [
-            AnnotatedEntry(
-                var=v, subgroup=subs[c - 1], source=OcwTree.leaf(xvar(1)), components=(c,)
-            )
-            for v, c in zip(y_block.leaves(), range(1, half + 1))
+            AnnotatedEntry(var=v, subgroup=subs[c - 1], source=xvar(1), components=(c,))
+            for v, c in zip(variables(y_block), range(1, half + 1))
         ] + shifted_entries
-        v_word = OcwTree.comm(delta(k - 1), w_word)
+        v_word = comm(delta(k - 1), w_word)
         v_entries = [_leaf_entry(j2, subs[j2 - 1]) for j2 in range(1, half + 1)] + w_entries
         factors.append(
             _canonical_factor(
@@ -418,7 +416,7 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
     # right factors t-s+1 .. t, from the first half's factors
     for i in range(1, s + 1):
         sub_factor = first.factors[i - 1]
-        word_raw = OcwTree.comm(sub_factor.word, shift_x(delta(k - 1), half))
+        word_raw = comm(sub_factor.word, shift_x(delta(k - 1), half))
         entries_raw = list(sub_factor.entries) + [
             _leaf_entry(half + j2, subs[half + j2 - 1]) for j2 in range(1, half + 1)
         ]
@@ -440,16 +438,15 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
     )
 
 
-def _pure_y_delta(k: int, above: int) -> OcwTree:
-    """delta(k) with its x-leaves turned into fresh y-variables."""
-    tree = delta(k)
-    mapping = {v: yvar(above + v.index) for v in tree.leaves()}
-    return tree.rename(mapping)
+def _pure_y_delta(k: int, above: int) -> WordExpr:
+    """delta(k) with its x-variables turned into fresh y-variables."""
+    word = delta(k)
+    return substitute(word, {v: yvar(above + v.index) for v in variables(word)})
 
 
 def _shift_annotation(
     factor: SeriesFactor, offset: int
-) -> tuple[OcwTree, list[AnnotatedEntry], Var]:
+) -> tuple[WordExpr, list[AnnotatedEntry], Var]:
     """Move a factor built on local positions 1..2^(k-1) to global positions."""
     word = shift_x(factor.word, offset)
     entries = []
@@ -530,9 +527,7 @@ def verify_series(
     reports: list[FactorReport] = []
     for f in series.factors:
         containment_ok = f.lower <= f.upper
-        vs = value_set_over(
-            f.word.to_word(), {e.var: e.subgroup for e in f.entries}, budget
-        )
+        vs = value_set_over(f.word, {e.var: e.subgroup for e in f.entries}, budget)
         union = np.asarray(f.lower.mask | vs.members.mask)
         generation_ok = closure(G, np.flatnonzero(union)) == f.upper
         extension_ok = len(f.entries) >= len(base_subs)
@@ -561,7 +556,7 @@ def verify_series(
             FactorReport(
                 index=f.index,
                 provenance=f.provenance,
-                word=f.word.render(),
+                word=render(f.word),
                 lower_order=f.lower.order,
                 upper_order=f.upper.order,
                 containment_ok=containment_ok,
@@ -666,7 +661,7 @@ def generator_bound_report(
             n = depth ** (2**k) * 2 ** (k - 1)
             bound = m**n
             observed = value_set_over(
-                f.word.to_word(), dict(zip((e.var for e in f.entries), t_sets)), budget
+                f.word, dict(zip((e.var for e in f.entries), t_sets)), budget
             ).size
             rows.append(
                 BoundRow(

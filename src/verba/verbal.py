@@ -37,12 +37,10 @@ from .groups import (
 from .words import (
     Commutator,
     Inverse,
-    OcwTree,
     Power,
     Product,
     Var,
     WordExpr,
-    as_word,
     extension_degree,
     render,
     substitute,
@@ -85,26 +83,22 @@ class ValueSet:
 
 
 def value_set(
-    w: WordExpr | OcwTree,
+    w: WordExpr,
     subsets: Sequence[Subset],
     budget: int | None = None,
 ) -> ValueSet:
-    """Values of `w` as its variables range over `subsets` positionally.
-
-    Positions follow the canonical variable order of the word (x-family by
-    index, then y-family by index).
-    """
-    expr = as_word(w)
-    vars_ = variables(expr)
+    """Values of `w` as its variables range over `subsets` positionally:
+    subsets[i] goes to variables(w)[i]."""
+    vars_ = variables(w)
     if len(subsets) != len(vars_):
         raise ArityMismatch(
-            f"word {render(expr)} has {len(vars_)} variables, got {len(subsets)} subsets"
+            f"word {render(w)} has {len(vars_)} variables, got {len(subsets)} subsets"
         )
-    return value_set_over(expr, dict(zip(vars_, subsets)), budget)
+    return value_set_over(w, dict(zip(vars_, subsets)), budget)
 
 
 def value_set_over(
-    w: WordExpr | OcwTree,
+    w: WordExpr,
     env: Mapping[Var, Subset],
     budget: int | None = None,
 ) -> ValueSet:
@@ -113,19 +107,29 @@ def value_set_over(
     The finished ValueSet is memoised on the group by word text and subset
     masks, so equal words over equal subsets share one result.
     """
-    expr = as_word(w)
-    vars_ = variables(expr)
+    vars_ = variables(w)
     missing = [v for v in vars_ if v not in env]
     if missing:
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
     if not vars_:
-        raise ArityMismatch(f"word {render(expr)} has no variables")
-    group = env[vars_[0]].group
-    memo_key = (render(expr), tuple(env[v].key for v in vars_))
+        raise ArityMismatch(f"word {render(w)} has no variables")
+    return _value_set(w, env, env[vars_[0]].group, budget)
+
+
+def _value_set(
+    expr: WordExpr,
+    sets: Mapping[Var, Subset],
+    group: FiniteGroup,
+    budget: int | None,
+) -> ValueSet:
+    """`value_set_over` without the input checks.  This is the one value-set
+    memo: sub-words of a word are kept in it too."""
+    vars_ = variables(expr)
+    memo_key = (render(expr), tuple(sets[v].key for v in vars_))
     cached = group._value_sets.get(memo_key)
     if cached is not None:
         return cached
-    vals, rows = _values(expr, env, group, budget)
+    vals, rows = _values(expr, sets, group, budget)
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     mask = np.zeros(group.order, dtype=bool)
@@ -134,7 +138,7 @@ def value_set_over(
     out = ValueSet(
         word=expr,
         variables=vars_,
-        subsets=tuple(env[v] for v in vars_),
+        subsets=tuple(sets[v] for v in vars_),
         values=sorted_vals,
         members=Subset(group, mask),
         discovered=(vals, rows),
@@ -152,52 +156,39 @@ def _values(
     """Distinct values of `expr` plus witness rows, in discovery order.
 
     Witness row columns follow the canonical variable order of `expr`.
+    Sub-words come from the value-set memo.
     """
-    key = (render(expr), tuple(sets[v].key for v in variables(expr)))
-    cached = group._value_cache.get(key)
-    if cached is not None:
-        return cached
-
     if isinstance(expr, Var):
         elems = sets[expr].elements.astype(np.int64)
-        out = (elems, elems[:, None].copy())
-    elif isinstance(expr, (Inverse, Power)):
-        child_vals, child_rows = _values(expr.child, sets, group, budget)
+        return elems, elems[:, None].copy()
+    if isinstance(expr, (Inverse, Power)):
+        child_vals, child_rows = _value_set(expr.child, sets, group, budget).discovered
         if isinstance(expr, Inverse):
             transformed = group.inverse_table[child_vals]
         else:
             transformed = group.pow_arr(child_vals, expr.exponent)
         _, first = np.unique(transformed, return_index=True)
         keep = np.sort(first)
-        out = (transformed[keep].astype(np.int64), child_rows[keep])
-    elif isinstance(expr, (Commutator, Product)) and _children_disjoint(expr):
-        children = (
-            list(expr.factors)
-            if isinstance(expr, Product)
-            else [expr.left, expr.right]
+        return transformed[keep].astype(np.int64), child_rows[keep]
+    if not (isinstance(expr, (Commutator, Product)) and _children_disjoint(expr)):
+        return _values_by_enumeration(expr, sets, group, budget)
+    children = list(expr.factors) if isinstance(expr, Product) else [expr.left, expr.right]
+    if not children:
+        return np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    acc_vals, acc_rows, acc_vars = None, None, ()
+    for child in children:
+        c_vals, c_rows = _value_set(child, sets, group, budget).discovered
+        c_vars = variables(child)
+        if acc_vals is None:
+            acc_vals, acc_rows, acc_vars = c_vals, c_rows, c_vars
+            continue
+        op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
+        acc_vals, acc_rows, acc_vars = _combine(
+            group, op, acc_vals, acc_rows, acc_vars, c_vals, c_rows, c_vars, budget
         )
-        if not children:
-            out = (np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
-        else:
-            acc_vals, acc_rows, acc_vars = None, None, ()
-            for child in children:
-                c_vals, c_rows = _values(child, sets, group, budget)
-                c_vars = variables(child)
-                if acc_vals is None:
-                    acc_vals, acc_rows, acc_vars = c_vals, c_rows, c_vars
-                    continue
-                op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-                acc_vals, acc_rows, acc_vars = _combine(
-                    group, op, acc_vals, acc_rows, acc_vars, c_vals, c_rows, c_vars, budget
-                )
-            # witness columns back into canonical variable order
-            cols = [acc_vars.index(v) for v in sorted(acc_vars)]
-            out = (acc_vals, acc_rows[:, cols])
-    else:
-        out = _values_by_enumeration(expr, sets, group, budget)
-
-    group._value_cache[key] = out
-    return out
+    # witness columns back into canonical variable order
+    cols = [acc_vars.index(v) for v in sorted(acc_vars)]
+    return acc_vals, acc_rows[:, cols]
 
 
 def _children_disjoint(expr: Commutator | Product) -> bool:
@@ -370,7 +361,7 @@ def class_generating_subset(N: Subset) -> tuple[Subset, int]:
 
 
 def verbal_subgroup(
-    w: WordExpr | OcwTree,
+    w: WordExpr,
     tup: NormalTuple | Sequence[Subset],
     budget: int | None = None,
     use_subsets: bool = True,
@@ -398,7 +389,7 @@ def verbal_subgroup_of_word(
 
 
 def check_generator_independence(
-    w: WordExpr | OcwTree, tup: NormalTuple, budget: int | None = None
+    w: WordExpr, tup: NormalTuple, budget: int | None = None
 ) -> tuple[bool, int, int]:
     via_subsets = verbal_subgroup(w, tup, budget, use_subsets=True)
     via_groups = verbal_subgroup(w, tup, budget, use_subsets=False)
@@ -420,19 +411,22 @@ class SplitReport:
 
 
 def check_disjoint_split(
-    w: OcwTree, tup: NormalTuple | Sequence[Subset], budget: int | None = None
+    w: Commutator, tup: NormalTuple | Sequence[Subset], budget: int | None = None
 ) -> SplitReport:
-    """Both sides of w(N1..Nr) = [alpha(N1..Nq), beta(N(q+1)..Nr)]."""
-    if w.is_leaf:
-        raise PreconditionFailed("word must have at least two leaves")
+    """Both sides of w(N1..Nr) = [alpha, beta] for w = [alpha, beta], where
+    each side takes the subgroups on its own variables.  `split_at` is the
+    number of variables of alpha."""
+    if not isinstance(w, Commutator):
+        raise PreconditionFailed("word must be a commutator")
     subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
-    leaves = w.leaves()
-    if len(subgroups) != len(leaves):
-        raise ArityMismatch(f"{len(leaves)} leaves vs {len(subgroups)} subgroups")
-    q = len(w.left.leaves())  # type: ignore[union-attr]
+    vars_ = variables(w)
+    if len(subgroups) != len(vars_):
+        raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
+    env = dict(zip(vars_, subgroups))
+    q = len(variables(w.left))
     whole = verbal_subgroup(w, subgroups, budget)
-    left = verbal_subgroup(w.left, subgroups[:q], budget)  # type: ignore[arg-type]
-    right = verbal_subgroup(w.right, subgroups[q:], budget)  # type: ignore[arg-type]
+    left = verbal_subgroup(w.left, [env[v] for v in variables(w.left)], budget)
+    right = verbal_subgroup(w.right, [env[v] for v in variables(w.right)], budget)
     bracket = commutator_subgroup(left, right)
     return SplitReport(
         equal=(whole == bracket), whole=whole, left=left, right=right, split_at=q
@@ -448,10 +442,14 @@ class SubstitutionReport:
 
 
 def check_substitution(
-    w: OcwTree, args: Sequence[WordExpr], G: FiniteGroup, budget: int | None = None
+    w: WordExpr, args: Sequence[WordExpr], G: FiniteGroup, budget: int | None = None
 ) -> SubstitutionReport:
-    """Compare w(u1,...,ur)(G) with w(u1(G),...,ur(G))."""
-    composed_word = substitute(w, args)
+    """Compare w(u1,...,ur)(G) with w(u1(G),...,ur(G)), where args[i] goes
+    to variables(w)[i]."""
+    vars_ = variables(w)
+    if len(args) != len(vars_):
+        raise ArityMismatch(f"word has {len(vars_)} variables, got {len(args)} arguments")
+    composed_word = substitute(w, dict(zip(vars_, args)))
     direct = verbal_subgroup_of_word(composed_word, G, budget)
     arg_groups = []
     for u in args:
@@ -486,25 +484,25 @@ class LinearityReport:
         return "holds" if self.holds else "fails"
 
 
-def spine_decompose(w: OcwTree, pivot: Var) -> list[tuple[OcwTree, bool]]:
-    """Siblings along the root-to-pivot path; flag says pivot is on the left."""
-    path: list[tuple[OcwTree, bool]] = []
+def spine_decompose(w: WordExpr, pivot: Var) -> list[tuple[WordExpr, bool]]:
+    """Siblings along the root-to-pivot path of the outer commutator word
+    `w`; flag says pivot is on the left."""
+    path: list[tuple[WordExpr, bool]] = []
     node = w
-    while not node.is_leaf:
-        assert node.left is not None and node.right is not None
-        if pivot in node.left.leaves():
+    while isinstance(node, Commutator):
+        if pivot in variables(node.left):
             path.append((node.right, True))
             node = node.left
         else:
             path.append((node.left, False))
             node = node.right
-    if node.var != pivot:
+    if node != pivot:
         raise PreconditionFailed(f"variable {pivot} does not occur in the word")
     return path
 
 
 def spine_eval(
-    G: FiniteGroup, path: list[tuple[OcwTree, bool]], pivot_vals: np.ndarray, sib_vals: list[np.ndarray]
+    G: FiniteGroup, path: list[tuple[WordExpr, bool]], pivot_vals: np.ndarray, sib_vals: list[np.ndarray]
 ) -> np.ndarray:
     out = pivot_vals
     for (_, pivot_left), vals in zip(reversed(path), reversed(sib_vals)):
@@ -513,7 +511,7 @@ def spine_eval(
 
 
 def check_linearity(
-    w: OcwTree,
+    w: WordExpr,
     tup: NormalTuple | Sequence[Subset],
     position: int,
     modulus: Subset,
@@ -536,7 +534,7 @@ def check_linearity(
     """
     modulus.require_normal()
     subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
-    vars_ = variables(w.to_word())
+    vars_ = variables(w)
     if len(subgroups) != len(vars_):
         raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
     if not 1 <= position <= len(vars_):
@@ -545,13 +543,13 @@ def check_linearity(
     env = dict(zip(vars_, subgroups))
 
     path = spine_decompose(w, pivot)
-    sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
+    sib_sets = [value_set_over(sub, env, budget) for sub, _ in path]
     labels, Q = quotient(modulus)
     sib_axes = [_coset_images(labels, vs.values) for vs in sib_sets]
     pivot_axis, pivot_lift = _coset_images(labels, env[pivot].elements)
     gens = _greedy_generators(Q, pivot_axis)
     space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, gens])
-    space.require_within(budget, f"linearity of {w.render()} in position {position}")
+    space.require_within(budget, f"linearity of {render(w)} in position {position}")
 
     counterexample: dict[str, int] | None = None
     for start, cols in space.blocks(DEFAULT_BLOCK):
@@ -576,7 +574,7 @@ def check_linearity(
             counterexample[str(pivot)], counterexample["y"] = elems[-2:]
             break
     return LinearityReport(
-        word=w.render(),
+        word=render(w),
         position=position,
         entry_orders=tuple(s.order for s in subgroups),
         modulus_order=modulus.order,
@@ -640,29 +638,30 @@ class SweepReport:
 
 
 def star_membership_sweep(
-    w: OcwTree, subsets: Sequence[Subset], budget: int | None
+    w: WordExpr, subsets: Sequence[Subset], budget: int | None
 ) -> SweepReport:
     """Lemma 2.5: w(t) lies in the 2^(r-1) star power of S_i whenever the
     i-th entry of t lies in the normal subset S_i and the others in G.
 
-    Position i takes `subsets[i-1]`; positions are swept in order.  The
-    subtrees off the spine of position i enter through their value sets, so
-    the points are collapsed tuples: the sibling values, root first, then
-    the entry from S_i.  A counterexample is (position, point).
+    Position i is variables(w)[i-1] and takes `subsets[i-1]`; positions are
+    swept in order.  The subtrees off the spine of position i enter through
+    their value sets, so the points are collapsed tuples: the sibling
+    values, root first, then the entry from S_i.  A counterexample is
+    (position, point).
     """
-    leaves = w.leaves()
-    if len(subsets) != len(leaves):
-        raise ArityMismatch(f"{len(leaves)} leaves vs {len(subsets)} subsets")
+    vars_ = variables(w)
+    if len(subsets) != len(vars_):
+        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
     for S in subsets:
         S.require_normal_subset()
     G = subsets[0].group
     full = G.full_subgroup()
-    env = {v: full for v in leaves}
+    env = {v: full for v in vars_}
     swept = 0
-    for pos, (leaf, subset) in enumerate(zip(leaves, subsets), start=1):
-        star = star_power(G, subset, 2 ** (len(leaves) - 1))
-        path = spine_decompose(w, leaf)
-        sib_sets = [value_set_over(sub.to_word(), env, budget) for sub, _ in path]
+    for pos, (var, subset) in enumerate(zip(vars_, subsets), start=1):
+        star = star_power(G, subset, 2 ** (len(vars_) - 1))
+        path = spine_decompose(w, var)
+        sib_sets = [value_set_over(sub, env, budget) for sub, _ in path]
         axes = [vs.values.astype(np.int64) for vs in sib_sets] + [
             subset.elements.astype(np.int64)
         ]
@@ -677,7 +676,7 @@ def star_membership_sweep(
 
 
 def width_sweep(
-    w: OcwTree,
+    w: WordExpr,
     subsets: Sequence[Subset],
     multiplicities: Sequence[Sequence[int]],
     budget: int | None,
@@ -692,8 +691,8 @@ def width_sweep(
 
 
 def extended_width_sweep(
-    extensions: Sequence[OcwTree],
-    w: OcwTree,
+    extensions: Sequence[WordExpr],
+    w: WordExpr,
     subsets: Sequence[Subset],
     multiplicities: Sequence[Sequence[int]],
     budget: int | None,
@@ -702,7 +701,7 @@ def extended_width_sweep(
     (m_1...m_r 2^k) star power of w{S_1..S_r} whenever each t_i lies in the
     m_i star power of the normal subset S_i, with the y entries in G.
 
-    The i-th leaf of w takes `subsets[i-1]` and the i-th entry of each
+    variables(w)[i-1] takes `subsets[i-1]` and the i-th entry of each
     multiplicity vector.  k is the minimal degree `extension_degree`
     recognises, which gives the tightest star power; a word that is not an
     extension of w is rejected.  The vectors are swept in order and, for
@@ -710,29 +709,29 @@ def extended_width_sweep(
     are values.  A counterexample is (extension, vector, value, witness),
     the witness following the extension's variables.
     """
-    leaves = w.leaves()
-    if len(subsets) != len(leaves):
-        raise ArityMismatch(f"{len(leaves)} leaves vs {len(subsets)} subsets")
+    vars_ = variables(w)
+    if len(subsets) != len(vars_):
+        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
     for S in subsets:
         S.require_normal_subset()
     mvecs = [tuple(m) for m in multiplicities]
-    if any(len(m) != len(leaves) for m in mvecs):
-        raise ArityMismatch(f"need one multiplicity per leaf of {w.render()}")
+    if any(len(m) != len(vars_) for m in mvecs):
+        raise ArityMismatch(f"need one multiplicity per variable of {render(w)}")
     members = []
     for v in extensions:
         k = extension_degree(v, w)
         if k is None:
-            raise PreconditionFailed(f"{v.render()} is not an extension of {w.render()}")
+            raise PreconditionFailed(f"{render(v)} is not an extension of {render(w)}")
         members.append((v, k))
-    base = value_set_over(w, dict(zip(leaves, subsets)), budget)
+    base = value_set(w, subsets, budget)
     G = base.members.group
     full = G.full_subgroup()
     swept = 0
     for mvec in mvecs:
-        starred = {leaf: star_power(G, S, m) for leaf, S, m in zip(leaves, subsets, mvec)}
+        starred = {x: star_power(G, S, m) for x, S, m in zip(vars_, subsets, mvec)}
         for v, k in members:
             star = star_power(G, base.members, math.prod(mvec) * 2**k)
-            env = {u: starred.get(u, full) for u in v.leaves()}
+            env = {u: starred.get(u, full) for u in variables(v)}
             vs = value_set_over(v, env, budget)
             ok = star.mask[vs.values]
             if not ok.all():

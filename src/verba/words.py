@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -50,6 +50,7 @@ class Var:
         object.__setattr__(self, "_text", f"{self.family}{self.index}")
 
     _depth = 0
+    _ocw = True
 
     @property
     def _vars(self) -> tuple["Var", ...]:
@@ -67,16 +68,18 @@ def yvar(i: int) -> Var:
     return Var(Y_FAMILY, i)
 
 
-# Every node stores its canonical text, its variables and its depth when it
-# is built, from its children's stored values, so `render` and `variables` are
-# attribute reads and no word tree is walked twice.  The stored attributes are
-# not dataclass fields: equality, hashing and ordering ignore them.
+# Every node stores its canonical text, its variables, its depth and whether
+# it is an outer commutator when it is built, from its children's stored
+# values, so `render`, `variables` and `is_outer_commutator` are attribute
+# reads and no word tree is walked twice.  The stored attributes are not
+# dataclass fields: equality, hashing and ordering ignore them.
 
 
-def _store(node, text: str, vars_: tuple[Var, ...], children) -> None:
+def _store(node, text: str, vars_: tuple[Var, ...], children, ocw: bool = False) -> None:
     object.__setattr__(node, "_text", text)
     object.__setattr__(node, "_vars", vars_)
     object.__setattr__(node, "_depth", 1 + max((c._depth for c in children), default=0))
+    object.__setattr__(node, "_ocw", ocw)
 
 
 def _merged_vars(children) -> tuple[Var, ...]:
@@ -124,7 +127,14 @@ class Commutator:
 
     def __post_init__(self):
         children = (self.left, self.right)
-        _store(self, f"[{self.left._text},{self.right._text}]", _merged_vars(children), children)
+        vars_ = _merged_vars(children)
+        # the two sides are disjoint when no variable is counted twice
+        ocw = (
+            self.left._ocw
+            and self.right._ocw
+            and len(vars_) == len(self.left._vars) + len(self.right._vars)
+        )
+        _store(self, f"[{self.left._text},{self.right._text}]", vars_, children, ocw)
 
 
 WordExpr = Union[Var, Inverse, Power, Product, Commutator]
@@ -133,8 +143,18 @@ EMPTY_WORD: WordExpr = Product(())
 
 
 def variables(w: WordExpr) -> tuple[Var, ...]:
-    """All variables of `w`, x-family first, each family by index."""
+    """All variables of `w`, x-family first, each family by index.
+
+    This is the one order in which positions meet variables: entry i of a
+    tuple, an argument list or a multiplicity vector goes to variables(w)[i].
+    """
     return w._vars
+
+
+def is_outer_commutator(w: WordExpr) -> bool:
+    """True for a variable, or a commutator of two outer commutators whose
+    variables are disjoint."""
+    return w._ocw
 
 
 # ---------------------------------------------------------------------------
@@ -411,165 +431,106 @@ def is_non_commutator(w: WordExpr) -> tuple[bool, Var | None, int]:
 
 
 # ---------------------------------------------------------------------------
-# outer commutator trees
+# outer commutator words
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OcwTree:
-    """Nesting of commutators in distinct variables; a lone variable counts."""
-
-    var: Var | None = None
-    left: "OcwTree | None" = None
-    right: "OcwTree | None" = None
-
-    def __post_init__(self):
-        if self.var is not None:
-            leaves: tuple[Var, ...] = (self.var,)
-        else:
-            leaves = self.left._leaves + self.right._leaves  # type: ignore[union-attr]
-        object.__setattr__(self, "_leaves", leaves)
-        object.__setattr__(self, "_word", None)
-
-    @staticmethod
-    def leaf(v: Var) -> "OcwTree":
-        return OcwTree(var=v)
-
-    @staticmethod
-    def comm(left: "OcwTree", right: "OcwTree") -> "OcwTree":
-        shared = set(left.leaves()) & set(right.leaves())
-        if shared:
-            raise DisjointnessViolation(
-                f"repeated variable {sorted(map(str, shared))[0]} in commutator tree"
-            )
-        return OcwTree(left=left, right=right)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.var is not None
-
-    def leaves(self) -> tuple[Var, ...]:
-        return self._leaves
-
-    def to_word(self) -> WordExpr:
-        """The commutator word of the tree, built on first use and kept."""
-        if self._word is None:
-            word = (
-                self.var
-                if self.var is not None
-                else Commutator(self.left.to_word(), self.right.to_word())  # type: ignore[union-attr]
-            )
-            object.__setattr__(self, "_word", word)
-        return self._word
-
-    def render(self) -> str:
-        return render(self.to_word())
-
-    def rename(self, mapping: Mapping[Var, Var]) -> "OcwTree":
-        if self.var is not None:
-            return OcwTree.leaf(mapping.get(self.var, self.var))
-        return OcwTree.comm(self.left.rename(mapping), self.right.rename(mapping))  # type: ignore[union-attr]
-
-    def __str__(self) -> str:
-        return self.render()
+def comm(left: WordExpr, right: WordExpr) -> Commutator:
+    """The commutator [left, right] of two words in disjoint variables."""
+    shared = set(left._vars) & set(right._vars)
+    if shared:
+        raise DisjointnessViolation(
+            f"repeated variable {sorted(map(str, shared))[0]} in commutator"
+        )
+    return Commutator(left, right)
 
 
-def as_word(w: WordExpr | OcwTree) -> WordExpr:
-    """The word itself, or the commutator word of a tree."""
-    return w.to_word() if isinstance(w, OcwTree) else w
-
-
-def arity(w: WordExpr | OcwTree) -> int:
-    """Number of distinct variables of a word or a tree."""
-    return len(variables(as_word(w)))
-
-
-# Distinct parameters kept by `gamma` and by `delta`; trees are frozen, so
-# every caller can share one tree and the word it builds.
+# Distinct parameters kept by `gamma` and by `delta`; words are frozen, so
+# every caller can share one word.
 WORD_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def gamma(r: int) -> OcwTree:
+def gamma(r: int) -> WordExpr:
     """Left-normed lower central word on x1..xr; gamma(1) is x1."""
     if r < 1:
         raise ValueError("gamma needs r >= 1")
-    out = OcwTree.leaf(xvar(1))
+    out: WordExpr = xvar(1)
     for i in range(2, r + 1):
-        out = OcwTree.comm(out, OcwTree.leaf(xvar(i)))
+        out = comm(out, xvar(i))
     return out
 
 
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def delta(k: int) -> OcwTree:
+def delta(k: int) -> WordExpr:
     """Balanced derived word on x1..x(2^k); delta(0) is x1."""
     if k < 0:
         raise ValueError("delta needs k >= 0")
 
-    def build(k_: int, start: int) -> OcwTree:
+    def build(k_: int, start: int) -> WordExpr:
         if k_ == 0:
-            return OcwTree.leaf(xvar(start))
+            return xvar(start)
         half = 1 << (k_ - 1)
-        return OcwTree.comm(build(k_ - 1, start), build(k_ - 1, start + half))
+        return comm(build(k_ - 1, start), build(k_ - 1, start + half))
 
     return build(k, 1)
 
 
-def classify_outer_commutator(w: WordExpr) -> OcwTree | None:
-    """The commutator tree of `w`, or None if `w` is not syntactically one.
+def classify_outer_commutator(w: WordExpr) -> WordExpr | None:
+    """`w` as an outer commutator word, or None if it is not syntactically one.
 
-    Only trivial wrappers are tolerated: first powers and one-factor products.
+    An outer commutator comes back unchanged.  Otherwise only trivial wrappers
+    are stripped: first powers and one-factor products.
     """
-    tree = _classify(w)
-    if tree is None:
-        return None
-    leaves = tree.leaves()
-    if len(set(leaves)) != len(leaves):
-        return None
-    return tree
+    if is_outer_commutator(w):
+        return w
+    stripped = _strip(w)
+    return stripped if stripped is not None and is_outer_commutator(stripped) else None
 
 
-def _classify(w: WordExpr) -> OcwTree | None:
+def _strip(w: WordExpr) -> WordExpr | None:
     if isinstance(w, Var):
-        return OcwTree.leaf(w)
+        return w
     if isinstance(w, Power) and w.exponent == 1:
-        return _classify(w.child)
+        return _strip(w.child)
     if isinstance(w, Product) and len(w.factors) == 1:
-        return _classify(w.factors[0])
+        return _strip(w.factors[0])
     if isinstance(w, Commutator):
-        left = _classify(w.left)
-        right = _classify(w.right)
-        if left is None or right is None:
-            return None
-        if set(left.leaves()) & set(right.leaves()):
-            return None
-        return OcwTree(left=left, right=right)
+        left, right = _strip(w.left), _strip(w.right)
+        return None if left is None or right is None else Commutator(left, right)
     return None
 
 
-def substitute(w: OcwTree, args: Sequence[WordExpr]) -> WordExpr:
-    """Replace leaf i of `w` (tree order) with args[i].
+def substitute(w: WordExpr, mapping: Mapping[Var, WordExpr]) -> WordExpr:
+    """Put mapping[x] in place of each variable x of `w` it names.
 
-    The argument words must be pairwise disjoint in variables.
+    The images of the variables of `w` (a variable the mapping does not name
+    is its own image) must be pairwise disjoint in variables.
     """
-    leaves = w.leaves()
-    if len(args) != len(leaves):
-        raise ArityMismatch(f"word has {len(leaves)} leaves, got {len(args)} arguments")
+    vars_ = variables(w)
+    unknown = [v for v in mapping if v not in vars_]
+    if unknown:
+        raise ArityMismatch(f"{unknown[0]} is not a variable of {render(w)}")
     seen: set[Var] = set()
-    for u in args:
-        uvars = set(variables(u))
+    for v in vars_:
+        uvars = set(variables(mapping.get(v, v)))
         overlap = seen & uvars
         if overlap:
             raise DisjointnessViolation(
                 f"substituted words share variable {sorted(map(str, overlap))[0]}"
             )
         seen |= uvars
-    it = iter(args)
 
-    def walk(t: OcwTree) -> WordExpr:
-        if t.is_leaf:
-            return next(it)
-        return Commutator(walk(t.left), walk(t.right))  # type: ignore[arg-type]
+    def walk(u: WordExpr) -> WordExpr:
+        if isinstance(u, Var):
+            return mapping.get(u, u)
+        if isinstance(u, Inverse):
+            return Inverse(walk(u.child))
+        if isinstance(u, Power):
+            return Power(walk(u.child), u.exponent)
+        if isinstance(u, Product):
+            return Product(tuple(walk(f) for f in u.factors))
+        return Commutator(walk(u.left), walk(u.right))
 
     return walk(w)
 
@@ -579,60 +540,71 @@ def substitute(w: OcwTree, args: Sequence[WordExpr]) -> WordExpr:
 # ---------------------------------------------------------------------------
 
 
-def canonical_y(t: OcwTree) -> OcwTree:
-    """Renumber y-variables as y1, y2, ... in order of first appearance."""
+def _leaves(w: WordExpr) -> Iterator[Var]:
+    """The variables of an outer commutator word in tree order, left to right."""
+    if isinstance(w, Var):
+        yield w
+    else:
+        yield from _leaves(w.left)
+        yield from _leaves(w.right)
+
+
+def y_renumbering(w: WordExpr) -> dict[Var, Var]:
+    """y1, y2, ... for the y-variables of `w`, in order of first appearance
+    left to right in the tree; empty when `w` has no y-variable."""
     mapping: dict[Var, Var] = {}
-    for v in t.leaves():
+    for v in _leaves(w):
         if v.family == Y_FAMILY and v not in mapping:
             mapping[v] = yvar(len(mapping) + 1)
-    return t.rename(mapping) if mapping else t
+    return mapping
 
 
-def shift_x(t: OcwTree, offset: int) -> OcwTree:
-    mapping = {
-        v: xvar(v.index + offset) for v in t.leaves() if v.family == X_FAMILY
-    }
-    return t.rename(mapping) if mapping else t
+def canonical_y(w: WordExpr) -> WordExpr:
+    """Renumber y-variables as y1, y2, ... in order of first appearance."""
+    mapping = y_renumbering(w)
+    return substitute(w, mapping) if mapping else w
 
 
-def is_pure_y(t: OcwTree) -> bool:
-    return all(v.family == Y_FAMILY for v in t.leaves())
+def shift_x(w: WordExpr, offset: int) -> WordExpr:
+    mapping = {v: xvar(v.index + offset) for v in variables(w) if v.family == X_FAMILY}
+    return substitute(w, mapping) if mapping else w
 
 
-def _y_shapes(max_leaves: int) -> list[OcwTree]:
+def is_pure_y(w: WordExpr) -> bool:
+    return all(v.family == Y_FAMILY for v in variables(w))
+
+
+def _y_shapes(max_leaves: int) -> list[WordExpr]:
     """All outer commutator shapes on 1..max_leaves fresh y-variables."""
 
-    def build(size: int, start: int) -> list[OcwTree]:
+    def build(size: int, start: int) -> list[WordExpr]:
         # start: first y-index used by this subtree (leaves numbered left to right)
         if size == 1:
-            return [OcwTree.leaf(yvar(start))]
+            return [yvar(start)]
         out = []
         for lsize in range(1, size):
             for left in build(lsize, start):
                 for right in build(size - lsize, start + lsize):
-                    out.append(OcwTree.comm(left, right))
+                    out.append(comm(left, right))
         return out
 
-    shapes: list[OcwTree] = []
+    shapes: list[WordExpr] = []
     for size in range(1, max_leaves + 1):
         shapes.extend(build(size, 1))
     return shapes
 
 
-def _fresh_y(t: OcwTree, above: int) -> OcwTree:
-    """Shift the y-indices of `t` so they all exceed `above`."""
-    ys = [v for v in t.leaves() if v.family == Y_FAMILY]
-    if not ys:
-        return t
-    mapping = {v: yvar(v.index + above) for v in ys}
-    return t.rename(mapping)
+def _fresh_y(w: WordExpr, above: int) -> WordExpr:
+    """Shift the y-indices of `w` so they all exceed `above`."""
+    mapping = {v: yvar(v.index + above) for v in variables(w) if v.family == Y_FAMILY}
+    return substitute(w, mapping) if mapping else w
 
 
-def _max_y(t: OcwTree) -> int:
-    return max((v.index for v in t.leaves() if v.family == Y_FAMILY), default=0)
+def _max_y(w: WordExpr) -> int:
+    return max((v.index for v in variables(w) if v.family == Y_FAMILY), default=0)
 
 
-# Distinct (tree, degree, shape bound) inputs kept by `enumerate_extended`.
+# Distinct (word, degree, shape bound) inputs kept by `enumerate_extended`.
 EXTENDED_CACHE_SIZE = 64
 
 
@@ -640,31 +612,31 @@ EXTENDED_CACHE_SIZE = 64
 class ExtendedWordSet:
     """Degree-k extensions of `word`, with inserted y-commutators bounded."""
 
-    word: OcwTree
+    word: WordExpr
     degree: int
     shape_bound: int
-    members: tuple[OcwTree, ...]
+    members: tuple[WordExpr, ...]
 
-    def __contains__(self, item: OcwTree) -> bool:
+    def __contains__(self, item: WordExpr) -> bool:
         return canonical_y(item) in set(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[OcwTree]:
+    def __iter__(self) -> Iterator[WordExpr]:
         return iter(self.members)
 
 
 @functools.lru_cache(maxsize=EXTENDED_CACHE_SIZE)
-def enumerate_extended(w: OcwTree, k: int, shape_bound: int) -> ExtendedWordSet:
-    """Enumerate degree-k extensions of `w` by outer commutators.
+def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> ExtendedWordSet:
+    """Enumerate degree-k extensions of the outer commutator word `w`.
 
     Inserted y-words range over all outer commutator shapes with at most
     `shape_bound` leaves (the full definition quantifies over all of them;
     the bound keeps the set finite).  Fresh y-variables take the smallest
     unused indices left to right, and members are deduplicated under
     canonical y-renumbering.  Results are cached for the process by
-    (tree, k, shape_bound); trees and the result are frozen, so equal trees
+    (word, k, shape_bound); words and the result are frozen, so equal words
     share one result.
     """
     if k < 0:
@@ -672,9 +644,9 @@ def enumerate_extended(w: OcwTree, k: int, shape_bound: int) -> ExtendedWordSet:
     if shape_bound < 1:
         raise ValueError("shape bound must be >= 1")
     shapes = _y_shapes(shape_bound)
-    memo: dict[tuple[OcwTree, int], frozenset[OcwTree]] = {}
+    memo: dict[tuple[WordExpr, int], frozenset[WordExpr]] = {}
 
-    def ext(base: OcwTree, deg: int) -> frozenset[OcwTree]:
+    def ext(base: WordExpr, deg: int) -> frozenset[WordExpr]:
         key = (base, deg)
         if key in memo:
             return memo[key]
@@ -682,33 +654,33 @@ def enumerate_extended(w: OcwTree, k: int, shape_bound: int) -> ExtendedWordSet:
             out = frozenset([canonical_y(base)])
             memo[key] = out
             return out
-        found: set[OcwTree] = set()
+        found: set[WordExpr] = set()
         for q in ext(base, deg - 1):
             top = _max_y(q)
             for shape in shapes:
                 p = _fresh_y(shape, top)
-                found.add(canonical_y(OcwTree.comm(p, q)))
-                found.add(canonical_y(OcwTree.comm(q, p)))
-        if not base.is_leaf:
+                found.add(canonical_y(comm(p, q)))
+                found.add(canonical_y(comm(q, p)))
+        if not isinstance(base, Var):
             for la in range(deg + 1):
                 mb = deg - la
-                for p in ext(base.left, la):  # type: ignore[arg-type]
-                    for q in ext(base.right, mb):  # type: ignore[arg-type]
+                for p in ext(base.left, la):
+                    for q in ext(base.right, mb):
                         q2 = _fresh_y(q, _max_y(p))
-                        found.add(canonical_y(OcwTree.comm(p, q2)))
+                        found.add(canonical_y(comm(p, q2)))
         out = frozenset(found)
         memo[key] = out
         return out
 
-    members = sorted(ext(w, k), key=lambda t: (len(t.leaves()), t.render()))
+    members = sorted(ext(w, k), key=lambda t: (len(variables(t)), render(t)))
     return ExtendedWordSet(word=w, degree=k, shape_bound=shape_bound, members=tuple(members))
 
 
-def extension_degree(v: OcwTree, w: OcwTree) -> int | None:
+def extension_degree(v: WordExpr, w: WordExpr) -> int | None:
     """Smallest k with v an extension of w of degree k, or None.
 
-    Structural recogniser, independent of `enumerate_extended`: it admits
-    inserted y-commutators of any size.
+    Both are outer commutator words.  Structural recogniser, independent of
+    `enumerate_extended`: it admits inserted y-commutators of any size.
     """
     best: int | None = None
 
@@ -719,18 +691,17 @@ def extension_degree(v: OcwTree, w: OcwTree) -> int | None:
 
     if v == w:
         return 0
-    if v.is_leaf:
+    if isinstance(v, Var):
         return None
-    assert v.left is not None and v.right is not None
     if is_pure_y(v.left):
         sub = extension_degree(v.right, w)
         consider(None if sub is None else sub + 1)
     if is_pure_y(v.right):
         sub = extension_degree(v.left, w)
         consider(None if sub is None else sub + 1)
-    if not w.is_leaf:
-        dl = extension_degree(v.left, w.left)  # type: ignore[arg-type]
-        dr = extension_degree(v.right, w.right)  # type: ignore[arg-type]
+    if not isinstance(w, Var):
+        dl = extension_degree(v.left, w.left)
+        dr = extension_degree(v.right, w.right)
         if dl is not None and dr is not None:
             consider(dl + dr)
     return best

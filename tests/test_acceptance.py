@@ -16,7 +16,7 @@ from verba.groups import builtin_group, commutator_subgroup
 from verba.harness import DEFAULT_CATALOG, resolve_group, run_suite, default_tuple_specs, parse_tuple_spec
 from verba.series import build_delta_series, build_gamma_series, generator_bound_report, delta_series_length
 from verba.verbal import NormalTuple, TupleEntry, check_substitution, verbal_subgroup
-from verba.words import Power, delta, gamma
+from verba.words import Power, delta, gamma, render, variables
 
 from .conftest import record_acceptance
 from .oracles import pinned_verbal_orders
@@ -116,7 +116,7 @@ def test_criterion_5_substitution_corollaries():
     for spec in groups:
         G = resolve_group(spec)
         for tree in words:
-            leaves = tree.leaves()
+            leaves = variables(tree)
             for combo in range(2 ** len(leaves)):
                 exps = [(2, 3)[(combo >> i) & 1] for i in range(len(leaves))]
                 args = [Power(v, e) for v, e in zip(leaves, exps)]
@@ -124,7 +124,7 @@ def test_criterion_5_substitution_corollaries():
                 checked += 1
                 if not rep.equal and first_bad is None:
                     ok = False
-                    first_bad = (spec, tree.render(), exps)
+                    first_bad = (spec, render(tree), exps)
     record_acceptance(
         f"{_passfail(ok)} criterion 5: substitution identity w(u1,...,ur)(G) = "
         f"w(u1(G),...,ur(G)) for u_i in {{x^2,x^3}}, {checked} instances on "

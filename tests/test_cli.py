@@ -272,6 +272,20 @@ def test_verification_failure_exit_is_1(monkeypatch):
     assert code == 1 and "forced" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "L2.2", "--group", "sym:3", "--word", "[[x3,x1],x2]"],
+        ["check", "L2.1", "--group", "sym:3", "--word", "[[x3,x1],x2]", "--tuple", "G,derived,G"],
+        ["check", "C2.13", "--group", "alt:4", "--word", "[[x3,x1],x2]"],
+        ["check", "C3.9", "--group", "alt:4", "--word", "[[x3,x1],x2]"],
+    ],
+)
+def test_checks_on_shuffled_leaves_pass(argv):
+    code, out = run_cli(argv)
+    assert code == 0, out
+
+
 def test_help_exits_zero():
     assert run_cli(["--help"])[0] == 0
 
@@ -348,4 +362,41 @@ def test_exit_codes_hold_for_generated_argv(malformed_group_paths, data):
         code = main(argv)  # an exception escaping main fails the test
     # these subcommands verify nothing, so exit 1 (verification failure) never fits
     assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# Groups of order at most 12, and outer commutator words on 1 to 4 distinct
+# variables in random tree shape and index order.
+CHECK_GROUPS = ("cyc:1", "cyc:6", "cyc:12", "dih:3", "dih:4", "dih:6", "sym:3", "alt:4", "quat:8",
+                "cyc:2 x sym:3")
+
+
+@st.composite
+def _ocw_texts(draw):
+    n = draw(st.integers(1, 4))
+    indices = draw(st.permutations(range(1, 6)))[:n]
+
+    def build(leaves):
+        if len(leaves) == 1:
+            return f"x{leaves[0]}"
+        cut = draw(st.integers(1, len(leaves) - 1))
+        return f"[{build(leaves[:cut])},{build(leaves[cut:])}]"
+
+    return build(indices), n
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_check_and_verbal_exit_codes_on_generated_ocws(data):
+    word, n = data.draw(_ocw_texts())
+    group = data.draw(st.sampled_from(CHECK_GROUPS))
+    entries = data.draw(st.lists(st.sampled_from(["G", "derived", "center"]), min_size=n, max_size=n))
+    command = data.draw(st.sampled_from(("verbal",) + harness.CHECK_ID_SET))
+    head = ["verbal"] if command == "verbal" else ["check", command]
+    argv = head + ["--group", group, "--word", word, "--tuple", ",".join(entries)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    # every check id states a theorem, so exit 1 (verification failure) never fits
+    assert code in (0, 2, 3), (argv, code, out.getvalue(), err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -236,12 +236,12 @@ def test_cycle_notation_round_trip():
 
 
 def test_evaluate_identity_assignment(quat8):
-    word = gamma(2).to_word()
+    word = gamma(2)
     assert evaluate(word, quat8, {xvar(1): 0, xvar(2): 0}) == 0
 
 
 def test_evaluate_quaternion_against_oracle(quat8):
-    word = gamma(2).to_word()
+    word = gamma(2)
     for a in range(8):
         for b in range(8):
             got = evaluate(word, quat8, {xvar(1): a, xvar(2): b})
@@ -253,9 +253,9 @@ def test_evaluate_quaternion_against_oracle(quat8):
 
 
 def test_evaluate_delta0_and_missing_var(sym3):
-    assert evaluate(delta(0).to_word(), sym3, {xvar(1): 4}) == 4
+    assert evaluate(delta(0), sym3, {xvar(1): 4}) == 4
     with pytest.raises(UnassignedVariable):
-        evaluate(gamma(2).to_word(), sym3, {xvar(1): 1})
+        evaluate(gamma(2), sym3, {xvar(1): 1})
 
 
 @given(st.data())
@@ -417,7 +417,7 @@ def test_center(quat8, sym4):
 
 
 def test_vectorised_evaluation_matches_scalar(sym4):
-    word = delta(2).to_word()
+    word = delta(2)
     rng = np.random.default_rng(3)
     env = {xvar(i): rng.integers(0, 24, size=50) for i in range(1, 5)}
     batch = evaluate_arrays(word, sym4, env)

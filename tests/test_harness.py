@@ -22,7 +22,7 @@ from verba.harness import (
     run_suite,
     survey,
 )
-from verba import verbal
+from verba import harness, verbal
 from verba.groups import evaluate
 from verba.verbal import (
     class_generating_subset,
@@ -32,7 +32,7 @@ from verba.verbal import (
     value_set,
     width_sweep,
 )
-from verba.words import OcwTree, enumerate_extended, gamma, variables
+from verba.words import enumerate_extended, gamma, is_outer_commutator, render, variables
 
 SMALL_CATALOG = ["cyc:6", "sym:3", "quat:8"]
 
@@ -50,9 +50,9 @@ def test_unknown_check_id():
 
 def test_resolve_word_forms():
     tree, label = resolve_word("gamma:3")
-    assert isinstance(tree, OcwTree) and label == "gamma:3"
+    assert is_outer_commutator(tree) and label == "gamma:3"
     tree, label = resolve_word("[x1,x2]")
-    assert isinstance(tree, OcwTree) and label == "[x1,x2]"
+    assert is_outer_commutator(tree) and label == "[x1,x2]"
     word, label = resolve_word("x1^2")
     assert label == "x1^2"
 
@@ -277,8 +277,75 @@ def test_seeded_small_star_power_flips_l32(monkeypatch):
     real = _shrink_star_power(monkeypatch, only=base)
     rep = extended_width_sweep(ext, gamma(2), [s, s], [(1, 1)], None)
     v, mvec, value, wit = rep.counterexample
-    assert evaluate(v.to_word(), G, dict(zip(variables(v.to_word()), wit))) == value
+    assert evaluate(v, G, dict(zip(variables(v), wit))) == value
     assert not real(G, base, 1).mask[value]
     row = run_check(spec, G=G)
     assert row.status == "fail"
-    assert row.detail == f"{v.render()} with m={mvec}: value {value} escapes"
+    assert row.detail == f"{render(v)} with m={mvec}: value {value} escapes"
+
+
+# ---------------------------------------------------------------------------
+# tuple entries go to the word's variables, whatever the tree order
+# ---------------------------------------------------------------------------
+
+# [[x3,x1],x2] has its leaves in the order x3, x1, x2; entry i of a tuple
+# goes to variables(w)[i], so "G,derived,center" puts G at x1, derived at x2
+# and center at x3.
+SHUFFLED = "[[x3,x1],x2]"
+
+
+def _by_variable(word, tspec, G):
+    return dict(zip(variables(word), parse_tuple_spec(tspec, G).subgroups))
+
+
+@pytest.mark.parametrize("group", ["sym:3", "sym:4", "dih:4", "alt:4"])
+@pytest.mark.parametrize("tspec", ["G,derived,center", "G,derived,G", "derived,G,G", "G,G,derived"])
+def test_verbal_orders_follow_the_variables(group, tspec):
+    G = resolve_group(group)
+    word = resolve_word(SHUFFLED)[0]
+    env = _by_variable(word, tspec, G)
+    want = verbal.verbal_subgroup(word, [env[v] for v in variables(word)]).order
+    for check_id in ("L2.1", "C2.12", "CONJ"):
+        row = run_check(CheckSpec(check_id, group, SHUFFLED, tspec), G=G)
+        assert row.status == "pass", (check_id, row.detail)
+        assert f"|w(N)|={want} " in row.detail + " ", (check_id, row.detail)
+
+
+@pytest.mark.parametrize("group", ["sym:3", "sym:4", "dih:4"])
+@pytest.mark.parametrize(
+    "word_text,tspec", [("[x2,x1]", "G,derived"), (SHUFFLED, "G,derived,G"), (SHUFFLED, "derived,G,center")]
+)
+def test_split_sides_take_their_own_subgroups(group, word_text, tspec):
+    G = resolve_group(group)
+    word = resolve_word(word_text)[0]
+    env = _by_variable(word, tspec, G)
+    sides = [
+        verbal.verbal_subgroup(side, [env[v] for v in variables(side)]).order
+        for side in (word.left, word.right)
+    ]
+    row = run_check(CheckSpec("L2.1", group, word_text, tspec), G=G)
+    assert row.status == "pass"
+    assert row.detail.endswith(f"|[alpha,beta]|={sides[0]}x{sides[1]}")
+
+
+def test_split_detail_on_sym3():
+    row = run_check(CheckSpec("L2.1", "sym:3", "[x2,x1]", "G,derived"))
+    assert row.detail == "|w(N)|=3 |[alpha,beta]|=3x6"
+
+
+@pytest.mark.parametrize("check_id", ["L2.2", "C2.13", "C3.9", "L2.5", "L2.6", "L3.2"])
+@pytest.mark.parametrize("group", ["sym:3", "alt:4", "dih:4"])
+def test_shuffled_leaves_pass(check_id, group):
+    row = run_check(CheckSpec(check_id, group, SHUFFLED, "G,G,G"))
+    assert row.status == "pass", row.detail
+
+
+def test_power_word_failure_shows_both_orders(monkeypatch):
+    def unequal(w, args, G, budget=None):
+        return verbal.SubstitutionReport(False, 4, 1, (1,) * len(args))
+
+    monkeypatch.setattr(harness, "check_substitution", unequal)
+    for check_id in ("C2.13", "C3.9"):
+        row = run_check(CheckSpec(check_id, "alt:4", SHUFFLED, "G,G,G"))
+        assert row.status == "fail"
+        assert row.detail == "exponents (2, 3, 2), orders 4 != 1"

@@ -16,17 +16,17 @@ from verba.harness import (
 )
 from verba.series import build_delta_series, build_gamma_series
 from verba.verbal import check_linearity, spine_decompose, value_set_over
-from verba.words import delta, gamma, parse_word, variables
+from verba.words import delta, gamma, parse_word, render, variables
 
 from .oracles import close_under_products, linearity_in_g
 
 
 def _reference(G, tree, subgroups, position, modulus):
     """The G-level sweep of tests/oracles.py on the engine's sibling value sets."""
-    vars_ = variables(tree.to_word())
+    vars_ = variables(tree)
     env = dict(zip(vars_, subgroups))
     path = spine_decompose(tree, vars_[position - 1])
-    sibs = [value_set_over(sub.to_word(), env).values for sub, _ in path]
+    sibs = [value_set_over(sub, env).values for sub, _ in path]
     return linearity_in_g(
         G.table, G.inverse_table, modulus.mask, [left for _, left in path], sibs,
         env[vars_[position - 1]].elements,
@@ -38,7 +38,7 @@ def _series_factors(spec, G):
     tup = parse_tuple_spec(spec.tuple_spec, G)
     if spec.check_id == "T2.10":
         return build_gamma_series(tup).factors
-    k = max(1, len(word.leaves()).bit_length() - 1)
+    k = max(1, len(variables(word)).bit_length() - 1)
     return build_delta_series(tup, k).factors
 
 
@@ -56,9 +56,8 @@ def test_quotient_verdicts_match_the_sweep_in_g():
     assert compared > 1000
 
 
-def _breaks_linearity(G, tree, position, modulus, ce):
+def _breaks_linearity(G, word, position, modulus, ce):
     """w(..xy..) and w(..x..)w(..y..) differ modulo P at the assignment `ce`."""
-    word = tree.to_word()
     vars_ = variables(word)
     pivot = vars_[position - 1]
     env = {v: ce[str(v)] for v in vars_}
@@ -97,12 +96,12 @@ def test_generator_axis_matches_the_full_square():
     for spec in DIFFERENTIAL_GROUPS:
         G = builtin_group(spec)
         for tree in (gamma(2), gamma(3), delta(1)):
-            subs = [G.full_subgroup()] * len(tree.leaves())
+            subs = [G.full_subgroup()] * len(variables(tree))
             for modulus in (G.trivial_subgroup(), G.center(), G.derived_subgroup()):
                 for pos in range(1, len(subs) + 1):
                     rep = check_linearity(tree, subs, pos, modulus)
                     ref = _reference(G, tree, subs, pos, modulus)
-                    case = (spec, tree.render(), pos, modulus.order)
+                    case = (spec, render(tree), pos, modulus.order)
                     assert rep.holds == (ref is None), case
                     if not rep.holds:
                         assert _breaks_linearity(G, tree, pos, modulus, rep.counterexample), case
@@ -131,7 +130,7 @@ def test_pivot_inside_the_modulus_tests_no_tuple():
         G = builtin_group(spec)
         D = G.derived_subgroup()
         for tree in (gamma(2), gamma(3)):
-            subs = [G.full_subgroup()] * (len(tree.leaves()) - 1) + [D]
+            subs = [G.full_subgroup()] * (len(variables(tree)) - 1) + [D]
             pos = len(subs)
             rep = check_linearity(tree, subs, pos, D)
             assert rep.holds and rep.space == 0
@@ -191,7 +190,7 @@ def test_memoised_closure_matches_the_oracle():
 def test_value_set_memo_ignores_word_identity():
     G = builtin_group("dih:4")
     full = G.full_subgroup()
-    a, b = parse_word("[[x1,x2],x3]"), gamma(3).to_word()
+    a, b = parse_word("[[x1,x2],x3]"), gamma(3)
     assert a == b and a is not b
     va = value_set_over(a, {v: full for v in variables(a)})
     vb = value_set_over(b, {v: G.full_subgroup() for v in variables(b)})

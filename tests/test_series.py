@@ -19,7 +19,7 @@ from verba.verbal import (
     class_generating_subset,
     verbal_subgroup,
 )
-from verba.words import gamma
+from verba.words import gamma, render
 
 
 def full_normal_tuple(G, r):
@@ -123,7 +123,7 @@ def test_delta_series_sym4_k2(sym4):
 
 def test_delta_series_words_match_walkthrough(sym4):
     series = build_delta_series(full_normal_tuple(sym4, 4), 2)
-    words = [(f.word.render(), f.linear_position, f.provenance) for f in series.factors]
+    words = [(render(f.word), f.linear_position, f.provenance) for f in series.factors]
     assert words == [
         ("[[x1,x2],[y1,[x3,x4]]]", 5, "delta-top"),
         ("[[x1,x2],[[y1,y2],[x3,x4]]]", 4, "delta-left"),

@@ -1,0 +1,69 @@
+"""Lower central series, derived series and normal closures against
+`sympy.combinatorics`, an implementation that shares no code with verba.
+
+Subgroups are compared as sets of permutations, through `perm_images`.
+sympy composes permutations left to right and verba right to left, but a
+subgroup generated by the same permutations is the same set either way.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+combinatorics = pytest.importorskip("sympy.combinatorics")
+
+from verba.groups import builtin_group, normal_closure  # noqa: E402
+from verba.verbal import verbal_subgroup  # noqa: E402
+from verba.words import delta, gamma  # noqa: E402
+
+GROUPS = ("sym:3", "sym:4", "sym:5", "alt:4", "alt:5")
+
+
+def _as_sympy(spec):
+    """verba's group and sympy's group of the same name, built independently."""
+    G = builtin_group(spec)
+    kind, n = spec.split(":")
+    named = {"sym": combinatorics.SymmetricGroup, "alt": combinatorics.AlternatingGroup}
+    H = named[kind](int(n))
+    assert _verba_set(G, G.full_subgroup()) == _sympy_set(H)
+    return G, H, int(n)
+
+
+def _verba_set(G, sub):
+    return {G.perm_images[int(i)] for i in sub.elements}
+
+
+def _sympy_set(H):
+    return {tuple(p.array_form) for p in H.generate()}
+
+
+def _series_at(series, i):
+    """Term i of a sympy series, which stops once it is stable."""
+    return series[min(i, len(series) - 1)]
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_lower_central_series_matches_sympy(spec):
+    G, H, _ = _as_sympy(spec)
+    lcs = H.lower_central_series()
+    for i in (1, 2, 3):
+        ours = verbal_subgroup(gamma(i), [G.full_subgroup()] * i)
+        assert _verba_set(G, ours) == _sympy_set(_series_at(lcs, i - 1)), (spec, i)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_derived_series_matches_sympy(spec):
+    G, H, _ = _as_sympy(spec)
+    ds = H.derived_series()
+    for k in (0, 1, 2):
+        ours = verbal_subgroup(delta(k), [G.full_subgroup()] * 2**k)
+        assert _verba_set(G, ours) == _sympy_set(_series_at(ds, k)), (spec, k)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_normal_closures_match_sympy(spec):
+    G, H, degree = _as_sympy(spec)
+    for index in (1, G.order // 2, G.order - 1):
+        g = combinatorics.Permutation(list(G.perm_images[index]), size=degree)
+        ours = normal_closure(G, [index])
+        assert _verba_set(G, ours) == _sympy_set(H.normal_closure(g)), (spec, index)

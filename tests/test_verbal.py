@@ -42,11 +42,11 @@ from verba.verbal import (
     width_sweep,
 )
 from verba.words import (
-    OcwTree,
     classify_outer_commutator,
     delta,
     gamma,
     parse_word,
+    render,
     variables,
     xvar,
     yvar,
@@ -82,7 +82,7 @@ def test_value_set_delta2_sym4(sym4):
 def test_value_set_witnesses_are_preimages(sym4):
     vs = value_set(gamma(3), full_tuple(sym4, 3))
     for val, wit in vs.witnesses.items():
-        assert evaluate(gamma(3).to_word(), sym4, dict(zip(vs.variables, wit))) == val
+        assert evaluate(gamma(3), sym4, dict(zip(vs.variables, wit))) == val
 
 
 def test_value_set_normal_when_inputs_normal(sym4):
@@ -108,14 +108,13 @@ def test_value_set_budget_literal(sym4):
 @pytest.mark.parametrize("spec", ["sym:3", "quat:8", "dih:4", "cyc:2 x sym:3"])
 def test_value_set_matches_direct_enumeration(word, spec):
     G = builtin_group(spec)
-    tup = full_tuple(G, len(word.leaves()))
+    tup = full_tuple(G, len(variables(word)))
     vs = value_set(word, tup)
     space = ProductSpace([s.elements.astype(np.int64) for s in tup])
     seen = np.zeros(G.order, dtype=bool)
-    expr = word.to_word()
-    vars_ = variables(expr)
+    vars_ = variables(word)
     for _, cols in space.blocks():
-        seen[evaluate_arrays(expr, G, dict(zip(vars_, cols)))] = True
+        seen[evaluate_arrays(word, G, dict(zip(vars_, cols)))] = True
     assert np.array_equal(np.flatnonzero(seen), vs.values)
 
 
@@ -142,7 +141,7 @@ def test_generator_independence_exhaustive():
     for spec in ("sym:4", "quat:8", "dih:6", "heis:3"):
         G = builtin_group(spec)
         for word in words:
-            r = len(word.leaves())
+            r = len(variables(word))
             entries = []
             for _ in range(r):
                 sub = G.full_subgroup()
@@ -150,7 +149,7 @@ def test_generator_independence_exhaustive():
                 entries.append(TupleEntry(sub, subset, n))
             tup = NormalTuple(G, entries)
             ok, via_s, via_n = check_generator_independence(word, tup)
-            assert ok, (spec, word.render(), via_s, via_n)
+            assert ok, (spec, render(word), via_s, via_n)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_substitution_examples(sym3, sym4, quat8):
 
 def test_star_membership_base_case(sym3):
     s = class_generating_subset(sym3.full_subgroup())[0]
-    leaf = OcwTree.leaf(xvar(1))
+    leaf = xvar(1)
     rep = star_membership_sweep(leaf, [s], None)
     # a single leaf: the points are the elements of S, each in S^(*1)
     assert rep.holds and rep.swept == s.order
@@ -253,7 +252,7 @@ def test_star_membership_sweep_gamma3(sym4):
     for _ in range(30):
         t = [int(rng.integers(0, 24)) for _ in range(3)]
         t[1] = int(s.elements[rng.integers(0, s.order)])
-        val = evaluate(gamma(3).to_word(), sym4, dict(zip(gamma(3).leaves(), t)))
+        val = evaluate(gamma(3), sym4, dict(zip(variables(gamma(3)), t)))
         assert star.mask[val]
     # the sweep covers every such tuple, at every position
     assert star_membership_sweep(gamma(3), [s, s, s], None).holds
@@ -309,7 +308,7 @@ def test_extended_width_identity_y_collapses(sym4):
     s = class_generating_subset(sym4.full_subgroup())[0]
     v = classify_outer_commutator(parse_word("[[y1,y2],[x1,x2]]"))
     assignment = {xvar(1): int(s.elements[1]), xvar(2): int(s.elements[2]), yvar(1): 0, yvar(2): 0}
-    assert evaluate(v.to_word(), sym4, assignment) == 0
+    assert evaluate(v, sym4, assignment) == 0
     assert extended_width_sweep([v], gamma(2), [s, s], [(1, 1)], None).holds
 
 
@@ -341,7 +340,7 @@ def test_linearity_sym3_fails_with_counterexample(sym3):
     rep = check_linearity(gamma(2), full_tuple(sym3, 2), 2, sym3.trivial_subgroup())
     assert not rep.holds
     ce = rep.counterexample
-    word = gamma(2).to_word()
+    word = gamma(2)
     lhs = evaluate(word, sym3, {xvar(1): ce["x1"], xvar(2): sym3.mul(ce["x2"], ce["y"])})
     rhs = sym3.mul(
         evaluate(word, sym3, {xvar(1): ce["x1"], xvar(2): ce["x2"]}),
@@ -370,17 +369,16 @@ def _raw_linearity(G, tree, subgroups, position, modulus):
     """Plain nested-loop sweep of the full tuple space, no projection."""
     import itertools
 
-    vars_ = variables(tree.to_word())
+    vars_ = variables(tree)
     sets = dict(zip(vars_, subgroups))
     pivot = vars_[position - 1]
-    expr = tree.to_word()
     spaces = [list(map(int, sets[v].elements)) for v in vars_]
     for combo in itertools.product(*spaces):
         env = dict(zip(vars_, combo))
         for y in map(int, sets[pivot].elements):
-            lhs = evaluate(expr, G, {**env, pivot: G.mul(env[pivot], y)})
+            lhs = evaluate(tree, G, {**env, pivot: G.mul(env[pivot], y)})
             rhs = G.mul(
-                evaluate(expr, G, env), evaluate(expr, G, {**env, pivot: y})
+                evaluate(tree, G, env), evaluate(tree, G, {**env, pivot: y})
             )
             if not modulus.mask[G.mul(lhs, G.inv(rhs))]:
                 return False
@@ -402,7 +400,7 @@ def test_linearity_collapse_matches_raw_enumeration(sym3, quat8):
     for G, tree, subs, pos, modulus in cases:
         rep = check_linearity(tree, subs, pos, modulus)
         raw = _raw_linearity(G, tree, subs, pos, modulus)
-        assert rep.holds == raw, (G.label, tree.render(), pos, rep.holds, raw)
+        assert rep.holds == raw, (G.label, render(tree), pos, rep.holds, raw)
 
 
 def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
@@ -412,7 +410,7 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
 
     s = class_generating_subset(sym3.full_subgroup())[0]
     tree = gamma(3)
-    leaves = tree.leaves()
+    leaves = variables(tree)
 
     def first_raw_failure(n):
         star = star_power(sym3, s, n)
@@ -421,7 +419,7 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
                 for sv in map(int, s.elements):
                     t = list(combo)
                     t.insert(pos - 1, sv)
-                    val = evaluate(tree.to_word(), sym3, dict(zip(leaves, t)))
+                    val = evaluate(tree, sym3, dict(zip(leaves, t)))
                     if not star.mask[val]:
                         return pos
         return None
@@ -436,7 +434,7 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
     rep = star_membership_sweep(tree, [s, s, s], None)
     pos, (x3, x2, x1) = rep.counterexample  # siblings root first, then S
     assert pos == first_raw_failure(1) == 1
-    val = evaluate(tree.to_word(), sym3, dict(zip(leaves, (x1, x2, x3))))
+    val = evaluate(tree, sym3, dict(zip(leaves, (x1, x2, x3))))
     assert s.mask[x1] and not real(sym3, s, 1).mask[val]
 
 

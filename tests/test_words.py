@@ -18,18 +18,19 @@ from verba.words import (
     MAX_WORD_DEPTH,
     Commutator,
     Inverse,
-    OcwTree,
     Power,
     Product,
     Var,
     canonical_y,
     classify_outer_commutator,
+    comm,
     delta,
     enumerate_extended,
     exponent_sum,
     extension_degree,
     gamma,
     is_non_commutator,
+    is_outer_commutator,
     parse_word,
     reduce_word,
     reduced_to_expr,
@@ -58,7 +59,7 @@ def test_parse_power():
 
 
 def test_parse_delta2_tree():
-    assert parse_word("[[x1,x2],[x3,x4]]") == delta(2).to_word()
+    assert parse_word("[[x1,x2],[x3,x4]]") == delta(2)
 
 
 def test_parse_left_normed_sugar():
@@ -98,7 +99,7 @@ def test_parse_depth_is_bounded():
             text = f"[{text},x{i}]"
         return text
 
-    assert parse_word(left_normed(MAX_WORD_DEPTH)) == gamma(MAX_WORD_DEPTH + 1).to_word()
+    assert parse_word(left_normed(MAX_WORD_DEPTH)) == gamma(MAX_WORD_DEPTH + 1)
     for text in (
         left_normed(MAX_WORD_DEPTH + 1),
         "[" + ",".join(f"x{i}" for i in range(1, MAX_WORD_DEPTH + 3)) + "]",
@@ -234,7 +235,7 @@ def test_exponent_sum_matches_reduction(word, var):
 def test_is_non_commutator():
     assert is_non_commutator(parse_word("x1^2")) == (True, x1, 2)
     assert is_non_commutator(parse_word("[x1,x2]"))[0] is False
-    assert is_non_commutator(delta(2).to_word())[0] is False
+    assert is_non_commutator(delta(2))[0] is False
 
 
 # ---------------------------------------------------------------------------
@@ -243,29 +244,29 @@ def test_is_non_commutator():
 
 
 def test_gamma_examples():
-    assert gamma(1) == OcwTree.leaf(x1)
-    assert gamma(2).to_word() == parse_word("[x1,x2]")
-    assert gamma(3).to_word() == parse_word("[[x1,x2],x3]")
+    assert gamma(1) == x1
+    assert gamma(2) == parse_word("[x1,x2]")
+    assert gamma(3) == parse_word("[[x1,x2],x3]")
 
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_gamma_recursion(r):
-    assert gamma(r) == OcwTree.comm(gamma(r - 1), OcwTree.leaf(xvar(r)))
+    assert gamma(r) == comm(gamma(r - 1), xvar(r))
 
 
 def test_delta_examples():
-    assert delta(0) == OcwTree.leaf(x1)
-    assert delta(1).to_word() == parse_word("[x1,x2]")
-    assert delta(2).to_word() == parse_word("[[x1,x2],[x3,x4]]")
+    assert delta(0) == x1
+    assert delta(1) == parse_word("[x1,x2]")
+    assert delta(2) == parse_word("[[x1,x2],[x3,x4]]")
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_delta_recursion(k):
     tree = delta(k)
-    assert len(tree.leaves()) == 2**k
+    assert len(variables(tree)) == 2**k
     assert tree.left == delta(k - 1)
     shift = {xvar(i): xvar(i + 2 ** (k - 1)) for i in range(1, 2 ** (k - 1) + 1)}
-    assert tree.right == delta(k - 1).rename(shift)
+    assert tree.right == substitute(delta(k - 1), shift)
 
 
 def test_delta1_is_gamma2():
@@ -278,30 +279,53 @@ def test_delta1_is_gamma2():
 
 
 def test_substitute_examples():
-    out = substitute(gamma(2), [parse_word("x1^2"), parse_word("x2^3")])
+    out = substitute(gamma(2), {x1: parse_word("x1^2"), x2: parse_word("x2^3")})
     assert out == parse_word("[x1^2,x2^3]")
-    assert substitute(delta(0), [xvar(7)]) == xvar(7)
+    assert substitute(delta(0), {x1: xvar(7)}) == xvar(7)
 
 
 def test_substitute_errors():
     with pytest.raises(DisjointnessViolation):
-        substitute(gamma(2), [x1, x1])
+        substitute(gamma(2), {x2: x1})
     with pytest.raises(ArityMismatch):
-        substitute(gamma(2), [x1])
+        substitute(gamma(2), {x3: x1})
 
 
 def test_classify_outer_commutator():
     word = parse_word("[[x1,x2,x3],[[x4,x5],[x6,x7]]]")
     tree = classify_outer_commutator(word)
-    assert tree is not None
-    assert [v.index for v in tree.leaves()] == [1, 2, 3, 4, 5, 6, 7]
+    assert tree is word
+    assert [v.index for v in variables(tree)] == [1, 2, 3, 4, 5, 6, 7]
     assert classify_outer_commutator(parse_word("[x1,x1]")) is None
     assert classify_outer_commutator(parse_word("x1*x2")) is None
-    assert classify_outer_commutator(parse_word("(x1)^1")) == OcwTree.leaf(x1)
+    assert classify_outer_commutator(parse_word("(x1)^1")) == x1
+
+
+def test_outer_commutator_flag_is_set_on_construction():
+    assert is_outer_commutator(x1)
+    assert is_outer_commutator(parse_word("[[x3,x1],x2]"))
+    assert not is_outer_commutator(parse_word("[x1,x1]"))
+    assert not is_outer_commutator(parse_word("[[x1,x2],[x2,x3]]"))
+    assert not is_outer_commutator(parse_word("[x1^2,x2]"))
+    assert not is_outer_commutator(parse_word("(x1)^1"))
+    word = parse_word("[[x3,x1],x2]")
+    assert classify_outer_commutator(word) is word
+    assert classify_outer_commutator(parse_word("[(x1)^1,x2]")) == gamma(2)
+
+
+def test_substitute_goes_by_variable():
+    word = parse_word("[[x3,x1],x2]")
+    out = substitute(word, {x1: parse_word("x1^2"), x3: parse_word("x3^5")})
+    assert out == parse_word("[[x3^5,x1^2],x2]")
+    # every occurrence of a variable takes its image
+    out = substitute(parse_word("x1*x2*x1^-1"), {x1: parse_word("[y1,y2]")})
+    assert out == parse_word("[y1,y2]*x2*[y1,y2]^-1")
 
 
 def test_classified_substitution_kills_exponent_sums():
-    word = substitute(gamma(3), [parse_word("x1^2"), parse_word("x2^3"), parse_word("x3^5")])
+    word = substitute(
+        gamma(3), {x1: parse_word("x1^2"), x2: parse_word("x2^3"), x3: parse_word("x3^5")}
+    )
     for v in variables(word):
         assert exponent_sum(word, v) == 0
 
@@ -316,7 +340,7 @@ def test_ext_zero_is_the_word():
 
 
 def test_ext_single_variable():
-    members = enumerate_extended(OcwTree.leaf(x1), 1, 1).members
+    members = enumerate_extended(x1, 1, 1).members
     assert set(members) == {
         classify_outer_commutator(parse_word("[y1,x1]")),
         classify_outer_commutator(parse_word("[x1,y1]")),
@@ -331,11 +355,11 @@ def test_ext_delta2_contains_quoted_word():
 
 def test_ext_members_are_ocws_with_all_x_vars():
     word = delta(2)
-    xs = set(word.leaves())
+    xs = set(variables(word))
     for k in (1, 2):
         for member in enumerate_extended(word, k, 2):
-            assert classify_outer_commutator(member.to_word()) is not None
-            leaves = member.leaves()
+            assert classify_outer_commutator(member) is not None
+            leaves = variables(member)
             assert [v for v in leaves if v.family == "x"].count is not None
             assert {v for v in leaves if v.family == "x"} == xs
             assert sum(1 for v in leaves if v in xs) == len(xs)
@@ -353,10 +377,10 @@ def test_ext_monotone_composition():
                 # make the halves y-disjoint the same way the enumerator does
                 shift = {
                     v: yvar(v.index + 10)
-                    for v in q.leaves()
+                    for v in variables(q)
                     if v.family == "y"
                 }
-                assert canonical_y(OcwTree.comm(p, q.rename(shift))) in whole
+                assert canonical_y(comm(p, substitute(q, shift))) in whole
 
 
 def test_extension_degree_recognizer():
@@ -369,4 +393,4 @@ def test_extension_degree_recognizer():
 
 def test_ocw_comm_rejects_repeats():
     with pytest.raises(DisjointnessViolation):
-        OcwTree.comm(OcwTree.leaf(x1), OcwTree.leaf(x1))
+        comm(x1, x1)
