@@ -68,13 +68,10 @@ from .series import (
 )
 from .verbal import (
     LinearityReport,
-    NormalTuple,
     SweepReport,
-    TupleEntry,
     ValueSet,
     check_disjoint_split,
     check_linearity,
-    check_power_condition,
     check_substitution,
     class_generating_subset,
     comm_congruence_sweep,
@@ -83,7 +80,6 @@ from .verbal import (
     value_set,
     value_set_over,
     verbal_subgroup,
-    verbal_subgroup_of_word,
     width_sweep,
 )
 from .words import (

@@ -31,11 +31,13 @@ from .harness import (
     resolve_word,
     run_check,
     run_suite,
+    series_variables,
     survey,
 )
 from .series import build_delta_series, build_gamma_series, verify_series
 from .verbal import value_set, verbal_subgroup
 from .words import (
+    MAX_WORD_DEPTH,
     classify_outer_commutator,
     exponent_sum,
     is_non_commutator,
@@ -212,7 +214,7 @@ def _cmd_values(args) -> int:
     G, word, label, tup = _resolved(args)
     vs = value_set(word, tup.subgroups, args.budget)
     names = [G.element_name(int(v)) for v in vs.values]
-    rows = [{"word": label, "tuple": ",".join(tup.labels or []), "m": vs.size,
+    rows = [{"word": label, "tuple": ",".join(tup.labels), "m": vs.size,
              "values": " ".join(names)}]
     _emit(_format_rows(rows, ["word", "tuple", "m", "values"], args.fmt), args.out)
     return EXIT_OK
@@ -220,32 +222,35 @@ def _cmd_values(args) -> int:
 
 def _cmd_verbal(args) -> int:
     G, word, label, tup = _resolved(args)
-    sub = verbal_subgroup(word, tup, args.budget)
+    sub = verbal_subgroup(word, tup.generators, args.budget)
     gens = [G.element_name(int(g)) for g in sub.generators[:12]]
-    rows = [{"word": label, "tuple": ",".join(tup.labels or []), "order": sub.order,
+    rows = [{"word": label, "tuple": ",".join(tup.labels), "order": sub.order,
              "generators": " ".join(gens) + (" ..." if len(sub.generators) > 12 else "")}]
     _emit(_format_rows(rows, ["word", "tuple", "order", "generators"], args.fmt), args.out)
     return EXIT_OK
 
 
 def _cmd_series(args) -> int:
-    if args.r is not None and args.r < 1:
-        raise VerbaError("--r must be at least 1")
+    """gamma takes r = --r, delta k = --k; either defaults to what --tuple
+    fits (2 entries without it), and the tuple defaults to G in each entry."""
     G = resolve_group(args.group, args.cap)
     budget = args.budget
-    if args.tuple_spec:
-        tup = parse_tuple_spec(args.tuple_spec, G)
-    else:
-        if args.kind == "gamma":
-            arity = 2 if args.r is None else args.r
-        else:
-            arity = 2 ** (args.k or 1)
-        tup = parse_tuple_spec(",".join(["G"] * arity), G)
+    n = args.r if args.kind == "gamma" else args.k
+    subgroups = parse_tuple_spec(args.tuple_spec, G).subgroups if args.tuple_spec else None
+    if n is None:
+        arity = 2 if subgroups is None else len(subgroups)
+        n = arity if args.kind == "gamma" else max(1, arity.bit_length() - 1)
+    arity = series_variables(args.kind, n)
+    if arity is None:
+        raise VerbaError(f"{args.kind}:{n} needs 1 to {MAX_WORD_DEPTH + 1} variables")
+    if subgroups is None:
+        subgroups = [G.full_subgroup()] * arity
+    elif len(subgroups) != arity:
+        raise VerbaError(f"{args.kind}:{n} needs {arity} tuple entries, --tuple has {len(subgroups)}")
     if args.kind == "gamma":
-        series = build_gamma_series(tup, budget, audit=args.audit)
+        series = build_gamma_series(subgroups, budget, audit=args.audit)
     else:
-        k = args.k if args.k is not None else max(1, tup.arity.bit_length() - 1)
-        series = build_delta_series(tup, k, budget)
+        series = build_delta_series(subgroups, n, budget)
     report = verify_series(series, budget=budget)
     lines = [
         f"{args.kind} series on {G.label}, parameter {series.parameter}: "

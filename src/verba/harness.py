@@ -19,6 +19,8 @@ from .errors import (
     BadIndex,
     BudgetExceeded,
     InternalInvariantViolation,
+    NotNormal,
+    PowerConditionFailed,
     PreconditionFailed,
     UnknownCheckId,
     UnknownSpec,
@@ -43,9 +45,6 @@ from .series import (
     verify_series,
 )
 from .verbal import (
-    NormalTuple,
-    TupleEntry,
-    check_generator_independence,
     check_disjoint_split,
     check_substitution,
     class_generating_subset,
@@ -159,22 +158,28 @@ def resolve_word(text: str) -> tuple[WordExpr, str]:
     Literal text that is an outer commutator word once first powers and
     one-factor products are stripped resolves to the stripped word.
 
-    gamma:r and delta:k are bounded like parsed text, before any tree is
-    built: the word may have 1 to MAX_WORD_DEPTH + 1 variables, so
-    1 <= r <= 101 and k <= 6.  A parameter of more than nine digits is not
-    a spec and falls through to the word parser, which rejects it.
+    gamma:r and delta:k are bounded by `series_variables` before any tree
+    is built.  A parameter of more than nine digits is not a spec and falls
+    through to the word parser, which rejects it.
     """
     m = re.fullmatch(r"(gamma|delta):0*(\d{1,9})", text.strip())
     if m:
         kind, n = m.group(1), int(m.group(2))
-        leaves = n if kind == "gamma" else 2 ** min(n, MAX_WORD_DEPTH)
-        if not 1 <= leaves <= MAX_WORD_DEPTH + 1:
+        if series_variables(kind, n) is None:
             raise WordSyntaxError(
                 f"{m.group(0)} needs 1 to {MAX_WORD_DEPTH + 1} variables", m.start(2)
             )
         return (gamma(n) if kind == "gamma" else delta(n)), text.strip()
     expr = parse_word(text)
     return classify_outer_commutator(expr) or expr, render(expr)
+
+
+def series_variables(kind: str, n: int) -> int | None:
+    """The number of variables of gamma(n), n, or of delta(n), 2^n, if it is
+    1 to MAX_WORD_DEPTH + 1 as for parsed text (1 <= r <= 101, k <= 6), else
+    None.  It bounds gamma:r, delta:k and `series --r/--k` before any build."""
+    leaves = n if kind == "gamma" else 2 ** min(n, MAX_WORD_DEPTH)
+    return int(leaves) if 1 <= leaves <= MAX_WORD_DEPTH + 1 else None
 
 
 def _require_ocw(word: WordExpr, what: str) -> WordExpr:
@@ -184,39 +189,61 @@ def _require_ocw(word: WordExpr, what: str) -> WordExpr:
     return tree
 
 
-def parse_tuple_spec(text: str, G: FiniteGroup) -> NormalTuple:
+@dataclass(frozen=True)
+class ParsedTuple:
+    """A tuple spec read against a group: the normal subgroups N_i, a normal
+    subset generating each (the `set:` subset, else N_i itself) and the
+    entry texts."""
+
+    subgroups: tuple[Subset, ...]
+    generators: tuple[Subset, ...]
+    labels: tuple[str, ...]
+
+
+def parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
     """Comma-separated entries: G, derived, center, ncl(i,...), set:(i,...);n=k.
 
-    A parsed tuple is memoised on the group by the spec text; a spec that
-    raises is not stored, so it raises again on every call.
+    A `set:` entry is a normal subset S, standing for the subgroup it
+    generates, and all n-th powers of that subgroup must lie in S.  A parsed
+    tuple is memoised on the group by the spec text; a spec that raises is
+    not stored, so it raises again on every call.
     """
     cached = G._tuple_specs.get(text)
     if cached is not None:
         return cached
-    entries: list[TupleEntry] = []
+    subgroups: list[Subset] = []
+    generators: list[Subset] = []
     labels: list[str] = []
-    for part in _split_entries(text):
+    for pos, part in enumerate(_split_entries(text), start=1):
         part = part.strip()
         labels.append(part)
+        subset = None
         if part == "G":
-            entries.append(TupleEntry(G.full_subgroup()))
+            sub = G.full_subgroup()
         elif part == "derived":
-            entries.append(TupleEntry(G.derived_subgroup()))
+            sub = G.derived_subgroup()
         elif part == "center":
-            entries.append(TupleEntry(G.center()))
+            sub = G.center()
         elif part.startswith("ncl(") and part.endswith(")"):
-            idxs = _int_list(part[4:-1])
-            entries.append(TupleEntry(normal_closure(G, idxs)))
+            sub = normal_closure(G, _int_list(part[4:-1]))
         elif part.startswith("set:"):
             m = re.fullmatch(r"set:\(?([\d,\s]*)\)?;n=(\d+)", part)
             if not m:
                 raise UnknownSpec(f"cannot parse tuple entry {part!r}")
             subset = G.subset(_int_list(m.group(1))).require_normal_subset()
             sub = closure(G, subset)
-            entries.append(TupleEntry(sub, subset, int(m.group(2))))
+            n = int(m.group(2))
+            if not subset.mask[G.pow_arr(sub.elements, n)].all():
+                raise PowerConditionFailed(
+                    f"entry {pos}: some {n}-th power escapes the subset"
+                )
         else:
             raise UnknownSpec(f"unknown tuple entry {part!r}")
-    out = NormalTuple(G, entries, labels=labels)
+        if not sub.is_normal:
+            raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
+        subgroups.append(sub)
+        generators.append(sub if subset is None else subset)
+    out = ParsedTuple(tuple(subgroups), tuple(generators), tuple(labels))
     G._tuple_specs[text] = out
     return out
 
@@ -268,19 +295,11 @@ def _distinct_specs(G: FiniteGroup, specs: list[str]) -> list[str]:
     """`specs` less each one naming the same subgroups as an earlier one."""
     seen, out = set(), []
     for spec in specs:
-        key = tuple(e.subgroup.key for e in parse_tuple_spec(spec, G).entries)
+        key = tuple(sub.key for sub in parse_tuple_spec(spec, G).subgroups)
         if key not in seen:
             seen.add(key)
             out.append(spec)
     return out
-
-
-def _with_class_subsets(tup: NormalTuple) -> NormalTuple:
-    entries = []
-    for e in tup.entries:
-        subset, n = class_generating_subset(e.subgroup)
-        entries.append(TupleEntry(e.subgroup, subset, n))
-    return NormalTuple(tup.group, entries, labels=tup.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +323,7 @@ def _check_disjoint(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.1")
     if isinstance(tree, Var):
         return _result(spec, "pass", "single variable, nothing to split")
-    rep = check_disjoint_split(tree, tup, budget)
+    rep = check_disjoint_split(tree, tup.subgroups, budget)
     detail = f"|w(N)|={rep.whole.order} |[alpha,beta]|={rep.left.order}x{rep.right.order}"
     return _result(spec, "pass" if rep.equal else "fail", detail)
 
@@ -329,12 +348,13 @@ def _check_substitution(spec, G, word, tup, budget) -> CheckResult:
 
 def _check_generators(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.3")
-    rich = _with_class_subsets(tup)
-    ok, via_s, via_n = check_generator_independence(tree, rich, budget)
-    return _result(spec, "pass" if ok else "fail", f"|<w{{S}}>|={via_s} |<w{{N}}>|={via_n}")
+    via_s = verbal_subgroup(tree, _class_subsets(tup), budget)
+    via_n = verbal_subgroup(tree, tup.subgroups, budget)
+    detail = f"|<w{{S}}>|={via_s.order} |<w{{N}}>|={via_n.order}"
+    return _result(spec, "pass" if via_s == via_n else "fail", detail)
 
 
-def _class_subsets(tup: NormalTuple) -> list[Subset]:
+def _class_subsets(tup: ParsedTuple) -> list[Subset]:
     return [class_generating_subset(s)[0] for s in tup.subgroups]
 
 
@@ -384,10 +404,10 @@ def _check_comm_congruence(spec, G, word, tup, budget) -> CheckResult:
 def _series(spec, word, tup, budget, audit=False) -> LinearSeries:
     """The gamma series of `tup` for the T2 ids, the delta series for T3."""
     if spec.check_id.startswith("T2."):
-        return build_gamma_series(tup, budget, audit=audit)
+        return build_gamma_series(tup.subgroups, budget, audit=audit)
     tree = _require_ocw(word, spec.check_id)
     k = max(1, len(variables(tree)).bit_length() - 1)
-    return build_delta_series(tup, k, budget)
+    return build_delta_series(tup.subgroups, k, budget)
 
 
 def _check_series(spec, G, word, tup, budget) -> CheckResult:
@@ -402,8 +422,8 @@ def _check_series(spec, G, word, tup, budget) -> CheckResult:
 
 
 def _check_bound(spec, G, word, tup, budget) -> CheckResult:
-    series = _series(spec, word, _with_class_subsets(tup), budget)
-    rep = generator_bound_report(series, budget)
+    series = _series(spec, word, tup, budget)
+    rep = generator_bound_report(series, _class_subsets(tup), budget)
     detail = f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}"
     return _result(spec, "pass" if rep.all_ok else "fail", detail)
 
@@ -419,7 +439,7 @@ def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
     ):
         return _result(spec, "fail", "factorised and direct value sets differ")
     sub = closure(G, vs.members)
-    verbal = verbal_subgroup(tree, tup, budget)
+    verbal = verbal_subgroup(tree, tup.generators, budget)
     ok = sub == verbal and G.order % sub.order == 0 and bool(sub.mask[vs.values].all())
     return _result(
         spec,
@@ -482,7 +502,7 @@ def _check_probe(spec, G, word, tup, budget) -> CheckResult:
         raise PreconditionFailed("probe words are capped at 7 leaves")
     vs = value_set(tree, tup.subgroups, budget)
     sub = closure(G, vs.members)
-    verbal = verbal_subgroup(tree, tup, budget)
+    verbal = verbal_subgroup(tree, tup.generators, budget)
     ok = sub == verbal and G.order % sub.order == 0
     return _result(spec, "pass" if ok else "fail", f"m={vs.size} |w(N)|={sub.order}")
 
@@ -519,9 +539,9 @@ def run_check(
     group = G if G is not None else resolve_group(spec.group, cap)
     word = None if spec.word == "-" else resolve_word(spec.word)[0]
     tup = parse_tuple_spec(spec.tuple_spec, group)
-    if word is not None and tup.arity != len(variables(word)):
+    if word is not None and len(tup.subgroups) != len(variables(word)):
         raise ArityMismatch(
-            f"word {spec.word} needs {len(variables(word))} tuple entries, got {tup.arity}"
+            f"word {spec.word} needs {len(variables(word))} tuple entries, got {len(tup.subgroups)}"
         )
     try:
         return _CHECK_TABLE[spec.check_id](spec, group, word, tup, budget)
@@ -688,7 +708,7 @@ def survey(
             try:
                 vs = value_set(tree, tup.subgroups, budget)
                 sub = closure(G, vs.members)
-                if probe and sub != verbal_subgroup(tree, tup, budget):
+                if probe and sub != verbal_subgroup(tree, tup.generators, budget):
                     raise InternalInvariantViolation(
                         f"{gspec} {tspec}: value-set closure differs from verbal subgroup"
                     )

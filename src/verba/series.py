@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, PreconditionFailed
+from .errors import InternalInvariantViolation, NotNormal, PreconditionFailed
 from .groups import (
     Subset,
     closure,
@@ -26,7 +26,6 @@ from .groups import (
 )
 from .verbal import (
     LinearityReport,
-    NormalTuple,
     check_linearity,
     value_set,
     value_set_over,
@@ -84,7 +83,7 @@ class SeriesFactor:
 class LinearSeries:
     kind: str  # "gamma" | "delta"
     parameter: int  # r for gamma, k for delta
-    base: NormalTuple
+    base: tuple[Subset, ...]  # the normal subgroups N_1..N_r
     terms: tuple[Subset, ...]  # ascending chain, bottom first
     factors: tuple[SeriesFactor, ...]
 
@@ -159,43 +158,50 @@ def _canonical_factor(
 # ---------------------------------------------------------------------------
 
 
-def _memoised(kind: str, parameter: int, T: NormalTuple, build) -> LinearSeries:
+def _normal_tuple(T: Sequence[Subset]) -> tuple[Subset, ...]:
+    """T as a tuple, checked to hold normal subgroups of one group."""
+    T = tuple(T)
+    for pos, sub in enumerate(T, start=1):
+        if sub.group is not T[0].group:
+            raise PreconditionFailed(f"entry {pos} belongs to a different group")
+        if not sub.is_normal:
+            raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
+    return T
+
+
+def _memoised(kind: str, parameter: int, T: tuple[Subset, ...], build) -> LinearSeries:
     """The series `build()` returns, built once per group and subgroups.
 
-    Terms and factors depend only on the subgroups of T, so they are kept on
-    the group by (kind, parameter, subgroup masks), and a memo hit is
-    wrapped with the caller's T as its base (which may carry generating
-    subsets the first caller's tuple did not).
+    The series is kept on the group by (kind, parameter, subgroup masks); a
+    hit has an equal tuple of subgroups as its base.
     """
-    key = (kind, parameter, tuple(sub.key for sub in T.subgroups))
-    hit = T.group._series.get(key)
-    if hit is None:
-        built = build()
-        hit = (built.terms, built.factors)
-        T.group._series[key] = hit
-    return LinearSeries(kind, parameter, T, *hit)
+    key = (kind, parameter, tuple(sub.key for sub in T))
+    memo = T[0].group._series
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def build_gamma_series(
-    T: NormalTuple, budget: int | None = None, audit: bool = False
+    T: Sequence[Subset], budget: int | None = None, audit: bool = False
 ) -> LinearSeries:
     """Chain P_{r+1} <= ... <= P_1 with factor i generated by the word on the
     tuple whose i-th entry is the length-i left-normed verbal subgroup.
 
     With `audit`, the containments between this chain and the length-(r-1)
     one are checked, also when the series comes from the memo."""
-    r = T.arity
+    r = len(T)
     if r < 1:
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
+    T = _normal_tuple(T)
     series = _memoised("gamma", r, T, lambda: _build_gamma(T, budget))
     if audit:
         _audit_gamma(T, series.terms, budget)
     return series
 
 
-def _build_gamma(T: NormalTuple, budget: int | None) -> LinearSeries:
-    r = T.arity
-    subs = T.subgroups
+def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
+    r = len(subs)
     word = gamma(r)
     q_subgroups: dict[int, Subset] = {}
     entries_at: dict[int, tuple[AnnotatedEntry, ...]] = {}
@@ -239,19 +245,18 @@ def _build_gamma(T: NormalTuple, budget: int | None) -> LinearSeries:
             )
         )
     return LinearSeries(
-        kind="gamma", parameter=r, base=T, terms=terms, factors=tuple(factors)
+        kind="gamma", parameter=r, base=subs, terms=terms, factors=tuple(factors)
     )
 
 
-def _audit_gamma(T: NormalTuple, terms: tuple[Subset, ...], budget) -> None:
+def _audit_gamma(subs: tuple[Subset, ...], terms: tuple[Subset, ...], budget) -> None:
     """Containments used between the length-r and length-(r-1) chains."""
-    r = T.arity
+    r = len(subs)
     if r < 2:
         return
-    subs = T.subgroups
     # both chains ascend: terms[pos] = P_{r+1-pos}, starred.terms[pos] = P*_{r-pos}
     p_subgroups = {r + 1 - pos: term for pos, term in enumerate(terms)}
-    starred = build_gamma_series(T.sub_tuple(0, r - 1), budget)
+    starred = build_gamma_series(subs[: r - 1], budget)
     p_star = {r - pos: starred.terms[pos] for pos in range(r)}
     q_star: dict[int, Subset] = {}
     for i in range(1, r):
@@ -277,13 +282,15 @@ def delta_series_length(k: int) -> int:
     return 2**k + 2 ** (k - 1) - 1
 
 
-def build_delta_series(T: NormalTuple, k: int, budget: int | None = None) -> LinearSeries:
+def build_delta_series(
+    T: Sequence[Subset], k: int, budget: int | None = None
+) -> LinearSeries:
     """The ascending chain V_0 <= ... <= V_t, t = 2^k + 2^(k-1) - 1."""
     if k < 1:
         raise PreconditionFailed("delta series needs k >= 1")
-    if T.arity != 2**k:
+    if len(T) != 2**k:
         raise PreconditionFailed(f"delta series at k={k} needs a tuple of length {2**k}")
-    series = _delta(T, k, budget)
+    series = _delta(_normal_tuple(T), k, budget)
     _require(
         len(series.factors) == delta_series_length(k),
         "factor count disagrees with 2^k + 2^(k-1) - 1",
@@ -291,12 +298,11 @@ def build_delta_series(T: NormalTuple, k: int, budget: int | None = None) -> Lin
     return series
 
 
-def _delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
-    return _memoised("delta", k, T, lambda: _build_delta(T, k, budget))
+def _delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
+    return _memoised("delta", k, subs, lambda: _build_delta(subs, k, budget))
 
 
-def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
-    subs = T.subgroups
+def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
     if k == 1:
         n1, n2 = subs
         v2 = commutator_subgroup(n1, n2)
@@ -316,16 +322,14 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
             ),
         )
         return LinearSeries(
-            kind="delta", parameter=1, base=T, terms=(v0, v1, v2), factors=factors
+            kind="delta", parameter=1, base=subs, terms=(v0, v1, v2), factors=factors
         )
 
     half = 2 ** (k - 1)
     s = delta_series_length(k - 1)
     t = delta_series_length(k)
-    left_tuple = T.sub_tuple(0, half)
-    right_tuple = T.sub_tuple(half, 2**k)
-    first = _delta(left_tuple, k - 1, budget)
-    second = _delta(right_tuple, k - 1, budget)
+    first = _delta(subs[:half], k - 1, budget)
+    second = _delta(subs[half:], k - 1, budget)
     d1, d2 = first.top, second.top
     dk = commutator_subgroup(d1, d2)
     _require(
@@ -434,7 +438,7 @@ def _build_delta(T: NormalTuple, k: int, budget: int | None) -> LinearSeries:
         )
 
     return LinearSeries(
-        kind="delta", parameter=k, base=T, terms=terms, factors=tuple(factors)
+        kind="delta", parameter=k, base=subs, terms=terms, factors=tuple(factors)
     )
 
 
@@ -515,8 +519,8 @@ def verify_series(
     budget: int | None = None,
 ) -> SeriesReport:
     """Re-check every stated property of a built series, factor by factor."""
-    G = series.base.group
-    base_subs = series.base.subgroups
+    base_subs = series.base
+    G = base_subs[0].group
     base_word = series.word
     max_degree = 0 if series.kind == "gamma" else series.parameter - 1
     top_expected = verbal_subgroup(base_word, base_subs, budget)
@@ -607,20 +611,24 @@ class BoundReport:
 
 
 def generator_bound_report(
-    series: LinearSeries, budget: int | None = None
+    series: LinearSeries, sets: Sequence[Subset], budget: int | None = None
 ) -> BoundReport:
     """Cardinality of each factor's generating value set against its bound.
 
-    For the lower central series the bound is m^(2^(r-1)).  For the derived
-    series it is m^n with n = h^(2^k) * 2^(k-1), where h is the largest
-    star-power depth actually needed to cover the per-entry generating sets.
+    `sets[i]` is a normal subset generating the i-th subgroup of the base,
+    and m is the size of the value set of the word over them.  For the
+    lower central series the bound is m^(2^(r-1)).  For the derived series
+    it is m^n with n = h^(2^k) * 2^(k-1), where h is the largest star-power
+    depth actually needed to cover the per-entry generating sets.
     """
-    T = series.base
-    if any(e.subset is None for e in T.entries):
-        raise PreconditionFailed("generator bounds need generating subsets on every entry")
-    G = T.group
-    sets = T.chosen_sets(use_subsets=True)
-    m = value_set(series.word, list(sets), budget).size
+    G = series.base[0].group
+    for pos, (S, N) in enumerate(zip(sets, series.base), start=1):
+        S.require_normal_subset()
+        if closure(G, S) != N:
+            raise PreconditionFailed(
+                f"entry {pos}: generating subset does not generate the subgroup"
+            )
+    m = value_set(series.word, sets, budget).size
     rows: list[BoundRow] = []
     if series.kind == "gamma":
         r = series.parameter

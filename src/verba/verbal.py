@@ -20,8 +20,6 @@ from .enumeration import DEFAULT_BLOCK, DEFAULT_BUDGET, ProductSpace
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
-    NotNormal,
-    PowerConditionFailed,
     PreconditionFailed,
 )
 from .groups import (
@@ -236,88 +234,8 @@ def _values_by_enumeration(expr, sets, group, budget):
 
 
 # ---------------------------------------------------------------------------
-# normal tuples
+# generating subsets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TupleEntry:
-    """One component: a normal subgroup, optionally with a generating normal
-    subset and a power-closure exponent."""
-
-    subgroup: Subset
-    subset: Subset | None = None
-    exponent: int | None = None
-
-
-class NormalTuple:
-    """Ordered tuple of normal subgroups; all stated side conditions are
-    checked eagerly on construction."""
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        entries: Sequence[TupleEntry | Subset],
-        labels: Sequence[str] | None = None,
-    ):
-        self.group = group
-        norm: list[TupleEntry] = []
-        for e in entries:
-            if isinstance(e, Subset):
-                e = TupleEntry(subgroup=e)
-            norm.append(e)
-        for pos, entry in enumerate(norm, start=1):
-            sub = entry.subgroup
-            if sub.group is not group:
-                raise PreconditionFailed(f"entry {pos} belongs to a different group")
-            if not sub.is_normal:
-                raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
-            if entry.subset is not None:
-                entry.subset.require_normal_subset()
-                if closure(group, entry.subset) != sub:
-                    raise PreconditionFailed(
-                        f"entry {pos}: generating subset does not generate the subgroup"
-                    )
-            if entry.exponent is not None:
-                if entry.subset is None:
-                    raise PreconditionFailed(
-                        f"entry {pos}: power exponent given without a subset"
-                    )
-                if not check_power_condition(entry):
-                    raise PowerConditionFailed(
-                        f"entry {pos}: some {entry.exponent}-th power escapes the subset"
-                    )
-        self.entries = tuple(norm)
-        self.labels = tuple(labels) if labels is not None else None
-
-    @property
-    def arity(self) -> int:
-        return len(self.entries)
-
-    @property
-    def subgroups(self) -> tuple[Subset, ...]:
-        return tuple(e.subgroup for e in self.entries)
-
-    def chosen_sets(self, use_subsets: bool = True) -> tuple[Subset, ...]:
-        return tuple(
-            e.subset if (use_subsets and e.subset is not None) else e.subgroup
-            for e in self.entries
-        )
-
-    def sub_tuple(self, start: int, stop: int) -> "NormalTuple":
-        return NormalTuple(self.group, self.entries[start:stop])
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def check_power_condition(entry: TupleEntry) -> bool:
-    """All exponent-th powers of subgroup elements lie in the subset."""
-    if entry.subset is None or entry.exponent is None:
-        raise PreconditionFailed("entry needs both a subset and an exponent")
-    G = entry.subgroup.group
-    powers = G.pow_arr(entry.subgroup.elements, entry.exponent)
-    return bool(entry.subset.mask[powers].all())
 
 
 def class_generating_subset(N: Subset) -> tuple[Subset, int]:
@@ -361,39 +279,14 @@ def class_generating_subset(N: Subset) -> tuple[Subset, int]:
 
 
 def verbal_subgroup(
-    w: WordExpr,
-    tup: NormalTuple | Sequence[Subset],
-    budget: int | None = None,
-    use_subsets: bool = True,
+    w: WordExpr, sets: Sequence[Subset], budget: int | None = None
 ) -> Subset:
-    """Subgroup generated by the values of `w` over the tuple.
-
-    For a NormalTuple the values are taken over the generating subsets where
-    given, otherwise over the subgroups; for outer commutator words on normal
-    subgroups the result is the same either way (checkable via
-    `check_generator_independence`).
+    """Subgroup generated by the values of `w` over `sets`, positionally as
+    in `value_set`.  For an outer commutator word it is the same over normal
+    subgroups as over normal subsets generating them (Lemma 2.3, check L2.3).
     """
-    sets = tup.chosen_sets(use_subsets) if isinstance(tup, NormalTuple) else tup
     vs = value_set(w, sets, budget)
     return closure(vs.members.group, vs.members)
-
-
-def verbal_subgroup_of_word(
-    w: WordExpr, G: FiniteGroup, budget: int | None = None
-) -> Subset:
-    """w(G): values over full-group tuples; valid for arbitrary words."""
-    full = G.full_subgroup()
-    env = {v: full for v in variables(w)}
-    vs = value_set_over(w, env, budget)
-    return closure(G, vs.members)
-
-
-def check_generator_independence(
-    w: WordExpr, tup: NormalTuple, budget: int | None = None
-) -> tuple[bool, int, int]:
-    via_subsets = verbal_subgroup(w, tup, budget, use_subsets=True)
-    via_groups = verbal_subgroup(w, tup, budget, use_subsets=False)
-    return via_subsets == via_groups, via_subsets.order, via_groups.order
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +304,13 @@ class SplitReport:
 
 
 def check_disjoint_split(
-    w: Commutator, tup: NormalTuple | Sequence[Subset], budget: int | None = None
+    w: Commutator, subgroups: Sequence[Subset], budget: int | None = None
 ) -> SplitReport:
     """Both sides of w(N1..Nr) = [alpha, beta] for w = [alpha, beta], where
     each side takes the subgroups on its own variables.  `split_at` is the
     number of variables of alpha."""
     if not isinstance(w, Commutator):
         raise PreconditionFailed("word must be a commutator")
-    subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
     vars_ = variables(w)
     if len(subgroups) != len(vars_):
         raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
@@ -449,12 +341,11 @@ def check_substitution(
     vars_ = variables(w)
     if len(args) != len(vars_):
         raise ArityMismatch(f"word has {len(vars_)} variables, got {len(args)} arguments")
-    composed_word = substitute(w, dict(zip(vars_, args)))
-    direct = verbal_subgroup_of_word(composed_word, G, budget)
-    arg_groups = []
-    for u in args:
-        sub = verbal_subgroup_of_word(u, G, budget)
-        arg_groups.append(sub)
+    full = G.full_subgroup()
+    direct, *arg_groups = [
+        verbal_subgroup(u, [full] * len(variables(u)), budget)
+        for u in [substitute(w, dict(zip(vars_, args))), *args]
+    ]
     composed = verbal_subgroup(w, arg_groups, budget)
     return SubstitutionReport(
         equal=(direct == composed),
@@ -512,7 +403,7 @@ def spine_eval(
 
 def check_linearity(
     w: WordExpr,
-    tup: NormalTuple | Sequence[Subset],
+    subgroups: Sequence[Subset],
     position: int,
     modulus: Subset,
     budget: int | None = None,
@@ -533,7 +424,6 @@ def check_linearity(
     `space` counts the quotient tuples, |siblings| x |H| x |S|.
     """
     modulus.require_normal()
-    subgroups = tup.subgroups if isinstance(tup, NormalTuple) else tuple(tup)
     vars_ = variables(w)
     if len(subgroups) != len(vars_):
         raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")

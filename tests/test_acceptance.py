@@ -15,7 +15,7 @@ from verba.cli import main as cli_main
 from verba.groups import builtin_group, commutator_subgroup
 from verba.harness import DEFAULT_CATALOG, resolve_group, run_suite, default_tuple_specs, parse_tuple_spec
 from verba.series import build_delta_series, build_gamma_series, generator_bound_report, delta_series_length
-from verba.verbal import NormalTuple, TupleEntry, check_substitution, verbal_subgroup
+from verba.verbal import check_substitution, verbal_subgroup
 from verba.words import Power, delta, gamma, render, variables
 
 from .conftest import record_acceptance
@@ -26,7 +26,7 @@ LEMMA_IDS = ["L2.1", "L2.2", "L2.3", "L2.5", "L2.6", "L2.8"]
 
 
 def _full_tuple(G, r):
-    return NormalTuple(G, [G.full_subgroup()] * r)
+    return [G.full_subgroup()] * r
 
 
 def _passfail(ok: bool) -> str:
@@ -140,13 +140,10 @@ def test_criterion_6_generator_count_bound():
         G = resolve_group(spec)
         for r in (1, 2, 3):
             for tspec in default_tuple_specs(G, r, seed=0):
-                base = parse_tuple_spec(tspec, G)
-                entries = [
-                    TupleEntry(e.subgroup, e.subgroup, 1)
-                    for e in base.entries
-                ]
-                series = build_gamma_series(NormalTuple(G, entries), BUDGET)
-                report = generator_bound_report(series, BUDGET)
+                # each subgroup serves as its own generating subset
+                subgroups = parse_tuple_spec(tspec, G).subgroups
+                series = build_gamma_series(subgroups, BUDGET)
+                report = generator_bound_report(series, subgroups, BUDGET)
                 rows_checked += len(report.rows)
                 if not report.all_ok and first_bad is None:
                     ok = False

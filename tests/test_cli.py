@@ -120,6 +120,34 @@ def test_series_rejects_non_positive_r():
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta", "--group", "sym:3", "--k", "-1"],
+    ["delta", "--group", "sym:3", "--k", "40"],
+    ["delta", "--group", "cyc:1", "--k", "7"],  # 128 entries, past the word-spec bound
+    ["gamma", "--group", "cyc:2", "--r", "1500"],
+    ["gamma", "--group", "sym:3", "--tuple", "G,G", "--r", "3"],
+    ["delta", "--group", "sym:3", "--tuple", "G,G", "--k", "2"],
+])
+def test_series_parameters_off_range_or_off_the_tuple_are_usage_errors(capsys, argv):
+    code, out = run_cli(["series", *argv])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verbal_takes_set_entries_as_the_value_domain(capsys):
+    # x1^2 over the subset {(), (1 2), (1 3), (2 3)} takes only the value 1,
+    # over the group it generates the squares of the 3-cycles as well
+    argv = ["verbal", "--group", "sym:3", "--word", "x1^2", "--format", "jsonl", "--tuple"]
+    code, out = run_cli(argv + ["set:(0,1,2,5);n=3"])
+    assert code == 0 and json.loads(out)["order"] == 1
+    code, out = run_cli(argv + ["G"])
+    assert code == 0 and json.loads(out)["order"] == 3
+    code, out = run_cli(argv + ["set:(0,1,2,5);n=2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: entry 1: some 2-th power escapes the subset\n"
+
+
 def test_check_command():
     code, out = run_cli(["check", "L2.3", "--group", "sym:3", "--word", "gamma:2", "--tuple", "G,G"])
     assert code == 0 and "pass" in out
@@ -173,7 +201,7 @@ def test_probe_mismatch_is_a_verification_failure(tmp_path, monkeypatch, capsys)
     # A verbal subgroup that disagrees with the value-set closure: the full
     # group where [S3,S3] is A3.
     monkeypatch.setattr(
-        harness, "verbal_subgroup", lambda w, tup, budget=None: tup.group.full_subgroup()
+        harness, "verbal_subgroup", lambda w, sets, budget=None: sets[0].group.full_subgroup()
     )
     code, out = run_cli(args)
     assert code == 1 and out == ""
@@ -398,5 +426,24 @@ def test_check_and_verbal_exit_codes_on_generated_ocws(data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # an exception escaping main fails the test
     # every check id states a theorem, so exit 1 (verification failure) never fits
+    assert code in (0, 2, 3), (argv, code, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_series_exit_codes_hold_for_generated_argv(data):
+    kind = data.draw(st.sampled_from(("gamma", "delta")))
+    argv = ["series", kind, "--group", data.draw(st.sampled_from(CHECK_GROUPS))]
+    n = data.draw(st.none() | st.integers(-2, 4))
+    if n is not None:
+        argv += ["--r" if kind == "gamma" else "--k", str(n)]
+    entries = data.draw(st.none() | st.lists(st.sampled_from(["G", "derived", "center"]), min_size=1, max_size=4))
+    if entries is not None:
+        argv += ["--tuple", ",".join(entries)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    # every series states a theorem, so exit 1 (verification failure) never fits
     assert code in (0, 2, 3), (argv, code, out.getvalue(), err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -59,9 +59,10 @@ def test_resolve_word_forms():
 
 def test_parse_tuple_spec_variants(sym4):
     tup = parse_tuple_spec("G,derived,center", sym4)
-    assert [e.subgroup.order for e in tup.entries] == [24, 12, 1]
+    assert [sub.order for sub in tup.subgroups] == [24, 12, 1]
+    assert tup.generators == tup.subgroups
     assert tup.labels == ("G", "derived", "center")
-    assert parse_tuple_spec("ncl(1)", sym4).entries[0].subgroup.order == 24
+    assert parse_tuple_spec("ncl(1)", sym4).subgroups[0].order == 24
     with pytest.raises(UnknownSpec):
         parse_tuple_spec("wat", sym4)
     with pytest.raises(UnknownSpec):
@@ -70,21 +71,22 @@ def test_parse_tuple_spec_variants(sym4):
 
 def test_parse_tuple_spec_quat_derived_center(quat8):
     tup = parse_tuple_spec("derived,center", quat8)
-    assert [e.subgroup.order for e in tup.entries] == [2, 2]
-    assert tup.entries[0].subgroup == tup.entries[1].subgroup
+    assert [sub.order for sub in tup.subgroups] == [2, 2]
+    assert tup.subgroups[0] == tup.subgroups[1]
 
 
 def test_parse_tuple_spec_ncl_three_cycle(sym4):
     idx = next(i for i in range(24) if sym4.element_order(i) == 3)
     tup = parse_tuple_spec(f"ncl({idx})", sym4)
-    assert tup.entries[0].subgroup.order == 12
+    assert tup.subgroups[0].order == 12
 
 
 def test_parse_tuple_spec_set_entry():
     c8 = resolve_group("cyc:8")
     tup = parse_tuple_spec("set:(0,2,4,6);n=2", c8)
-    entry = tup.entries[0]
-    assert entry.subgroup.order == 4 and entry.subset.order == 4 and entry.exponent == 2
+    assert tup.subgroups[0].order == 4 and tup.generators[0].order == 4
+    tup = parse_tuple_spec("set:(0,2,6);n=4", c8)
+    assert tup.subgroups[0].order == 4 and tup.generators[0].order == 3
 
 
 def test_default_tuple_specs_deterministic(sym4):
@@ -161,7 +163,7 @@ def test_survey_sanity_invariants():
         G = resolve_group(row.group)
         assert G.order % row.verbal_order == 0
         tup = parse_tuple_spec(row.tuple_spec, G)
-        vs = value_set(gamma(2), [e.subgroup for e in tup.entries])
+        vs = value_set(gamma(2), tup.subgroups)
         assert vs.size == row.m
         assert row.verbal_order >= 1
 
@@ -282,6 +284,24 @@ def test_seeded_small_star_power_flips_l32(monkeypatch):
     row = run_check(spec, G=G)
     assert row.status == "fail"
     assert row.detail == f"{render(v)} with m={mvec}: value {value} escapes"
+
+
+def test_seeded_non_generating_class_subset_flips_l23_and_t211(monkeypatch):
+    # class subsets that generate only the derived subgroup A4 of S4: L2.3
+    # sees the smaller verbal subgroup, and the bound row the subset check
+    def rows():
+        report = run_suite(["sym:4"], ids=["L2.3", "T2.11-bound"])
+        return {r.check_id: r for r in report.rows if (r.word, r.tuple_spec) == ("gamma:2", "G,G")}
+
+    assert [r.status for r in rows().values()] == ["pass", "pass"]
+    real = harness.class_generating_subset
+    monkeypatch.setattr(
+        harness, "class_generating_subset", lambda N: real(N.group.derived_subgroup())
+    )
+    seen = rows()
+    assert seen["L2.3"].status == "fail" and seen["L2.3"].detail == "|<w{S}>|=4 |<w{N}>|=12"
+    assert seen["T2.11-bound"].status == "fail"
+    assert "entry 1: generating subset does not generate the subgroup" in seen["T2.11-bound"].detail
 
 
 # ---------------------------------------------------------------------------

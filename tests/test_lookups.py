@@ -189,16 +189,17 @@ def test_star_power_memo_matches_a_fresh_group():
 
 def test_bound_rows_reuse_the_series_with_their_class_subsets(monkeypatch):
     G, cold = builtin_group("sym:4"), builtin_group("sym:4")
-    seen = []
+    seen, bound_sets = [], []
     real_verify, real_bound = harness.verify_series, harness.generator_bound_report
 
     def spy_verify(series, budget=None):
         seen.append(series)
         return real_verify(series, budget=budget)
 
-    def spy_bound(series, budget=None):
+    def spy_bound(series, sets, budget=None):
         seen.append(series)
-        return real_bound(series, budget)
+        bound_sets.append(sets)
+        return real_bound(series, sets, budget)
 
     monkeypatch.setattr(harness, "verify_series", spy_verify)
     monkeypatch.setattr(harness, "generator_bound_report", spy_bound)
@@ -208,13 +209,16 @@ def test_bound_rows_reuse_the_series_with_their_class_subsets(monkeypatch):
     )
     for series_id, bound_id, word, tspec, build in cases:
         seen.clear()
+        bound_sets.clear()
         assert run_check(CheckSpec(series_id, "sym:4", word, tspec), G=G).status == "pass"
         assert run_check(CheckSpec(bound_id, "sym:4", word, tspec), G=G).status == "pass"
         built, reused = seen
-        assert reused.terms is built.terms and reused.factors is built.factors
-        assert all(e.subset is None for e in built.base.entries)
-        assert all(e.subset is not None for e in reused.base.entries)
-        fresh = build(parse_tuple_spec(tspec, cold))
+        assert reused is built
+        # the bound row passes class generating subsets, not the subgroups
+        [sets] = bound_sets
+        assert [closure(G, s) for s in sets] == list(built.base)
+        assert [s.key for s in sets] != [n.key for n in built.base]
+        fresh = build(parse_tuple_spec(tspec, cold).subgroups)
         assert [t.key for t in fresh.terms] == [t.key for t in built.terms]
 
 
@@ -265,13 +269,13 @@ def test_parsed_tuple_memo_per_group():
     tup = parse_tuple_spec(text, G)
     assert parse_tuple_spec(text, G) is tup
     other = parse_tuple_spec(text, H)
-    assert other is not tup and other.group is H
-    assert all(s.group is H for s in other.subgroups)
+    assert other is not tup
+    assert all(s.group is H for s in other.subgroups + other.generators)
     G._tuple_specs.clear()
     fresh = parse_tuple_spec(text, G)
     assert fresh is not tup and fresh.labels == tup.labels
     assert [s.key for s in fresh.subgroups] == [s.key for s in tup.subgroups]
-    assert [e.exponent for e in fresh.entries] == [e.exponent for e in tup.entries]
+    assert [s.key for s in fresh.generators] == [s.key for s in tup.generators]
 
 
 @pytest.mark.parametrize(

@@ -35,11 +35,11 @@ def _reference(G, tree, subgroups, position, modulus):
 
 def _series_factors(spec, G):
     word, _ = resolve_word(spec.word)
-    tup = parse_tuple_spec(spec.tuple_spec, G)
+    subgroups = parse_tuple_spec(spec.tuple_spec, G).subgroups
     if spec.check_id == "T2.10":
-        return build_gamma_series(tup).factors
+        return build_gamma_series(subgroups).factors
     k = max(1, len(variables(word)).bit_length() - 1)
-    return build_delta_series(tup, k).factors
+    return build_delta_series(subgroups, k).factors
 
 
 def test_quotient_verdicts_match_the_sweep_in_g():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from verba.errors import PreconditionFailed
+from verba.errors import NotNormalSubset, PreconditionFailed
 from verba.groups import builtin_group, closure, commutator_subgroup
 from verba.series import (
     build_delta_series,
@@ -13,23 +13,17 @@ from verba.series import (
     generator_bound_report,
     verify_series,
 )
-from verba.verbal import (
-    NormalTuple,
-    TupleEntry,
-    class_generating_subset,
-    verbal_subgroup,
-)
+from verba.verbal import class_generating_subset, verbal_subgroup
 from verba.words import gamma, render
 
 
 def full_normal_tuple(G, r):
-    return NormalTuple(G, [G.full_subgroup()] * r)
+    return [G.full_subgroup()] * r
 
 
-def subset_normal_tuple(G, r):
-    sub = G.full_subgroup()
-    subset, n = class_generating_subset(sub)
-    return NormalTuple(G, [TupleEntry(sub, subset, n)] * r)
+def class_subsets(G, r):
+    """A normal subset generating G, for each entry of `full_normal_tuple`."""
+    return [class_generating_subset(G.full_subgroup())[0]] * r
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +155,7 @@ def test_delta_factors_are_abelian_sections(sym4):
 
 
 def test_delta_series_mixed_tuple(sym4):
-    tup = NormalTuple(
-        sym4,
-        [sym4.full_subgroup(), sym4.derived_subgroup(), sym4.full_subgroup(), sym4.derived_subgroup()],
-    )
+    tup = [sym4.full_subgroup(), sym4.derived_subgroup(), sym4.full_subgroup(), sym4.derived_subgroup()]
     report = verify_series(build_delta_series(tup, 2))
     assert report.all_ok
 
@@ -173,7 +164,7 @@ def test_delta_series_nontrivial_interior_factor(sym4):
     # (G, G, A, A) moves the jump into the second factor: its section is 4/1
     # and the 6-entry annotation with the bracket in slot 4 must generate it
     a4 = sym4.derived_subgroup()
-    tup = NormalTuple(sym4, [sym4.full_subgroup(), sym4.full_subgroup(), a4, a4])
+    tup = [sym4.full_subgroup(), sym4.full_subgroup(), a4, a4]
     series = build_delta_series(tup, 2)
     jumps = [f.index for f in series.factors if f.upper.order > f.lower.order]
     assert jumps == [2]
@@ -213,37 +204,41 @@ def test_delta_series_arity_check(quat8):
 
 def test_bounds_trivial_group():
     g1 = builtin_group("cyc:1")
-    series = build_gamma_series(subset_normal_tuple(g1, 2))
-    report = generator_bound_report(series)
+    series = build_gamma_series(full_normal_tuple(g1, 2))
+    report = generator_bound_report(series, class_subsets(g1, 2))
     assert report.all_ok and all(r.observed == 1 for r in report.rows)
 
 
 def test_bounds_quat_gamma2(quat8):
-    series = build_gamma_series(subset_normal_tuple(quat8, 2))
-    report = generator_bound_report(series)
+    series = build_gamma_series(full_normal_tuple(quat8, 2))
+    report = generator_bound_report(series, class_subsets(quat8, 2))
     assert report.base_values == 2
     assert report.all_ok
     assert all(r.bound == 4 for r in report.rows)
 
 
 def test_bounds_sym3_gamma3(sym3):
-    series = build_gamma_series(subset_normal_tuple(sym3, 3))
-    report = generator_bound_report(series)
+    series = build_gamma_series(full_normal_tuple(sym3, 3))
+    report = generator_bound_report(series, class_subsets(sym3, 3))
     assert report.all_ok
     assert all(r.bound == report.base_values ** 4 for r in report.rows)
 
 
 def test_bounds_delta(sym4):
-    series = build_delta_series(subset_normal_tuple(sym4, 4), 2)
-    report = generator_bound_report(series)
+    series = build_delta_series(full_normal_tuple(sym4, 4), 2)
+    report = generator_bound_report(series, class_subsets(sym4, 4))
     assert report.all_ok
     assert all(r.star_depth is not None for r in report.rows)
 
 
 def test_bounds_require_subsets(quat8):
+    # each set must be a normal subset generating its subgroup of the base
     series = build_gamma_series(full_normal_tuple(quat8, 2))
     with pytest.raises(PreconditionFailed):
-        generator_bound_report(series)
+        generator_bound_report(series, [quat8.trivial_subgroup()] * 2)
+    not_normal = quat8.subset([2])  # {i}; i is conjugate to -i
+    with pytest.raises(NotNormalSubset):
+        generator_bound_report(series, [not_normal] * 2)
 
 
 def test_delta_generation_top_factor(sym4):

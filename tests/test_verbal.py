@@ -14,6 +14,7 @@ from verba.errors import (
     NotNormalSubset,
     PowerConditionFailed,
     PreconditionFailed,
+    UnknownSpec,
 )
 from verba.groups import (
     builtin_group,
@@ -23,13 +24,11 @@ from verba.groups import (
     normal_closure,
     star_power,
 )
+from verba.harness import parse_tuple_spec
+from verba.series import build_delta_series, build_gamma_series, generator_bound_report
 from verba.verbal import (
-    NormalTuple,
-    TupleEntry,
     check_disjoint_split,
-    check_generator_independence,
     check_linearity,
-    check_power_condition,
     check_substitution,
     class_generating_subset,
     comm_congruence_sweep,
@@ -38,7 +37,6 @@ from verba.verbal import (
     value_set,
     value_set_over,
     verbal_subgroup,
-    verbal_subgroup_of_word,
     width_sweep,
 )
 from verba.words import (
@@ -132,7 +130,7 @@ def test_verbal_subgroup_examples(sym3, sym4, quat8):
 
 def test_verbal_subgroup_of_substituted_word(sym4):
     word = parse_word("[x1^2,x2^3]")
-    sub = verbal_subgroup_of_word(word, sym4)
+    sub = verbal_subgroup(word, full_tuple(sym4, 2))
     assert sub.order == 12
 
 
@@ -142,46 +140,49 @@ def test_generator_independence_exhaustive():
         G = builtin_group(spec)
         for word in words:
             r = len(variables(word))
-            entries = []
-            for _ in range(r):
-                sub = G.full_subgroup()
-                subset, n = class_generating_subset(sub)
-                entries.append(TupleEntry(sub, subset, n))
-            tup = NormalTuple(G, entries)
-            ok, via_s, via_n = check_generator_independence(word, tup)
-            assert ok, (spec, render(word), via_s, via_n)
+            subset = class_generating_subset(G.full_subgroup())[0]
+            via_s = verbal_subgroup(word, [subset] * r)
+            via_n = verbal_subgroup(word, full_tuple(G, r))
+            assert via_s == via_n, (spec, render(word), via_s.order, via_n.order)
 
 
 # ---------------------------------------------------------------------------
-# normal tuples
+# tuples of normal subgroups and their generating subsets
 # ---------------------------------------------------------------------------
 
 
-def test_normal_tuple_rejects_non_normal(sym3):
+def test_normal_tuple_rejects_non_normal(sym3, quat8):
+    # the series builders take normal subgroups of one group only
     swap = closure(sym3, [sym3.element_names.index("(1 2)")])
     with pytest.raises(NotNormal):
-        NormalTuple(sym3, [swap])
+        build_gamma_series([swap])
+    with pytest.raises(NotNormal):
+        build_delta_series([sym3.full_subgroup(), swap], 1)
+    with pytest.raises(PreconditionFailed, match="different group"):
+        build_gamma_series([sym3.full_subgroup(), quat8.full_subgroup()])
 
 
 def test_normal_tuple_rejects_non_generating_subset(sym3):
     subset = sym3.subset([0]).require_normal_subset()
-    with pytest.raises(PreconditionFailed):
-        NormalTuple(sym3, [TupleEntry(sym3.full_subgroup(), subset)])
+    series = build_gamma_series([sym3.full_subgroup()])
+    with pytest.raises(PreconditionFailed, match="does not generate"):
+        generator_bound_report(series, [subset])
 
 
 def test_power_condition():
+    # a set: entry stands for the subgroup it generates, here {0,2,4,6},
+    # and all n-th powers of that subgroup must lie in the set
     c8 = builtin_group("cyc:8")
-    n = closure(c8, [2])  # the subgroup {0,2,4,6}
-    assert n.order == 4
-    subset = c8.subset([0, 2, 4, 6])
-    assert check_power_condition(TupleEntry(n, subset, 2))
-    squares_only = c8.subset([0, 4])
-    assert not check_power_condition(TupleEntry(n, squares_only, 1))
-    entry = TupleEntry(n, subset, None)
-    with pytest.raises(PreconditionFailed):
-        check_power_condition(entry)
-    with pytest.raises(PowerConditionFailed):
-        NormalTuple(c8, [TupleEntry(n, c8.subset([0, 2, 6]), 1)])
+    tup = parse_tuple_spec("set:(0,2,4,6);n=2", c8)
+    assert tup.subgroups[0] == closure(c8, [2]) and tup.subgroups[0].order == 4
+    assert tup.generators[0] == c8.subset([0, 2, 4, 6])
+    assert parse_tuple_spec("set:(0,2,6);n=4", c8).subgroups[0].order == 4
+    with pytest.raises(PowerConditionFailed, match="entry 1: some 1-th power"):
+        parse_tuple_spec("set:(0,2,6);n=1", c8)
+    with pytest.raises(PowerConditionFailed, match="entry 2: some 2-th power"):
+        parse_tuple_spec("G,set:(0,2,6);n=2", c8)
+    with pytest.raises(UnknownSpec):
+        parse_tuple_spec("set:(0,2,4,6)", c8)  # an exponent is required
 
 
 def test_noncommutator_power_values(sym4):
