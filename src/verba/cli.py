@@ -231,8 +231,13 @@ def _cmd_verbal(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    """gamma takes r = --r, delta k = --k; either defaults to what --tuple
-    fits (2 entries without it), and the tuple defaults to G in each entry."""
+    """gamma takes r = --r and --audit, delta k = --k, and the other kind's
+    flag is a usage error; r or k defaults to what --tuple fits (2 entries
+    without it), and the tuple defaults to G in each entry."""
+    if args.kind == "gamma" and args.k is not None:
+        raise VerbaError("--k is the delta depth; series gamma takes --r")
+    if args.kind == "delta" and (args.r is not None or args.audit):
+        raise VerbaError("--r and --audit apply to series gamma; series delta takes --k")
     G = resolve_group(args.group, args.cap)
     budget = args.budget
     n = args.r if args.kind == "gamma" else args.k

@@ -62,24 +62,21 @@ class FiniteGroup:
             else [str(i) for i in range(self.order)]
         )
         self.perm_images = list(perm_images) if perm_images is not None else None
-        # Memos that live as long as the group: value sets of words and of
-        # their sub-words by (word text, subset masks), subgroup closures by
-        # seed, star powers by (mask, n), quotients by modulus, class
-        # generating subsets by subgroup mask, parsed tuple specs by text,
-        # built series by (kind, parameter, subgroup masks), and the
-        # commutator table.  Each entry is built in
-        # full before it is stored, so threads sharing the group never see a
-        # partial one.
-        self._value_sets: dict = {}
-        self._closures: dict[bytes, Subset] = {}
-        self._star_powers: dict[tuple[bytes, int], Subset] = {}
-        self._series: dict = {}
-        self._quotients: dict[bytes, tuple[np.ndarray, FiniteGroup]] = {}
-        self._class_subsets: dict = {}
-        self._tuple_specs: dict = {}
-        self._comm_table: np.ndarray | None = None
-        self._center: Subset | None = None
-        self._derived: Subset | None = None
+        # One memo for the life of the group, read and written only by
+        # `cached`, holds its value sets, class generating subsets, closures,
+        # star powers, quotients, series, parsed tuple specs, commutator
+        # table, center and derived subgroup.
+        self._memo: dict = {}
+
+    def cached(self, kind: str, key, build, *args):
+        """The stored ``build(*args)`` for ``(kind, key)``, built and stored on
+        the first call.  An entry is built in full before it is stored, so
+        threads sharing the group never see a partial one, and a build that
+        raises stores nothing."""
+        out = self._memo.get((kind, key))
+        if out is None:
+            out = self._memo[(kind, key)] = build(*args)
+        return out
 
     # -- scalar operations ---------------------------------------------------
 
@@ -90,10 +87,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverse_table[a])
-
-    def conj(self, a: int, g: int) -> int:
-        # g^-1 a g
-        return int(self.table[self.table[self.inverse_table[g], a], g])
 
     def comm(self, a: int, b: int) -> int:
         return int(self.comm_arr(a, b))
@@ -131,14 +124,9 @@ class FiniteGroup:
     def _commutator_table(self) -> np.ndarray | None:
         """``ct[a, b] = [a, b]``, built on first use for orders up to
         COMM_TABLE_LIMIT and kept read-only; None above the limit."""
-        ct = self._comm_table
-        if ct is None and self.order <= COMM_TABLE_LIMIT:
-            t, inv = self.table, self.inverse_table
-            idx = np.arange(self.order, dtype=np.int32)
-            ct = t[t[t[inv[:, None], inv[None, :]], idx[:, None]], idx[None, :]]
-            ct.setflags(write=False)
-            self._comm_table = ct
-        return ct
+        if self.order > COMM_TABLE_LIMIT:
+            return None
+        return self.cached("comm_table", None, _full_commutator_table, self)
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
@@ -182,21 +170,31 @@ class FiniteGroup:
         return Subset(self, mask, generators=())
 
     def center(self) -> "Subset":
-        if self._center is None:
-            mask = (self.table == self.table.T).all(axis=1)
-            self._center = Subset(
-                self, mask, generators=tuple(int(i) for i in np.flatnonzero(mask))
-            )
-        return self._center
+        return self.cached("center", None, _center_subgroup, self)
 
     def derived_subgroup(self) -> "Subset":
-        if self._derived is None:
-            full = self.full_subgroup()
-            self._derived = commutator_of_subsets(self, full, full)
-        return self._derived
+        return self.cached("derived", None, _derived_subgroup, self)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
+
+
+def _full_commutator_table(G: FiniteGroup) -> np.ndarray:
+    t, inv = G.table, G.inverse_table
+    idx = np.arange(G.order, dtype=np.int32)
+    ct = t[t[t[inv[:, None], inv[None, :]], idx[:, None]], idx[None, :]]
+    ct.setflags(write=False)
+    return ct
+
+
+def _center_subgroup(G: FiniteGroup) -> "Subset":
+    mask = (G.table == G.table.T).all(axis=1)
+    return Subset(G, mask, generators=tuple(int(i) for i in np.flatnonzero(mask)))
+
+
+def _derived_subgroup(G: FiniteGroup) -> "Subset":
+    full = G.full_subgroup()
+    return commutator_of_subsets(G, full, full)
 
 
 def _inverse_table(table: np.ndarray) -> np.ndarray:
@@ -394,10 +392,10 @@ def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     distinct seed.
     """
     seed_elems = _seed_elements(G, seed)
-    key = seed_elems.tobytes()
-    out = G._closures.get(key)
-    if out is not None:
-        return out
+    return G.cached("closure", seed_elems.tobytes(), _closure, G, seed_elems)
+
+
+def _closure(G: FiniteGroup, seed_elems: np.ndarray) -> Subset:
     gens = np.unique(
         np.concatenate([seed_elems, G.inverse_table[seed_elems]])
     ).astype(np.int32)
@@ -409,9 +407,7 @@ def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
         new = prods[~mask[prods]]
         mask[new] = True
         frontier = new.astype(np.int32)
-    out = Subset(G, mask, generators=tuple(int(g) for g in seed_elems))
-    G._closures[key] = out
-    return out
+    return Subset(G, mask, generators=tuple(int(g) for g in seed_elems))
 
 
 def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
@@ -445,10 +441,10 @@ def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     """
     if n < 0:
         raise ValueError("star power needs n >= 0")
-    key = (S.key, n)
-    out = G._star_powers.get(key)
-    if out is not None:
-        return out
+    return G.cached("star_power", (S.key, n), _star_power, G, S, n)
+
+
+def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     base = np.unique(
         np.concatenate(
             [S.elements, G.inverse_table[S.elements], np.array([0], dtype=np.int32)]
@@ -462,9 +458,7 @@ def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
         cur = nxt
     mask = np.zeros(G.order, dtype=bool)
     mask[cur] = True
-    out = Subset(G, mask)
-    G._star_powers[key] = out
-    return out
+    return Subset(G, mask)
 
 
 def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
@@ -516,24 +510,22 @@ def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
     itself, with the identity labelling.
     """
     P.require_normal()
+    return P.group.cached("quotient", P.key, _quotient, P)
+
+
+def _quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
     G = P.group
-    hit = G._quotients.get(P.key)
-    if hit is not None:
-        return hit
     if P.order == 1:
-        out = (np.arange(G.order, dtype=np.int32), G)
-    else:
-        labels = np.full(G.order, -1, dtype=np.int32)
-        reps: list[int] = []
-        for g in range(G.order):
-            if labels[g] < 0:
-                labels[G.table[g, P.elements]] = len(reps)
-                reps.append(g)
-        r = np.array(reps, dtype=np.int32)
-        table = labels[G.table[r[:, None], r[None, :]]]
-        out = (labels, FiniteGroup(table, label=f"{G.label}/P", _validated=True))
-    G._quotients[P.key] = out
-    return out
+        return np.arange(G.order, dtype=np.int32), G
+    labels = np.full(G.order, -1, dtype=np.int32)
+    reps: list[int] = []
+    for g in range(G.order):
+        if labels[g] < 0:
+            labels[G.table[g, P.elements]] = len(reps)
+            reps.append(g)
+    r = np.array(reps, dtype=np.int32)
+    table = labels[G.table[r[:, None], r[None, :]]]
+    return labels, FiniteGroup(table, label=f"{G.label}/P", _validated=True)
 
 
 # ---------------------------------------------------------------------------

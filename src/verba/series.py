@@ -169,19 +169,6 @@ def _normal_tuple(T: Sequence[Subset]) -> tuple[Subset, ...]:
     return T
 
 
-def _memoised(kind: str, parameter: int, T: tuple[Subset, ...], build) -> LinearSeries:
-    """The series `build()` returns, built once per group and subgroups.
-
-    The series is kept on the group by (kind, parameter, subgroup masks); a
-    hit has an equal tuple of subgroups as its base.
-    """
-    key = (kind, parameter, tuple(sub.key for sub in T))
-    memo = T[0].group._series
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
 def build_gamma_series(
     T: Sequence[Subset], budget: int | None = None, audit: bool = False
 ) -> LinearSeries:
@@ -189,12 +176,14 @@ def build_gamma_series(
     tuple whose i-th entry is the length-i left-normed verbal subgroup.
 
     With `audit`, the containments between this chain and the length-(r-1)
-    one are checked, also when the series comes from the memo."""
+    one are checked, also when the series comes from the memo.  The series
+    is kept on the group by ("gamma", r, subgroup masks)."""
     r = len(T)
     if r < 1:
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
     T = _normal_tuple(T)
-    series = _memoised("gamma", r, T, lambda: _build_gamma(T, budget))
+    key = ("gamma", r, tuple(sub.key for sub in T))
+    series = T[0].group.cached("series", key, _build_gamma, T, budget)
     if audit:
         _audit_gamma(T, series.terms, budget)
     return series
@@ -299,7 +288,9 @@ def build_delta_series(
 
 
 def _delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
-    return _memoised("delta", k, subs, lambda: _build_delta(subs, k, budget))
+    """The delta series, kept on the group by ("delta", k, subgroup masks)."""
+    key = ("delta", k, tuple(sub.key for sub in subs))
+    return subs[0].group.cached("series", key, _build_delta, subs, k, budget)
 
 
 def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
@@ -630,57 +621,36 @@ def generator_bound_report(
             )
     m = value_set(series.word, sets, budget).size
     rows: list[BoundRow] = []
-    if series.kind == "gamma":
-        r = series.parameter
-        bound = m ** (2 ** (r - 1))
-        for f in series.factors:
-            i = f.linear_position
-            gamma_i_vals = value_set(gamma(i), list(sets[:i]), budget).members
-            position_sets = list(sets)
-            position_sets[i - 1] = gamma_i_vals
-            observed = value_set(series.word, position_sets, budget).size
-            rows.append(
-                BoundRow(
-                    factor=f.index,
-                    base_values=m,
-                    observed=observed,
-                    bound=bound,
-                    star_depth=None,
-                    ok=observed <= bound,
-                )
-            )
-    else:
-        k = series.parameter
-        r = 2**k
-        for f in series.factors:
-            t_sets = []
-            depth = 0
-            for e in f.entries:
-                t_vals = value_set(
-                    e.source, [sets[c - 1] for c in e.components], budget
-                ).members
-                t_sets.append(t_vals)
-                if e.var.family == "x" and e.var.index <= r:
+    for f in series.factors:
+        t_sets = [
+            value_set(e.source, [sets[c - 1] for c in e.components], budget).members
+            for e in f.entries
+        ]
+        observed = value_set_over(
+            f.word, dict(zip((e.var for e in f.entries), t_sets)), budget
+        ).size
+        if series.kind == "gamma":
+            depth, bound = None, m ** (2 ** (series.parameter - 1))
+        else:
+            k, depth = series.parameter, 0
+            for e, t_vals in zip(f.entries, t_sets):
+                if e.var.family == "x" and e.var.index <= 2**k:
                     s_j = sets[e.var.index - 1]
                     d = 0
                     while not t_vals <= star_power(G, s_j, d):
                         d += 1
                     depth = max(depth, d)
-            n = depth ** (2**k) * 2 ** (k - 1)
-            bound = m**n
-            observed = value_set_over(
-                f.word, dict(zip((e.var for e in f.entries), t_sets)), budget
-            ).size
-            rows.append(
-                BoundRow(
-                    factor=f.index,
-                    base_values=m,
-                    observed=observed,
-                    bound=bound,
-                    star_depth=depth,
-                    ok=observed <= bound,
-                )
+            bound = m ** (depth ** (2**k) * 2 ** (k - 1))
+        rows.append(
+            BoundRow(
+                factor=f.index,
+                base_values=m,
+                observed=observed,
+                bound=bound,
+                star_depth=depth,
+                ok=observed <= bound,
             )
+        )
     return BoundReport(
         kind=series.kind,
         parameter=series.parameter,

@@ -122,18 +122,24 @@ def _value_set(
 ) -> ValueSet:
     """`value_set_over` without the input checks.  This is the one value-set
     memo: sub-words of a word are kept in it too."""
+    memo_key = (render(expr), tuple(sets[v].key for v in variables(expr)))
+    return group.cached("value_set", memo_key, _build_value_set, expr, sets, group, budget)
+
+
+def _build_value_set(
+    expr: WordExpr,
+    sets: Mapping[Var, Subset],
+    group: FiniteGroup,
+    budget: int | None,
+) -> ValueSet:
     vars_ = variables(expr)
-    memo_key = (render(expr), tuple(sets[v].key for v in vars_))
-    cached = group._value_sets.get(memo_key)
-    if cached is not None:
-        return cached
     vals, rows = _values(expr, sets, group, budget)
     order = np.argsort(vals, kind="stable")
     sorted_vals = vals[order]
     mask = np.zeros(group.order, dtype=bool)
     mask[sorted_vals] = True
     sorted_vals.setflags(write=False)
-    out = ValueSet(
+    return ValueSet(
         word=expr,
         variables=vars_,
         subsets=tuple(sets[v] for v in vars_),
@@ -141,8 +147,6 @@ def _value_set(
         members=Subset(group, mask),
         discovered=(vals, rows),
     )
-    group._value_sets[memo_key] = out
-    return out
 
 
 def _values(
@@ -238,17 +242,17 @@ def _values_by_enumeration(expr, sets, group, budget):
 # ---------------------------------------------------------------------------
 
 
-def class_generating_subset(N: Subset) -> tuple[Subset, int]:
+def class_generating_subset(N: Subset) -> Subset:
     """A proper normal generating subset of N: a union of G-conjugacy classes
-    plus the identity, greedily chosen, with the least exponent n such that
-    all n-th powers of N land inside it.
+    plus the identity, greedily chosen.
 
     The result is memoised on the group by the mask of N."""
-    G = N.group
     N.require_normal()
-    cached = G._class_subsets.get(N.key)
-    if cached is not None:
-        return cached
+    return N.group.cached("class_subset", N.key, _class_generating_subset, N)
+
+
+def _class_generating_subset(N: Subset) -> Subset:
+    G = N.group
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     have = closure(G, [])
@@ -262,15 +266,7 @@ def class_generating_subset(N: Subset) -> tuple[Subset, int]:
         have = closure(G, np.flatnonzero(mask))
         if have == N:
             break
-    subset = Subset(G, mask)
-    n = 1
-    while True:
-        powers = G.pow_arr(N.elements, n)
-        if subset.mask[powers].all():
-            break
-        n += 1
-    G._class_subsets[N.key] = (subset, n)
-    return subset, n
+    return Subset(G, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +296,24 @@ class SplitReport:
     whole: Subset
     left: Subset
     right: Subset
-    split_at: int
 
 
 def check_disjoint_split(
     w: Commutator, subgroups: Sequence[Subset], budget: int | None = None
 ) -> SplitReport:
     """Both sides of w(N1..Nr) = [alpha, beta] for w = [alpha, beta], where
-    each side takes the subgroups on its own variables.  `split_at` is the
-    number of variables of alpha."""
+    each side takes the subgroups on its own variables."""
     if not isinstance(w, Commutator):
         raise PreconditionFailed("word must be a commutator")
     vars_ = variables(w)
     if len(subgroups) != len(vars_):
         raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
     env = dict(zip(vars_, subgroups))
-    q = len(variables(w.left))
     whole = verbal_subgroup(w, subgroups, budget)
     left = verbal_subgroup(w.left, [env[v] for v in variables(w.left)], budget)
     right = verbal_subgroup(w.right, [env[v] for v in variables(w.right)], budget)
     bracket = commutator_subgroup(left, right)
-    return SplitReport(
-        equal=(whole == bracket), whole=whole, left=left, right=right, split_at=q
-    )
+    return SplitReport(equal=(whole == bracket), whole=whole, left=left, right=right)
 
 
 @dataclass
@@ -364,8 +355,6 @@ def check_substitution(
 class LinearityReport:
     word: str
     position: int
-    entry_orders: tuple[int, ...]
-    modulus_order: int
     space: int
     holds: bool
     counterexample: dict[str, int] | None = None
@@ -466,8 +455,6 @@ def check_linearity(
     return LinearityReport(
         word=render(w),
         position=position,
-        entry_orders=tuple(s.order for s in subgroups),
-        modulus_order=modulus.order,
         space=space.size,
         holds=counterexample is None,
         counterexample=counterexample,

@@ -127,6 +127,9 @@ def test_series_rejects_non_positive_r():
     ["gamma", "--group", "cyc:2", "--r", "1500"],
     ["gamma", "--group", "sym:3", "--tuple", "G,G", "--r", "3"],
     ["delta", "--group", "sym:3", "--tuple", "G,G", "--k", "2"],
+    ["delta", "--group", "sym:3", "--r", "5"],  # the other kind's parameter
+    ["gamma", "--group", "sym:3", "--k", "5"],
+    ["delta", "--group", "sym:3", "--audit"],
 ])
 def test_series_parameters_off_range_or_off_the_tuple_are_usage_errors(capsys, argv):
     code, out = run_cli(["series", *argv])

@@ -217,7 +217,7 @@ def _shrink_star_power(monkeypatch, only=None):
 def test_seeded_small_star_power_flips_l25(monkeypatch):
     spec = CheckSpec("L2.5", "sym:3", "gamma:2", "G,G")
     G = resolve_group("sym:3")
-    s = class_generating_subset(G.full_subgroup())[0]
+    s = class_generating_subset(G.full_subgroup())
     assert star_membership_sweep(gamma(2), [s, s], None).holds
     assert run_check(spec, G=G).status == "pass"
 
@@ -233,7 +233,7 @@ def test_seeded_small_star_power_flips_l25(monkeypatch):
 def test_seeded_small_star_power_flips_l26(monkeypatch):
     spec = CheckSpec("L2.6", "sym:3", "gamma:2", "G,G")
     G = resolve_group("sym:3")
-    s = class_generating_subset(G.full_subgroup())[0]
+    s = class_generating_subset(G.full_subgroup())
     assert width_sweep(gamma(2), [s, s], [(1, 1)], None).holds
     assert run_check(spec, G=G).status == "pass"
 
@@ -270,7 +270,7 @@ def test_seeded_small_star_power_flips_l32(monkeypatch):
     # one step less of their star power is a real loss
     spec = CheckSpec("L3.2", "sym:4", "gamma:2", "G,G")
     G = resolve_group("sym:4")
-    s = class_generating_subset(G.full_subgroup())[0]
+    s = class_generating_subset(G.full_subgroup())
     ext = enumerate_extended(gamma(2), 1, 2)
     assert extended_width_sweep(ext, gamma(2), [s, s], [(1, 1)], None).holds
     assert run_check(spec, G=G).status == "pass"

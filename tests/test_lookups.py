@@ -69,7 +69,7 @@ def test_comm_table_matches_the_formula_on_the_catalog():
     for spec in DEFAULT_CATALOG:
         G = builtin_group(spec)
         _assert_table_matches(G)
-        ct = G._comm_table
+        ct = G._memo[("comm_table", None)]
         assert ct is not None and ct.shape == (G.order, G.order)
         assert not ct.flags.writeable
 
@@ -78,15 +78,16 @@ def test_comm_table_matches_the_formula_on_every_suite_quotient():
     specs, groups = build_suite_specs(DEFAULT_CATALOG, ["T2.10", "T3.6"], seed=0)
     for spec in specs:
         assert run_check(spec, G=groups[spec.group]).status == "pass"
-    quotients = {
-        id(Q): Q
+    hits = [
+        (G, hit)
         for G in groups.values()
-        for _, Q in G._quotients.values()
-        if Q is not G
-    }
+        for (kind, _), hit in G._memo.items()
+        if kind == "quotient"
+    ]
+    quotients = {id(Q): Q for G, (_, Q) in hits if Q is not G}
     assert len(quotients) >= 10
     # the linearity sweeps built tables on the quotients they multiplied in
-    assert any(Q._comm_table is not None for Q in quotients.values())
+    assert any(("comm_table", None) in Q._memo for Q in quotients.values())
     for Q in quotients.values():
         _assert_table_matches(Q)
 
@@ -105,7 +106,7 @@ def test_no_comm_table_above_the_limit():
     assert evaluate(parse_word("[x1,x2]"), G, {parse_word("x1"): x, parse_word("x2"): y}) == int(
         _formula(G, x, y)
     )
-    assert G._comm_table is None
+    assert ("comm_table", None) not in G._memo
 
 
 def test_concurrent_first_use_sees_a_whole_table():
@@ -133,7 +134,7 @@ def test_a_corrupted_comm_table_entry_flips_a_suite_row():
     assert ct[3, 7] != 23
     ct[3, 7] = 23
     ct.setflags(write=False)
-    G._comm_table = ct
+    G._memo[("comm_table", None)] = ct
     assert run_check(spec, G=G).status == "fail"
 
 
@@ -173,7 +174,7 @@ def _star_power_by_sets(G, S, n):
 def test_star_power_memo_matches_a_fresh_group():
     G, cold = builtin_group("sym:4"), builtin_group("sym:4")
     subsets = [G.subset([1]), G.subset([3, 7])]
-    subsets += [class_generating_subset(N)[0] for N in (G.full_subgroup(), G.derived_subgroup())]
+    subsets += [class_generating_subset(N) for N in (G.full_subgroup(), G.derived_subgroup())]
     for S in subsets:
         for n in range(5):
             first = star_power(G, S, n)
@@ -245,21 +246,20 @@ def test_an_audit_failure_flips_a_series_row_served_by_the_memo(monkeypatch):
 
 def test_class_generating_subset_memo_matches_a_fresh_computation():
     G = builtin_group("dih:4")  # cold: no memo entries yet
-    assert not G._class_subsets
+    assert not any(kind == "class_subset" for kind, _ in G._memo)
     # dih:4 has three normal subgroups of order 4, so a memo keyed by
     # anything coarser than the subgroup would mix them up
     subgroups = [G.full_subgroup(), G.derived_subgroup(), G.center(), G.trivial_subgroup()]
     subgroups += [normal_closure(G, [g]) for g in range(1, G.order)]
     first = [class_generating_subset(N) for N in subgroups]
-    for N, (subset, n) in zip(subgroups, first):
+    for N, subset in zip(subgroups, first):
         # an equal subgroup held by a different object hits the memo
-        hit = class_generating_subset(Subset(G, N.mask, normal=True))
-        assert hit[0] is subset and hit[1] == n
-    for N, (subset, n) in zip(subgroups, first):
-        G._class_subsets.clear()
-        fresh, fresh_n = class_generating_subset(N)
+        assert class_generating_subset(Subset(G, N.mask, normal=True)) is subset
+    for N, subset in zip(subgroups, first):
+        del G._memo[("class_subset", N.key)]
+        fresh = class_generating_subset(N)
         assert fresh is not subset
-        assert fresh.key == subset.key and fresh_n == n
+        assert fresh.key == subset.key
         assert closure(G, fresh) == N
 
 
@@ -271,7 +271,7 @@ def test_parsed_tuple_memo_per_group():
     other = parse_tuple_spec(text, H)
     assert other is not tup
     assert all(s.group is H for s in other.subgroups + other.generators)
-    G._tuple_specs.clear()
+    del G._memo[("tuple_spec", text)]
     fresh = parse_tuple_spec(text, G)
     assert fresh is not tup and fresh.labels == tup.labels
     assert [s.key for s in fresh.subgroups] == [s.key for s in tup.subgroups]
@@ -287,4 +287,4 @@ def test_malformed_tuple_specs_raise_on_every_call(text, error):
     for _ in range(2):
         with pytest.raises(error):
             parse_tuple_spec(text, G)
-    assert text not in G._tuple_specs
+    assert ("tuple_spec", text) not in G._memo

@@ -23,7 +23,7 @@ def full_normal_tuple(G, r):
 
 def class_subsets(G, r):
     """A normal subset generating G, for each entry of `full_normal_tuple`."""
-    return [class_generating_subset(G.full_subgroup())[0]] * r
+    return [class_generating_subset(G.full_subgroup())] * r
 
 
 # ---------------------------------------------------------------------------

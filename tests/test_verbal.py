@@ -140,7 +140,7 @@ def test_generator_independence_exhaustive():
         G = builtin_group(spec)
         for word in words:
             r = len(variables(word))
-            subset = class_generating_subset(G.full_subgroup())[0]
+            subset = class_generating_subset(G.full_subgroup())
             via_s = verbal_subgroup(word, [subset] * r)
             via_n = verbal_subgroup(word, full_tuple(G, r))
             assert via_s == via_n, (spec, render(word), via_s.order, via_n.order)
@@ -195,10 +195,9 @@ def test_noncommutator_power_values(sym4):
 
 
 def test_class_generating_subset_sym3(sym3):
-    subset, n = class_generating_subset(sym3.full_subgroup())
+    subset = class_generating_subset(sym3.full_subgroup())
     names = sorted(sym3.element_name(int(e)) for e in subset.elements)
     assert names == ["()", "(1 2)", "(1 3)", "(2 3)"]
-    assert n == 3  # cubes land back on transpositions or the identity
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def test_substitution_examples(sym3, sym4, quat8):
 
 
 def test_star_membership_base_case(sym3):
-    s = class_generating_subset(sym3.full_subgroup())[0]
+    s = class_generating_subset(sym3.full_subgroup())
     leaf = xvar(1)
     rep = star_membership_sweep(leaf, [s], None)
     # a single leaf: the points are the elements of S, each in S^(*1)
@@ -261,7 +260,7 @@ def test_star_membership_sweep_gamma3(sym4):
 
 def test_star_membership_precondition(sym3):
     swap = sym3.subset([sym3.element_names.index("(1 2)")])
-    s = class_generating_subset(sym3.full_subgroup())[0]
+    s = class_generating_subset(sym3.full_subgroup())
     with pytest.raises(NotNormalSubset):
         star_membership_sweep(gamma(2), [s, swap], None)
     with pytest.raises(ArityMismatch):
@@ -287,7 +286,7 @@ def test_width_examples(sym4):
 
 
 def test_width_precondition(sym4):
-    s = class_generating_subset(sym4.full_subgroup())[0]
+    s = class_generating_subset(sym4.full_subgroup())
     with pytest.raises(ArityMismatch):
         width_sweep(gamma(2), [s, s], [(1, 1, 1)], None)
     swap = sym4.subset([1])
@@ -296,7 +295,7 @@ def test_width_precondition(sym4):
 
 
 def test_extended_width(sym4):
-    s = class_generating_subset(sym4.full_subgroup())[0]
+    s = class_generating_subset(sym4.full_subgroup())
     v = classify_outer_commutator(parse_word("[[y1,y2],[x1,x2]]"))
     # every (x1, x2) in S x S and (y1, y2) in G x G, through the value set
     rep = extended_width_sweep([v], gamma(2), [s, s], [(1, 1)], None)
@@ -306,7 +305,7 @@ def test_extended_width(sym4):
 
 
 def test_extended_width_identity_y_collapses(sym4):
-    s = class_generating_subset(sym4.full_subgroup())[0]
+    s = class_generating_subset(sym4.full_subgroup())
     v = classify_outer_commutator(parse_word("[[y1,y2],[x1,x2]]"))
     assignment = {xvar(1): int(s.elements[1]), xvar(2): int(s.elements[2]), yvar(1): 0, yvar(2): 0}
     assert evaluate(v, sym4, assignment) == 0
@@ -314,7 +313,7 @@ def test_extended_width_identity_y_collapses(sym4):
 
 
 def test_extended_width_rejects_non_extension(sym4):
-    s = class_generating_subset(sym4.full_subgroup())[0]
+    s = class_generating_subset(sym4.full_subgroup())
     with pytest.raises(PreconditionFailed):
         extended_width_sweep([gamma(3)], gamma(2), [s, s], [(1, 1)], None)
 
@@ -409,7 +408,7 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
     # lemma's star power and with one too small to hold
     import itertools
 
-    s = class_generating_subset(sym3.full_subgroup())[0]
+    s = class_generating_subset(sym3.full_subgroup())
     tree = gamma(3)
     leaves = variables(tree)
 
