@@ -52,7 +52,6 @@ from .harness import (
     CheckSpec,
     DEFAULT_CATALOG,
     SurveyRow,
-    conjecture_probe,
     parse_tuple_spec,
     run_check,
     run_suite,
@@ -83,7 +82,6 @@ from .verbal import (
     width_sweep,
 )
 from .words import (
-    ExtendedWordSet,
     ReducedWord,
     Var,
     WordExpr,

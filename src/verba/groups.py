@@ -102,13 +102,6 @@ class FiniteGroup:
             e >>= 1
         return out
 
-    def element_order(self, a: int) -> int:
-        n, g = 1, a
-        while g != 0:
-            g = int(self.table[g, a])
-            n += 1
-        return n
-
     # -- array operations ----------------------------------------------------
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -396,18 +389,26 @@ def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
 
 
 def _closure(G: FiniteGroup, seed_elems: np.ndarray) -> Subset:
+    return Subset(G, _ball(G, seed_elems), generators=tuple(int(g) for g in seed_elems))
+
+
+def _ball(G: FiniteGroup, seed_elems: np.ndarray, radius: int | None = None) -> np.ndarray:
+    """Mask of the products of at most `radius` elements of the seed and
+    their inverses, by breadth-first search from the identity; with no
+    radius, the whole subgroup they generate."""
     gens = np.unique(
         np.concatenate([seed_elems, G.inverse_table[seed_elems]])
     ).astype(np.int32)
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     frontier = np.array([0], dtype=np.int32)
-    while frontier.size:
+    steps = 0
+    while frontier.size and (radius is None or steps < radius):
         prods = np.unique(G.table[frontier[:, None], gens[None, :]])
-        new = prods[~mask[prods]]
-        mask[new] = True
-        frontier = new.astype(np.int32)
-    return Subset(G, mask, generators=tuple(int(g) for g in seed_elems))
+        frontier = prods[~mask[prods]].astype(np.int32)
+        mask[frontier] = True
+        steps += 1
+    return mask
 
 
 def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
@@ -445,20 +446,7 @@ def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
 
 
 def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
-    base = np.unique(
-        np.concatenate(
-            [S.elements, G.inverse_table[S.elements], np.array([0], dtype=np.int32)]
-        )
-    ).astype(np.int32)
-    cur = np.array([0], dtype=np.int32)
-    for _ in range(n):
-        nxt = np.unique(G.table[cur[:, None], base[None, :]]).astype(np.int32)
-        if nxt.size == cur.size and (nxt == cur).all():
-            break
-        cur = nxt
-    mask = np.zeros(G.order, dtype=bool)
-    mask[cur] = True
-    return Subset(G, mask)
+    return Subset(G, _ball(G, S.elements, n))
 
 
 def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:

@@ -13,7 +13,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_BLOCK, DEFAULT_BUDGET, ProductSpace
+from .enumeration import DEFAULT_BUDGET
 from .errors import (
     ArityMismatch,
     BadIndex,
@@ -33,7 +33,6 @@ from .groups import (
     Subset,
     builtin_group,
     closure,
-    evaluate_arrays,
     load_group_file,
     normal_closure,
 )
@@ -49,6 +48,7 @@ from .verbal import (
     check_substitution,
     class_generating_subset,
     comm_congruence_sweep,
+    enumerate_values,
     extended_width_sweep,
     star_membership_sweep,
     value_set,
@@ -431,7 +431,7 @@ def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, spec.check_id)
     sets = tup.subgroups
     vs = value_set(tree, sets, budget)
-    direct = _value_set_by_direct_enumeration(tree, sets, G, budget)
+    direct = _value_set_by_direct_enumeration(tree, sets, budget)
     if direct is not None and (
         direct.shape != vs.values.shape or not np.array_equal(direct, vs.values)
     ):
@@ -446,17 +446,14 @@ def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
     )
 
 
-def _value_set_by_direct_enumeration(expr, sets, G, budget) -> np.ndarray | None:
-    """Raw assignment-space enumeration, as an independent cross-check."""
-    vars_ = variables(expr)
-    space = ProductSpace([s.elements.astype(np.int64) for s in sets])
+def _value_set_by_direct_enumeration(expr, sets, budget) -> np.ndarray | None:
+    """Raw assignment-space enumeration, as an independent cross-check;
+    None when the space is too large to keep the cross-check cheap."""
     limit = DEFAULT_BUDGET if budget is None else budget
-    if space.size > min(limit, 2_000_000):  # keep the oracle cheap
+    try:
+        return enumerate_values(expr, dict(zip(variables(expr), sets)), min(limit, 2_000_000))
+    except BudgetExceeded:
         return None
-    seen = np.zeros(G.order, dtype=bool)
-    for _, cols in space.blocks(DEFAULT_BLOCK):
-        seen[evaluate_arrays(expr, G, dict(zip(vars_, cols)))] = True
-    return np.flatnonzero(seen).astype(np.int64)
 
 
 def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
@@ -590,6 +587,13 @@ def _words_for(check_id: str, G: FiniteGroup) -> list[str]:
     raise UnknownCheckId(check_id)
 
 
+def _require_seed(seed: int) -> None:
+    """The seed picks the ncl(...) entries through numpy's generator, which
+    takes no negative seed."""
+    if seed < 0:
+        raise VerbaError(f"seed must be at least 0, got {seed}")
+
+
 def _tuples_for(check_id: str, G: FiniteGroup, arity: int, seed: int) -> list[str]:
     if check_id in ("T3.6", "T3.7-bound"):
         return _distinct_specs(G, [",".join(["G"] * arity), ",".join(["derived"] * arity)])
@@ -605,6 +609,7 @@ def build_suite_specs(
     for check_id in ids:
         if check_id not in _CHECK_TABLE:
             raise UnknownCheckId(f"unknown check id {check_id!r}")
+    _require_seed(seed)
     groups: dict[str, FiniteGroup] = {}
     specs: list[CheckSpec] = []
     for gspec in catalog:
@@ -682,6 +687,7 @@ def survey(
     With `probe`, the word is capped at 7 leaves and the closure of each value
     set is cross-checked against `verbal_subgroup`.
     """
+    _require_seed(seed)
     word, label = resolve_word(word_spec)
     tree = _require_ocw(word, "probe" if probe else "survey")
     leaves = len(variables(tree))
@@ -716,14 +722,3 @@ def survey(
             )
     rows.sort(key=lambda r: (r.m, r.order, r.group, r.tuple_spec))
     return rows
-
-
-def conjecture_probe(
-    catalog: Sequence[str],
-    word_spec: str,
-    seed: int = 0,
-    budget: int | None = None,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> list[SurveyRow]:
-    """`survey` for arbitrary outer commutator words of at most 7 leaves."""
-    return survey(catalog, word_spec, seed, budget, cap, probe=True)

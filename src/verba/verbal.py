@@ -9,7 +9,6 @@ back to the raw assignment space when variables repeat inside a subtree.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -54,30 +53,37 @@ from .words import (
 class ValueSet:
     """Exact set of word values over a tuple of subsets.
 
-    `witnesses` maps each value to one preimage, the first found in the
-    deterministic enumeration order; witness tuples follow `variables`
-    (x-family first, each family by index).  Only failure details read it,
-    so the dict is built from `discovered` on first read.
+    `subsets[i]` is the range of variables(word)[i].  Only the values are
+    kept: `witness` searches for a preimage of one value when a failure
+    report asks for it.
     """
 
     word: WordExpr
-    variables: tuple[Var, ...]
     subsets: tuple[Subset, ...]
     values: np.ndarray  # sorted ascending
     members: Subset
-    discovered: tuple[np.ndarray, np.ndarray]  # values and witness rows, discovery order
-
-    @functools.cached_property
-    def witnesses(self) -> dict[int, tuple[int, ...]]:
-        vals, rows = self.discovered
-        return {int(v): tuple(int(e) for e in row) for v, row in zip(vals, rows)}
 
     @property
     def size(self) -> int:
         return int(self.values.shape[0])
 
-    def witness_assignment(self, value: int) -> dict[Var, int]:
-        return dict(zip(self.variables, self.witnesses[int(value)]))
+    def witness(self, value: int) -> dict[Var, int]:
+        """An assignment of the word's variables, each in its subset, at
+        which the word takes `value`.
+
+        The search descends the word.  At a node whose children share no
+        variables it takes the first row-major pair of the sides' ascending
+        values that gives the value; at an inverse or a power, the least
+        child value mapping to it; at any other node, the first tuple of its
+        raw assignment space.  The set's build already enumerated each of
+        these under the budget, so the search takes no budget of its own.
+        """
+        value = int(value)
+        if not self.members.mask[value]:
+            raise KeyError(value)
+        vars_ = variables(self.word)
+        found = _witness(self.word, dict(zip(vars_, self.subsets)), self.members.group, value)
+        return {v: found[v] for v in vars_}
 
 
 def value_set(
@@ -132,20 +138,15 @@ def _build_value_set(
     group: FiniteGroup,
     budget: int | None,
 ) -> ValueSet:
-    vars_ = variables(expr)
-    vals, rows = _values(expr, sets, group, budget)
-    order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
+    vals = _values(expr, sets, group, budget)
     mask = np.zeros(group.order, dtype=bool)
-    mask[sorted_vals] = True
-    sorted_vals.setflags(write=False)
+    mask[vals] = True
+    vals.setflags(write=False)
     return ValueSet(
         word=expr,
-        variables=vars_,
-        subsets=tuple(sets[v] for v in vars_),
-        values=sorted_vals,
+        subsets=tuple(sets[v] for v in variables(expr)),
+        values=vals,
         members=Subset(group, mask),
-        discovered=(vals, rows),
     )
 
 
@@ -154,87 +155,99 @@ def _values(
     sets: Mapping[Var, Subset],
     group: FiniteGroup,
     budget: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of `expr` plus witness rows, in discovery order.
-
-    Witness row columns follow the canonical variable order of `expr`.
-    Sub-words come from the value-set memo.
-    """
+) -> np.ndarray:
+    """Sorted distinct values of `expr`.  Sub-words come from the value-set
+    memo."""
     if isinstance(expr, Var):
-        elems = sets[expr].elements.astype(np.int64)
-        return elems, elems[:, None].copy()
+        return sets[expr].elements.astype(np.int64)
     if isinstance(expr, (Inverse, Power)):
-        child_vals, child_rows = _value_set(expr.child, sets, group, budget).discovered
-        if isinstance(expr, Inverse):
-            transformed = group.inverse_table[child_vals]
-        else:
-            transformed = group.pow_arr(child_vals, expr.exponent)
-        _, first = np.unique(transformed, return_index=True)
-        keep = np.sort(first)
-        return transformed[keep].astype(np.int64), child_rows[keep]
-    if not (isinstance(expr, (Commutator, Product)) and _children_disjoint(expr)):
-        return _values_by_enumeration(expr, sets, group, budget)
+        child = _value_set(expr.child, sets, group, budget).values
+        return np.unique(_image(expr, group, child)).astype(np.int64)
+    children = _disjoint_children(expr)
+    if children is None:
+        return enumerate_values(expr, sets, budget)
+    op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
+    vals = np.array([0], dtype=np.int64)  # the empty product
+    for i, child in enumerate(children):
+        side = _value_set(child, sets, group, budget).values
+        vals = side if i == 0 else _combine(op, vals, side, budget)
+    return vals
+
+
+def _image(expr: Inverse | Power, group: FiniteGroup, vals: np.ndarray) -> np.ndarray:
+    if isinstance(expr, Inverse):
+        return group.inverse_table[vals]
+    return group.pow_arr(vals, expr.exponent)
+
+
+def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
+    """The children of a commutator or product node, left to right, if no
+    two of them share a variable; None for any other node."""
+    if not isinstance(expr, (Commutator, Product)):
+        return None
     children = list(expr.factors) if isinstance(expr, Product) else [expr.left, expr.right]
-    if not children:
-        return np.array([0], dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
-    acc_vals, acc_rows, acc_vars = None, None, ()
-    for child in children:
-        c_vals, c_rows = _value_set(child, sets, group, budget).discovered
-        c_vars = variables(child)
-        if acc_vals is None:
-            acc_vals, acc_rows, acc_vars = c_vals, c_rows, c_vars
-            continue
-        op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-        acc_vals, acc_rows, acc_vars = _combine(
-            group, op, acc_vals, acc_rows, acc_vars, c_vals, c_rows, c_vars, budget
-        )
-    # witness columns back into canonical variable order
-    cols = [acc_vars.index(v) for v in sorted(acc_vars)]
-    return acc_vals, acc_rows[:, cols]
+    leaves = [variables(c) for c in children]  # each without repeats
+    return children if sum(map(len, leaves)) == len(set().union(*leaves)) else None
 
 
-def _children_disjoint(expr: Commutator | Product) -> bool:
-    children = expr.factors if isinstance(expr, Product) else (expr.left, expr.right)
-    seen: set[Var] = set()
-    for c in children:
-        cv = set(variables(c))
-        if seen & cv:
-            return False
-        seen |= cv
-    return True
-
-
-def _combine(group, op, a_vals, a_rows, a_vars, b_vals, b_rows, b_vars, budget):
+def _combine(op, a_vals, b_vals, budget):
     size = a_vals.shape[0] * b_vals.shape[0]
     limit = DEFAULT_BUDGET if budget is None else budget
     if size > limit:
         raise BudgetExceeded(size, limit, "value-set combination")
-    mesh = op(a_vals[:, None], b_vals[None, :]).ravel()
-    _, first = np.unique(mesh, return_index=True)
-    keep = np.sort(first)  # discovery order = row-major = witness-lex order
-    ia, ib = keep // b_vals.shape[0], keep % b_vals.shape[0]
-    rows = np.hstack([a_rows[ia], b_rows[ib]])
-    return mesh[keep].astype(np.int64), rows, a_vars + b_vars
+    return np.unique(op(a_vals[:, None], b_vals[None, :])).astype(np.int64)
 
 
-def _values_by_enumeration(expr, sets, group, budget):
+def enumerate_values(
+    expr: WordExpr, env: Mapping[Var, Subset], budget: int | None
+) -> np.ndarray:
+    """Sorted distinct values of `expr` over its raw assignment space, each
+    variable ranging over its subset in `env`.
+
+    This sweep shares nothing with the factorised engine but the word
+    evaluator, so it doubles as an independent cross-check of it.
+    """
     vars_ = variables(expr)
-    space = ProductSpace([sets[v].elements.astype(np.int64) for v in vars_])
+    space = ProductSpace([env[v].elements.astype(np.int64) for v in vars_])
     space.require_within(budget, f"value set of {render(expr)}")
-    best: dict[int, int] = {}
-    for start, cols in space.blocks(DEFAULT_BLOCK):
-        env = dict(zip(vars_, cols))
-        vals = evaluate_arrays(expr, group, env)
-        uq, first = np.unique(vals, return_index=True)
-        for v, f in zip(uq, first):
-            if int(v) not in best:
-                best[int(v)] = start + int(f)
-    order = sorted(best.items(), key=lambda kv: kv[1])
-    vals = np.array([v for v, _ in order], dtype=np.int64)
-    rows = np.array(
-        [space.tuple_at(f) for _, f in order], dtype=np.int64
-    ).reshape(len(order), len(vars_))
-    return vals, rows
+    group = env[vars_[0]].group
+    seen = np.zeros(group.order, dtype=bool)
+    for _, cols in space.blocks(DEFAULT_BLOCK):
+        seen[evaluate_arrays(expr, group, dict(zip(vars_, cols)))] = True
+    return np.flatnonzero(seen).astype(np.int64)
+
+
+def _witness(expr, sets, group, value) -> dict[Var, int]:
+    """`ValueSet.witness` for the sub-word `expr`, which takes `value`."""
+    if isinstance(expr, Var):
+        return {expr: value}
+    if isinstance(expr, (Inverse, Power)):
+        child = _value_set(expr.child, sets, group, None).values
+        first = int(np.flatnonzero(_image(expr, group, child) == value)[0])
+        return _witness(expr.child, sets, group, int(child[first]))
+    children = _disjoint_children(expr)
+    if children is None:
+        vars_ = variables(expr)
+        space = ProductSpace([sets[v].elements.astype(np.int64) for v in vars_])
+        for start, cols in space.blocks(DEFAULT_BLOCK):
+            hit = np.flatnonzero(evaluate_arrays(expr, group, dict(zip(vars_, cols))) == value)
+            if hit.size:
+                return dict(zip(vars_, space.tuple_at(start + int(hit[0]))))
+        raise KeyError(value)
+    op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
+    sides = [_value_set(c, sets, group, None).values for c in children]
+    lefts = sides[:1]  # lefts[i]: the values of the product of sides 0..i
+    for side in sides[1:-1]:
+        lefts.append(np.unique(op(lefts[-1][:, None], side[None, :])))
+    out: dict[Var, int] = {}
+    for i in range(len(children) - 1, 0, -1):
+        left, right = lefts[i - 1], sides[i]
+        flat = int(np.flatnonzero(op(left[:, None], right[None, :]).ravel() == value)[0])
+        out.update(_witness(children[i], sets, group, int(right[flat % right.size])))
+        value = int(left[flat // right.size])
+    if children:
+        out.update(_witness(children[0], sets, group, value))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +422,7 @@ def check_linearity(
     group the products of S reach all of H.  So the second pivot axis runs
     over a greedy S only.  A failing quotient tuple is lifted back to G
     through the first value or element of each coset, in enumeration order,
-    and the value-set witnesses, so the counterexample is an assignment in G.
+    and `ValueSet.witness`, so the counterexample is an assignment in G.
     `space` counts the quotient tuples, |siblings| x |H| x |S|.
     """
     modulus.require_normal()
@@ -447,9 +460,7 @@ def check_linearity(
             ]
             counterexample = {}
             for vs, value in zip(sib_sets, elems[:-2]):
-                counterexample.update(
-                    {str(var): e for var, e in vs.witness_assignment(value).items()}
-                )
+                counterexample.update({str(var): e for var, e in vs.witness(value).items()})
             counterexample[str(pivot)], counterexample["y"] = elems[-2:]
             break
     return LinearityReport(
@@ -614,7 +625,8 @@ def extended_width_sweep(
             if not ok.all():
                 i = int(np.flatnonzero(~ok)[0])
                 value = int(vs.values[i])
-                point = (v, mvec, value, vs.witnesses[value])
+                wit = vs.witness(value)
+                point = (v, mvec, value, tuple(wit[u] for u in variables(v)))
                 return SweepReport(point, swept + i, None)
             swept += vs.size
     return SweepReport(None, swept, None)

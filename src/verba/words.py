@@ -139,8 +139,6 @@ class Commutator:
 
 WordExpr = Union[Var, Inverse, Power, Product, Commutator]
 
-EMPTY_WORD: WordExpr = Product(())
-
 
 def variables(w: WordExpr) -> tuple[Var, ...]:
     """All variables of `w`, x-family first, each family by index.
@@ -330,10 +328,6 @@ class ReducedWord:
 
     letters: tuple[tuple[Var, int], ...]
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
@@ -391,17 +385,6 @@ def reduce_word(w: WordExpr) -> ReducedWord:
         else:
             stack.append(letter)
     return ReducedWord(tuple(stack))
-
-
-def reduced_to_expr(r: ReducedWord) -> WordExpr:
-    factors: list[WordExpr] = [
-        v if s > 0 else Inverse(v) for v, s in r.letters
-    ]
-    if not factors:
-        return EMPTY_WORD
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
 
 
 def exponent_sum(w: WordExpr, var: Var) -> int:
@@ -608,27 +591,8 @@ def _max_y(w: WordExpr) -> int:
 EXTENDED_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class ExtendedWordSet:
-    """Degree-k extensions of `word`, with inserted y-commutators bounded."""
-
-    word: WordExpr
-    degree: int
-    shape_bound: int
-    members: tuple[WordExpr, ...]
-
-    def __contains__(self, item: WordExpr) -> bool:
-        return canonical_y(item) in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[WordExpr]:
-        return iter(self.members)
-
-
 @functools.lru_cache(maxsize=EXTENDED_CACHE_SIZE)
-def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> ExtendedWordSet:
+def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> tuple[WordExpr, ...]:
     """Enumerate degree-k extensions of the outer commutator word `w`.
 
     Inserted y-words range over all outer commutator shapes with at most
@@ -673,7 +637,7 @@ def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> ExtendedWordSet
         return out
 
     members = sorted(ext(w, k), key=lambda t: (len(variables(t)), render(t)))
-    return ExtendedWordSet(word=w, degree=k, shape_bound=shape_bound, members=tuple(members))
+    return tuple(members)
 
 
 def extension_degree(v: WordExpr, w: WordExpr) -> int | None:

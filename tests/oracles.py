@@ -74,6 +74,30 @@ def commutator(mul, inv, a, b):
     return mul(mul(inv(a), inv(b)), mul(a, b))
 
 
+def element_order(a, mul, identity) -> int:
+    n, g = 1, a
+    while g != identity:
+        g = mul(g, a)
+        n += 1
+    return n
+
+
+def evaluate_letters(letters, assignment, mul, inv, identity):
+    """Value of a letter sequence of (variable, +-1) pairs, multiplied out
+    left to right."""
+    out = identity
+    for var, sign in letters:
+        g = assignment[var]
+        out = mul(out, g if sign > 0 else inv(g))
+    return out
+
+
+def letters_text(letters) -> str:
+    """Word text of a letter sequence of (variable, +-1) pairs; the empty
+    sequence is written x1^0."""
+    return "*".join(f"{var}^{sign}" for var, sign in letters) or "x1^0"
+
+
 def commutator_values(elements, mul, inv):
     return {commutator(mul, inv, a, b) for a in elements for b in elements}
 

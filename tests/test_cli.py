@@ -262,7 +262,16 @@ def test_largest_word_specs_still_run():
         assert run_cli(["values", "--group", "cyc:2", "--word", word])[0] == 0
 
 
-def test_usage_errors_are_exit_2():
+def test_usage_errors_are_exit_2(tmp_path, capsys):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("sym:3\n")
+    for argv in (
+        ["suite", "--catalog", str(catalog), "--seed", "-1"],
+        ["survey", "--catalog", str(catalog), "--word", "gamma:2", "--seed", "-1"],
+        ["probe", "--catalog", str(catalog), "--word", "gamma:2", "--seed", "-1"],
+    ):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
     assert run_cli(["values", "--group", "nosuch:7", "--word", "gamma:2"])[0] == 2
     assert run_cli(["values", "--group", "sym:3", "--word", "x1**"])[0] == 2
     assert run_cli(["nonsense"])[0] == 2
@@ -393,6 +402,47 @@ def test_exit_codes_hold_for_generated_argv(malformed_group_paths, data):
         code = main(argv)  # an exception escaping main fails the test
     # these subcommands verify nothing, so exit 1 (verification failure) never fits
     assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+CATALOG_GROUPS = ("cyc:1", "cyc:2", "cyc:4", "dih:3", "dih:4", "sym:3", "quat:8", "alt:3")
+CHEAP_IDS = ("L2.1", "L2.3", "L2.8", "T2.11-bound", "C2.12", "C3.8")
+NON_OCW_WORDS = ("x1^2*x2", "[x1,x2]*x3")
+EIGHT_LEAF_WORDS = ("delta:3", "gamma:8")  # probe caps words at 7 leaves
+
+
+@pytest.fixture(scope="module")
+def catalog_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("catalogs") / "catalog.txt"
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_suite_survey_probe_exit_codes_hold_for_generated_argv(catalog_path, data):
+    command = data.draw(st.sampled_from(("suite", "survey", "probe")))
+    groups = data.draw(st.lists(st.sampled_from(CATALOG_GROUPS + ("nosuch:7",)), min_size=1, max_size=2))
+    catalog_path.write_text("\n".join(groups) + "\n")
+    seed = data.draw(st.integers(-3, 3))
+    budget = data.draw(st.none() | st.integers(1, 50))
+    argv = [command, "--catalog", str(catalog_path), "--seed", str(seed)]
+    argv += [] if budget is None else ["--budget", str(budget)]
+    bad = seed < 0 or "nosuch:7" in groups
+    if command == "suite":
+        ids = data.draw(st.lists(st.sampled_from(CHEAP_IDS + ("L9.9",)), min_size=1, max_size=3, unique=True))
+        argv += ["--ids", ",".join(ids)]
+        bad = bad or "L9.9" in ids
+    else:
+        word = data.draw(st.sampled_from(("gamma:2", "[x2,x1]") + NON_OCW_WORDS + EIGHT_LEAF_WORDS))
+        argv += ["--word", word]
+        bad = bad or word in NON_OCW_WORDS or (command == "probe" and word in EIGHT_LEAF_WORDS)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    # every row states a theorem, so exit 1 (verification failure) never fits
+    if bad:
+        assert code == 2, (argv, code, err.getvalue())
+    else:
+        assert code in ((0,) if budget is None else (0, 3)), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

@@ -6,14 +6,13 @@ import json
 
 import pytest
 
-from verba.errors import PreconditionFailed, UnknownCheckId, UnknownSpec
+from verba.errors import PreconditionFailed, UnknownCheckId, UnknownSpec, VerbaError
 from verba.harness import (
     CHECK_ID_SET,
     CHECK_IDS,
     CheckSpec,
     DEFAULT_CATALOG,
     _CHECK_TABLE,
-    conjecture_probe,
     default_tuple_specs,
     parse_tuple_spec,
     resolve_group,
@@ -33,6 +32,8 @@ from verba.verbal import (
     width_sweep,
 )
 from verba.words import enumerate_extended, gamma, is_outer_commutator, render, variables
+
+from .oracles import element_order
 
 SMALL_CATALOG = ["cyc:6", "sym:3", "quat:8"]
 
@@ -76,7 +77,7 @@ def test_parse_tuple_spec_quat_derived_center(quat8):
 
 
 def test_parse_tuple_spec_ncl_three_cycle(sym4):
-    idx = next(i for i in range(24) if sym4.element_order(i) == 3)
+    idx = next(i for i in range(24) if element_order(i, sym4.mul, 0) == 3)
     tup = parse_tuple_spec(f"ncl({idx})", sym4)
     assert tup.subgroups[0].order == 12
 
@@ -168,27 +169,34 @@ def test_survey_sanity_invariants():
         assert row.verbal_order >= 1
 
 
+def test_negative_seed_is_rejected_before_any_group_is_built():
+    # an unknown group spec would raise UnknownSpec once groups are built
+    for run in (run_suite, lambda catalog, seed: survey(catalog, "gamma:2", seed=seed)):
+        with pytest.raises(VerbaError, match="seed must be at least 0"):
+            run(["nosuch:7"], seed=-1)
+
+
 def test_survey_trivial_group_row():
     rows = survey(["cyc:1"], "gamma:2", seed=0)
     assert rows[0].m == 1 and rows[0].verbal_order == 1
 
 
 def test_probe_words():
-    rows = conjecture_probe(["sym:4"], "[[x1,x2],x3,x4]", seed=0)
+    rows = survey(["sym:4"], "[[x1,x2],x3,x4]", seed=0, probe=True)
     assert rows and all(r.mode == "exhaustive" for r in rows)
     full = {r.tuple_spec: r for r in rows}
     assert full["G,G,G,G"].verbal_order == 12
 
 
 def test_probe_seven_leaf_word_small_groups():
-    rows = conjecture_probe(["sym:3"], "[[x1,x2,x3],[[x4,x5],[x6,x7]]]", seed=0)
+    rows = survey(["sym:3"], "[[x1,x2,x3],[[x4,x5],[x6,x7]]]", seed=0, probe=True)
     assert rows
     assert {r.tuple_spec for r in rows if r.mode == "exhaustive"}
 
 
 def test_probe_rejects_eight_leaves():
     with pytest.raises(PreconditionFailed):
-        conjecture_probe(["sym:3"], "delta:3", seed=0)
+        survey(["sym:3"], "delta:3", seed=0, probe=True)
 
 
 def test_default_catalog_contents():
@@ -284,6 +292,18 @@ def test_seeded_small_star_power_flips_l32(monkeypatch):
     row = run_check(spec, G=G)
     assert row.status == "fail"
     assert row.detail == f"{render(v)} with m={mvec}: value {value} escapes"
+
+
+def test_seeded_short_mesh_flips_c212_and_c38(monkeypatch):
+    # a disjoint node that drops the last value of its mesh: the direct
+    # enumeration, which never meshes, sees the lost value
+    specs = [CheckSpec("C2.12", "sym:4", "gamma:2", "G,G"), CheckSpec("C3.8", "sym:4", "delta:2", "G,G,G,G")]
+    assert [run_check(spec).status for spec in specs] == ["pass", "pass"]
+    real = verbal._combine
+    monkeypatch.setattr(verbal, "_combine", lambda *args: real(*args)[:-1])
+    for spec in specs:
+        row = run_check(spec)
+        assert row.status == "fail" and row.detail == "factorised and direct value sets differ"
 
 
 def test_seeded_non_generating_class_subset_flips_l23_and_t211(monkeypatch):

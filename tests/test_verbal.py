@@ -50,6 +50,8 @@ from verba.words import (
     yvar,
 )
 
+from .oracles import element_order
+
 
 def full_tuple(G, r):
     return [G.full_subgroup()] * r
@@ -79,8 +81,8 @@ def test_value_set_delta2_sym4(sym4):
 
 def test_value_set_witnesses_are_preimages(sym4):
     vs = value_set(gamma(3), full_tuple(sym4, 3))
-    for val, wit in vs.witnesses.items():
-        assert evaluate(gamma(3), sym4, dict(zip(vs.variables, wit))) == val
+    for val in vs.values:
+        assert evaluate(gamma(3), sym4, vs.witness(val)) == val
 
 
 def test_value_set_normal_when_inputs_normal(sym4):
@@ -102,7 +104,12 @@ def test_value_set_budget_literal(sym4):
         )
 
 
-@pytest.mark.parametrize("word", [gamma(2), gamma(3), delta(2)])
+# words whose value sets go through powers, inverses, products of three
+# factors and a repeated variable, next to outer commutator words
+NON_OCW = [parse_word(t) for t in ("x1^2*x2", "[x1^2,x2]^-1", "x1*x2*x1", "x1^-1*x2^2*x3^3")]
+
+
+@pytest.mark.parametrize("word", [gamma(2), gamma(3), delta(2)] + NON_OCW)
 @pytest.mark.parametrize("spec", ["sym:3", "quat:8", "dih:4", "cyc:2 x sym:3"])
 def test_value_set_matches_direct_enumeration(word, spec):
     G = builtin_group(spec)
@@ -114,6 +121,20 @@ def test_value_set_matches_direct_enumeration(word, spec):
     for _, cols in space.blocks():
         seen[evaluate_arrays(word, G, dict(zip(vars_, cols)))] = True
     assert np.array_equal(np.flatnonzero(seen), vs.values)
+
+
+@pytest.mark.parametrize("word", [gamma(2), gamma(3), delta(2)] + NON_OCW)
+@pytest.mark.parametrize("spec", ["sym:3", "sym:4", "quat:8"])
+def test_value_set_witnesses_are_preimages_in_their_subsets(word, spec):
+    G = builtin_group(spec)
+    vars_ = variables(word)
+    subsets = [G.derived_subgroup() if i % 2 else G.full_subgroup() for i in range(len(vars_))]
+    vs = value_set(word, subsets)
+    for v in vs.values:
+        wit = vs.witness(v)
+        assert list(wit) == list(vars_)
+        assert evaluate(word, G, wit) == v
+        assert all(s.mask[wit[x]] for x, s in zip(vars_, subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +266,7 @@ def test_star_membership_quat(quat8):
 
 
 def test_star_membership_sweep_gamma3(sym4):
-    s = sym4.subset([i for i in range(24) if sym4.element_order(i) == 3])
+    s = sym4.subset([i for i in range(24) if element_order(i, sym4.mul, 0) == 3])
     s.require_normal_subset()
     star = star_power(sym4, s, 4)
     rng = np.random.default_rng(5)
@@ -441,12 +462,15 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
 def test_value_set_witness_is_first_in_leaf_order(sym3):
     import itertools
 
-    vs = value_set(gamma(2), [sym3.full_subgroup()] * 2)
-    first: dict[int, tuple[int, int]] = {}
-    for a, b in itertools.product(range(6), range(6)):
-        val = sym3.comm(a, b)
-        first.setdefault(val, (a, b))
-    assert {v: w for v, w in vs.witnesses.items()} == first
+    # a commutator of two variables, and a word whose root repeats a
+    # variable, so that its witness comes from the raw assignment space
+    for word in (gamma(2), parse_word("x1*x2*x1")):
+        vs = value_set(word, [sym3.full_subgroup()] * 2)
+        first: dict[int, tuple[int, int]] = {}
+        for a, b in itertools.product(range(6), range(6)):
+            val = evaluate(word, sym3, {xvar(1): a, xvar(2): b})
+            first.setdefault(val, (a, b))
+        assert {int(v): tuple(vs.witness(v).values()) for v in vs.values} == first
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +496,7 @@ def test_comm_congruence_identity_n(sym4):
 
 def test_comm_congruence_sym4_sweep(sym4):
     k = sym4.derived_subgroup()
-    v4 = normal_closure(sym4, [next(i for i in range(24) if sym4.element_order(i) == 2 and k.mask[i])])
+    v4 = normal_closure(sym4, [next(i for i in range(24) if element_order(i, sym4.mul, 0) == 2 and k.mask[i])])
     rep = comm_congruence_sweep(k, v4, k, None)
     assert rep.holds and rep.swept == k.order**3 * v4.order
 

@@ -33,13 +33,14 @@ from verba.words import (
     is_outer_commutator,
     parse_word,
     reduce_word,
-    reduced_to_expr,
     render,
     substitute,
     variables,
     xvar,
     yvar,
 )
+
+from .oracles import letters_text
 
 x1, x2, x3 = xvar(1), xvar(2), xvar(3)
 
@@ -173,9 +174,9 @@ def test_stored_render_and_variables_match_recursion(word):
 
 
 def test_reduce_cancellation():
-    assert reduce_word(Product((x1, Inverse(x1)))).is_identity
-    assert reduce_word(parse_word("[x1,x1]")).is_identity
-    assert reduce_word(parse_word("x1^0")).is_identity
+    assert reduce_word(Product((x1, Inverse(x1)))).letters == ()
+    assert reduce_word(parse_word("[x1,x1]")).letters == ()
+    assert reduce_word(parse_word("x1^0")).letters == ()
 
 
 def test_reduce_commutator_convention():
@@ -201,7 +202,7 @@ _any_word = st.recursive(
 @settings(max_examples=150, deadline=None)
 def test_reduce_idempotent(word):
     once = reduce_word(word)
-    assert reduce_word(reduced_to_expr(once)) == once
+    assert reduce_word(parse_word(letters_text(once.letters))) == once
 
 
 @given(_any_word)
@@ -336,11 +337,11 @@ def test_classified_substitution_kills_exponent_sums():
 
 
 def test_ext_zero_is_the_word():
-    assert enumerate_extended(delta(1), 0, 3).members == (delta(1),)
+    assert enumerate_extended(delta(1), 0, 3) == (delta(1),)
 
 
 def test_ext_single_variable():
-    members = enumerate_extended(x1, 1, 1).members
+    members = enumerate_extended(x1, 1, 1)
     assert set(members) == {
         classify_outer_commutator(parse_word("[y1,x1]")),
         classify_outer_commutator(parse_word("[x1,y1]")),
