@@ -300,7 +300,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_suite(args) -> int:
     catalog = _read_catalog(args.catalog)
-    ids = args.ids.split(",") if args.ids else None
+    ids = args.ids.split(",") if args.ids is not None else None
     report = run_suite(catalog, ids=ids, seed=args.seed, budget=args.budget, cap=args.cap)
     rows = [r.as_dict() for r in report.rows]
     body = _format_rows(rows, SUITE_HEADER, args.fmt)

@@ -573,44 +573,56 @@ def group_from_permutations(
     label: str = "G",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    """Closure of permutation generators, materialised as a Cayley table."""
+    """Closure of permutation generators, materialised as a Cayley table.
+
+    The breadth-first closure over right multiplication by the generators
+    records every edge ``p*g`` and, for each new element ``q``, the edge
+    ``(p, g)`` that found it: a spanning tree of the Cayley graph rooted at
+    the identity (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 4).  Column ``q`` of the table, ``x -> x*q``, is then
+    ``R_g`` applied to column ``p``, where ``R_g[x] = x*g``, so the table is
+    filled by one integer gather of length n per element, for any degree.
+    """
     ident = tuple(range(degree))
     for g in generators:
         if sorted(g) != list(range(degree)):
             raise NotAGroup(f"generator {g} is not a permutation of 0..{degree - 1}")
-    seen: set[tuple[int, ...]] = {ident}
-    frontier = [ident]
     gens = list(dict.fromkeys(map(tuple, generators)))
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-                    if len(seen) > cap:
-                        raise OrderCapExceeded(
-                            f"permutation closure exceeded order cap {cap}"
-                        )
-        frontier = new
+    # elements in discovery order; edges[i * len(gens) + k] is the discovery
+    # index of found[i]*gens[k]
+    found = [ident]
+    index = {ident: 0}
+    edges: list[int] = []
+    tree: list[tuple[int, int]] = []  # (parent, generator) of found[1], found[2], ...
+    for i, p in enumerate(found):  # `found` grows as the loop runs: a BFS queue
+        for k, g in enumerate(gens):
+            q = _compose(p, g)
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(found)
+                found.append(q)
+                tree.append((i, k))
+                if len(found) > cap:
+                    raise OrderCapExceeded(f"permutation closure exceeded order cap {cap}")
+            edges.append(j)
     # canonical element order: identity first, the rest sorted
-    order = [ident] + sorted(p for p in seen if p != ident)
-    n = len(order)
-    perms = np.array(order, dtype=np.int32)
-    radix = degree ** np.arange(degree, dtype=np.int64)
-    codes = perms.astype(np.int64) @ radix
-    sort_idx = np.argsort(codes).astype(np.int32)
-    sorted_codes = codes[sort_idx]
-    table = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, n * degree))
-    for start in range(0, n, chunk):
-        block = perms[start : start + chunk]
-        comp = block[:, perms]  # [ci, j, k] = block[ci, perms[j, k]]
-        pos = np.searchsorted(sorted_codes, comp.astype(np.int64) @ radix)
-        table[start : start + chunk] = sort_idx[pos]
+    n = len(found)
+    by_rank = [0] + sorted(range(1, n), key=found.__getitem__)
+    order = [found[i] for i in by_rank]
+    rank = np.empty(n, dtype=np.int32)
+    rank[by_rank] = np.arange(n, dtype=np.int32)
+    # right[k][rank[i]] = rank of found[i]*gens[k]
+    right = np.empty((len(gens), n), dtype=np.int32)
+    right[:, rank] = rank[np.array(edges, dtype=np.int32).reshape(n, len(gens)).T]
+    cols = np.empty((n, n), dtype=np.int32)  # cols[q] is column q of the table
+    cols[0] = np.arange(n, dtype=np.int32)
+    r = rank.tolist()
+    for q, (p, k) in enumerate(tree, start=1):
+        np.take(right[k], cols[r[p]], out=cols[r[q]])
+    table = np.ascontiguousarray(cols.T)
+    del cols  # n^2 int32 freed before validation allocates its own
     # the identity is element 0, so validation relabels nothing
-    table, _ = _validate_table(table, [order.index(g) for g in gens])
+    table, _ = _validate_table(table, [r[index[g]] for g in gens])
     names = [cycles_str(p) for p in order]
     return FiniteGroup(
         table, label=label, element_names=names, perm_images=order, _validated=True
@@ -675,22 +687,15 @@ def _cyclic(n: int) -> FiniteGroup:
 
 
 def _dihedral(n: int) -> FiniteGroup:
-    # elements r^i s^j, j in {0,1}; s r s = r^-1
-    order = 2 * n
-    ids = [(i, j) for j in (0, 1) for i in range(n)]
-    index = {e: k for k, e in enumerate(ids)}
-
-    def mul(a, b):
-        i1, j1 = a
-        i2, j2 = b
-        if j1 == 0:
-            return ((i1 + i2) % n, j2)
-        return ((i1 - i2) % n, 1 - j2)
-
-    table = np.array([[index[mul(a, b)] for b in ids] for a in ids], dtype=np.int64)
+    # element k is r^i s^j with i = k mod n, j = k div n; s r s = r^-1, so
+    # r^i s^j * r^i' s^j' = r^(i + (-1)^j i') s^(j + j')
+    k = np.arange(2 * n, dtype=np.int64)
+    i, j = k % n, k // n
+    sign = 1 - 2 * j[:, None]
+    table = (i[:, None] + sign * i[None, :]) % n + ((j[:, None] + j[None, :]) % 2) * n
     names = [
-        ("e" if i == 0 else f"r{i}") if j == 0 else ("s" if i == 0 else f"r{i}s")
-        for i, j in ids
+        ("e" if a == 0 else f"r{a}") if b == 0 else ("s" if a == 0 else f"r{a}s")
+        for a, b in zip(i.tolist(), j.tolist())
     ]
     return FiniteGroup(table, label=f"dih:{n}", element_names=names)
 
@@ -728,16 +733,16 @@ _HEIS_PRIMES = (2, 3, 5, 7)
 def _heisenberg(p: int) -> FiniteGroup:
     if p not in _HEIS_PRIMES:
         raise UnknownSpec(f"heis:{p} not supported (prime <= 7 required)")
-    trip = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {t: k for k, t in enumerate(trip)}
-
-    def mul(u, v):
-        a, b, c = u
-        d, e, f = v
-        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
-
-    table = np.array([[index[mul(u, v)] for v in trip] for u in trip], dtype=np.int64)
-    names = [f"({a},{b},{c})" for a, b, c in trip]
+    # element k is the triple (a, b, c) with k = a p^2 + b p + c, multiplied
+    # as (a,b,c)(d,e,f) = (a+d, b+e, c+f+ae) mod p
+    k = np.arange(p**3, dtype=np.int64)
+    a, b, c = k // (p * p), k // p % p, k % p
+    table = (
+        (a[:, None] + a[None, :]) % p * (p * p)
+        + (b[:, None] + b[None, :]) % p * p
+        + (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
+    )
+    names = [f"({x},{y},{z})" for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
     return FiniteGroup(table, label=f"heis:{p}", element_names=names)
 
 

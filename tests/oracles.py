@@ -49,6 +49,39 @@ def perm_inv(p):
     return tuple(out)
 
 
+def perm_products(images):
+    """``out[a, b]`` is the image tuple of ``images[a] * images[b]`` (apply
+    ``images[b]`` first), for every pair at once."""
+    P = np.asarray(images)
+    return P[np.arange(len(P))[:, None, None], P[None, :, :]]
+
+
+def heis_mul(u, v, p):
+    """Upper unitriangular 3x3 matrices over Z/p as triples (a, b, c):
+    (a,b,c)(d,e,f) = (a+d, b+e, c+f+ae)."""
+    (a, b, c), (d, e, f) = u, v
+    return (a + d) % p, (b + e) % p, (c + f + a * e) % p
+
+
+def heis_element(name: str):
+    """The triple written ``(a,b,c)``."""
+    return tuple(int(t) for t in name.strip("()").split(","))
+
+
+def dih_mul(u, v, n):
+    """r^i s^j as (i, j), with s r s = r^-1:
+    r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
+    (i, j), (k, l) = u, v
+    return (i + (-1) ** j * k) % n, (j + l) % 2
+
+
+def dih_element(name: str):
+    """(i, j) for the names ``e``, ``r<i>``, ``s`` and ``r<i>s``."""
+    j = 1 if name.endswith("s") else 0
+    body = name[: len(name) - j]
+    return (int(body[1:]) if body.startswith("r") else 0), j
+
+
 def sym_elements(n: int):
     return list(itertools.permutations(range(n)))
 

@@ -277,6 +277,10 @@ def test_usage_errors_are_exit_2(tmp_path, capsys):
     assert run_cli(["nonsense"])[0] == 2
     assert run_cli([])[0] == 2
     assert run_cli(["check", "L9.9", "--group", "sym:3", "--word", "gamma:2"])[0] == 2
+    capsys.readouterr()
+    for ids in ("", "L2.1,,L2.3"):
+        assert run_cli(["suite", "--catalog", str(catalog), "--ids", ids]) == (2, "")
+        assert capsys.readouterr().err == "error: unknown check id ''\n"
 
 
 def test_suite_workers_flag_is_a_usage_error():

@@ -36,7 +36,20 @@ from verba.groups import (
 )
 from verba.words import delta, gamma, reduce_word, variables, xvar
 
-from .oracles import evaluate_letters, perm_inv, perm_mul, quat_inv, quat_mul
+from .oracles import (
+    alt_elements,
+    dih_element,
+    dih_mul,
+    evaluate_letters,
+    heis_element,
+    heis_mul,
+    perm_inv,
+    perm_mul,
+    perm_products,
+    quat_inv,
+    quat_mul,
+    sym_elements,
+)
 from .test_words import _any_word
 
 # order-5 loop: Latin, identity, two-sided inverses, (1*1)*2 != 1*(1*2)
@@ -275,6 +288,67 @@ def test_permutation_table_matches_oracle(sym4):
         for b in (0, 5, 10, 15, 20):
             assert images[sym4.mul(a, b)] == perm_mul(images[a], images[b])
             assert images[sym4.inv(a)] == perm_inv(images[a])
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:3", "sym:4", "sym:5", "sym:6", "alt:4", "alt:5", "alt:6"]
+)
+def test_permutation_table_matches_composition_in_every_cell(spec):
+    G = builtin_group(spec)
+    kind, n = spec.split(":")
+    elements = sym_elements(int(n)) if kind == "sym" else alt_elements(int(n))
+    assert sorted(G.perm_images) == sorted(elements)
+    images = np.array(G.perm_images)
+    assert (images[G.table] == perm_products(G.perm_images)).all()
+
+
+AGL_1_17 = [tuple((x + 1) % 17 for x in range(17)), tuple(3 * x % 17 for x in range(17))]
+
+
+def _cycle_text(p):
+    """1-based cycle notation of a permutation tuple, written out here so the
+    group file does not depend on `cycles_str`."""
+    seen, parts = set(), []
+    for start in range(len(p)):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(str(start + 1))
+            start = p[start]
+        if len(cycle) > 1:
+            parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts)
+
+
+def test_degree_17_table_matches_composition(tmp_path):
+    # AGL(1,17): x -> x+1 and x -> 3x (3 is a primitive root mod 17)
+    path = tmp_path / "agl17.grp"
+    path.write_text("perm 17 2\n" + "".join(_cycle_text(p) + "\n" for p in AGL_1_17))
+    for G in (group_from_permutations(AGL_1_17, 17), load_group_file(str(path))):
+        assert G.order == 17 * 16
+        assert len(set(G.perm_images)) == G.order
+        images = np.array(G.perm_images)
+        assert (images[G.table] == perm_products(G.perm_images)).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["heis:2", "heis:3", "heis:5", "heis:7"]
+    + [f"dih:{n}" for n in range(1, 9)]
+    + ["dih:60"],
+)
+def test_formula_table_matches_oracle_in_every_cell(spec):
+    G = builtin_group(spec)
+    kind, n = spec.split(":")
+    n = int(n)
+    element, mul = (heis_element, heis_mul) if kind == "heis" else (dih_element, dih_mul)
+    elems = [element(name) for name in G.element_names]
+    assert len(set(elems)) == G.order == (n**3 if kind == "heis" else 2 * n)
+    table = G.table.tolist()
+    for a, x in enumerate(elems):
+        row = table[a]
+        for b, y in enumerate(elems):
+            assert elems[row[b]] == mul(x, y, n), (spec, a, b)
 
 
 # ---------------------------------------------------------------------------

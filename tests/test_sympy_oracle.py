@@ -1,9 +1,12 @@
 """Lower central series, derived series and normal closures against
 `sympy.combinatorics`, an implementation that shares no code with verba.
 
-Subgroups are compared as sets of permutations, through `perm_images`.
-sympy composes permutations left to right and verba right to left, but a
-subgroup generated by the same permutations is the same set either way.
+Subgroups of the symmetric and alternating groups are compared as sets of
+permutations, through `perm_images`.  sympy composes permutations left to
+right and verba right to left, but a subgroup generated by the same
+permutations is the same set either way.  verba builds its dihedral groups
+from a formula, with no permutations, so there the terms of each series are
+compared by order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from verba.groups import builtin_group, normal_closure  # noqa: E402
 from verba.verbal import verbal_subgroup  # noqa: E402
 from verba.words import delta, gamma  # noqa: E402
 
-GROUPS = ("sym:3", "sym:4", "sym:5", "alt:4", "alt:5")
+GROUPS = ("sym:3", "sym:4", "sym:5", "sym:6", "alt:4", "alt:5", "alt:6")
+DIHEDRAL = tuple(range(3, 9))
 
 
 def _as_sympy(spec):
@@ -67,3 +71,18 @@ def test_normal_closures_match_sympy(spec):
         g = combinatorics.Permutation(list(G.perm_images[index]), size=degree)
         ours = normal_closure(G, [index])
         assert _verba_set(G, ours) == _sympy_set(H.normal_closure(g)), (spec, index)
+
+
+@pytest.mark.parametrize("n", DIHEDRAL)
+def test_dihedral_series_orders_match_sympy(n):
+    G = builtin_group(f"dih:{n}")
+    H = combinatorics.DihedralGroup(n)
+    assert G.order == H.order() == 2 * n
+    full = G.full_subgroup()
+    lcs, ds = H.lower_central_series(), H.derived_series()
+    for i in (1, 2, 3):
+        ours = verbal_subgroup(gamma(i), [full] * i)
+        assert ours.order == _series_at(lcs, i - 1).order(), (n, i)
+    for k in (0, 1, 2):
+        ours = verbal_subgroup(delta(k), [full] * 2**k)
+        assert ours.order == _series_at(ds, k).order(), (n, k)
