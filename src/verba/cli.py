@@ -33,6 +33,7 @@ from .harness import (
     run_suite,
     series_variables,
     survey,
+    word_arity,
 )
 from .series import build_delta_series, build_gamma_series, verify_series
 from .verbal import value_set, verbal_subgroup
@@ -287,7 +288,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tuple_spec = args.tuple_spec or ",".join(["G"] * len(variables(resolve_word(args.word)[0])))
+    tuple_spec = args.tuple_spec or ",".join(["G"] * word_arity(args.word))
     spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec)
     res = run_check(spec, budget=args.budget, cap=args.cap)
     _emit(_format_rows([res.as_dict()], SUITE_HEADER, args.fmt), args.out)

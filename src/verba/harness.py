@@ -181,6 +181,12 @@ def series_variables(kind: str, n: int) -> int | None:
     return int(leaves) if 1 <= leaves <= MAX_WORD_DEPTH + 1 else None
 
 
+def word_arity(text: str) -> int:
+    """The number of tuple entries a row with word spec `text` takes: the
+    word's variables, or 3 for `-`, L2.8's (K, L, N)."""
+    return 3 if text == "-" else len(variables(resolve_word(text)[0]))
+
+
 def _require_ocw(word: WordExpr, what: str) -> WordExpr:
     tree = classify_outer_commutator(word)
     if tree is None:
@@ -521,6 +527,8 @@ def run_check(
     if spec.check_id not in _CHECK_TABLE:
         raise UnknownCheckId(f"unknown check id {spec.check_id!r}")
     group = G if G is not None else resolve_group(spec.group, cap)
+    if spec.word == "-" and spec.check_id != "L2.8":
+        raise VerbaError(f"{spec.check_id} needs a word; '-' stands for none in L2.8 only")
     word = None if spec.word == "-" else resolve_word(spec.word)[0]
     tup = parse_tuple_spec(spec.tuple_spec, group)
     if word is not None and len(tup.subgroups) != len(variables(word)):
@@ -620,8 +628,7 @@ def build_suite_specs(
             if check_id not in ids:
                 continue
             for wspec in _words_for(check_id, G):
-                r = 3 if wspec == "-" else len(variables(resolve_word(wspec)[0]))
-                for tspec in _tuples_for(check_id, G, r, seed):
+                for tspec in _tuples_for(check_id, G, word_arity(wspec), seed):
                     specs.append(CheckSpec(check_id, gspec, wspec, tspec))
     return specs, groups
 

@@ -341,10 +341,20 @@ def check_substitution(
     w: WordExpr, args: Sequence[WordExpr], G: FiniteGroup, budget: int | None = None
 ) -> SubstitutionReport:
     """Compare w(u1,...,ur)(G) with w(u1(G),...,ur(G)), where args[i] goes
-    to variables(w)[i]."""
+    to variables(w)[i].
+
+    The report is memoised on G by the texts of `w` and `args`.  Like the
+    value-set memo, the key has no budget; a build that raises stores
+    nothing."""
     vars_ = variables(w)
     if len(args) != len(vars_):
         raise ArityMismatch(f"word has {len(vars_)} variables, got {len(args)} arguments")
+    key = (render(w), tuple(render(u) for u in args))
+    return G.cached("substitution", key, _check_substitution, w, args, G, budget)
+
+
+def _check_substitution(w, args, G, budget) -> SubstitutionReport:
+    vars_ = variables(w)
     full = G.full_subgroup()
     direct, *arg_groups = [
         verbal_subgroup(u, [full] * len(variables(u)), budget)
@@ -453,11 +463,7 @@ def check_linearity(
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             point = space.tuple_at(start + int(bad[0]))
-            lifts = sib_axes + [(pivot_axis, pivot_lift)] * 2
-            elems = [
-                dict(zip(axis.tolist(), lift.tolist()))[label]
-                for (axis, lift), label in zip(lifts, point)
-            ]
+            elems = _lift(sib_axes + [(pivot_axis, pivot_lift)] * 2, point)
             counterexample = {}
             for vs, value in zip(sib_sets, elems[:-2]):
                 counterexample.update({str(var): e for var, e in vs.witness(value).items()})
@@ -498,6 +504,12 @@ def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np
     _, first = np.unique(images, return_index=True)
     first.sort()
     return images[first], elems[first]
+
+
+def _lift(axes: list[tuple[np.ndarray, np.ndarray]], point: tuple[int, ...]) -> list[int]:
+    """The element of G standing for each coset label of `point`, through
+    the (images, first elements) pairs `_coset_images` gave for its axes."""
+    return [int(lift[np.flatnonzero(axis == label)[0]]) for (axis, lift), label in zip(axes, point)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +604,19 @@ def extended_width_sweep(
     variables(w)[i-1] takes `subsets[i-1]` and the i-th entry of each
     multiplicity vector.  k is the minimal degree `extension_degree`
     recognises, which gives the tightest star power; a word that is not an
-    extension of w is rejected.  The vectors are swept in order and, for
-    each, the extensions in order, each through its value set, so the points
-    are values.  A counterexample is (extension, vector, value, witness),
-    the witness following the extension's variables.
+    extension of w is rejected.
+
+    One value set per extension first tries to prove every vector at once.
+    Star powers are monotone, so the values of v at the componentwise
+    maximum `wide` of the vectors contain its values at each vector, and
+    the bound is smallest at the least product `low`: if the values at
+    `wide` lie in the (low 2^k) star power for every extension, the lemma
+    holds at every (vector, extension) pair.  Otherwise the vectors are
+    swept in order and, for each, the extensions in order, each through its
+    value set, so the points are values.  A counterexample is (extension,
+    vector, value, witness), the witness following the extension's
+    variables.  `swept` counts the values tested by the path that decided:
+    the values at `wide` when the proof holds, else the per-vector values.
     """
     vars_ = variables(w)
     if len(subsets) != len(vars_):
@@ -614,13 +635,30 @@ def extended_width_sweep(
     base = value_set(w, subsets, budget)
     G = base.members.group
     full = G.full_subgroup()
+
+    def starred(mvec):
+        return {x: star_power(G, S, m) for x, S, m in zip(vars_, subsets, mvec)}
+
+    def values_at(v, sets):
+        return value_set_over(v, {u: sets.get(u, full) for u in variables(v)}, budget)
+
+    if mvecs:
+        wide = starred(tuple(map(max, zip(*mvecs))))
+        low = min(map(math.prod, mvecs))
+        swept = 0
+        for v, k in members:
+            vs = values_at(v, wide)
+            if not star_power(G, base.members, low * 2**k).mask[vs.values].all():
+                break
+            swept += vs.size
+        else:
+            return SweepReport(None, swept, None)
     swept = 0
     for mvec in mvecs:
-        starred = {x: star_power(G, S, m) for x, S, m in zip(vars_, subsets, mvec)}
+        sets = starred(mvec)
         for v, k in members:
             star = star_power(G, base.members, math.prod(mvec) * 2**k)
-            env = {u: starred.get(u, full) for u in variables(v)}
-            vs = value_set_over(v, env, budget)
+            vs = values_at(v, sets)
             ok = star.mask[vs.values]
             if not ok.all():
                 i = int(np.flatnonzero(~ok)[0])
@@ -647,27 +685,30 @@ def comm_congruence_sweep(
 
     x runs as yzl with y, z in K and l in the intersection of L and K, which
     keeps x in K, so the points are (y, z, l, n) and a counterexample is
-    one of them.  `modulus` is [K,N,K][L,N].
+    one of them.  `modulus` is M = [K,N,K][L,N].
+
+    The congruence only depends on cosets of M, so the sweep runs in G/M,
+    with each axis replaced by its distinct coset images there, as in
+    `check_linearity`, and the budget applies to that space.  A failing
+    quotient tuple is lifted back to G through the first element of each
+    coset, so the counterexample is a point in G.  On a pass, `swept` is the
+    G-level count |K|^2 |L∩K| |N| that the quotient sweep covers; on a
+    failure it counts the quotient tuples tested before it.
     """
     for sub in (K, L, N):
         sub.require_normal()
     G = K.group
     modulus = comm_congruence_modulus(K, L, N)
     lk = G.subset_from_mask(K.mask & L.mask)
-    space = ProductSpace(
-        [
-            K.elements.astype(np.int64),
-            K.elements.astype(np.int64),
-            lk.elements.astype(np.int64),
-            N.elements.astype(np.int64),
-        ]
-    ).require_within(budget, "commutator congruence sweep")
+    labels, Q = quotient(modulus)
+    axes = [_coset_images(labels, S.elements) for S in (K, K, lk, N)]
+    space = ProductSpace([axis for axis, _ in axes]).require_within(
+        budget, "commutator congruence sweep"
+    )
     for start, (yv, zv, lv, nv) in space.blocks(DEFAULT_BLOCK):
-        xv = G.mul_arr(G.mul_arr(yv, zv), lv)
-        lhs = G.comm_arr(xv, nv)
-        rhs = G.mul_arr(G.comm_arr(yv, nv), G.comm_arr(zv, nv))
-        ok = modulus.mask[G.mul_arr(lhs, G.inverse_table[rhs])]
+        xv = Q.mul_arr(Q.mul_arr(yv, zv), lv)
+        ok = Q.comm_arr(xv, nv) == Q.mul_arr(Q.comm_arr(yv, nv), Q.comm_arr(zv, nv))
         if not ok.all():
             flat = start + int(np.flatnonzero(~ok)[0])
-            return SweepReport(space.tuple_at(flat), flat, modulus)
-    return SweepReport(None, space.size, modulus)
+            return SweepReport(tuple(_lift(axes, space.tuple_at(flat))), flat, modulus)
+    return SweepReport(None, K.order**2 * lk.order * N.order, modulus)

@@ -210,3 +210,77 @@ def linearity_in_g(table, inverse, modulus_mask, pivot_left, sibling_values, piv
         if bad.size:
             return tuple(int(c[bad[0]]) for c in cols)
     return None
+
+
+def table_ops(table):
+    """The multiplication table as an array, and the inverse of each element,
+    found from the table alone (the identity is the one idempotent)."""
+    t = np.asarray(table)
+    e = next(a for a in range(len(t)) if t[a, a] == a)
+    return t, np.argmax(t == e, axis=1)
+
+
+def commutator_closure(table, A, B):
+    """[A, B]: the subgroup generated by every [a, b], by set arithmetic."""
+    t, inv = table_ops(table)
+    comms = {int(t[t[inv[a], inv[b]], t[a, b]]) for a in A for b in B}
+    return close_under_products(comms, lambda a, b: int(t[a, b]), lambda a: int(inv[a]))
+
+
+def normal_subgroups(table):
+    """Every normal subgroup, as frozensets: the normal closures of single
+    elements, closed under products."""
+    t, inv = table_ops(table)
+    n = len(t)
+    mul, inverse = (lambda a, b: int(t[a, b])), (lambda a: int(inv[a]))
+    found = {
+        frozenset(close_under_products({int(t[t[inv[g], a], g]) for g in range(n)}, mul, inverse))
+        for a in range(n)
+    }
+    while True:
+        more = {frozenset(close_under_products(A | B, mul, inverse)) for A in found for B in found}
+        if more <= found:
+            return found
+        found |= more
+
+
+def congruence_modulus(table, K, L, N):
+    """[K,N,K][L,N], from commutators and products alone."""
+    t, inv = table_ops(table)
+    knk = commutator_closure(table, commutator_closure(table, K, N), K)
+    ln = commutator_closure(table, L, N)
+    return close_under_products(knk | ln, lambda a, b: int(t[a, b]), lambda a: int(inv[a]))
+
+
+def comm_congruence_in_g(table, ys, zs, ls, ns, modulus):
+    """Lemma 2.8 swept over G itself: the first (y, z, l, n), in row-major
+    order of the four element lists, at which [yzl, n] and [y,n][z,n] differ
+    modulo the subgroup `modulus`, or None; and the number of tuples swept.
+
+    This is the sweep the engine ran before it moved to G/[K,N,K][L,N].
+    """
+    t, inv = table_ops(table)
+    mask = np.zeros(len(t), dtype=bool)
+    mask[sorted(modulus)] = True
+    y, z, l, n = (a.ravel() for a in np.meshgrid(ys, zs, ls, ns, indexing="ij"))
+
+    def comm(a, b):
+        return t[t[inv[a], inv[b]], t[a, b]]
+
+    lhs = comm(t[t[y, z], l], n)
+    rhs = t[comm(y, n), comm(z, n)]
+    bad = np.flatnonzero(~mask[t[lhs, inv[rhs]]])
+    first = tuple(int(c[bad[0]]) for c in (y, z, l, n)) if bad.size else None
+    return first, int(y.size)
+
+
+def star_power_by_sets(table, S, n):
+    """Products of at most n factors from S and the inverses of its
+    elements, by set arithmetic; the empty product is the identity."""
+    t, inv = table_ops(table)
+    e = int(t[0, inv[0]])
+    step = {e} | {int(s) for s in S} | {int(inv[s]) for s in S}
+    out = {e}
+    for _ in range(n):
+        out = {int(t[a, b]) for a in out for b in step}
+    return out

@@ -281,6 +281,28 @@ def test_usage_errors_are_exit_2(tmp_path, capsys):
     for ids in ("", "L2.1,,L2.3"):
         assert run_cli(["suite", "--catalog", str(catalog), "--ids", ids]) == (2, "")
         assert capsys.readouterr().err == "error: unknown check id ''\n"
+    # '-' stands for no word in L2.8 rows only
+    assert run_cli(["check", "L2.1", "--group", "sym:3", "--word", "-", "--tuple", "G,G"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: L2.1 needs a word") and "Traceback" not in err
+
+
+def test_l28_check_without_a_word_matches_the_suite_row(tmp_path):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("sym:3\n")
+    code, out = run_cli(["check", "L2.8", "--group", "sym:3", "--word", "-", "--format", "csv"])
+    assert code == 0
+    row = out.splitlines()[1]
+    assert row.startswith('L2.8,sym:3,-,"G,G,G",exhaustive,pass,')
+    _, suite_out = run_cli(["suite", "--catalog", str(catalog), "--ids", "L2.8", "--format", "csv"])
+    assert row in suite_out.splitlines()
+
+
+def test_l28_budget_counts_quotient_tuples():
+    # 16 tuples in S4/A4 stand for the 24^4 in S4
+    argv = ["check", "L2.8", "--group", "sym:4", "--word", "-", "--tuple", "G,G,G", "--budget", "1000"]
+    code, out = run_cli(argv)
+    assert code == 0 and "pass" in out and "(331776 tuples)" in out
 
 
 def test_suite_workers_flag_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Lookups that replace recomputation: the commutator table and the memos for
 class subsets, extended words, gamma/delta trees, parsed tuple specs, star
-powers and built series, each against a fresh computation."""
+powers, built series and substitution reports, each against a fresh
+computation."""
 
 from __future__ import annotations
 
@@ -11,7 +12,14 @@ import pytest
 
 import verba.harness as harness
 import verba.series as series_mod
-from verba.errors import BadIndex, InternalInvariantViolation, NotNormalSubset, UnknownSpec
+import verba.verbal as verbal
+from verba.errors import (
+    BadIndex,
+    BudgetExceeded,
+    InternalInvariantViolation,
+    NotNormalSubset,
+    UnknownSpec,
+)
 from verba.groups import (
     COMM_TABLE_LIMIT,
     Subset,
@@ -27,16 +35,19 @@ from verba.harness import (
     build_suite_specs,
     parse_tuple_spec,
     run_check,
+    run_suite,
 )
 from verba.series import build_delta_series, build_gamma_series
-from verba.verbal import class_generating_subset
+from verba.verbal import check_substitution, class_generating_subset
 from verba.words import (
     EXTENDED_CACHE_SIZE,
     WORD_CACHE_SIZE,
+    Power,
     delta,
     enumerate_extended,
     gamma,
     parse_word,
+    variables,
 )
 
 
@@ -288,3 +299,56 @@ def test_malformed_tuple_specs_raise_on_every_call(text, error):
         with pytest.raises(error):
             parse_tuple_spec(text, G)
     assert ("tuple_spec", text) not in G._memo
+
+
+def _powers(w, exps):
+    return [Power(v, e) for v, e in zip(variables(w), exps)]
+
+
+def test_substitution_report_memo_matches_a_fresh_group():
+    G, cold = builtin_group("sym:4"), builtin_group("sym:4")
+    for w, exps in ((gamma(2), (2, 3)), (gamma(3), (3, 2, 2)), (delta(2), (2, 3, 2, 3))):
+        first = check_substitution(w, _powers(w, exps), G)
+        assert check_substitution(w, _powers(w, exps), G) is first
+        fresh = check_substitution(w, _powers(w, exps), cold)
+        assert fresh is not first and fresh == first
+    # delta:1 and gamma:2 are one word, so they share one report
+    assert check_substitution(delta(1), _powers(delta(1), (2, 3)), G) is check_substitution(
+        parse_word("[x1,x2]"), _powers(gamma(2), (2, 3)), G
+    )
+
+
+def test_a_substitution_over_budget_stores_nothing():
+    G = builtin_group("sym:4")
+    args = _powers(gamma(3), (2, 2, 2))
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            check_substitution(gamma(3), args, G, budget=10)
+    assert not any(kind == "substitution" for kind, _ in G._memo)
+    assert check_substitution(gamma(3), args, G).equal
+
+
+def test_power_word_rows_after_l22_equal_the_rows_run_alone():
+    catalog = ["sym:4", "dih:4", "quat:8", "cyc:2 x sym:3"]
+    shared = run_suite(catalog, ids=["L2.2", "C2.13", "C3.9"]).rows
+    alone = [
+        run_check(CheckSpec(r.check_id, r.group, r.word, r.tuple_spec), G=builtin_group(r.group))
+        for r in shared
+        if r.check_id != "L2.2"
+    ]
+    assert len(alone) > 20
+    assert alone == [r for r in shared if r.check_id != "L2.2"]
+
+
+def test_a_dropped_substitution_flips_l22_and_the_power_word_rows(monkeypatch):
+    """With the u_i dropped from w(u1,...,ur) the direct side is w(G); on a
+    fresh group the L2.2 row fails, and the C2.13 and C3.9 rows read the
+    failing report it stored."""
+    monkeypatch.setattr(verbal, "substitute", lambda w, mapping: w)
+    G = builtin_group("quat:8")
+    row = run_check(CheckSpec("L2.2", "quat:8", "gamma:2", "G,G"), G=G)
+    assert row.status == "fail" and row.detail == "exponents (2, 2): 2 != 1"
+    assert any(kind == "substitution" for kind, _ in G._memo)
+    for check_id, word in (("C2.13", "gamma:2"), ("C3.9", "delta:1")):
+        row = run_check(CheckSpec(check_id, "quat:8", word, "G,G"), G=G)
+        assert row.status == "fail" and row.detail == "exponents (2, 3), orders 2 != 1"

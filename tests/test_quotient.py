@@ -15,10 +15,17 @@ from verba.harness import (
     run_check,
 )
 from verba.series import build_delta_series, build_gamma_series
-from verba.verbal import check_linearity, spine_decompose, value_set_over
+from verba.verbal import check_linearity, comm_congruence_sweep, spine_decompose, value_set_over
 from verba.words import delta, gamma, parse_word, render, variables
 
-from .oracles import close_under_products, linearity_in_g
+from .oracles import (
+    close_under_products,
+    comm_congruence_in_g,
+    commutator_closure,
+    congruence_modulus,
+    linearity_in_g,
+    normal_subgroups,
+)
 
 
 def _reference(G, tree, subgroups, position, modulus):
@@ -162,6 +169,77 @@ def test_corrupted_coset_label_flips_a_series_check(monkeypatch):
 
     monkeypatch.setattr(verbal, "quotient", corrupt)
     assert run_check(spec).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the commutator congruence (L2.8) in G/[K,N,K][L,N]
+# ---------------------------------------------------------------------------
+
+# dih:8 has triples where [K,N,K] is neither trivial nor [K,N,K][L,N], so
+# a seeded modulus flips them in a proper quotient and the lift is tested
+CONGRUENCE_GROUPS = ("sym:4", "dih:4", "quat:8", "cyc:2 x sym:3", "dih:8")
+
+
+def _normal_triples(G):
+    """Every (K, L, N) of normal subgroups, found by the oracle, as the
+    engine's subsets together with their element lists."""
+    subs = [(G.subset(sorted(S)), sorted(S)) for S in normal_subgroups(G.table)]
+    return [(a, b, c) for a in subs for b in subs for c in subs]
+
+
+def test_quotient_congruence_matches_the_sweep_in_g():
+    verdicts = {True: 0, False: 0}
+    for spec in CONGRUENCE_GROUPS:
+        G = builtin_group(spec)
+        for (K, ks), (L, ls), (N, ns) in _normal_triples(G):
+            rep = comm_congruence_sweep(K, L, N, None)
+            lk = sorted(set(ks) & set(ls))
+            modulus = congruence_modulus(G.table, ks, ls, ns)
+            first, count = comm_congruence_in_g(G.table, ks, ks, lk, ns, modulus)
+            case = (spec, K.order, L.order, N.order)
+            assert rep.holds == (first is None), case
+            assert set(map(int, rep.modulus.elements)) == modulus, case
+            assert rep.swept == count == K.order**2 * len(lk) * N.order, case
+            verdicts[rep.holds] += 1
+    # 4, 6, 6, 7 and 7 normal subgroups; the lemma holds on every triple
+    assert verdicts == {True: 4**3 + 6**3 + 6**3 + 7**3 + 7**3, False: 0}
+
+
+def test_a_modulus_without_ln_flips_lifted_counterexamples(monkeypatch):
+    """With [K,N,K] alone as the modulus the congruence fails for some
+    triples; each failure found in the quotient, lifted to G, breaks the
+    congruence in G, with y, z in K, l in L and K, and n in N."""
+    monkeypatch.setattr(
+        verbal,
+        "comm_congruence_modulus",
+        lambda K, L, N: commutator_subgroup(commutator_subgroup(K, N), K),
+    )
+    flipped = {"trivial modulus": 0, "proper quotient": 0}
+    for spec in CONGRUENCE_GROUPS:
+        G = builtin_group(spec)
+        for (K, ks), (L, ls), (N, ns) in _normal_triples(G):
+            rep = comm_congruence_sweep(K, L, N, None)
+            knk = commutator_closure(G.table, commutator_closure(G.table, ks, ns), ks)
+            lk = sorted(set(ks) & set(ls))
+            first, _ = comm_congruence_in_g(G.table, ks, ks, lk, ns, knk)
+            assert rep.holds == (first is None)
+            if rep.holds:
+                continue
+            y, z, ell, n = rep.counterexample
+            assert y in ks and z in ks and ell in lk and n in ns
+            assert comm_congruence_in_g(G.table, [y], [z], [ell], [n], knk)[0] is not None
+            flipped["trivial modulus" if len(knk) == 1 else "proper quotient"] += 1
+    assert flipped["trivial modulus"] > 0 and flipped["proper quotient"] > 0
+
+
+def test_congruence_budget_applies_to_the_quotient():
+    G = builtin_group("sym:4")
+    full = G.full_subgroup()
+    # G/[G,G,G][G,G] has order 2: 16 quotient tuples stand for 24^4 in G
+    rep = comm_congruence_sweep(full, full, full, 16)
+    assert rep.holds and rep.modulus.order == 12 and rep.swept == 24**4
+    row = run_check(CheckSpec("L2.8", "sym:4", "-", "G,G,G"), G=G, budget=15)
+    assert row.status == "skip-budget"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from verba.verbal import (
     check_substitution,
     class_generating_subset,
     comm_congruence_sweep,
+    enumerate_values,
     extended_width_sweep,
     star_membership_sweep,
     value_set,
@@ -42,6 +45,8 @@ from verba.verbal import (
 from verba.words import (
     classify_outer_commutator,
     delta,
+    enumerate_extended,
+    extension_degree,
     gamma,
     parse_word,
     render,
@@ -50,7 +55,7 @@ from verba.words import (
     yvar,
 )
 
-from .oracles import element_order
+from .oracles import element_order, star_power_by_sets
 
 
 def full_tuple(G, r):
@@ -337,6 +342,121 @@ def test_extended_width_rejects_non_extension(sym4):
     s = class_generating_subset(sym4.full_subgroup())
     with pytest.raises(PreconditionFailed):
         extended_width_sweep([gamma(3)], gamma(2), [s, s], [(1, 1)], None)
+
+
+def _values_at(v, w, subsets, mvec):
+    """Values of v over its raw assignment space, variables(w)[i] in the
+    m_i star power of subsets[i] (by set arithmetic) and the y's in G."""
+    G = subsets[0].group
+    env = {
+        x: G.subset(sorted(star_power_by_sets(G.table, S.elements, m)))
+        for x, S, m in zip(variables(w), subsets, mvec)
+    }
+    full = G.full_subgroup()
+    return enumerate_values(v, {u: env.get(u, full) for u in variables(v)}, None)
+
+
+def _bound(w, subsets, n):
+    """The n-th star power of w{S}, by set arithmetic on raw values."""
+    base = enumerate_values(w, dict(zip(variables(w), subsets)), None)
+    return star_power_by_sets(subsets[0].group.table, base, n)
+
+
+def _per_vector(exts, w, subsets, mvecs, shrink=0):
+    """Lemma 3.2 vector by vector, as the sweep ran before the widest-vector
+    proof: the first (extension, vector, least escaping value), vectors
+    outer and extensions inner, or None; and the sizes of the value sets
+    tested.  The bound is `shrink` steps short."""
+    sizes = []
+    for mvec in mvecs:
+        for v in exts:
+            vals = _values_at(v, w, subsets, mvec)
+            sizes.append(vals.size)
+            bound = _bound(w, subsets, math.prod(mvec) * 2 ** extension_degree(v, w) - shrink)
+            escaping = [int(a) for a in vals if int(a) not in bound]
+            if escaping:
+                return (v, mvec, escaping[0]), sizes
+    return None, sizes
+
+
+def _widest_vector_sizes(exts, w, subsets, mvecs):
+    """The value set sizes at the componentwise maximum vector if each lies
+    in the star power at the least product, else None."""
+    wide = [max(m[i] for m in mvecs) for i in range(len(subsets))]
+    low = min(math.prod(m) for m in mvecs)
+    sizes = []
+    for v in exts:
+        vals = _values_at(v, w, subsets, wide)
+        if not set(map(int, vals)) <= _bound(w, subsets, low * 2 ** extension_degree(v, w)):
+            return None
+        sizes.append(vals.size)
+    return sizes
+
+
+def _width_cases():
+    sym4, dih4 = builtin_group("sym:4"), builtin_group("dih:4")
+    transpositions = sym4.subset(
+        [i for i in range(24) if sum(1 for a, b in enumerate(sym4.perm_images[i]) if a != b) == 2]
+    )
+    subsets = [transpositions]
+    for G in (sym4, dih4):
+        subsets += [class_generating_subset(N) for N in (G.full_subgroup(), G.derived_subgroup())]
+    subsets.append(class_generating_subset(normal_closure(dih4, [1])))
+    width_lists = [[(1, 1), (2, 1), (1, 2), (2, 2)], [(2, 1), (1, 1), (1, 3)], [(3, 1), (1, 3)]]
+    for S in subsets:
+        for mvecs in width_lists:
+            yield [gamma(2)], gamma(2), [S, S], mvecs
+        yield [gamma(3)], gamma(3), [S, S, S], [(1, 1, 1), (2, 1, 1), (1, 1, 2)]
+        yield enumerate_extended(gamma(2), 1, 2), gamma(2), [S, S], [(1, 1), (2, 1)]
+
+
+def test_widest_vector_proof_matches_the_per_vector_sweep():
+    paths = {"proof": 0, "per-vector": 0}
+    for exts, w, subsets, mvecs in _width_cases():
+        rep = extended_width_sweep(exts, w, subsets, mvecs, None)
+        first, sizes = _per_vector(exts, w, subsets, mvecs)
+        assert rep.holds and first is None
+        proof = _widest_vector_sizes(exts, w, subsets, mvecs)
+        if exts == [w]:
+            assert width_sweep(w, subsets, mvecs, None) == rep
+        # `swept` counts the values of the path that decided
+        assert rep.swept == sum(proof if proof is not None else sizes)
+        paths["proof" if proof is not None else "per-vector"] += 1
+    assert paths["proof"] > 0 and paths["per-vector"] > 0
+
+
+def test_width_sweep_passes_where_the_widest_vector_proof_fails(sym4):
+    transpositions = sym4.subset(
+        [i for i in range(24) if sum(1 for a, b in enumerate(sym4.perm_images[i]) if a != b) == 2]
+    )
+    sets, vectors = [transpositions, transpositions], [(2, 1), (1, 1), (1, 3)]
+    # at the widest vector (2, 3) a value escapes the star power at the
+    # least product, 1, but each vector holds on its own
+    assert _widest_vector_sizes([gamma(2)], gamma(2), sets, vectors) is None
+    rep = width_sweep(gamma(2), sets, vectors, None)
+    assert rep.holds and _per_vector([gamma(2)], gamma(2), sets, vectors)[0] is None
+
+
+def test_a_short_bound_gives_the_per_vector_counterexample(monkeypatch):
+    """With the star powers of w{S} one step short the sweep fails, at the
+    first (vector, extension) pair and least value the per-vector sweep
+    finds."""
+    real = verbal.star_power
+    failed = 0
+    for exts, w, subsets, mvecs in _width_cases():
+        base = value_set(w, subsets).members
+        monkeypatch.setattr(
+            verbal, "star_power", lambda G, S, n: real(G, S, n - 1 if S == base else n)
+        )
+        rep = extended_width_sweep(exts, w, subsets, mvecs, None)
+        first, _ = _per_vector(exts, w, subsets, mvecs, shrink=1)
+        assert rep.holds == (first is None)
+        if first is not None:
+            v, mvec, value, wit = rep.counterexample
+            assert (v, mvec, value) == first
+            assert evaluate(v, subsets[0].group, dict(zip(variables(v), wit))) == value
+            failed += 1
+    assert failed > 0
 
 
 # ---------------------------------------------------------------------------
