@@ -57,7 +57,10 @@ SURVEY_HEADER = ["group", "order", "word", "tuple", "m", "verbal_order", "mode",
 SUITE_HEADER = ["check", "group", "word", "tuple", "mode", "status", "detail"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one call.  Every subcommand is registered, so the usage
+    line, top-level help and choice errors never change, but when `command`
+    names one only its own arguments are added."""
     top = argparse.ArgumentParser(
         prog="verba",
         description="Word values and verbal subgroups on normal subgroups of finite groups.",
@@ -79,43 +82,33 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
 
-    p = sub.add_parser("parse", help="echo canonical form and classification of a word")
-    p.add_argument("word")
-
-    p = sub.add_parser("eval", help="evaluate a word at an assignment")
-    common(p, tup=False, fmt=False)
-    p.add_argument("--assign", required=True, help="comma list var=element-index, e.g. x1=2,x2=5")
-
-    p = sub.add_parser("values", help="value set of a word over a tuple")
-    common(p)
-
-    p = sub.add_parser("verbal", help="verbal subgroup order and generators")
-    common(p)
-
-    p = sub.add_parser("series", help="build and verify a linear series")
-    p.add_argument("kind", choices=["gamma", "delta"])
-    common(p, word=False)
-    p.add_argument("--r", type=int, default=None, help="gamma length (default: tuple arity)")
-    p.add_argument("--k", type=int, default=None, help="delta depth (default: log2 of tuple arity)")
-    p.add_argument("--audit", action="store_true", help="check construction-internal containments")
-
-    p = sub.add_parser("check", help="run a single named check")
-    p.add_argument("check_id", choices=list(CHECK_ID_SET))
-    common(p)
-
-    p = sub.add_parser("suite", help="run checks over a group catalog")
-    common(p, group=False, word=False, tup=False, seed=True)
-    p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
-    p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
-
-    p = sub.add_parser("survey", help="value-set size versus verbal subgroup order")
-    common(p, group=False, tup=False, seed=True)
-    p.add_argument("--catalog", default=None)
-
-    p = sub.add_parser("probe", help="survey for arbitrary outer commutator words")
-    common(p, group=False, tup=False, seed=True)
-    p.add_argument("--catalog", default=None)
-
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in _COMMANDS and name != command:
+            continue
+        if name == "parse":
+            p.add_argument("word")
+        elif name == "eval":
+            common(p, tup=False, fmt=False)
+            p.add_argument("--assign", required=True, help="comma list var=element-index, e.g. x1=2,x2=5")
+        elif name in ("values", "verbal"):
+            common(p)
+        elif name == "series":
+            p.add_argument("kind", choices=["gamma", "delta"])
+            common(p, word=False)
+            p.add_argument("--r", type=int, default=None, help="gamma length (default: tuple arity)")
+            p.add_argument("--k", type=int, default=None, help="delta depth (default: log2 of tuple arity)")
+            p.add_argument("--audit", action="store_true", help="check construction-internal containments")
+        elif name == "check":
+            p.add_argument("check_id", choices=list(CHECK_ID_SET))
+            common(p)
+        elif name == "suite":
+            common(p, group=False, word=False, tup=False, seed=True)
+            p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
+            p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
+        else:  # survey, probe
+            common(p, group=False, tup=False, seed=True)
+            p.add_argument("--catalog", default=None)
     return top
 
 
@@ -327,30 +320,31 @@ def _cmd_survey(args) -> int:
     return EXIT_OK if all(r.mode != "skipped" for r in rows) else EXIT_BUDGET
 
 
+# name: (handler, help line)
 _COMMANDS = {
-    "parse": _cmd_parse,
-    "eval": _cmd_eval,
-    "values": _cmd_values,
-    "verbal": _cmd_verbal,
-    "series": _cmd_series,
-    "check": _cmd_check,
-    "suite": _cmd_suite,
-    "survey": _cmd_survey,
-    "probe": _cmd_survey,
+    "parse": (_cmd_parse, "echo canonical form and classification of a word"),
+    "eval": (_cmd_eval, "evaluate a word at an assignment"),
+    "values": (_cmd_values, "value set of a word over a tuple"),
+    "verbal": (_cmd_verbal, "verbal subgroup order and generators"),
+    "series": (_cmd_series, "build and verify a linear series"),
+    "check": (_cmd_check, "run a single named check"),
+    "suite": (_cmd_suite, "run checks over a group catalog"),
+    "survey": (_cmd_survey, "value-set size versus verbal subgroup order"),
+    "probe": (_cmd_survey, "survey for arbitrary outer commutator words"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         args.budget = _budget(args)
         if args.budget < 1:
             raise VerbaError("budget must be at least 1")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET

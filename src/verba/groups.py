@@ -30,6 +30,9 @@ DEFAULT_ORDER_CAP = 5040
 # int32), so `comm_arr` is one gather instead of five.  Larger groups use the
 # formula: at sym:7 the table alone would take about 100 MB.
 COMM_TABLE_LIMIT = 512
+# Table validation runs over blocks of about this many cells, so it holds one
+# block beyond the table, not copies or masks of the whole table.
+BLOCK_CELLS = 1 << 20
 
 
 class FiniteGroup:
@@ -56,11 +59,7 @@ class FiniteGroup:
         self.label = label
         self.inverse_table = _inverse_table(table)
         self.inverse_table.setflags(write=False)
-        self.element_names = (
-            list(element_names)
-            if element_names is not None
-            else [str(i) for i in range(self.order)]
-        )
+        self._names = list(element_names) if element_names is not None else None
         self.perm_images = list(perm_images) if perm_images is not None else None
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, class generating subsets, closures,
@@ -134,6 +133,18 @@ class FiniteGroup:
         return out
 
     # -- subsets and naming ----------------------------------------------------
+
+    @property
+    def element_names(self) -> list[str]:
+        """The given names, else cycle notation of `perm_images`, else the
+        indices; a name nobody reads is never built."""
+        if self._names is None:
+            self._names = (
+                [cycles_str(p) for p in self.perm_images]
+                if self.perm_images is not None
+                else [str(i) for i in range(self.order)]
+            )
+        return self._names
 
     def element_name(self, i: int) -> str:
         return self.element_names[i]
@@ -217,25 +228,31 @@ def _validate_table(
             f"entry at {tuple(map(int, bad))} outside 0..{n - 1}",
             tuple(map(int, bad)),
         )
+    step = max(1, BLOCK_CELLS // n)
     ident = np.arange(n, dtype=np.int32)
-    for axis, kind in ((1, "row"), (0, "column")):
-        sorted_lines = np.sort(table, axis=axis)
-        good = (sorted_lines == (ident if axis == 1 else ident[:, None])).all(axis=axis)
-        if not good.all():
-            i = int(np.flatnonzero(~good)[0])
-            raise NotAGroup(f"{kind} {i} is not a permutation (not a Latin square)", (i,))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    for kind, lines in (("row", lambda b: table[b]), ("column", lambda b: table[:, b].T)):
+        for b in blocks:
+            good = (np.sort(lines(b), axis=1) == ident).all(axis=1)
+            if not good.all():
+                i = b.start + int(np.flatnonzero(~good)[0])
+                raise NotAGroup(f"{kind} {i} is not a permutation (not a Latin square)", (i,))
     # two-sided identity
-    right_ids = np.flatnonzero((table == ident[:, None]).all(axis=0))
-    left_ids = np.flatnonzero((table == ident[None, :]).all(axis=1))
-    both = set(map(int, right_ids)) & set(map(int, left_ids))
-    if not both:
+    right_ids = np.ones(n, dtype=bool)
+    left_ids = np.zeros(n, dtype=bool)
+    for b in blocks:
+        right_ids &= (table[b] == ident[b, None]).all(axis=0)
+        left_ids[b] = (table[b] == ident).all(axis=1)
+    both = np.flatnonzero(right_ids & left_ids)
+    if not both.size:
         raise NotAGroup("no two-sided identity element")
-    e = min(both)
-    # inverses: for each a some b with ab = ba = e
-    left_inv = table.T == e
-    right_inv = table == e
-    if not (left_inv & right_inv).any(axis=1).all():
-        a = int(np.flatnonzero(~(left_inv & right_inv).any(axis=1))[0])
+    e = int(both[0])
+    # inverses: each row holds e once (a Latin square), at the one b with
+    # ab = e, so a has a two-sided inverse iff that b also has ba = e
+    right_inv = np.concatenate([np.argmax(table[b] == e, axis=1) for b in blocks])
+    two_sided = table[right_inv, ident] == e
+    if not two_sided.all():
+        a = int(np.flatnonzero(~two_sided)[0])
         raise NotAGroup(f"element {a} has no two-sided inverse", (a,))
     _check_associativity(table, e, gens)
     if e != 0:
@@ -271,7 +288,7 @@ def _check_associativity(table: np.ndarray, e: int, gens: Sequence[int]) -> None
         if reached.all():
             break
         gens.append(int(np.flatnonzero(~reached)[0]))
-    rows = max(1, (1 << 20) // n)  # x-rows per block: about 1M cells
+    rows = max(1, BLOCK_CELLS // n)  # x-rows per block
     for g in gens:
         for start in range(0, n, rows):
             left = table[table[start : start + rows, g]]  # (xg)y
@@ -623,10 +640,7 @@ def group_from_permutations(
     del cols  # n^2 int32 freed before validation allocates its own
     # the identity is element 0, so validation relabels nothing
     table, _ = _validate_table(table, [r[index[g]] for g in gens])
-    names = [cycles_str(p) for p in order]
-    return FiniteGroup(
-        table, label=label, element_names=names, perm_images=order, _validated=True
-    )
+    return FiniteGroup(table, label=label, perm_images=order, _validated=True)
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:

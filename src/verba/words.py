@@ -640,11 +640,18 @@ def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> tuple[WordExpr,
     return tuple(members)
 
 
+# Distinct (v, w) pairs kept by `extension_degree`, its recursion's subword
+# pairs included.
+DEGREE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=DEGREE_CACHE_SIZE)
 def extension_degree(v: WordExpr, w: WordExpr) -> int | None:
     """Smallest k with v an extension of w of degree k, or None.
 
     Both are outer commutator words.  Structural recogniser, independent of
     `enumerate_extended`: it admits inserted y-commutators of any size.
+    Results are cached for the process by the two words.
     """
     best: int | None = None
 

@@ -284,3 +284,33 @@ def star_power_by_sets(table, S, n):
     for _ in range(n):
         out = {int(t[a, b]) for a in out for b in step}
     return out
+
+
+def _pure_y(w) -> bool:
+    if hasattr(w, "left"):
+        return _pure_y(w.left) and _pure_y(w.right)
+    return w.family == "y"
+
+
+def extension_degree_uncached(v, w):
+    """Smallest k with the outer commutator word v a degree-k extension of w,
+    or None, by the defining recursion with no memo: v is w (degree 0); v is
+    [y, u] or [u, y] for a pure-y word y and u an extension of w (one more);
+    or v = [a, b] and w = [c, d] with a, b extensions of c, d (degrees add).
+    Words are read only through `left`, `right` and a variable's `family`."""
+    if v == w:
+        return 0
+    if not hasattr(v, "left"):
+        return None
+    found = []
+    for y, u in ((v.left, v.right), (v.right, v.left)):
+        if _pure_y(y):
+            d = extension_degree_uncached(u, w)
+            if d is not None:
+                found.append(d + 1)
+    if hasattr(w, "left"):
+        dl = extension_degree_uncached(v.left, w.left)
+        dr = extension_degree_uncached(v.right, w.right)
+        if dl is not None and dr is not None:
+            found.append(dl + dr)
+    return min(found, default=None)

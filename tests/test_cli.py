@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verba.harness as harness
-from verba.cli import main
+from verba.cli import _COMMANDS, _build_parser, main
 from verba.words import parse_word
 
 
@@ -526,3 +530,121 @@ def test_series_exit_codes_hold_for_generated_argv(data):
     # every series states a theorem, so exit 1 (verification failure) never fits
     assert code in (0, 2, 3), (argv, code, out.getvalue(), err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the parser: pinned texts, one subcommand's arguments against the full tree
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+# Help, usage and error texts at COLUMNS=80, recorded when every call still
+# built the full parser (argparse as in Python 3.11).
+PINNED_TEXTS = json.loads((REPO / "tests" / "golden" / "cli_texts.json").read_text(encoding="utf-8"))
+
+
+def _captured(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_pins_cover_every_help_text():
+    argvs = [pin["argv"] for pin in PINNED_TEXTS]
+    assert ["--help"] in argvs and [] in argvs
+    assert all([name, "--help"] in argvs for name in _COMMANDS)
+
+
+@pytest.mark.parametrize("pin", PINNED_TEXTS, ids=[" ".join(p["argv"]) or "-" for p in PINNED_TEXTS])
+def test_help_usage_and_error_texts_are_pinned(monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _captured(lambda: main(pin["argv"])) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _value(action) -> st.SearchStrategy[str]:
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 10**6).map(str)
+    return st.text(alphabet="xy12:,[]^G", min_size=1, max_size=8)
+
+
+@st.composite
+def _argv_chunks(draw, name):
+    """Valid argv chunks for `name`, read off the full parser's actions."""
+    chunks = []
+    for action in _subparser(_build_parser(), name)._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            chunks.append([draw(_value(action))])
+        elif action.required or draw(st.booleans()):
+            flag = draw(st.sampled_from(action.option_strings))
+            chunks.append([flag] if action.nargs == 0 else [flag, draw(_value(action))])
+    return draw(st.permutations(chunks))
+
+
+def _break(draw, chunks):
+    """One usage error made from valid chunks."""
+    how = draw(st.sampled_from(["flag", "extra", "drop", "value"]))
+    if how == "flag":
+        return chunks + [["--bogus"]]
+    if how == "extra" or not chunks:
+        return chunks + [["extra", "words"]]
+    i = draw(st.integers(0, len(chunks) - 1))
+    if how == "drop":
+        return chunks[:i] + chunks[i + 1 :]
+    return chunks[:i] + [chunks[i][:1] + ["zz"]] + chunks[i + 1 :]
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_one_subcommand_parser_matches_the_full_tree(name, data):
+    chunks = data.draw(_argv_chunks(name))
+    if data.draw(st.booleans()):
+        chunks = _break(data.draw, chunks)
+    argv = [name] + [tok for chunk in chunks for tok in chunk]
+    full = _captured(lambda: vars(_build_parser().parse_args(argv)))
+    one = _captured(lambda: vars(_build_parser(name).parse_args(argv)))
+    assert one == full, argv
+
+
+def test_main_builds_a_parser_on_every_call(monkeypatch):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return _build_parser(command)
+
+    monkeypatch.setattr("verba.cli._build_parser", spy)
+    for argv in (["parse", "x1"], ["parse", "x2"], ["--help"]):
+        run_cli(argv)
+    assert built == ["parse", "parse", "--help"]
+
+
+def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
+    """`python -m verba.cli` takes its argv from sys.argv, which in-process
+    calls never do; its exit code and output equal `main(argv)`'s."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "COLUMNS": "80"}
+    for argv, code in (
+        (["--help"], 0),
+        (["parse", "[x1,x2]"], 0),
+        (["values", "--group", "sym:3"], 2),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "verba.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert run_cli(argv) == (code, proc.stdout)
+        assert capsys.readouterr().err == proc.stderr

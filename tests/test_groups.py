@@ -113,6 +113,51 @@ def test_identity_relocated_to_zero():
     assert all(g.mul(0, a) == a == g.mul(a, 0) for a in range(3))
 
 
+def _malformed_tables():
+    """(table, message, witness) for each way validation refuses a table,
+    the messages as the whole-table checks gave them."""
+    n = 12
+    z = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    row = z.copy()
+    row[7, 2] = row[7, 3]
+    col = z.copy()
+    col[3, [5, 9]] = col[3, [9, 5]]
+    # an intercalate through the 0s at (4, 8) and (10, 2): 2, 4, 8 and 10
+    # keep a one-sided inverse each
+    inv = z.copy()
+    inv[4, [8, 2]] = inv[4, [2, 8]]
+    inv[10, [2, 8]] = inv[10, [8, 2]]
+    rng = z.copy()
+    rng[9, 4] = n
+    left_only = z[[0, 2, 1] + list(range(3, n))]  # row 0 is a left identity only
+    return [
+        (row, "row 7 is not a permutation (not a Latin square)", (7,)),
+        (col, "column 5 is not a permutation (not a Latin square)", (5,)),
+        ((np.arange(n)[:, None] - np.arange(n)[None, :]) % n, "no two-sided identity element", ()),
+        (left_only, "no two-sided identity element", ()),
+        (inv, "element 2 has no two-sided inverse", (2,)),
+        (rng, "entry at (9, 4) outside 0..11", (9, 4)),
+        (NONASSOC_LOOP, "associativity fails on (1,1,2)", (1, 1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("cells", [1, 30, 100, groups.BLOCK_CELLS])
+def test_validation_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells):
+    monkeypatch.setattr(groups, "BLOCK_CELLS", cells)
+    for table, message, witness in _malformed_tables():
+        with pytest.raises(NotAGroup) as err:
+            groups._validate_table(np.asarray(table, dtype=np.int32), ())
+        assert (str(err.value), err.value.witness) == (message, witness)
+    # Z_12 with its identity at index 9, in the last block of every size
+    z = (np.arange(12)[:, None] + np.arange(12)[None, :]) % 12
+    swap = np.arange(12)
+    swap[[0, 9]] = [9, 0]
+    moved = np.empty_like(z)
+    moved[swap[:, None], swap[None, :]] = swap[z]
+    table, perm = groups._validate_table(moved.astype(np.int32), ())
+    assert (table == z).all() and (perm == swap).all()
+
+
 def test_permutation_closure_s3():
     g = group_from_permutations([(1, 0, 2), (1, 2, 0)], 3)
     assert g.order == 6
@@ -241,6 +286,26 @@ def test_cycle_notation_round_trip():
     assert parse_cycles(cycles_str(p), 5) == p
     with pytest.raises(BadIndex):
         parse_cycles("(1 9)", 5)
+
+
+def _agl_1_17():
+    """AGL(1,17): x -> x+1 and x -> 3x on 0..16 (3 is a primitive root mod 17)."""
+    return group_from_permutations(
+        [tuple((x + 1) % 17 for x in range(17)), tuple(3 * x % 17 for x in range(17))], 17
+    )
+
+
+def test_permutation_names_are_built_on_first_read():
+    fresh = [group_from_permutations(groups._symmetric_gens(n), max(n, 1)) for n in range(1, 7)]
+    fresh += [group_from_permutations(groups._alternating_gens(n), n) for n in range(4, 7)]
+    for G in fresh + [_agl_1_17()]:
+        assert G._names is None
+        assert G.element_name(G.order - 1) == cycles_str(G.perm_images[-1])
+        assert G.element_names == [cycles_str(p) for p in G.perm_images]
+    A, B = builtin_group("sym:3"), builtin_group("cyc:2")
+    assert builtin_group("sym:3 x cyc:2").element_names == [
+        f"({a},{b})" for a in A.element_names for b in B.element_names
+    ]
 
 
 # ---------------------------------------------------------------------------

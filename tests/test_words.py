@@ -40,7 +40,7 @@ from verba.words import (
     yvar,
 )
 
-from .oracles import letters_text
+from .oracles import extension_degree_uncached, letters_text
 
 x1, x2, x3 = xvar(1), xvar(2), xvar(3)
 
@@ -390,6 +390,19 @@ def test_extension_degree_recognizer():
         if member != delta(1):
             assert extension_degree(member, delta(1)) == 1
     assert extension_degree(delta(1), gamma(3)) is None
+
+
+def test_extension_degree_memo_matches_the_uncached_recursion():
+    assert extension_degree.cache_info().maxsize == words.DEGREE_CACHE_SIZE
+    bases = [gamma(1), gamma(2), gamma(3), delta(1), delta(2)]
+    for base in bases:
+        for k in range(3):
+            for v in enumerate_extended(base, k, 2):
+                for w in bases:
+                    want = extension_degree_uncached(v, w)
+                    assert extension_degree(v, w) == want
+                    assert extension_degree(v, w) == want  # now from the cache
+                assert extension_degree(v, base) == k
 
 
 def test_ocw_comm_rejects_repeats():
