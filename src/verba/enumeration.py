@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**8
-DEFAULT_BLOCK = 1 << 20
+BLOCK = 1 << 20
 
 
 class ProductSpace:
@@ -41,9 +41,9 @@ class ProductSpace:
             out.append(a[(flat // period) % size])
         return out
 
-    def blocks(self, block: int = DEFAULT_BLOCK) -> Iterator[tuple[int, list[np.ndarray]]]:
-        for start in range(0, self.size, block):
-            flat = np.arange(start, min(start + block, self.size), dtype=np.int64)
+    def blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
+        for start in range(0, self.size, BLOCK):
+            flat = np.arange(start, min(start + BLOCK, self.size), dtype=np.int64)
             yield start, self.axis_values(flat)
 
     def tuple_at(self, flat: int) -> tuple[int, ...]:

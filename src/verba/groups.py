@@ -64,7 +64,7 @@ class FiniteGroup:
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, class generating subsets, closures,
         # star powers, quotients, series, parsed tuple specs, commutator
-        # table, center and derived subgroup.
+        # table, class labels, center and derived subgroup.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -91,15 +91,7 @@ class FiniteGroup:
         return int(self.comm_arr(a, b))
 
     def power(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out, base = 0, a
-        while e:
-            if e & 1:
-                out = int(self.table[out, base])
-            base = int(self.table[base, base])
-            e >>= 1
-        return out
+        return int(self.pow_arr(a, e))
 
     # -- array operations ----------------------------------------------------
 
@@ -164,14 +156,19 @@ class FiniteGroup:
         return Subset(self, mask)
 
     def full_subgroup(self) -> "Subset":
-        return Subset(
-            self, np.ones(self.order, dtype=bool), generators=tuple(range(self.order))
-        )
+        return Subset(self, np.ones(self.order, dtype=bool))
 
     def trivial_subgroup(self) -> "Subset":
         mask = np.zeros(self.order, dtype=bool)
         mask[0] = True
-        return Subset(self, mask, generators=())
+        return Subset(self, mask)
+
+    def class_union(self, elements: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Mask of the union of the conjugacy classes that meet `elements`."""
+        labels = self.cached("classes", None, _class_labels, self)
+        hit = np.zeros(self.order, dtype=bool)
+        hit[labels[elements]] = True
+        return hit[labels]
 
     def center(self) -> "Subset":
         return self.cached("center", None, _center_subgroup, self)
@@ -192,8 +189,23 @@ def _full_commutator_table(G: FiniteGroup) -> np.ndarray:
 
 
 def _center_subgroup(G: FiniteGroup) -> "Subset":
-    mask = (G.table == G.table.T).all(axis=1)
-    return Subset(G, mask, generators=tuple(int(i) for i in np.flatnonzero(mask)))
+    return Subset(G, (G.table == G.table.T).all(axis=1))
+
+
+def _class_labels(G: FiniteGroup) -> np.ndarray:
+    """``labels[g]`` numbers the conjugacy class of g, classes in order of
+    their least element, so the identity's class is 0.  Each class costs one
+    gather: ``t[t[inv, e], idx]`` is ``g^-1 e g`` for every g."""
+    t, inv = G.table, G.inverse_table
+    idx = np.arange(G.order, dtype=np.int32)
+    labels = np.full(G.order, -1, dtype=np.int32)
+    count = 0
+    for e in range(G.order):
+        if labels[e] < 0:
+            labels[t[t[inv, e], idx]] = count
+            count += 1
+    labels.setflags(write=False)
+    return labels
 
 
 def _derived_subgroup(G: FiniteGroup) -> "Subset":
@@ -304,9 +316,9 @@ class Subset:
 
     A subgroup is a subset closed under products, so subsets and subgroups
     share this one type.  `order` is the number of elements.  `generators`
-    is a chosen generating list where the subset was built as a subgroup
-    (empty otherwise), and normality (closure under conjugation) is worked
-    out once, on first use, unless the constructor is told.
+    is the seed of a `closure` result (empty otherwise), and normality
+    (closure under conjugation) is worked out once, on first use, as a
+    class-union test.
     """
 
     __slots__ = ("group", "mask", "generators", "_elements", "_key", "_normal")
@@ -316,7 +328,6 @@ class Subset:
         group: FiniteGroup,
         mask: np.ndarray,
         generators: tuple[int, ...] = (),
-        normal: bool | None = None,
     ):
         self.group = group
         mask = np.array(mask, dtype=bool, copy=True)
@@ -327,7 +338,7 @@ class Subset:
         self.generators = generators
         self._elements: np.ndarray | None = None
         self._key: bytes | None = None
-        self._normal = normal
+        self._normal: bool | None = None
 
     @property
     def elements(self) -> np.ndarray:
@@ -362,7 +373,7 @@ class Subset:
     @property
     def is_normal(self) -> bool:
         if self._normal is None:
-            self._normal = _conjugation_closed(self.group, self.elements, self.mask)
+            self._normal = np.array_equal(self.group.class_union(self.elements), self.mask)
         return self._normal
 
     def require_normal(self) -> "Subset":
@@ -379,15 +390,6 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset({self.group.label}, order={self.order})"
-
-
-def _conjugation_closed(G: FiniteGroup, elems: np.ndarray, mask: np.ndarray) -> bool:
-    if elems.size == 0:
-        return True
-    t = G.table
-    left = t[G.inverse_table[:, None], elems[None, :]]
-    conj = t[left, np.arange(G.order, dtype=np.int32)[:, None]]
-    return bool(mask[conj].all())
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +431,9 @@ def _ball(G: FiniteGroup, seed_elems: np.ndarray, radius: int | None = None) -> 
 
 
 def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
-    """Smallest normal subgroup containing `seed`."""
-    seed_elems = _seed_elements(G, seed)
-    if seed_elems.size == 0:
-        out = G.trivial_subgroup()
-        out._normal = True
-        return out
-    t = G.table
-    all_g = np.arange(G.order, dtype=np.int32)
-    conj = t[t[G.inverse_table[:, None], seed_elems[None, :]], all_g[:, None]]
-    out = closure(G, np.unique(conj))
-    return Subset(G, out.mask, generators=tuple(int(g) for g in seed_elems), normal=True)
+    """Smallest normal subgroup containing `seed`: the closure of the
+    conjugacy classes that meet it."""
+    return closure(G, Subset(G, G.class_union(_seed_elements(G, seed))))
 
 
 def _seed_elements(G: FiniteGroup, seed: Subset | Iterable[int]) -> np.ndarray:
@@ -470,13 +464,7 @@ def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
     """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal subsets."""
     S.require_normal_subset()
     T.require_normal_subset()
-    if S.order == 0 or T.order == 0:
-        out = G.trivial_subgroup()
-        out._normal = True
-        return out
-    comms = np.unique(G.comm_arr(S.elements[:, None], T.elements[None, :]))
-    out = closure(G, comms)
-    return Subset(G, out.mask, generators=tuple(int(c) for c in comms), normal=True)
+    return closure(G, np.unique(G.comm_arr(S.elements[:, None], T.elements[None, :])))
 
 
 def commutator_subgroup(H: Subset, K: Subset) -> Subset:
@@ -500,10 +488,7 @@ def subgroup_product(H: Subset, K: Subset) -> Subset:
             raise ProductNotSubgroup(
                 "neither factor is normal and the set product is not closed"
             )
-    normal = True if (H.is_normal and K.is_normal) else None
-    return Subset(
-        G, mask, generators=tuple(H.generators) + tuple(K.generators), normal=normal
-    )
+    return Subset(G, mask)
 
 
 def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
@@ -592,13 +577,14 @@ def group_from_permutations(
 ) -> FiniteGroup:
     """Closure of permutation generators, materialised as a Cayley table.
 
-    The breadth-first closure over right multiplication by the generators
-    records every edge ``p*g`` and, for each new element ``q``, the edge
+    The breadth-first closure over left multiplication by the generators
+    records every edge ``g*p`` and, for each new element ``q``, the edge
     ``(p, g)`` that found it: a spanning tree of the Cayley graph rooted at
     the identity (Holt, Eick & O'Brien, *Handbook of Computational Group
-    Theory*, 2005, ch. 4).  Column ``q`` of the table, ``x -> x*q``, is then
-    ``R_g`` applied to column ``p``, where ``R_g[x] = x*g``, so the table is
-    filled by one integer gather of length n per element, for any degree.
+    Theory*, 2005, ch. 4).  Row ``q`` of the table, ``y -> q*y``, is then
+    ``L_g`` applied to row ``p``, where ``L_g[x] = g*x``, so the table is
+    filled in place by one integer gather of length n per element, for any
+    degree.
     """
     ident = tuple(range(degree))
     for g in generators:
@@ -606,14 +592,14 @@ def group_from_permutations(
             raise NotAGroup(f"generator {g} is not a permutation of 0..{degree - 1}")
     gens = list(dict.fromkeys(map(tuple, generators)))
     # elements in discovery order; edges[i * len(gens) + k] is the discovery
-    # index of found[i]*gens[k]
+    # index of gens[k]*found[i]
     found = [ident]
     index = {ident: 0}
     edges: list[int] = []
     tree: list[tuple[int, int]] = []  # (parent, generator) of found[1], found[2], ...
     for i, p in enumerate(found):  # `found` grows as the loop runs: a BFS queue
         for k, g in enumerate(gens):
-            q = _compose(p, g)
+            q = _compose(g, p)
             j = index.get(q)
             if j is None:
                 j = index[q] = len(found)
@@ -628,16 +614,14 @@ def group_from_permutations(
     order = [found[i] for i in by_rank]
     rank = np.empty(n, dtype=np.int32)
     rank[by_rank] = np.arange(n, dtype=np.int32)
-    # right[k][rank[i]] = rank of found[i]*gens[k]
-    right = np.empty((len(gens), n), dtype=np.int32)
-    right[:, rank] = rank[np.array(edges, dtype=np.int32).reshape(n, len(gens)).T]
-    cols = np.empty((n, n), dtype=np.int32)  # cols[q] is column q of the table
-    cols[0] = np.arange(n, dtype=np.int32)
+    # left[k][rank[i]] = rank of gens[k]*found[i]
+    left = np.empty((len(gens), n), dtype=np.int32)
+    left[:, rank] = rank[np.array(edges, dtype=np.int32).reshape(n, len(gens)).T]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n, dtype=np.int32)
     r = rank.tolist()
     for q, (p, k) in enumerate(tree, start=1):
-        np.take(right[k], cols[r[p]], out=cols[r[q]])
-    table = np.ascontiguousarray(cols.T)
-    del cols  # n^2 int32 freed before validation allocates its own
+        np.take(left[k], table[r[p]], out=table[r[q]])
     # the identity is element 0, so validation relabels nothing
     table, _ = _validate_table(table, [r[index[g]] for g in gens])
     return FiniteGroup(table, label=label, perm_images=order, _validated=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_BLOCK, DEFAULT_BUDGET, ProductSpace
+from .enumeration import DEFAULT_BUDGET, ProductSpace
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -212,7 +212,7 @@ def enumerate_values(
     space.require_within(budget, f"value set of {render(expr)}")
     group = env[vars_[0]].group
     seen = np.zeros(group.order, dtype=bool)
-    for _, cols in space.blocks(DEFAULT_BLOCK):
+    for _, cols in space.blocks():
         seen[evaluate_arrays(expr, group, dict(zip(vars_, cols)))] = True
     return np.flatnonzero(seen).astype(np.int64)
 
@@ -229,7 +229,7 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     if children is None:
         vars_ = variables(expr)
         space = ProductSpace([sets[v].elements.astype(np.int64) for v in vars_])
-        for start, cols in space.blocks(DEFAULT_BLOCK):
+        for start, cols in space.blocks():
             hit = np.flatnonzero(evaluate_arrays(expr, group, dict(zip(vars_, cols))) == value)
             if hit.size:
                 return dict(zip(vars_, space.tuple_at(start + int(hit[0]))))
@@ -269,13 +269,10 @@ def _class_generating_subset(N: Subset) -> Subset:
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     have = closure(G, [])
-    all_g = np.arange(G.order, dtype=np.int32)
     for e in N.elements:
-        e = int(e)
         if have.mask[e]:
             continue
-        cls = np.unique(G.table[G.table[G.inverse_table[all_g], e], all_g])
-        mask[cls] = True
+        mask |= G.class_union([e])
         have = closure(G, np.flatnonzero(mask))
         if have == N:
             break
@@ -454,7 +451,7 @@ def check_linearity(
     space.require_within(budget, f"linearity of {render(w)} in position {position}")
 
     counterexample: dict[str, int] | None = None
-    for start, cols in space.blocks(DEFAULT_BLOCK):
+    for start, cols in space.blocks():
         sib_vals, xv, yv = cols[:-2], cols[-2], cols[-1]
         lhs = spine_eval(Q, path, Q.mul_arr(xv, yv), sib_vals)
         rhs = Q.mul_arr(
@@ -566,7 +563,7 @@ def star_membership_sweep(
             subset.elements.astype(np.int64)
         ]
         space = ProductSpace(axes).require_within(budget, "star membership sweep")
-        for start, cols in space.blocks(DEFAULT_BLOCK):
+        for start, cols in space.blocks():
             ok = star.mask[spine_eval(G, path, cols[-1], cols[:-1])]
             if not ok.all():
                 flat = start + int(np.flatnonzero(~ok)[0])
@@ -705,7 +702,7 @@ def comm_congruence_sweep(
     space = ProductSpace([axis for axis, _ in axes]).require_within(
         budget, "commutator congruence sweep"
     )
-    for start, (yv, zv, lv, nv) in space.blocks(DEFAULT_BLOCK):
+    for start, (yv, zv, lv, nv) in space.blocks():
         xv = Q.mul_arr(Q.mul_arr(yv, zv), lv)
         ok = Q.comm_arr(xv, nv) == Q.mul_arr(Q.comm_arr(yv, nv), Q.comm_arr(zv, nv))
         if not ok.all():

@@ -244,6 +244,22 @@ def normal_subgroups(table):
         found |= more
 
 
+def conjugacy_classes(table):
+    """Every conjugacy class, as frozensets, from the table alone and with no
+    inverses: b is conjugate to a when g b = a g for some g, and row g of a
+    Latin square holds a g in exactly one column b."""
+    t = np.asarray(table)
+    solve = np.argsort(t, axis=1)  # solve[g, c] is the b with g b = c
+    n = len(t)
+    return {frozenset(int(solve[g, t[a, g]]) for g in range(n)) for a in range(n)}
+
+
+def is_class_union(classes, members) -> bool:
+    """Whether `members` is a union of the given classes, i.e. normal."""
+    members = set(members)
+    return all(c <= members or not (c & members) for c in classes)
+
+
 def congruence_modulus(table, K, L, N):
     """[K,N,K][L,N], from commutators and products alone."""
     t, inv = table_ops(table)

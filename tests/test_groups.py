@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from verba.errors import (
 )
 from verba import groups
 from verba.groups import (
+    Subset,
     builtin_group,
     closure,
     commutator_of_subsets,
@@ -34,21 +37,27 @@ from verba.groups import (
     star_power,
     subgroup_product,
 )
+from verba.harness import DEFAULT_CATALOG
 from verba.words import delta, gamma, reduce_word, variables, xvar
 
 from .oracles import (
     alt_elements,
+    close_under_products,
+    conjugacy_classes,
     dih_element,
     dih_mul,
     evaluate_letters,
     heis_element,
     heis_mul,
+    is_class_union,
+    normal_subgroups,
     perm_inv,
     perm_mul,
     perm_products,
     quat_inv,
     quat_mul,
     sym_elements,
+    table_ops,
 )
 from .test_words import _any_word
 
@@ -454,6 +463,70 @@ def test_normal_closure_is_conjugation_closed(sym4):
     for g in range(sym4.order):
         for h in map(int, n.elements):
             assert n.mask[t[t[sym4.inv(g), h], g]]
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes and normality
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _group(spec):
+    return builtin_group(spec)
+
+
+@functools.cache
+def _classes(spec):
+    return conjugacy_classes(_group(spec).table)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG + ("sym:5", "heis:5", "dih:60"))
+def test_class_partition_matches_oracle(spec):
+    G = builtin_group(spec)
+    ours = {frozenset(map(int, np.flatnonzero(G.class_union([a])))) for a in range(G.order)}
+    assert ours == conjugacy_classes(G.table)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_is_normal_matches_oracles_on_subgroups(spec):
+    # every normal subgroup, and every cyclic one, normal or not
+    G = _group(spec)
+    t, inv = table_ops(G.table)
+    mul, inverse = (lambda a, b: int(t[a, b])), (lambda a: int(inv[a]))
+    normal = normal_subgroups(G.table)
+    cyclic = {frozenset(close_under_products({g}, mul, inverse)) for g in range(G.order)}
+    for S in normal | cyclic:
+        assert G.subset(sorted(S)).is_normal == (S in normal) == is_class_union(_classes(spec), S)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_normal_and_class_union_match_oracle_on_subsets(data):
+    spec = data.draw(st.sampled_from(DEFAULT_CATALOG).filter(lambda s: _group(s).order <= 24))
+    G, classes = _group(spec), sorted(_classes(spec), key=min)
+    # a union of classes, then a few elements toggled, so both verdicts occur
+    members = set().union(*data.draw(st.lists(st.sampled_from(classes))))
+    members ^= data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
+    assert G.subset(sorted(members)).is_normal == is_class_union(classes, members)
+    union = set().union(*(c for c in classes if c & members))
+    assert set(map(int, np.flatnonzero(G.class_union(sorted(members))))) == union
+
+
+def test_seeded_class_faults_flip_normality():
+    G = builtin_group("sym:4")  # private: its class labels are corrupted below
+    a4, swap = G.derived_subgroup(), closure(G, [G.element_names.index("(1 2)")])
+    true = G._memo[("classes", None)]
+    transposition, three_cycle = (true[G.element_names.index(c)] for c in ("(1 2)", "(1 2 3)"))
+    merged = true.copy()
+    merged[merged == transposition] = three_cycle
+    G._memo[("classes", None)] = merged
+    assert not Subset(G, a4.mask).is_normal
+    split = true.copy()
+    split[G.element_names.index("(1 2)")] = true.max() + 1
+    G._memo[("classes", None)] = split
+    assert Subset(G, swap.mask).is_normal
+    G._memo[("classes", None)] = true
+    assert Subset(G, a4.mask).is_normal and not Subset(G, swap.mask).is_normal
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Lower central series, derived series and normal closures against
-`sympy.combinatorics`, an implementation that shares no code with verba.
+"""Lower central series, derived series, normal closures and conjugacy
+classes against `sympy.combinatorics`, an implementation that shares no code
+with verba.
 
-Subgroups of the symmetric and alternating groups are compared as sets of
-permutations, through `perm_images`.  sympy composes permutations left to
-right and verba right to left, but a subgroup generated by the same
-permutations is the same set either way.  verba builds its dihedral groups
+Subgroups and classes of the symmetric and alternating groups are compared as
+sets of permutations, through `perm_images`.  sympy composes permutations
+left to right and verba right to left, but a subgroup generated by the same
+permutations is the same set either way, and so is a conjugacy class.  verba builds its dihedral groups
 from a formula, with no permutations, so there the terms of each series are
 compared by order.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -71,6 +73,17 @@ def test_normal_closures_match_sympy(spec):
         g = combinatorics.Permutation(list(G.perm_images[index]), size=degree)
         ours = normal_closure(G, [index])
         assert _verba_set(G, ours) == _sympy_set(H.normal_closure(g)), (spec, index)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_conjugacy_classes_match_sympy(spec):
+    G, H, _ = _as_sympy(spec)
+    ours = {
+        frozenset(G.perm_images[int(i)] for i in np.flatnonzero(G.class_union([a])))
+        for a in range(G.order)
+    }
+    theirs = {frozenset(tuple(p.array_form) for p in c) for c in H.conjugacy_classes()}
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("n", DIHEDRAL)
