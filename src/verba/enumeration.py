@@ -8,7 +8,7 @@ witness order are decided in one place.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,18 +36,22 @@ class ProductSpace:
         return self
 
     def axis_values(self, flat: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for a, size, period in zip(self.axes, self.sizes, self.periods):
-            out.append(a[(flat // period) % size])
-        return out
+        return [a[(flat // p) % n] for a, n, p in zip(self.axes, self.sizes, self.periods)]
 
     def blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
         for start in range(0, self.size, BLOCK):
             flat = np.arange(start, min(start + BLOCK, self.size), dtype=np.int64)
             yield start, self.axis_values(flat)
 
+    def first_failure(self, holds: Callable[[list[np.ndarray]], np.ndarray]) -> int | None:
+        """Flat index of the first tuple at which `holds` is False, or None
+        if it holds on all of them.  `holds` maps the axis columns of a block
+        to one boolean per tuple."""
+        for start, cols in self.blocks():
+            bad = np.flatnonzero(~holds(cols))
+            if bad.size:
+                return start + int(bad[0])
+        return None
+
     def tuple_at(self, flat: int) -> tuple[int, ...]:
-        return tuple(
-            int(a[(flat // period) % size])
-            for a, size, period in zip(self.axes, self.sizes, self.periods)
-        )
+        return tuple(int(c[0]) for c in self.axis_values(np.array([flat])))

@@ -147,12 +147,14 @@ class FiniteGroup:
         return i
 
     def subset(self, elements: Iterable[int] | np.ndarray) -> "Subset":
+        """The subset of the given indices, range-checked at once by their
+        least and greatest; BadIndex names the first index outside the group,
+        of any size."""
+        idx = elements.tolist() if isinstance(elements, np.ndarray) else [int(e) for e in elements]
+        if idx and not 0 <= min(idx) <= max(idx) < self.order:
+            self.check_index(next(i for i in idx if not 0 <= i < self.order))
         mask = np.zeros(self.order, dtype=bool)
-        for e in list(elements):
-            mask[self.check_index(int(e))] = True
-        return Subset(self, mask)
-
-    def subset_from_mask(self, mask: np.ndarray) -> "Subset":
+        mask[idx] = True
         return Subset(self, mask)
 
     def full_subgroup(self) -> "Subset":
@@ -209,8 +211,12 @@ def _class_labels(G: FiniteGroup) -> np.ndarray:
 
 
 def _derived_subgroup(G: FiniteGroup) -> "Subset":
-    full = G.full_subgroup()
-    return commutator_of_subsets(G, full, full)
+    """The closure of every commutator.  They form a union of classes, as
+    [a^g, b] = [a, b^(g^-1)]^g, so the class representatives (the least
+    element of each class) stand in for the first operand."""
+    reps = np.unique(G.cached("classes", None, _class_labels, G), return_index=True)[1]
+    comms = G.comm_arr(reps[:, None], np.arange(G.order)[None, :])
+    return closure(G, np.flatnonzero(G.class_union(comms)))
 
 
 def _inverse_table(table: np.ndarray) -> np.ndarray:

@@ -16,11 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .enumeration import DEFAULT_BUDGET, ProductSpace
-from .errors import (
-    ArityMismatch,
-    BudgetExceeded,
-    PreconditionFailed,
-)
+from .errors import ArityMismatch, BudgetExceeded, PreconditionFailed
 from .groups import (
     FiniteGroup,
     Subset,
@@ -229,11 +225,13 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     if children is None:
         vars_ = variables(expr)
         space = ProductSpace([sets[v].elements.astype(np.int64) for v in vars_])
-        for start, cols in space.blocks():
-            hit = np.flatnonzero(evaluate_arrays(expr, group, dict(zip(vars_, cols))) == value)
-            if hit.size:
-                return dict(zip(vars_, space.tuple_at(start + int(hit[0]))))
-        raise KeyError(value)
+        # the first tuple failing "!= value" is the first taking the value
+        flat = space.first_failure(
+            lambda cols: evaluate_arrays(expr, group, dict(zip(vars_, cols))) != value
+        )
+        if flat is None:
+            raise KeyError(value)
+        return dict(zip(vars_, space.tuple_at(flat)))
     op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
     sides = [_value_set(c, sets, group, None).values for c in children]
     lefts = sides[:1]  # lefts[i]: the values of the product of sides 0..i
@@ -373,8 +371,6 @@ def _check_substitution(w, args, G, budget) -> SubstitutionReport:
 
 @dataclass
 class LinearityReport:
-    word: str
-    position: int
     space: int
     holds: bool
     counterexample: dict[str, int] | None = None
@@ -450,29 +446,20 @@ def check_linearity(
     space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, gens])
     space.require_within(budget, f"linearity of {render(w)} in position {position}")
 
-    counterexample: dict[str, int] | None = None
-    for start, cols in space.blocks():
-        sib_vals, xv, yv = cols[:-2], cols[-2], cols[-1]
-        lhs = spine_eval(Q, path, Q.mul_arr(xv, yv), sib_vals)
-        rhs = Q.mul_arr(
-            spine_eval(Q, path, xv, sib_vals), spine_eval(Q, path, yv, sib_vals)
-        )
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            point = space.tuple_at(start + int(bad[0]))
-            elems = _lift(sib_axes + [(pivot_axis, pivot_lift)] * 2, point)
-            counterexample = {}
-            for vs, value in zip(sib_sets, elems[:-2]):
-                counterexample.update({str(var): e for var, e in vs.witness(value).items()})
-            counterexample[str(pivot)], counterexample["y"] = elems[-2:]
-            break
-    return LinearityReport(
-        word=render(w),
-        position=position,
-        space=space.size,
-        holds=counterexample is None,
-        counterexample=counterexample,
-    )
+    def multiplicative(cols):
+        sibs, xv, yv = cols[:-2], cols[-2], cols[-1]
+        fxy, fx, fy = (spine_eval(Q, path, v, sibs) for v in (Q.mul_arr(xv, yv), xv, yv))
+        return fxy == Q.mul_arr(fx, fy)
+
+    flat = space.first_failure(multiplicative)
+    if flat is None:
+        return LinearityReport(space=space.size, holds=True)
+    elems = _lift(sib_axes + [(pivot_axis, pivot_lift)] * 2, space.tuple_at(flat))
+    counterexample = {}
+    for vs, value in zip(sib_sets, elems[:-2]):
+        counterexample.update({str(var): e for var, e in vs.witness(value).items()})
+    counterexample[str(pivot)], counterexample["y"] = elems[-2:]
+    return LinearityReport(space=space.size, holds=False, counterexample=counterexample)
 
 
 def _greedy_generators(Q: FiniteGroup, axis: np.ndarray) -> np.ndarray:
@@ -563,11 +550,9 @@ def star_membership_sweep(
             subset.elements.astype(np.int64)
         ]
         space = ProductSpace(axes).require_within(budget, "star membership sweep")
-        for start, cols in space.blocks():
-            ok = star.mask[spine_eval(G, path, cols[-1], cols[:-1])]
-            if not ok.all():
-                flat = start + int(np.flatnonzero(~ok)[0])
-                return SweepReport((pos, space.tuple_at(flat)), swept + flat, None)
+        flat = space.first_failure(lambda cols: star.mask[spine_eval(G, path, cols[-1], cols[:-1])])
+        if flat is not None:
+            return SweepReport((pos, space.tuple_at(flat)), swept + flat, None)
         swept += space.size
     return SweepReport(None, swept, None)
 
@@ -696,16 +681,19 @@ def comm_congruence_sweep(
         sub.require_normal()
     G = K.group
     modulus = comm_congruence_modulus(K, L, N)
-    lk = G.subset_from_mask(K.mask & L.mask)
+    lk = Subset(G, K.mask & L.mask)
     labels, Q = quotient(modulus)
     axes = [_coset_images(labels, S.elements) for S in (K, K, lk, N)]
     space = ProductSpace([axis for axis, _ in axes]).require_within(
         budget, "commutator congruence sweep"
     )
-    for start, (yv, zv, lv, nv) in space.blocks():
+
+    def congruent(cols):
+        yv, zv, lv, nv = cols
         xv = Q.mul_arr(Q.mul_arr(yv, zv), lv)
-        ok = Q.comm_arr(xv, nv) == Q.mul_arr(Q.comm_arr(yv, nv), Q.comm_arr(zv, nv))
-        if not ok.all():
-            flat = start + int(np.flatnonzero(~ok)[0])
-            return SweepReport(tuple(_lift(axes, space.tuple_at(flat))), flat, modulus)
+        return Q.comm_arr(xv, nv) == Q.mul_arr(Q.comm_arr(yv, nv), Q.comm_arr(zv, nv))
+
+    flat = space.first_failure(congruent)
+    if flat is not None:
+        return SweepReport(tuple(_lift(axes, space.tuple_at(flat))), flat, modulus)
     return SweepReport(None, K.order**2 * lk.order * N.order, modulus)

@@ -155,6 +155,16 @@ def test_verbal_takes_set_entries_as_the_value_domain(capsys):
     assert capsys.readouterr().err == "error: entry 1: some 2-th power escapes the subset\n"
 
 
+@pytest.mark.parametrize("tup", ["ncl(10^30)", "G,ncl(3,10^30)", "set:(10^30);n=2", "ncl(24)"])
+def test_element_indices_of_any_size_outside_the_group_are_usage_errors(capsys, tup):
+    index = str(10**30) if "10^30" in tup else "24"
+    tup = tup.replace("10^30", str(10**30))
+    word = "gamma:2" if "," in tup else "gamma:1"
+    code, out = run_cli(["check", "L2.3", "--group", "sym:4", "--word", word, "--tuple", tup])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: element index {index} outside 0..23\n"
+
+
 def test_check_command():
     code, out = run_cli(["check", "L2.3", "--group", "sym:3", "--word", "gamma:2", "--tuple", "G,G"])
     assert code == 0 and "pass" in out

@@ -43,6 +43,7 @@ from verba.words import delta, gamma, reduce_word, variables, xvar
 from .oracles import (
     alt_elements,
     close_under_products,
+    commutator_closure,
     conjugacy_classes,
     dih_element,
     dih_mul,
@@ -568,6 +569,39 @@ def test_commutator_of_subsets(quat8, sym3):
     assert commutator_of_subsets(quat8, full, one).order == 1
     a3 = sym3.derived_subgroup()
     assert commutator_of_subsets(sym3, a3, a3).order == 1
+
+
+@pytest.mark.parametrize("spec", list(DEFAULT_CATALOG) + ["sym:5", "sym:6"])
+def test_derived_subgroup_matches_the_full_commutator_mesh(spec):
+    """The class-representative build against every [a, b] in G x G: its
+    seed is all commutators, and below order 720 its closure matches set
+    arithmetic.  On sym:6 the commutators of class representatives alone
+    reach only 270 of the 360."""
+    G = builtin_group(spec)
+    D = G.derived_subgroup()
+    t, inv = table_ops(G.table)
+    a, b = np.meshgrid(np.arange(G.order), np.arange(G.order), indexing="ij")
+    assert D.generators == tuple(np.unique(t[t[inv[a], inv[b]], t[a, b]]).tolist())
+    if G.order < 720:
+        everything = range(G.order)
+        assert set(map(int, D.elements)) == commutator_closure(G.table, everything, everything)
+
+
+@pytest.mark.parametrize(
+    "elements, index",
+    [([2**70], 2**70), ([-1], -1), ([3, -(2**70), 99], -(2**70)), ([0, 24, 25], 24),
+     (np.array([5, 30], dtype=np.int32), 30), (iter([1, 2, 40]), 40)],
+)
+def test_subset_names_the_first_index_outside_the_group(sym4, elements, index):
+    with pytest.raises(BadIndex) as err:
+        sym4.subset(elements)
+    assert str(err.value) == f"element index {index} outside 0..23"
+
+
+def test_subset_takes_lists_arrays_and_iterators(sym4):
+    for elements in ([], [3, 1, 3], np.array([1, 3], dtype=np.int32), iter((1, 3)), {1, 3}):
+        assert set(sym4.subset(elements).elements) <= {1, 3}
+    assert sym4.subset(range(24)) == sym4.full_subgroup()
 
 
 def test_commutator_requires_normal_subsets(quat8):

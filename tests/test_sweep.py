@@ -1,0 +1,230 @@
+"""The one first-failure sweep, `ProductSpace.first_failure`, and the gap group.
+
+Every exhaustive search (linearity, Lemmas 2.5 and 2.8, and the raw witness
+search) reports the first tuple, in row-major order, at which its predicate
+fails.  These tests pin that the answer does not depend on the block size,
+and pin the gap group `tests/groups/gap512.perm`, on which the value sets of
+gamma:2 and gamma:3 are smaller than their verbal subgroups, through its
+suite golden and cheap sweep rows.
+"""
+
+from __future__ import annotations
+
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import verba.harness as harness
+import verba.verbal as verbal
+from verba import enumeration
+from verba.cli import main
+from verba.enumeration import ProductSpace
+from verba.groups import Subset, builtin_group, commutator_subgroup
+from verba.harness import CheckSpec, resolve_group, run_check
+from verba.verbal import (
+    check_linearity,
+    class_generating_subset,
+    comm_congruence_sweep,
+    star_membership_sweep,
+    value_set,
+)
+from verba.words import gamma, parse_word
+
+REPO = Path(__file__).resolve().parents[1]
+GAP_GROUP = "tests/groups/gap512.perm"
+GAP_IDS = "C2.12,C3.8,CONJ,L2.3,T2.11-bound"
+
+
+# ---------------------------------------------------------------------------
+# first_failure
+# ---------------------------------------------------------------------------
+
+
+def _first_false_by_product(axes, holds_at):
+    """Flat index of the first tuple of itertools.product(*axes) at which
+    the scalar predicate is False, or None."""
+    for flat, point in enumerate(itertools.product(*axes)):
+        if not holds_at(point):
+            return flat
+    return None
+
+
+@pytest.mark.parametrize("block", [7, enumeration.BLOCK])
+def test_first_failure_matches_itertools_product(monkeypatch, block):
+    monkeypatch.setattr(enumeration, "BLOCK", block)
+    rng = np.random.default_rng(16)
+    checked = 0
+    # sizes on, just past and just short of a multiple of 7, and empty
+    for shape in [(5,), (2, 4), (3, 5), (3, 4), (2, 3, 5), (4, 1, 6), (7, 7), (3, 0, 2)]:
+        axes = [rng.permutation(20)[:n].astype(np.int64) for n in shape]
+        space = ProductSpace(axes)
+        size = int(np.prod(shape))
+        # no failure, and failures at each block edge and at the last tuple
+        for target in {None, 0, 6, 7, 8, 13, 14, size - 1}:
+            if target is not None and not 0 <= target < size:
+                continue
+            bad = None if target is None else space.tuple_at(target)
+
+            def holds(cols, bad=bad):
+                if bad is None:
+                    return np.ones(cols[0].shape, dtype=bool)
+                return ~np.all([c == b for c, b in zip(cols, bad)], axis=0)
+
+            expected = _first_false_by_product(axes, lambda p, bad=bad: p != bad)
+            assert space.first_failure(holds) == expected == target, (shape, target)
+            checked += 1
+        # a predicate failing on many tuples reports the first of them
+        def parity(cols):
+            return sum(cols) % 3 != 0
+
+        expected = _first_false_by_product(axes, lambda p: sum(p) % 3 != 0)
+        assert space.first_failure(parity) == expected, shape
+    assert checked > 30
+
+
+def _at_block_sizes(monkeypatch, run):
+    """`run()` at the default block size and at 7, which puts a block
+    boundary inside every space with more than 7 tuples."""
+    default = run()
+    monkeypatch.setattr(enumeration, "BLOCK", 7)
+    return default, run()
+
+
+def test_failing_linearity_does_not_depend_on_the_block_size(monkeypatch):
+    sym3, sym4 = builtin_group("sym:3"), builtin_group("sym:4")
+    v4 = commutator_subgroup(sym4.derived_subgroup(), sym4.derived_subgroup())
+    cases = [
+        (gamma(2), [sym3.full_subgroup()] * 2, 2, sym3.trivial_subgroup()),
+        (gamma(3), [sym4.full_subgroup()] * 3, 3, v4),
+    ]
+
+    def run():
+        return [check_linearity(w, subs, pos, modulus) for w, subs, pos, modulus in cases]
+
+    default, small = _at_block_sizes(monkeypatch, run)
+    assert all(not rep.holds for rep in default)
+    assert [(r.space, r.counterexample) for r in default] == [
+        (r.space, r.counterexample) for r in small
+    ]
+    assert max(r.space for r in default) > 7
+
+
+def test_failing_star_membership_does_not_depend_on_the_block_size(monkeypatch):
+    sym3 = builtin_group("sym:3")
+    s = class_generating_subset(sym3.full_subgroup())
+    real = verbal.star_power
+    # a star power one step too small, so the lemma fails
+    monkeypatch.setattr(verbal, "star_power", lambda G, S, n: real(G, S, 1))
+
+    def run():
+        return star_membership_sweep(gamma(3), [s, s, s], None)
+
+    default, small = _at_block_sizes(monkeypatch, run)
+    assert not default.holds
+    assert (default.counterexample, default.swept) == (small.counterexample, small.swept)
+    assert default.swept > 7
+
+
+def test_failing_comm_congruence_does_not_depend_on_the_block_size(monkeypatch):
+    """With [K,N,K] alone as the modulus Lemma 2.8 fails on heis:3 with
+    K = L = N = G."""
+    G = builtin_group("heis:3")
+    full = G.full_subgroup()
+    monkeypatch.setattr(
+        verbal,
+        "comm_congruence_modulus",
+        lambda K, L, N: commutator_subgroup(commutator_subgroup(K, N), K),
+    )
+
+    def run():
+        return comm_congruence_sweep(full, full, full, None)
+
+    default, small = _at_block_sizes(monkeypatch, run)
+    assert not default.holds
+    assert (default.counterexample, default.swept) == (small.counterexample, small.swept)
+    assert default.swept > 7
+
+
+def test_raw_witnesses_do_not_depend_on_the_block_size(monkeypatch):
+    """A word with a repeated variable takes its witnesses from the raw
+    assignment space."""
+    G = builtin_group("sym:4")
+    full = G.full_subgroup()
+    vs = value_set(parse_word("x1*x2*x1"), [full, full])
+
+    def run():
+        return [vs.witness(v) for v in vs.values]
+
+    default, small = _at_block_sizes(monkeypatch, run)
+    assert default == small and vs.size > 7
+
+
+# ---------------------------------------------------------------------------
+# the gap group
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gap512():
+    return resolve_group(str(REPO / GAP_GROUP))
+
+
+# details recorded before the sweeps shared `first_failure`
+GAP_SWEEP_ROWS = [
+    ("L2.5", "gamma:2", "G,G", "101376 collapsed tuples over 2 positions"),
+    ("L2.5", "gamma:2", "derived,derived", "19456 collapsed tuples over 2 positions"),
+    ("L2.5", "gamma:2", "center,center", "2048 collapsed tuples over 2 positions"),
+    ("L2.5", "gamma:2", "G,derived", "60416 collapsed tuples over 2 positions"),
+    ("L2.5", "gamma:2", "ncl(468),ncl(264)", "68608 collapsed tuples over 2 positions"),
+    ("L2.8", "-", "G,G,G", "|K|=512 |L|=512 |N|=512 modulus=64 (68719476736 tuples)"),
+    ("L2.8", "-", "center,center,center", "|K|=2 |L|=2 |N|=2 modulus=1 (16 tuples)"),
+    ("T2.10", "gamma:1", "G", "1 factors, orders [64, 512]"),
+    ("T2.10", "gamma:1", "ncl(468)", "1 factors, orders [16, 256]"),
+    ("T2.10", "gamma:2", "G,G", "2 factors, orders [1, 32, 64]"),
+    ("T2.10", "gamma:2", "G,derived", "2 factors, orders [1, 8, 32]"),
+    ("T2.10", "gamma:2", "ncl(468),ncl(264)", "2 factors, orders [1, 16, 64]"),
+]
+
+
+@pytest.mark.parametrize("check_id, word, tup, detail", GAP_SWEEP_ROWS)
+def test_gap_group_sweep_rows(gap512, check_id, word, tup, detail):
+    row = run_check(CheckSpec(check_id, GAP_GROUP, word, tup), G=gap512)
+    assert (row.status, row.detail) == ("pass", detail)
+
+
+def _gap_suite(tmp_path, ids=GAP_IDS, code=0):
+    """The suite's CSV on the gap catalog at seed 0, run from the repository
+    root: the group column is the catalog's relative path."""
+    out = tmp_path / "gap.csv"
+    argv = ["suite", "--catalog", "tests/groups/gap_catalog.txt", "--ids", ids]
+    assert main(argv + ["--seed", "0", "--format", "csv", "--out", str(out)]) == code
+    return out.read_text(encoding="utf-8")
+
+
+def test_gap_suite_matches_the_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO)
+    golden = (REPO / "tests" / "golden" / "suite_gap_seed0.csv").read_text(encoding="utf-8")
+    assert _gap_suite(tmp_path) == golden
+    *rows, summary = golden.splitlines()[1:]
+    assert summary == "50 checks: pass=50" and all(",pass," in r for r in rows)
+    # the gap: value sets smaller than the verbal subgroups they generate
+    assert 'C2.12,tests/groups/gap512.perm,gamma:2,"G,G",exhaustive,pass,m=62 |w(N)|=64' in rows
+    assert 'C2.12,tests/groups/gap512.perm,gamma:3,"G,G,G",exhaustive,pass,m=30 |w(N)|=32' in rows
+
+
+def test_c2_12_gap_rows_see_a_value_set_taken_for_its_closure(tmp_path, monkeypatch):
+    """A seeded fault: C2.12 compares the value set itself, not the subgroup
+    it generates, with the verbal subgroup.  The two differ exactly on the
+    gap rows, so those rows fail and the others still pass."""
+    monkeypatch.chdir(REPO)
+    real = harness.closure
+    monkeypatch.setattr(
+        harness, "closure", lambda G, seed: seed if isinstance(seed, Subset) else real(G, seed)
+    )
+    *rows, _ = _gap_suite(tmp_path, "C2.12", code=1).splitlines()[1:]
+    failed = [r for r in rows if ",fail," in r]
+    assert len(failed) == 4 and len(rows) == 10
+    assert 'C2.12,tests/groups/gap512.perm,gamma:2,"G,G",exhaustive,fail,m=62 |w(N)|=62' in failed
+    assert 'C2.12,tests/groups/gap512.perm,gamma:3,"G,G,G",exhaustive,fail,m=30 |w(N)|=30' in failed
