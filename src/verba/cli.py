@@ -187,6 +187,8 @@ def _cmd_eval(args) -> int:
         var = parse_word(name)
         if var not in variables(expr):
             raise VerbaError(f"{name.strip()!r} is not a variable of the word {render(expr)}")
+        if var in assignment:
+            raise VerbaError(f"variable {var} is assigned more than once")
         try:
             index = int(idx)
         except ValueError:

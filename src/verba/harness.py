@@ -264,9 +264,8 @@ def _split_entries(text: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    if not parts:
+    parts.append("".join(cur))  # a trailing comma leaves an empty entry
+    if parts == [""]:
         raise UnknownSpec("empty tuple spec")
     return parts
 
@@ -366,8 +365,8 @@ def _check_star_membership(spec, G, word, tup, budget) -> CheckResult:
     tree = _require_ocw(word, "L2.5")
     rep = star_membership_sweep(tree, _class_generating_subsets(tup), budget)
     if not rep.holds:
-        pos, point = rep.counterexample
-        return _result(spec, "fail", f"position {pos}, point {point}")
+        pos, value, wit = rep.counterexample
+        return _result(spec, "fail", f"position {pos}, value {value} from {wit}")
     positions = len(variables(tree))
     return _result(spec, "pass", f"{rep.swept} collapsed tuples over {positions} positions")
 

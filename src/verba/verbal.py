@@ -528,16 +528,13 @@ def star_membership_sweep(
     i-th entry of t lies in the normal subset S_i and the others in G.
 
     Position i is variables(w)[i-1] and takes `subsets[i-1]`; positions are
-    swept in order.  The subtrees off the spine of position i enter through
-    their value sets, so the points are collapsed tuples: the sibling
-    values, root first, then the entry from S_i.  A counterexample is
-    (position, point).
+    swept in order, each through the value set of w with that entry in S_i
+    and the others in G.  A counterexample is (position, value, witness), the
+    witness following variables(w).  `swept` counts collapsed tuples: for each
+    position that passed, |S_i| times the sibling value-set sizes over G
+    along its spine.
     """
-    vars_ = variables(w)
-    if len(subsets) != len(vars_):
-        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
-    for S in subsets:
-        S.require_normal_subset()
+    vars_ = _require_normal_subsets(w, subsets)
     G = subsets[0].group
     full = G.full_subgroup()
     env = {v: full for v in vars_}
@@ -545,16 +542,31 @@ def star_membership_sweep(
     for pos, (var, subset) in enumerate(zip(vars_, subsets), start=1):
         star = star_power(G, subset, 2 ** (len(vars_) - 1))
         path = spine_decompose(w, var)
-        sib_sets = [value_set_over(sub, env, budget) for sub, _ in path]
-        axes = [vs.values.astype(np.int64) for vs in sib_sets] + [
-            subset.elements.astype(np.int64)
-        ]
-        space = ProductSpace(axes).require_within(budget, "star membership sweep")
-        flat = space.first_failure(lambda cols: star.mask[spine_eval(G, path, cols[-1], cols[:-1])])
-        if flat is not None:
-            return SweepReport((pos, space.tuple_at(flat)), swept + flat, None)
-        swept += space.size
+        escape = _first_escape(value_set_over(w, {**env, var: subset}, budget), star)
+        if escape is not None:
+            return SweepReport((pos, *escape[1:]), swept, None)
+        swept += subset.order * math.prod(value_set_over(sub, env, budget).size for sub, _ in path)
     return SweepReport(None, swept, None)
+
+
+def _require_normal_subsets(w: WordExpr, subsets: Sequence[Subset]) -> tuple[Var, ...]:
+    """The variables of `w`, once `subsets` holds one normal subset for each."""
+    vars_ = variables(w)
+    if len(subsets) != len(vars_):
+        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
+    for S in subsets:
+        S.require_normal_subset()
+    return vars_
+
+
+def _first_escape(vs: ValueSet, star: Subset) -> tuple[int, int, tuple[int, ...]] | None:
+    """The least value of `vs` outside `star` as (index, value, witness), or None."""
+    ok = star.mask[vs.values]
+    if ok.all():
+        return None
+    i = int(np.flatnonzero(~ok)[0])
+    value = int(vs.values[i])
+    return i, value, tuple(vs.witness(value).values())
 
 
 def width_sweep(
@@ -600,11 +612,7 @@ def extended_width_sweep(
     variables.  `swept` counts the values tested by the path that decided:
     the values at `wide` when the proof holds, else the per-vector values.
     """
-    vars_ = variables(w)
-    if len(subsets) != len(vars_):
-        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
-    for S in subsets:
-        S.require_normal_subset()
+    vars_ = _require_normal_subsets(w, subsets)
     mvecs = [tuple(m) for m in multiplicities]
     if any(len(m) != len(vars_) for m in mvecs):
         raise ArityMismatch(f"need one multiplicity per variable of {render(w)}")
@@ -641,13 +649,10 @@ def extended_width_sweep(
         for v, k in members:
             star = star_power(G, base.members, math.prod(mvec) * 2**k)
             vs = values_at(v, sets)
-            ok = star.mask[vs.values]
-            if not ok.all():
-                i = int(np.flatnonzero(~ok)[0])
-                value = int(vs.values[i])
-                wit = vs.witness(value)
-                point = (v, mvec, value, tuple(wit[u] for u in variables(v)))
-                return SweepReport(point, swept + i, None)
+            escape = _first_escape(vs, star)
+            if escape is not None:
+                i, value, wit = escape
+                return SweepReport((v, mvec, value, wit), swept + i, None)
             swept += vs.size
     return SweepReport(None, swept, None)
 

@@ -75,6 +75,22 @@ def test_eval_unknown_names_are_usage_errors(capsys, assign):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eval_repeated_variable_is_a_usage_error(capsys):
+    for assign in ("x1=1,x2=2,x1=3", "x1=1, x1 =1,x2=0"):
+        code, out = run_cli(["eval", "--group", "sym:3", "--word", "gamma:2", "--assign", assign])
+        err = capsys.readouterr().err
+        assert (code, out, err) == (2, "", "error: variable x1 is assigned more than once\n")
+
+
+# each spec has one entry per variable once its empty entry is dropped
+@pytest.mark.parametrize("tuple_spec, word", [("G,", "gamma:1"), (",G", "gamma:1"), ("G,,G", "gamma:2")])
+def test_empty_tuple_entry_is_a_usage_error(capsys, tuple_spec, word):
+    argv = ["check", "L2.3", "--group", "sym:3", "--word", word, "--tuple", tuple_spec]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert (code, out, err) == (2, "", "error: unknown tuple entry ''\n")
+
+
 def test_parse_refuses_long_expansions_before_allocating(capsys):
     import tracemalloc
 

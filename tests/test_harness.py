@@ -231,11 +231,16 @@ def test_seeded_small_star_power_flips_l25(monkeypatch):
 
     real = _shrink_star_power(monkeypatch)
     rep = star_membership_sweep(gamma(2), [s, s], None)
-    pos, (g, x) = rep.counterexample
-    # position 1: [x, g] with x in S escapes S^(*1)
-    assert pos == 1 and s.mask[x] and not real(G, s, 1).mask[G.comm(x, g)]
+    pos, value, (x, g) = rep.counterexample
+    # by brute force, position 1 is the first where a value escapes S^(*1)
+    comms = [[G.comm(int(e), h) for e in s.elements for h in range(G.order)]]
+    comms.append([G.comm(h, int(e)) for e in s.elements for h in range(G.order)])
+    escapes = [not s.mask[c].all() for c in comms]
+    assert pos == 1 + escapes.index(True) == 1
+    # the witness is an assignment in G with entry 1 in S, at which gamma:2 is the value
+    assert s.mask[x] and G.comm(x, g) == value and not real(G, s, 1).mask[value]
     row = run_check(spec, G=G)
-    assert row.status == "fail" and row.detail == f"position 1, point {(g, x)}"
+    assert row.status == "fail" and row.detail == f"position 1, value {value} from {(x, g)}"
 
 
 def test_seeded_small_star_power_flips_l26(monkeypatch):

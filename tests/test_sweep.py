@@ -1,8 +1,9 @@
 """The one first-failure sweep, `ProductSpace.first_failure`, and the gap group.
 
-Every exhaustive search (linearity, Lemmas 2.5 and 2.8, and the raw witness
+Every exhaustive tuple search (linearity, Lemma 2.8, and the raw witness
 search) reports the first tuple, in row-major order, at which its predicate
-fails.  These tests pin that the answer does not depend on the block size,
+fails; Lemmas 2.5, 2.6 and 3.2 are decided from value sets and walk no
+tuples.  These tests pin that the answer does not depend on the block size,
 and pin the gap group `tests/groups/gap512.perm`, on which the value sets of
 gamma:2 and gamma:3 are smaller than their verbal subgroups, through its
 suite golden and cheap sweep rows.
@@ -11,6 +12,7 @@ suite golden and cheap sweep rows.
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +27,15 @@ from verba.groups import Subset, builtin_group, commutator_subgroup
 from verba.harness import CheckSpec, resolve_group, run_check
 from verba.verbal import (
     check_linearity,
-    class_generating_subset,
     comm_congruence_sweep,
-    star_membership_sweep,
     value_set,
 )
 from verba.words import gamma, parse_word
 
 REPO = Path(__file__).resolve().parents[1]
 GAP_GROUP = "tests/groups/gap512.perm"
-GAP_IDS = "C2.12,C3.8,CONJ,L2.3,T2.11-bound"
+# every check id but L2.8 and T2.10, whose sweeps take seconds on this group
+GAP_IDS = "L2.1,L2.2,L2.3,L2.5,L2.6,T2.11-bound,C2.12,C2.13,L3.2,T3.6,T3.7-bound,C3.8,C3.9,CONJ"
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +112,6 @@ def test_failing_linearity_does_not_depend_on_the_block_size(monkeypatch):
     assert max(r.space for r in default) > 7
 
 
-def test_failing_star_membership_does_not_depend_on_the_block_size(monkeypatch):
-    sym3 = builtin_group("sym:3")
-    s = class_generating_subset(sym3.full_subgroup())
-    real = verbal.star_power
-    # a star power one step too small, so the lemma fails
-    monkeypatch.setattr(verbal, "star_power", lambda G, S, n: real(G, S, 1))
-
-    def run():
-        return star_membership_sweep(gamma(3), [s, s, s], None)
-
-    default, small = _at_block_sizes(monkeypatch, run)
-    assert not default.holds
-    assert (default.counterexample, default.swept) == (small.counterexample, small.swept)
-    assert default.swept > 7
-
-
 def test_failing_comm_congruence_does_not_depend_on_the_block_size(monkeypatch):
     """With [K,N,K] alone as the modulus Lemma 2.8 fails on heis:3 with
     K = L = N = G."""
@@ -171,7 +156,8 @@ def gap512():
     return resolve_group(str(REPO / GAP_GROUP))
 
 
-# details recorded before the sweeps shared `first_failure`
+# details recorded before the sweeps shared `first_failure`; the L2.5 rows
+# are in the gap golden as well
 GAP_SWEEP_ROWS = [
     ("L2.5", "gamma:2", "G,G", "101376 collapsed tuples over 2 positions"),
     ("L2.5", "gamma:2", "derived,derived", "19456 collapsed tuples over 2 positions"),
@@ -208,10 +194,26 @@ def test_gap_suite_matches_the_golden(tmp_path, monkeypatch):
     golden = (REPO / "tests" / "golden" / "suite_gap_seed0.csv").read_text(encoding="utf-8")
     assert _gap_suite(tmp_path) == golden
     *rows, summary = golden.splitlines()[1:]
-    assert summary == "50 checks: pass=50" and all(",pass," in r for r in rows)
+    assert summary == "139 checks: pass=139" and all(",pass," in r for r in rows)
     # the gap: value sets smaller than the verbal subgroups they generate
     assert 'C2.12,tests/groups/gap512.perm,gamma:2,"G,G",exhaustive,pass,m=62 |w(N)|=64' in rows
     assert 'C2.12,tests/groups/gap512.perm,gamma:3,"G,G,G",exhaustive,pass,m=30 |w(N)|=32' in rows
+
+
+def test_readme_regenerates_the_gap_golden_with_its_ids():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    command = re.search(r"verba suite --catalog tests/groups/gap_catalog\.txt[^`]*", readme)
+    assert command and re.findall(r"--ids (\S+)", command.group()) == [GAP_IDS]
+
+
+def test_l25_budget_limits_the_value_sets_it_builds(capsys, monkeypatch):
+    """Lemma 2.5 builds one value set per position, and the budget limits
+    each combination it builds, not the collapsed space it covers: walking
+    position 1 here would take 25952256 tuples."""
+    monkeypatch.chdir(REPO)
+    argv = ["check", "L2.5", "--group", GAP_GROUP, "--word", "gamma:3", "--tuple", "G,G,G"]
+    assert main(argv + ["--budget", "1000000"]) == 0
+    assert "51910650 collapsed tuples over 3 positions" in capsys.readouterr().out
 
 
 def test_c2_12_gap_rows_see_a_value_set_taken_for_its_closure(tmp_path, monkeypatch):

@@ -291,6 +291,9 @@ def test_star_membership_precondition(sym3):
         star_membership_sweep(gamma(2), [s, swap], None)
     with pytest.raises(ArityMismatch):
         star_membership_sweep(gamma(2), [s], None)
+    # a variable under a product is off the commutator spine
+    with pytest.raises(PreconditionFailed):
+        star_membership_sweep(parse_word("[x1,x2]*x3"), [s, s, s], None)
 
 
 def test_width_examples(sym4):
@@ -545,8 +548,8 @@ def test_linearity_collapse_matches_raw_enumeration(sym3, quat8):
 
 
 def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
-    # the swept form versus scalar evaluation over the whole space, with the
-    # lemma's star power and with one too small to hold
+    # the value-set form versus scalar evaluation over the whole space, with
+    # the lemma's star power and with one too small to hold
     import itertools
 
     s = class_generating_subset(sym3.full_subgroup())
@@ -554,15 +557,20 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
     leaves = variables(tree)
 
     def first_raw_failure(n):
+        """The first position with a value outside S^(*n), and the least
+        such value there."""
         star = star_power(sym3, s, n)
         for pos in (1, 2, 3):
+            escaped = set()
             for combo in itertools.product(range(6), repeat=2):
                 for sv in map(int, s.elements):
                     t = list(combo)
                     t.insert(pos - 1, sv)
                     val = evaluate(tree, sym3, dict(zip(leaves, t)))
                     if not star.mask[val]:
-                        return pos
+                        escaped.add(val)
+            if escaped:
+                return pos, min(escaped)
         return None
 
     rep = star_membership_sweep(tree, [s, s, s], None)
@@ -573,10 +581,10 @@ def test_star_membership_collapse_matches_raw(sym3, monkeypatch):
     real = verbal.star_power
     monkeypatch.setattr(verbal, "star_power", lambda G, S, n: real(G, S, 1))
     rep = star_membership_sweep(tree, [s, s, s], None)
-    pos, (x3, x2, x1) = rep.counterexample  # siblings root first, then S
-    assert pos == first_raw_failure(1) == 1
-    val = evaluate(tree, sym3, dict(zip(leaves, (x1, x2, x3))))
-    assert s.mask[x1] and not real(sym3, s, 1).mask[val]
+    pos, value, wit = rep.counterexample  # the witness follows the leaves
+    assert (pos, value) == first_raw_failure(1) and pos == 1 and rep.swept == 0
+    assert s.mask[wit[pos - 1]] and evaluate(tree, sym3, dict(zip(leaves, wit))) == value
+    assert not real(sym3, s, 1).mask[value]
 
 
 def test_value_set_witness_is_first_in_leaf_order(sym3):
