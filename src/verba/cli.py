@@ -57,16 +57,8 @@ SURVEY_HEADER = ["group", "order", "word", "tuple", "m", "verbal_order", "mode",
 SUITE_HEADER = ["check", "group", "word", "tuple", "mode", "status", "detail"]
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for one call.  Every subcommand is registered, so the usage
-    line, top-level help and choice errors never change, but when `command`
-    names one only its own arguments are added."""
-    top = argparse.ArgumentParser(
-        prog="verba",
-        description="Word values and verbal subgroups on normal subgroups of finite groups.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Add subcommand `name`'s arguments to `p`."""
     def common(p, group=True, word=True, tup=True, seed=False, fmt=True):
         if group:
             p.add_argument("--group", required=True, help="builtin spec (e.g. sym:4) or group file path")
@@ -82,34 +74,55 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
 
+    if name == "parse":
+        p.add_argument("word")
+    elif name == "eval":
+        common(p, tup=False, fmt=False)
+        p.add_argument("--assign", required=True, help="comma list var=element-index, e.g. x1=2,x2=5")
+    elif name in ("values", "verbal"):
+        common(p)
+    elif name == "series":
+        p.add_argument("kind", choices=["gamma", "delta"])
+        common(p, word=False)
+        p.add_argument("--r", type=int, default=None, help="gamma length (default: tuple arity)")
+        p.add_argument("--k", type=int, default=None, help="delta depth (default: log2 of tuple arity)")
+        p.add_argument("--audit", action="store_true", help="check construction-internal containments")
+    elif name == "check":
+        p.add_argument("check_id", choices=list(CHECK_ID_SET))
+        common(p)
+    elif name == "suite":
+        common(p, group=False, word=False, tup=False, seed=True)
+        p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
+        p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
+    else:  # survey, probe
+        common(p, group=False, tup=False, seed=True)
+        p.add_argument("--catalog", default=None)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree, whose usage line, help and errors are the top-level ones."""
+    top = argparse.ArgumentParser(
+        prog="verba",
+        description="Word values and verbal subgroups on normal subgroups of finite groups.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in _COMMANDS and name != command:
-            continue
-        if name == "parse":
-            p.add_argument("word")
-        elif name == "eval":
-            common(p, tup=False, fmt=False)
-            p.add_argument("--assign", required=True, help="comma list var=element-index, e.g. x1=2,x2=5")
-        elif name in ("values", "verbal"):
-            common(p)
-        elif name == "series":
-            p.add_argument("kind", choices=["gamma", "delta"])
-            common(p, word=False)
-            p.add_argument("--r", type=int, default=None, help="gamma length (default: tuple arity)")
-            p.add_argument("--k", type=int, default=None, help="delta depth (default: log2 of tuple arity)")
-            p.add_argument("--audit", action="store_true", help="check construction-internal containments")
-        elif name == "check":
-            p.add_argument("check_id", choices=list(CHECK_ID_SET))
-            common(p)
-        elif name == "suite":
-            common(p, group=False, word=False, tup=False, seed=True)
-            p.add_argument("--catalog", default=None, help="file with one group spec per line (default: builtin catalog)")
-            p.add_argument("--ids", default=None, help="comma list of check ids (default: all)")
-        else:  # survey, probe
-            common(p, group=False, tup=False, seed=True)
-            p.add_argument("--catalog", default=None)
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return top
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` with the named subcommand's parser alone, as `add_parser`
+    builds it; the full tree, whose usage line heads the top-level errors, is
+    built only when no subcommand comes first or arguments are left over."""
+    if argv and argv[0] in _COMMANDS:
+        p = argparse.ArgumentParser(prog=f"verba {argv[0]}")
+        _add_arguments(p, argv[0])
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _read_catalog(path: str | None) -> list[str]:
@@ -202,7 +215,8 @@ def _cmd_eval(args) -> int:
 def _resolved(args):
     G = resolve_group(args.group, args.cap)
     word, label = resolve_word(args.word)
-    tup = parse_tuple_spec(args.tuple_spec or ",".join(["G"] * len(variables(word))), G)
+    spec = args.tuple_spec
+    tup = parse_tuple_spec(",".join(["G"] * len(variables(word))) if spec is None else spec, G)
     return G, word, label, tup
 
 
@@ -237,7 +251,7 @@ def _cmd_series(args) -> int:
     G = resolve_group(args.group, args.cap)
     budget = args.budget
     n = args.r if args.kind == "gamma" else args.k
-    subgroups = parse_tuple_spec(args.tuple_spec, G).subgroups if args.tuple_spec else None
+    subgroups = None if args.tuple_spec is None else parse_tuple_spec(args.tuple_spec, G).subgroups
     if n is None:
         arity = 2 if subgroups is None else len(subgroups)
         n = arity if args.kind == "gamma" else max(1, arity.bit_length() - 1)
@@ -283,7 +297,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tuple_spec = args.tuple_spec or ",".join(["G"] * word_arity(args.word))
+    tuple_spec = ",".join(["G"] * word_arity(args.word)) if args.tuple_spec is None else args.tuple_spec
     spec = CheckSpec(args.check_id, args.group, args.word, tuple_spec)
     res = run_check(spec, budget=args.budget, cap=args.cap)
     _emit(_format_rows([res.as_dict()], SUITE_HEADER, args.fmt), args.out)
@@ -339,7 +353,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

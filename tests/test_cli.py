@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verba.harness as harness
-from verba.cli import _COMMANDS, _build_parser, main
+from verba.cli import _COMMANDS, _build_parser, _parse_args, main
 from verba.words import parse_word
 
 
@@ -89,6 +89,19 @@ def test_empty_tuple_entry_is_a_usage_error(capsys, tuple_spec, word):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert (code, out, err) == (2, "", "error: unknown tuple entry ''\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["values", "--group", "sym:3", "--word", "gamma:2"],
+    ["verbal", "--group", "sym:3", "--word", "gamma:2"],
+    ["check", "L2.3", "--group", "sym:3", "--word", "gamma:2"],
+    ["series", "gamma", "--group", "sym:3"],
+])
+def test_empty_tuple_spec_is_a_usage_error(capsys, argv):
+    """An explicitly empty --tuple is not the all-G default of no --tuple."""
+    code, out = run_cli(argv + ["--tuple", ""])
+    err = capsys.readouterr().err
+    assert (code, out, err) == (2, "", "error: empty tuple spec\n")
 
 
 def test_parse_refuses_long_expansions_before_allocating(capsys):
@@ -631,6 +644,12 @@ def _break(draw, chunks):
     return chunks[:i] + [chunks[i][:1] + ["zz"]] + chunks[i + 1 :]
 
 
+def _same_as_the_full_tree(argv):
+    full = _captured(lambda: vars(_build_parser().parse_args(argv)))
+    one = _captured(lambda: vars(_parse_args(argv)))
+    assert one == full, argv
+
+
 @pytest.mark.parametrize("name", list(_COMMANDS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
@@ -638,23 +657,52 @@ def test_one_subcommand_parser_matches_the_full_tree(name, data):
     chunks = data.draw(_argv_chunks(name))
     if data.draw(st.booleans()):
         chunks = _break(data.draw, chunks)
-    argv = [name] + [tok for chunk in chunks for tok in chunk]
-    full = _captured(lambda: vars(_build_parser().parse_args(argv)))
-    one = _captured(lambda: vars(_build_parser(name).parse_args(argv)))
-    assert one == full, argv
+    _same_as_the_full_tree([name] + [tok for chunk in chunks for tok in chunk])
+
+
+# shapes the top parser could hand to a subparser differently
+@pytest.mark.parametrize("argv", [
+    ["values", "--group=sym:3", "--word", "gamma:2"],
+    ["values", "--gr", "sym:3", "--word", "gamma:2", "--tup", "G,G"],
+    ["suite", "--ca", "7"],  # ambiguous: --cap, --catalog
+    ["parse", "--", "x1"],
+    ["parse", "--", "--group"],
+    ["parse", "x1", "extra", "words"],
+    ["values", "--group", "sym:3", "--word", "gamma:2", "--bogus", "extra"],
+    ["series", "gamma", "--group", "sym:3", "--r=2", "--", "delta"],
+    ["check", "L2.3", "-h"],
+    ["-h", "values"],
+    ["values"],
+    ["parse"],
+])
+def test_fixed_argv_shapes_match_the_full_tree(argv):
+    _same_as_the_full_tree(argv)
 
 
 def test_main_builds_a_parser_on_every_call(monkeypatch):
+    """No parser outlives a call: a named subcommand builds its own parser
+    alone, and no arguments, --help first, an unknown name or leftover
+    arguments build the full tree, the top parser and nine subparsers."""
     built = []
+    init = argparse.ArgumentParser.__init__
 
-    def spy(command=None):
-        built.append(command)
-        return _build_parser(command)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr("verba.cli._build_parser", spy)
-    for argv in (["parse", "x1"], ["parse", "x2"], ["--help"]):
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    tree = ["verba"] + [f"verba {name}" for name in _COMMANDS]
+    for argv, progs in (
+        (["parse", "x1"], ["verba parse"]),
+        (["parse", "x1"], ["verba parse"]),
+        (["--help"], tree),
+        ([], tree),
+        (["bogus"], tree),
+        (["parse", "x1", "--bogus"], ["verba parse"] + tree),
+    ):
+        built.clear()
         run_cli(argv)
-    assert built == ["parse", "parse", "--help"]
+        assert built == progs, argv
 
 
 def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
