@@ -1,6 +1,6 @@
 """Finite-group engine: dense Cayley tables, bitset subsets, subgroup arithmetic.
 
-Elements are 0-based indices into a validated multiplication table, with the
+Elements are 0-based indices into a group multiplication table, with the
 identity always at index 0.  Exhaustive tuple enumeration dominates the
 workloads built on top of this module, so everything here is geared towards
 O(1) multiplication and vectorised gathers over numpy index arrays.
@@ -36,7 +36,12 @@ BLOCK_CELLS = 1 << 20
 
 
 class FiniteGroup:
-    """Group of order n as an n-by-n multiplication table over 0..n-1."""
+    """Group of order n as an n-by-n multiplication table over 0..n-1.
+
+    The table is taken as given, with the identity at 0: every builder here
+    makes a group table by construction, and a table from outside enters
+    through `group_from_cayley`, the one place tables are validated.
+    """
 
     def __init__(
         self,
@@ -44,20 +49,12 @@ class FiniteGroup:
         label: str = "G",
         element_names: Sequence[str] | None = None,
         perm_images: Sequence[tuple[int, ...]] | None = None,
-        _validated: bool = False,
     ):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        if not _validated:
-            table, perm = _validate_table(table, ())
-            if element_names is not None:
-                element_names = [element_names[int(j)] for j in np.argsort(perm)]
-            if perm_images is not None:
-                perm_images = [perm_images[int(j)] for j in np.argsort(perm)]
-        self.table = table
+        self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.table.setflags(write=False)
-        self.order = int(table.shape[0])
+        self.order = int(self.table.shape[0])
         self.label = label
-        self.inverse_table = _inverse_table(table)
+        self.inverse_table = _inverse_table(self.table)
         self.inverse_table.setflags(write=False)
         self._names = list(element_names) if element_names is not None else None
         self.perm_images = list(perm_images) if perm_images is not None else None
@@ -227,14 +224,10 @@ def _inverse_table(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _validate_table(
-    table: np.ndarray, gens: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checks group axioms, returns the table relabelled so identity is 0.
-
-    `gens` are elements known to generate the group, if any; Light's test
-    starts from them.  The returned permutation maps old indices to new ones.
-    """
+def _validate_table(table: np.ndarray) -> np.ndarray:
+    """Checks group axioms, returns the table as int32 relabelled so the
+    identity is 0.  Entries are range-checked before the cast, so none can
+    wrap into range."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("multiplication table must be square")
     n = table.shape[0]
@@ -246,6 +239,7 @@ def _validate_table(
             f"entry at {tuple(map(int, bad))} outside 0..{n - 1}",
             tuple(map(int, bad)),
         )
+    table = np.ascontiguousarray(table, dtype=np.int32)
     step = max(1, BLOCK_CELLS // n)
     ident = np.arange(n, dtype=np.int32)
     blocks = [slice(start, start + step) for start in range(0, n, step)]
@@ -272,31 +266,29 @@ def _validate_table(
     if not two_sided.all():
         a = int(np.flatnonzero(~two_sided)[0])
         raise NotAGroup(f"element {a} has no two-sided inverse", (a,))
-    _check_associativity(table, e, gens)
-    if e != 0:
-        perm = np.arange(n, dtype=np.int32)
-        perm[e], perm[0] = 0, e
-        new = np.empty_like(table)
-        new[perm[:, None], perm[None, :]] = perm[table]
-        return np.ascontiguousarray(new), perm
-    return table, np.arange(n, dtype=np.int32)
+    _check_associativity(table, e)
+    if e == 0:
+        return table
+    perm = np.arange(n, dtype=np.int32)
+    perm[e], perm[0] = 0, e
+    new = np.empty_like(table)
+    new[perm[:, None], perm[None, :]] = perm[table]
+    return new
 
 
-def _check_associativity(table: np.ndarray, e: int, gens: Sequence[int]) -> None:
+def _check_associativity(table: np.ndarray, e: int) -> None:
     """Light's associativity test (Clifford & Preston, *Algebraic Theory of
     Semigroups* I, section 1.2), exact in O(n^2 |gens|).
 
     The elements g with (xg)y = x(gy) for all x, y are closed under products,
     so it is enough to test a set of g whose products reach every element.
-    The given `gens` are topped up greedily: the least element not yet
-    reached, until the right products of the identity by `gens` cover the
-    table.  So given elements that do not generate cost nothing in
-    exactness, only the greedy picks for what they leave unreached.
+    `gens` is picked greedily: the least element not yet reached, until the
+    right products of the identity by `gens` cover the table.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
-    gens = [int(g) for g in gens]
+    gens: list[int] = []
     while True:
         frontier = np.flatnonzero(reached)
         while frontier.size and gens:
@@ -521,7 +513,7 @@ def _quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
             reps.append(g)
     r = np.array(reps, dtype=np.int32)
     table = labels[G.table[r[:, None], r[None, :]]]
-    return labels, FiniteGroup(table, label=f"{G.label}/P", _validated=True)
+    return labels, FiniteGroup(table, label=f"{G.label}/P")
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +559,9 @@ def evaluate_arrays(
 def group_from_cayley(
     table: Sequence[Sequence[int]] | np.ndarray, label: str = "G"
 ) -> FiniteGroup:
-    return FiniteGroup(np.asarray(table, dtype=np.int64), label=label)
+    """The group of a Cayley table from outside, checked exactly by
+    `_validate_table`; a table that is not a group raises `NotAGroup`."""
+    return FiniteGroup(_validate_table(np.asarray(table)), label=label)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -628,9 +622,7 @@ def group_from_permutations(
     r = rank.tolist()
     for q, (p, k) in enumerate(tree, start=1):
         np.take(left[k], table[r[p]], out=table[r[q]])
-    # the identity is element 0, so validation relabels nothing
-    table, _ = _validate_table(table, [r[index[g]] for g in gens])
-    return FiniteGroup(table, label=label, perm_images=order, _validated=True)
+    return FiniteGroup(table, label=label, perm_images=order)
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -676,18 +668,13 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> 
         n * m, n * m
     )
     names = [f"({A.element_names[i]},{B.element_names[j]})" for i in range(n) for j in range(m)]
-    return FiniteGroup(
-        table,
-        label=label or f"{A.label} x {B.label}",
-        element_names=names,
-        _validated=True,
-    )
+    return FiniteGroup(table, label=label or f"{A.label} x {B.label}", element_names=names)
 
 
 def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, label=f"cyc:{n}", element_names=[str(i) for i in range(n)], _validated=True)
+    return FiniteGroup(table, label=f"cyc:{n}", element_names=[str(i) for i in range(n)])
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -705,29 +692,13 @@ def _dihedral(n: int) -> FiniteGroup:
 
 
 def _quaternion8() -> FiniteGroup:
-    # units {±1, ±i, ±j, ±k}: encode as (axis, sign), axis in 1,i,j,k
+    # element 2a + s is (-1)^s times the unit a of 1, i, j, k; units multiply
+    # as a*b = (-1)^SG[a, b] (a xor b), e.g. i*j = k and j*i = -k
+    k = np.arange(8)
+    a, s = k // 2, k % 2
+    SG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    table = 2 * (a[:, None] ^ a[None, :]) + (s[:, None] ^ s[None, :] ^ SG[a[:, None], a[None, :]])
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul_axis = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "k"): ("i", 1), ("k", "i"): ("j", 1),
-        ("j", "i"): ("k", -1), ("k", "j"): ("i", -1), ("i", "k"): ("j", -1),
-    }
-
-    def decode(name):
-        sign = -1 if name.startswith("-") else 1
-        return name.lstrip("-"), sign
-
-    def encode(axis, sign):
-        return names.index(axis if sign > 0 else f"-{axis}")
-
-    table = np.empty((8, 8), dtype=np.int64)
-    for a, na in enumerate(names):
-        for b, nb in enumerate(names):
-            (ax_a, sa), (ax_b, sb) = decode(na), decode(nb)
-            ax, s = mul_axis[(ax_a, ax_b)]
-            table[a, b] = encode(ax, sa * sb * s)
     return FiniteGroup(table, label="quat:8", element_names=names)
 
 
@@ -813,6 +784,8 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if kind == "quat":
         if n != 8:
             raise UnknownSpec("only quat:8 is available")
+        if n > cap:
+            raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
         return _quaternion8()
     if kind == "heis":
         if n**3 > cap:
@@ -846,9 +819,6 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP, label: str | None =
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotAGroup(f"{path}: table row {i} has {len(row)} entries, expected {n}")
-            # checked here, before the int32 table wraps an entry into range
-            if not all(0 <= v < n for v in row):
-                raise NotAGroup(f"{path}: table row {i} has an entry outside 0..{n - 1}")
         return group_from_cayley(rows, label=name)
     degree, count = _file_ints(path, params[:2])
     gens = [parse_cycles(ln, degree) for ln in lines[1 : count + 1]]

@@ -274,7 +274,7 @@ def _int_list(text: str) -> list[int]:
     out = []
     for tok in re.split(r"[,\s]+", text.strip()):
         if tok:
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise BadIndex(f"element index {tok!r} is not a number")
             out.append(int(tok))
     return out

@@ -180,9 +180,9 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(("op", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -193,7 +193,7 @@ def _lex(text: str) -> list[_Token]:
                     f"unknown variable family {c!r} (expected x or y)", i
                 )
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError(f"variable {c!r} needs an index", i)

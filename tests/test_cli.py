@@ -330,6 +330,19 @@ def test_usage_errors_are_exit_2(tmp_path, capsys):
     assert err.startswith("error: L2.1 needs a word") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "x²"],
+    ["parse", "x1^²"],
+    ["values", "--group", "sym:3", "--word", "x1", "--tuple", "ncl(²)"],
+    ["values", "--group", "quat:8", "--word", "x1", "--cap", "5"],
+])
+def test_non_ascii_digits_and_groups_over_the_cap_are_usage_errors(capsys, argv):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_l28_check_without_a_word_matches_the_suite_row(tmp_path):
     catalog = tmp_path / "catalog.txt"
     catalog.write_text("sym:3\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from verba.groups import (
     load_group_file,
     normal_closure,
     parse_cycles,
+    quotient,
     star_power,
     subgroup_product,
 )
@@ -156,7 +158,7 @@ def test_validation_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells)
     monkeypatch.setattr(groups, "BLOCK_CELLS", cells)
     for table, message, witness in _malformed_tables():
         with pytest.raises(NotAGroup) as err:
-            groups._validate_table(np.asarray(table, dtype=np.int32), ())
+            groups._validate_table(np.asarray(table))
         assert (str(err.value), err.value.witness) == (message, witness)
     # Z_12 with its identity at index 9, in the last block of every size
     z = (np.arange(12)[:, None] + np.arange(12)[None, :]) % 12
@@ -164,8 +166,38 @@ def test_validation_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells)
     swap[[0, 9]] = [9, 0]
     moved = np.empty_like(z)
     moved[swap[:, None], swap[None, :]] = swap[z]
-    table, perm = groups._validate_table(moved.astype(np.int32), ())
-    assert (table == z).all() and (perm == swap).all()
+    assert (groups._validate_table(moved) == z).all()
+
+
+def test_entries_too_large_for_int32_or_int64_are_rejected():
+    # range-checked before the int32 cast, where 2**32 + 1 would wrap to 1
+    for big in (2**32 + 1, 2**63, 2**64):
+        with pytest.raises(NotAGroup) as err:
+            group_from_cayley([[0, big], [1, 0]])
+        assert (str(err.value), err.value.witness) == ("entry at (0, 1) outside 0..1", (0, 1))
+
+
+def _sym4_mod_v4():
+    S4 = builtin_group("sym:4")
+    return quotient(normal_closure(S4, [S4.perm_images.index((1, 0, 3, 2))]))[1]
+
+
+BUILT_GROUPS = {
+    spec: functools.partial(builtin_group, spec)
+    for spec in DEFAULT_CATALOG + ("sym:5", "sym:6", "alt:5", "alt:6")
+}
+BUILT_GROUPS["gap512.perm"] = lambda: load_group_file(
+    str(Path(__file__).parent / "groups" / "gap512.perm")
+)
+BUILT_GROUPS["dih:4 x alt:4"] = lambda: direct_product(builtin_group("dih:4"), builtin_group("alt:4"))
+BUILT_GROUPS["sym:4/V4"] = _sym4_mod_v4
+
+
+@pytest.mark.parametrize("name", list(BUILT_GROUPS))
+def test_every_built_table_passes_validation_unrelabelled(name):
+    # builders are trusted and not validated, so each is checked here
+    G = BUILT_GROUPS[name]()
+    assert np.array_equal(groups._validate_table(G.table), G.table)
 
 
 def test_permutation_closure_s3():
@@ -179,33 +211,17 @@ def test_permutation_closure_empty_and_cycle():
     assert group_from_permutations([seven], 7).order == 7
 
 
-def test_permutation_build_starts_light_test_from_its_generators(monkeypatch):
-    seen = []
-    real = groups._check_associativity
-
-    def spy(table, e, start):
-        seen.append(list(start))
-        return real(table, e, start)
-
-    monkeypatch.setattr(groups, "_check_associativity", spy)
-    gens = groups._symmetric_gens(5)
-    g = group_from_permutations(gens, 5)
-    assert len(seen) == 1
-    assert [g.perm_images[i] for i in seen[0]] == gens
-
-
-def test_light_test_with_true_generators_still_catches_a_corrupt_table(sym4):
-    gens = [sym4.perm_images.index(p) for p in groups._symmetric_gens(4)]
-    groups._check_associativity(np.array(sym4.table), 0, gens)  # the true table passes
+def test_light_test_catches_a_corrupt_table(sym4):
+    groups._check_associativity(np.array(sym4.table), 0)  # the true table passes
     # one corrupted cell, tested directly by Light's test
     bad = np.array(sym4.table)
     bad[5, 7] = (bad[5, 7] + 1) % 24
     with pytest.raises(NotAGroup) as err:
-        groups._check_associativity(bad, 0, gens)
+        groups._check_associativity(bad, 0)
     x, g, y = err.value.witness
     assert bad[bad[x, g], y] != bad[x, bad[g, y]]
     with pytest.raises(NotAGroup):
-        groups._validate_table(bad, gens)
+        groups._validate_table(bad)
     # an intercalate swap keeps the Latin square, identity and inverses:
     # rows a and a*u, columns c and u*c, for an involution u, away from
     # the identity's row, column and cells
@@ -222,7 +238,7 @@ def test_light_test_with_true_generators_still_catches_a_corrupt_table(sym4):
     swapped[b, c], swapped[b, d] = swapped[b, d], swapped[b, c]
     assert (np.sort(swapped, axis=0) == np.arange(24)[:, None]).all()
     with pytest.raises(NotAGroup) as err:
-        groups._validate_table(swapped, gens)
+        groups._validate_table(swapped)
     x, g, y = err.value.witness
     assert swapped[swapped[x, g], y] != swapped[x, swapped[g, y]]
 
@@ -236,9 +252,9 @@ def test_order_cap():
 
 def test_validation_above_exhaustive_limit():
     # order 720: Light's test over a greedy generating set, no sampling
-    g = builtin_group("sym:6")
-    assert g.order == 720
-    assert g.mul(g.inv(5), 5) == 0
+    table = builtin_group("sym:6").table
+    assert table.shape == (720, 720)
+    assert np.array_equal(groups._validate_table(table), table)
 
 
 def test_builtin_orders():
@@ -269,6 +285,9 @@ def test_builtin_errors():
         builtin_group("heis:4")
     with pytest.raises(OrderCapExceeded):
         builtin_group("sym:8")
+    for spec in ("cyc:8", "dih:4", "quat:8", "heis:2", "sym:4"):
+        with pytest.raises(OrderCapExceeded):
+            builtin_group(spec, cap=5)
 
 
 def test_heisenberg_is_nonabelian_of_exponent_p():
@@ -410,15 +429,19 @@ def test_degree_17_table_matches_composition(tmp_path):
     "spec",
     ["heis:2", "heis:3", "heis:5", "heis:7"]
     + [f"dih:{n}" for n in range(1, 9)]
-    + ["dih:60"],
+    + ["dih:60", "quat:8"],
 )
 def test_formula_table_matches_oracle_in_every_cell(spec):
     G = builtin_group(spec)
     kind, n = spec.split(":")
     n = int(n)
-    element, mul = (heis_element, heis_mul) if kind == "heis" else (dih_element, dih_mul)
+    element, mul, order = {
+        "heis": (heis_element, heis_mul, n**3),
+        "dih": (dih_element, dih_mul, 2 * n),
+        "quat": (str, lambda x, y, _: quat_mul(x, y), n),
+    }[kind]
     elems = [element(name) for name in G.element_names]
-    assert len(set(elems)) == G.order == (n**3 if kind == "heis" else 2 * n)
+    assert len(set(elems)) == G.order == order
     table = G.table.tolist()
     for a, x in enumerate(elems):
         row = table[a]
