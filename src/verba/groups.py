@@ -560,8 +560,16 @@ def group_from_cayley(
     table: Sequence[Sequence[int]] | np.ndarray, label: str = "G"
 ) -> FiniteGroup:
     """The group of a Cayley table from outside, checked exactly by
-    `_validate_table`; a table that is not a group raises `NotAGroup`."""
-    return FiniteGroup(_validate_table(np.asarray(table)), label=label)
+    `_validate_table`; a table that is not a group, or not an array of
+    integers, raises `NotAGroup`."""
+    try:
+        table = np.asarray(table)
+        whole = bool((table % 1 == 0).all())
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        whole = False
+    if not whole:
+        raise NotAGroup("multiplication table must be an array of integers")
+    return FiniteGroup(_validate_table(table), label=label)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

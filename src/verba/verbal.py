@@ -35,6 +35,7 @@ from .words import (
     Var,
     WordExpr,
     extension_degree,
+    gamma,
     render,
     substitute,
     variables,
@@ -667,38 +668,31 @@ def comm_congruence_modulus(K: Subset, L: Subset, N: Subset) -> Subset:
 def comm_congruence_sweep(
     K: Subset, L: Subset, N: Subset, budget: int | None
 ) -> SweepReport:
-    """Lemma 2.8: [x,n] = [y,n][z,n] modulo [K,N,K][L,N] for x, y, z in K
-    with x = yz modulo L, and n in N.
+    """Lemma 2.8: [x,n] = [y,n][z,n] modulo M = [K,N,K][L,N] for x, y, z in
+    K with x = yz modulo L, and n in N.  x runs as yzl with l in L∩K, so a
+    counterexample is a point (y, z, l, n); `modulus` is M.
 
-    x runs as yzl with y, z in K and l in the intersection of L and K, which
-    keeps x in K, so the points are (y, z, l, n) and a counterexample is
-    one of them.  `modulus` is M = [K,N,K][L,N].
-
-    The congruence only depends on cosets of M, so the sweep runs in G/M,
-    with each axis replaced by its distinct coset images there, as in
-    `check_linearity`, and the budget applies to that space.  A failing
-    quotient tuple is lifted back to G through the first element of each
-    coset, so the counterexample is a point in G.  On a pass, `swept` is the
-    G-level count |K|^2 |L∩K| |N| that the quotient sweep covers; on a
-    failure it counts the quotient tuples tested before it.
+    Fix n.  With l = 1 the lemma says f(y) = [y,n]M is a homomorphism on K,
+    and with y = z = 1 that f kills L∩K; together these give
+    [yzl,n] = [yz,n][l,n] = [y,n][z,n], so the lemma holds exactly when
+    both do.  The first is `check_linearity` of [x1,x2] in x1 over (K, N),
+    whose failure {x1: y, y: s, x2: n} is the point (y, s, 0, n), 0 being
+    the identity; the second asks the value set of [x1,x2] over (L∩K, N)
+    to lie in M, and its least value outside, from (l, n), is the point
+    (0, 0, l, n).  The budget bounds the linearity space and the value-set
+    combination.  `swept` is |K|^2 |L∩K| |N| on a pass, and on a failure
+    the linearity space, plus the escaping value's index for the kernel.
     """
     for sub in (K, L, N):
         sub.require_normal()
-    G = K.group
     modulus = comm_congruence_modulus(K, L, N)
-    lk = Subset(G, K.mask & L.mask)
-    labels, Q = quotient(modulus)
-    axes = [_coset_images(labels, S.elements) for S in (K, K, lk, N)]
-    space = ProductSpace([axis for axis, _ in axes]).require_within(
-        budget, "commutator congruence sweep"
-    )
-
-    def congruent(cols):
-        yv, zv, lv, nv = cols
-        xv = Q.mul_arr(Q.mul_arr(yv, zv), lv)
-        return Q.comm_arr(xv, nv) == Q.mul_arr(Q.comm_arr(yv, nv), Q.comm_arr(zv, nv))
-
-    flat = space.first_failure(congruent)
-    if flat is not None:
-        return SweepReport(tuple(_lift(axes, space.tuple_at(flat))), flat, modulus)
+    lin = check_linearity(gamma(2), [K, N], 1, modulus, budget)
+    if not lin.holds:
+        ce = lin.counterexample
+        return SweepReport((ce["x1"], ce["y"], 0, ce["x2"]), lin.space, modulus)
+    lk = Subset(K.group, K.mask & L.mask)
+    escape = _first_escape(value_set(gamma(2), [lk, N], budget), modulus)
+    if escape is not None:
+        i, _, (ell, n) = escape
+        return SweepReport((0, 0, ell, n), lin.space + i, modulus)
     return SweepReport(None, K.order**2 * lk.order * N.order, modulus)

@@ -177,6 +177,14 @@ def test_entries_too_large_for_int32_or_int64_are_rejected():
         assert (str(err.value), err.value.witness) == ("entry at (0, 1) outside 0..1", (0, 1))
 
 
+def test_tables_that_are_not_integer_arrays_are_rejected():
+    # 1.5 would truncate to 1 in the int32 cast and pass as C2
+    for table in ([[0, 1.5], [1, 0]], [[0, 1], [1]], [[0, "1"], [1, 0]], [[0, None], [1, 0]]):
+        with pytest.raises(NotAGroup, match="must be an array of integers"):
+            group_from_cayley(table)
+    assert group_from_cayley([[0.0, 1.0], [1.0, 0.0]]).order == 2
+
+
 def _sym4_mod_v4():
     S4 = builtin_group("sym:4")
     return quotient(normal_closure(S4, [S4.perm_images.index((1, 0, 3, 2))]))[1]

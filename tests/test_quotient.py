@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import verba.verbal as verbal
+from verba.errors import BudgetExceeded
 from verba.groups import builtin_group, closure, commutator_subgroup, evaluate, quotient
 from verba.harness import (
     DEFAULT_CATALOG,
@@ -172,12 +174,12 @@ def test_corrupted_coset_label_flips_a_series_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the commutator congruence (L2.8) in G/[K,N,K][L,N]
+# the commutator congruence (L2.8): linearity in x1 and a kernel value set
 # ---------------------------------------------------------------------------
 
 # dih:8 has triples where [K,N,K] is neither trivial nor [K,N,K][L,N], so
 # a seeded modulus flips them in a proper quotient and the lift is tested
-CONGRUENCE_GROUPS = ("sym:4", "dih:4", "quat:8", "cyc:2 x sym:3", "dih:8")
+CONGRUENCE_GROUPS = ("sym:4", "dih:4", "quat:8", "cyc:2 x sym:3", "dih:8", "alt:4")
 
 
 def _normal_triples(G):
@@ -201,19 +203,20 @@ def test_quotient_congruence_matches_the_sweep_in_g():
             assert set(map(int, rep.modulus.elements)) == modulus, case
             assert rep.swept == count == K.order**2 * len(lk) * N.order, case
             verdicts[rep.holds] += 1
-    # 4, 6, 6, 7 and 7 normal subgroups; the lemma holds on every triple
-    assert verdicts == {True: 4**3 + 6**3 + 6**3 + 7**3 + 7**3, False: 0}
+    # 4, 6, 6, 7, 7 and 3 normal subgroups; the lemma holds on every triple
+    assert verdicts == {True: 4**3 + 6**3 + 6**3 + 7**3 + 7**3 + 3**3, False: 0}
+
+
+def _weak_modulus(K, L, N):
+    """[K,N,K] alone, without [L,N]: the lemma can fail modulo it."""
+    return commutator_subgroup(commutator_subgroup(K, N), K)
 
 
 def test_a_modulus_without_ln_flips_lifted_counterexamples(monkeypatch):
     """With [K,N,K] alone as the modulus the congruence fails for some
-    triples; each failure found in the quotient, lifted to G, breaks the
-    congruence in G, with y, z in K, l in L and K, and n in N."""
-    monkeypatch.setattr(
-        verbal,
-        "comm_congruence_modulus",
-        lambda K, L, N: commutator_subgroup(commutator_subgroup(K, N), K),
-    )
+    triples; each failure, lifted to G, breaks the congruence in G, with
+    y, z in K, l in L and K, and n in N."""
+    monkeypatch.setattr(verbal, "comm_congruence_modulus", _weak_modulus)
     flipped = {"trivial modulus": 0, "proper quotient": 0}
     for spec in CONGRUENCE_GROUPS:
         G = builtin_group(spec)
@@ -232,14 +235,65 @@ def test_a_modulus_without_ln_flips_lifted_counterexamples(monkeypatch):
     assert flipped["trivial modulus"] > 0 and flipped["proper quotient"] > 0
 
 
-def test_congruence_budget_applies_to_the_quotient():
+def _breaks_congruence(G, point, modulus):
+    y, z, ell, n = point
+    members = set(map(int, modulus.elements))
+    return comm_congruence_in_g(G.table, [y], [z], [ell], [n], members)[0] == point
+
+
+def test_linearity_failure_is_a_point_with_l_trivial(monkeypatch):
+    """sym:3 modulo the trivial subgroup: [x,n] is not multiplicative in x,
+    and the failure {x1: y, y: s, x2: n} is reported as (y, s, 0, n)."""
+    monkeypatch.setattr(
+        verbal, "comm_congruence_modulus", lambda K, L, N: K.group.trivial_subgroup()
+    )
+    G = builtin_group("sym:3")
+    full = G.full_subgroup()
+    rep = comm_congruence_sweep(full, full, full, None)
+    lin = check_linearity(gamma(2), [full, full], 1, rep.modulus)
+    assert not lin.holds
+    ce = lin.counterexample
+    assert rep.counterexample == (ce["x1"], ce["y"], 0, ce["x2"])
+    assert rep.swept == lin.space
+    assert _breaks_congruence(G, rep.counterexample, rep.modulus)
+
+
+def test_kernel_failure_is_a_point_with_y_and_z_trivial(monkeypatch):
+    """heis:3 modulo [G,G,G], which is trivial: [x,n] is multiplicative in
+    x, as the group has class 2, but [l,n] is not always 1, so the failure
+    is (0, 0, l, n) with [l,n] the first value of [x1,x2] outside it."""
+    monkeypatch.setattr(verbal, "comm_congruence_modulus", _weak_modulus)
+    G = builtin_group("heis:3")
+    full = G.full_subgroup()
+    rep = comm_congruence_sweep(full, full, full, None)
+    lin = check_linearity(gamma(2), [full, full], 1, rep.modulus)
+    assert lin.holds and rep.modulus.order == 1
+    _, _, ell, n = rep.counterexample
+    assert rep.counterexample == (0, 0, ell, n) and G.comm(ell, n) != 0
+    values = verbal.value_set(gamma(2), [full, full]).values
+    assert rep.swept == lin.space + int(np.flatnonzero(~rep.modulus.mask[values])[0])
+    assert _breaks_congruence(G, rep.counterexample, rep.modulus)
+
+
+def test_congruence_budget_bounds_linearity_and_the_value_set():
     G = builtin_group("sym:4")
     full = G.full_subgroup()
-    # G/[G,G,G][G,G] has order 2: 16 quotient tuples stand for 24^4 in G
-    rep = comm_congruence_sweep(full, full, full, 16)
+    # G/[G,G,G][G,G] has order 2, so linearity walks 2 x 2 x 1 tuples, and
+    # the value set of [x1,x2] over (L∩K, N) combines 24 x 24 values
+    rep = comm_congruence_sweep(full, full, full, 576)
     assert rep.holds and rep.modulus.order == 12 and rep.swept == 24**4
-    row = run_check(CheckSpec("L2.8", "sym:4", "-", "G,G,G"), G=G, budget=15)
+    assert check_linearity(gamma(2), [full, full], 1, rep.modulus).space == 4
+    cold = builtin_group("sym:4")  # no value set memoised yet
+    row = run_check(CheckSpec("L2.8", "sym:4", "-", "G,G,G"), G=cold, budget=575)
     assert row.status == "skip-budget"
+    # with L trivial, heis:3 has M = [G,G,G] = 1: 27 x 27 x 3 linearity
+    # tuples, the greedy generating set taking three, against a 1 x 27
+    # value set
+    H = builtin_group("heis:3")
+    full, trivial = H.full_subgroup(), H.trivial_subgroup()
+    assert comm_congruence_sweep(full, trivial, full, 2187).holds
+    with pytest.raises(BudgetExceeded):
+        comm_congruence_sweep(full, trivial, full, 2186)
 
 
 # ---------------------------------------------------------------------------
