@@ -13,8 +13,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .enumeration import DEFAULT_BUDGET
 from .errors import (
     BadIndex,
+    BudgetExceeded,
     NotAGroup,
     NotNormal,
     NotNormalSubset,
@@ -458,30 +460,42 @@ def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     return Subset(G, _ball(G, S.elements, n))
 
 
-def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
+def mesh(op, a: np.ndarray, b: np.ndarray, budget: int | None, what: str) -> np.ndarray:
+    """Sorted distinct op(x, y) over x in `a` and y in `b`.  The |a| x |b|
+    mesh is materialised, so it counts against the budget as a tuple space."""
+    size = a.shape[0] * b.shape[0]
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if size > limit:
+        raise BudgetExceeded(size, limit, what)
+    return np.unique(op(a[:, None], b[None, :]))
+
+
+def commutator_of_subsets(
+    G: FiniteGroup, S: Subset, T: Subset, budget: int | None = None
+) -> Subset:
     """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal subsets."""
     S.require_normal_subset()
     T.require_normal_subset()
-    return closure(G, np.unique(G.comm_arr(S.elements[:, None], T.elements[None, :])))
+    return closure(G, mesh(G.comm_arr, S.elements, T.elements, budget, "commutator mesh"))
 
 
-def commutator_subgroup(H: Subset, K: Subset) -> Subset:
+def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subset:
     """[H,K] for normal subgroups H, K of the same group."""
     H.require_normal()
     K.require_normal()
-    return commutator_of_subsets(H.group, H, K)
+    return commutator_of_subsets(H.group, H, K, budget)
 
 
-def subgroup_product(H: Subset, K: Subset) -> Subset:
+def subgroup_product(H: Subset, K: Subset, budget: int | None = None) -> Subset:
     """The set product HK, which must again be a subgroup."""
     if H.group is not K.group:
         raise BadIndex("subgroups of different groups")
     G = H.group
-    prods = np.unique(G.table[H.elements[:, None], K.elements[None, :]])
+    prods = mesh(G.mul_arr, H.elements, K.elements, budget, "subgroup product")
     mask = np.zeros(G.order, dtype=bool)
     mask[prods] = True
     if not (H.is_normal or K.is_normal):
-        closed = np.unique(G.table[prods[:, None], prods[None, :]])
+        closed = mesh(G.mul_arr, prods, prods, budget, "subgroup product")
         if closed.size != prods.size or not mask[closed].all():
             raise ProductNotSubgroup(
                 "neither factor is normal and the set product is not closed"

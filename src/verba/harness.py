@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -68,29 +69,6 @@ from .words import (
     render,
     variables,
 )
-
-# One entry per verified statement; descriptions say what is checked, ids are
-# the stable tokens used on the command line and in reports.
-CHECK_IDS: tuple[tuple[str, str], ...] = (
-    ("L2.1", "commutator word on disjoint halves equals the bracket of the half verbal subgroups"),
-    ("L2.2", "substituted word has w*(G) = w(u1(G),...,ur(G))"),
-    ("L2.3", "normal generating subsets generate the same verbal subgroup as the full subgroups"),
-    ("L2.5", "value with one entry in a normal subset lies in its 2^(r-1) star power"),
-    ("L2.6", "value with entries in m_i-star powers lies in the m1...mr star power of the value set"),
-    ("L2.8", "commutator congruence [x,n] = [y,n][z,n] modulo [K,N,K][L,N]"),
-    ("T2.10", "lower central linear series: containments, generation, linearity"),
-    ("T2.11-bound", "lower central factor generating sets within m^(2^(r-1))"),
-    ("C2.12", "value set over normal subgroups generates exactly the verbal subgroup (gamma)"),
-    ("C2.13", "power words: gamma of powers equals the composed verbal subgroup"),
-    ("L3.2", "extended-word values stay within the widened star power"),
-    ("T3.6", "derived linear series: containments, generation, degree bounds, linearity"),
-    ("T3.7-bound", "derived factor generating sets within m^(h^(2^k) 2^(k-1))"),
-    ("C3.8", "value set over normal subgroups generates exactly the verbal subgroup (delta)"),
-    ("C3.9", "power words: delta of powers equals the composed verbal subgroup"),
-    ("CONJ", "arbitrary outer commutator: value set closure versus verbal subgroup"),
-)
-
-CHECK_ID_SET = tuple(i for i, _ in CHECK_IDS)
 
 DEFAULT_CATALOG: tuple[str, ...] = tuple(
     [f"cyc:{n}" for n in range(1, 13)]
@@ -311,28 +289,21 @@ def _distinct_specs(G: FiniteGroup, specs: list[str]) -> list[str]:
 
 
 def _result(spec: CheckSpec, status: str, detail: str = "") -> CheckResult:
-    return CheckResult(
-        check_id=spec.check_id,
-        group=spec.group,
-        word=spec.word,
-        tuple_spec=spec.tuple_spec,
-        mode=spec.mode,
-        status=status,
-        detail=detail,
-    )
+    return CheckResult(spec.check_id, spec.group, spec.word, spec.tuple_spec, spec.mode, status, detail)
 
 
-def _check_disjoint(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L2.1")
+def _verdict(ok: bool, detail: str) -> tuple[str, str]:
+    return ("pass" if ok else "fail"), detail
+
+
+def _check_disjoint(G, tree, tup, budget) -> tuple[str, str]:
     if isinstance(tree, Var):
-        return _result(spec, "pass", "single variable, nothing to split")
+        return "pass", "single variable, nothing to split"
     rep = check_disjoint_split(tree, tup.subgroups, budget)
-    detail = f"|w(N)|={rep.whole.order} |[alpha,beta]|={rep.left.order}x{rep.right.order}"
-    return _result(spec, "pass" if rep.equal else "fail", detail)
+    return _verdict(rep.equal, f"|w(N)|={rep.whole.order} |[alpha,beta]|={rep.left.order}x{rep.right.order}")
 
 
-def _check_substitution(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L2.2")
+def _check_substitution(G, tree, tup, budget) -> tuple[str, str]:
     vars_ = variables(tree)
     worst = ""
     for combo in range(2 ** len(vars_)):
@@ -340,35 +311,27 @@ def _check_substitution(spec, G, word, tup, budget) -> CheckResult:
         args = [Power(v, e) for v, e in zip(vars_, exps)]
         rep = check_substitution(tree, args, G, budget)
         if not rep.equal:
-            return _result(
-                spec,
-                "fail",
-                f"exponents {tuple(exps)}: {rep.direct_order} != {rep.composed_order}",
-            )
+            return "fail", f"exponents {tuple(exps)}: {rep.direct_order} != {rep.composed_order}"
         worst = f"last orders {rep.direct_order}={rep.composed_order}"
-    return _result(spec, "pass", f"{2 ** len(vars_)} exponent patterns; {worst}")
+    return "pass", f"{2 ** len(vars_)} exponent patterns; {worst}"
 
 
-def _check_generators(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L2.3")
+def _check_generators(G, tree, tup, budget) -> tuple[str, str]:
     via_s = verbal_subgroup(tree, _class_generating_subsets(tup), budget)
     via_n = verbal_subgroup(tree, tup.subgroups, budget)
-    detail = f"|<w{{S}}>|={via_s.order} |<w{{N}}>|={via_n.order}"
-    return _result(spec, "pass" if via_s == via_n else "fail", detail)
+    return _verdict(via_s == via_n, f"|<w{{S}}>|={via_s.order} |<w{{N}}>|={via_n.order}")
 
 
 def _class_generating_subsets(tup: ParsedTuple) -> list[Subset]:
     return [class_generating_subset(s) for s in tup.subgroups]
 
 
-def _check_star_membership(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L2.5")
+def _check_star_membership(G, tree, tup, budget) -> tuple[str, str]:
     rep = star_membership_sweep(tree, _class_generating_subsets(tup), budget)
     if not rep.holds:
         pos, value, wit = rep.counterexample
-        return _result(spec, "fail", f"position {pos}, value {value} from {wit}")
-    positions = len(variables(tree))
-    return _result(spec, "pass", f"{rep.swept} collapsed tuples over {positions} positions")
+        return "fail", f"position {pos}, value {value} from {wit}"
+    return "pass", f"{rep.swept} collapsed tuples over {len(variables(tree))} positions"
 
 
 def _width_vectors(r: int) -> list[tuple[int, ...]]:
@@ -379,76 +342,57 @@ def _width_vectors(r: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_width(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L2.6")
+def _check_width(G, tree, tup, budget) -> tuple[str, str]:
     mvecs = _width_vectors(len(variables(tree)))
     rep = width_sweep(tree, _class_generating_subsets(tup), mvecs, budget)
     if not rep.holds:
         _, mvec, value, wit = rep.counterexample
-        return _result(spec, "fail", f"m={mvec}, value {value} from {wit}")
-    return _result(spec, "pass", f"{len(mvecs)} multiplicity vectors")
+        return "fail", f"m={mvec}, value {value} from {wit}"
+    return "pass", f"{len(mvecs)} multiplicity vectors"
 
 
-def _check_comm_congruence(spec, G, word, tup, budget) -> CheckResult:
-    subs = tup.subgroups
-    K = subs[0]
-    L = subs[1 % len(subs)]
-    N = subs[2 % len(subs)]
+def _check_comm_congruence(G, tree, tup, budget) -> tuple[str, str]:
+    K, L, N = tup.subgroups
     rep = comm_congruence_sweep(K, L, N, budget)
     if not rep.holds:
-        return _result(spec, "fail", f"(y,z,l,n)={rep.counterexample}")
-    return _result(
-        spec,
-        "pass",
-        f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={rep.modulus.order} ({rep.swept} tuples)",
-    )
+        return "fail", f"(y,z,l,n)={rep.counterexample}"
+    return "pass", f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={rep.modulus.order} ({rep.swept} tuples)"
 
 
-def _series(spec, word, tup, budget, audit=False) -> LinearSeries:
-    """The gamma series of `tup` for the T2 ids, the delta series for T3."""
-    if spec.check_id.startswith("T2."):
+def _series(kind: str, tup: ParsedTuple, budget, audit=False) -> LinearSeries:
+    """The series of the row's kind over `tup`: the kind comes from the row,
+    as delta:1 and gamma:2 are the same word."""
+    if kind == "gamma":
         return build_gamma_series(tup.subgroups, budget, audit=audit)
-    tree = _require_ocw(word, spec.check_id)
-    k = max(1, len(variables(tree)).bit_length() - 1)
-    return build_delta_series(tup.subgroups, k, budget)
+    return build_delta_series(tup.subgroups, len(tup.subgroups).bit_length() - 1, budget)
 
 
-def _check_series(spec, G, word, tup, budget) -> CheckResult:
-    series = _series(spec, word, tup, budget, audit=G.order <= 48)
+def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
+    series = _series(kind, tup, budget, audit=G.order <= 48)
     rep = verify_series(series, budget=budget)
     count = f"{rep.factor_count} factors" if series.kind == "gamma" else f"t={rep.factor_count}"
     detail = f"{count}, orders {[t.order for t in series.terms]}"
     if not rep.all_ok:
-        bad = [f.index for f in rep.factors if not f.ok]
-        detail += f"; failing factors {bad}"
-    return _result(spec, "pass" if rep.all_ok else "fail", detail)
+        detail += f"; failing factors {[f.index for f in rep.factors if not f.ok]}"
+    return _verdict(rep.all_ok, detail)
 
 
-def _check_bound(spec, G, word, tup, budget) -> CheckResult:
-    series = _series(spec, word, tup, budget)
-    rep = generator_bound_report(series, _class_generating_subsets(tup), budget)
-    detail = f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}"
-    return _result(spec, "pass" if rep.all_ok else "fail", detail)
+def _check_bound(kind, G, tree, tup, budget) -> tuple[str, str]:
+    rep = generator_bound_report(_series(kind, tup, budget), _class_generating_subsets(tup), budget)
+    return _verdict(rep.all_ok, f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}")
 
 
-def _check_concise_on_normal(spec, G, word, tup, budget) -> CheckResult:
+def _check_concise_on_normal(G, tree, tup, budget) -> tuple[str, str]:
     """Value set computed two independent ways; its closure is the verbal subgroup."""
-    tree = _require_ocw(word, spec.check_id)
     sets = tup.subgroups
     vs = value_set(tree, sets, budget)
     direct = _value_set_by_direct_enumeration(tree, sets, budget)
-    if direct is not None and (
-        direct.shape != vs.values.shape or not np.array_equal(direct, vs.values)
-    ):
-        return _result(spec, "fail", "factorised and direct value sets differ")
+    if direct is not None and not np.array_equal(direct, vs.values):
+        return "fail", "factorised and direct value sets differ"
     sub = closure(G, vs.members)
     verbal = verbal_subgroup(tree, tup.generators, budget)
     ok = sub == verbal and G.order % sub.order == 0 and bool(sub.mask[vs.values].all())
-    return _result(
-        spec,
-        "pass" if ok else "fail",
-        f"m={vs.size} |w(N)|={sub.order}",
-    )
+    return _verdict(ok, f"m={vs.size} |w(N)|={sub.order}")
 
 
 def _value_set_by_direct_enumeration(expr, sets, budget) -> np.ndarray | None:
@@ -461,59 +405,131 @@ def _value_set_by_direct_enumeration(expr, sets, budget) -> np.ndarray | None:
         return None
 
 
-def _check_power_words(spec, G, word, tup, budget) -> CheckResult:
+def _check_power_words(G, tree, tup, budget) -> tuple[str, str]:
     """Non-commutator argument words x^e: composition matches substitution."""
-    tree = _require_ocw(word, spec.check_id)
     vars_ = variables(tree)
     exps = [_SUBSTITUTION_EXPONENTS[i % 2] for i in range(len(vars_))]
     args = [Power(v, e) for v, e in zip(vars_, exps)]
     rep = check_substitution(tree, args, G, budget)
     sep = "=" if rep.direct_order == rep.composed_order else " != "
-    detail = f"exponents {tuple(exps)}, orders {rep.direct_order}{sep}{rep.composed_order}"
-    return _result(spec, "pass" if rep.equal else "fail", detail)
+    return _verdict(rep.equal, f"exponents {tuple(exps)}, orders {rep.direct_order}{sep}{rep.composed_order}")
 
 
-def _check_extended_width(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "L3.2")
+def _check_extended_width(G, tree, tup, budget) -> tuple[str, str]:
     r = len(variables(tree))
     ext = enumerate_extended(tree, 1, 2)
     mvecs = (tuple([1] * r), tuple([2] + [1] * (r - 1)))
     rep = extended_width_sweep(ext, tree, _class_generating_subsets(tup), mvecs, budget)
     if not rep.holds:
         member, mvec, value, _ = rep.counterexample
-        return _result(spec, "fail", f"{render(member)} with m={mvec}: value {value} escapes")
-    return _result(spec, "pass", f"{len(ext)} extended words x {len(mvecs)} multiplicity vectors")
+        return "fail", f"{render(member)} with m={mvec}: value {value} escapes"
+    return "pass", f"{len(ext)} extended words x {len(mvecs)} multiplicity vectors"
 
 
-def _check_probe(spec, G, word, tup, budget) -> CheckResult:
-    tree = _require_ocw(word, "CONJ")
+def _check_probe(G, tree, tup, budget) -> tuple[str, str]:
     if len(variables(tree)) > 7:
         raise PreconditionFailed("probe words are capped at 7 leaves")
     vs = value_set(tree, tup.subgroups, budget)
     sub = closure(G, vs.members)
     verbal = verbal_subgroup(tree, tup.generators, budget)
-    ok = sub == verbal and G.order % sub.order == 0
-    return _result(spec, "pass" if ok else "fail", f"m={vs.size} |w(N)|={sub.order}")
+    return _verdict(sub == verbal and G.order % sub.order == 0, f"m={vs.size} |w(N)|={sub.order}")
 
 
-_CHECK_TABLE: dict[str, Callable] = {
-    "L2.1": _check_disjoint,
-    "L2.2": _check_substitution,
-    "L2.3": _check_generators,
-    "L2.5": _check_star_membership,
-    "L2.6": _check_width,
-    "L2.8": _check_comm_congruence,
-    "T2.10": _check_series,
-    "T2.11-bound": _check_bound,
-    "C2.12": _check_concise_on_normal,
-    "C2.13": _check_power_words,
-    "L3.2": _check_extended_width,
-    "T3.6": _check_series,
-    "T3.7-bound": _check_bound,
-    "C3.8": _check_concise_on_normal,
-    "C3.9": _check_power_words,
-    "CONJ": _check_probe,
+def _series_tuples(G: FiniteGroup, arity: int, seed: int) -> list[str]:
+    """The T3 series rows: all G, and all derived."""
+    return _distinct_specs(G, [",".join(["G"] * arity), ",".join(["derived"] * arity)])
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check id.  `run(G, tree, tup, budget)` decides a row and returns
+    (status, detail), `tree` being the word as the row admits it.  `kind` is
+    the word the id takes: `-` (none, on the three entries K,L,N), `gamma`
+    (exactly gamma(r) on r entries), `delta` (exactly delta(k) on 2^k
+    entries) or `ocw` (any outer commutator word).  `words(order)` gives the
+    suite words on a group of that order, `tuples(G, arity, seed)` the suite
+    tuples of each."""
+
+    description: str
+    run: Callable[..., tuple[str, str]]
+    kind: str
+    words: Callable[[int], Sequence[str]]
+    tuples: Callable[[FiniteGroup, int, int], list[str]] = default_tuple_specs
+
+
+_LEMMA_WORDS = ("gamma:2", "gamma:3", "delta:2")
+_GAMMA_WORDS = ("gamma:2", "gamma:3")
+
+# The check registry: one row per verified statement, in suite order; ids are
+# the stable tokens used on the command line and in reports.
+CHECKS: dict[str, Check] = {
+    "L2.1": Check("commutator word on disjoint halves equals the bracket of the half verbal subgroups",
+                  _check_disjoint, "ocw", lambda n: _LEMMA_WORDS),
+    "L2.2": Check("substituted word has w*(G) = w(u1(G),...,ur(G))",
+                  _check_substitution, "ocw", lambda n: _LEMMA_WORDS),
+    "L2.3": Check("normal generating subsets generate the same verbal subgroup as the full subgroups",
+                  _check_generators, "ocw", lambda n: _LEMMA_WORDS),
+    "L2.5": Check("value with one entry in a normal subset lies in its 2^(r-1) star power",
+                  _check_star_membership, "ocw", lambda n: _LEMMA_WORDS),
+    "L2.6": Check("value with entries in m_i-star powers lies in the m1...mr star power of the value set",
+                  _check_width, "ocw", lambda n: _LEMMA_WORDS),
+    "L2.8": Check("commutator congruence [x,n] = [y,n][z,n] modulo [K,N,K][L,N]",
+                  _check_comm_congruence, "-", lambda n: ("-",)),
+    "T2.10": Check("lower central linear series: containments, generation, linearity",
+                   partial(_check_series, "gamma"), "gamma",
+                   lambda n: ("gamma:1", "gamma:2", "gamma:3") + (("gamma:4",) if n <= 16 else ())),
+    "T2.11-bound": Check("lower central factor generating sets within m^(2^(r-1))",
+                         partial(_check_bound, "gamma"), "gamma", lambda n: _GAMMA_WORDS),
+    "C2.12": Check("value set over normal subgroups generates exactly the verbal subgroup (gamma)",
+                   _check_concise_on_normal, "ocw", lambda n: _GAMMA_WORDS),
+    "C2.13": Check("power words: gamma of powers equals the composed verbal subgroup",
+                   _check_power_words, "ocw", lambda n: _GAMMA_WORDS),
+    "L3.2": Check("extended-word values stay within the widened star power",
+                  _check_extended_width, "ocw", lambda n: ("gamma:2", "delta:2")),
+    "T3.6": Check("derived linear series: containments, generation, degree bounds, linearity",
+                  partial(_check_series, "delta"), "delta",
+                  lambda n: ("delta:1", "delta:2") if n <= 24 else ("delta:1",), _series_tuples),
+    "T3.7-bound": Check("derived factor generating sets within m^(h^(2^k) 2^(k-1))",
+                        partial(_check_bound, "delta"), "delta",
+                        lambda n: ("delta:1", "delta:2") if n <= 24 else ("delta:1",), _series_tuples),
+    "C3.8": Check("value set over normal subgroups generates exactly the verbal subgroup (delta)",
+                  _check_concise_on_normal, "ocw", lambda n: ("delta:2",) if n <= 24 else ("delta:1",)),
+    "C3.9": Check("power words: delta of powers equals the composed verbal subgroup",
+                  _check_power_words, "ocw", lambda n: ("delta:2",) if n <= 24 else ("delta:1",)),
+    "CONJ": Check("arbitrary outer commutator: value set closure versus verbal subgroup",
+                  _check_probe, "ocw", lambda n: PROBE_WORDS),
 }
+
+CHECK_IDS: tuple[tuple[str, str], ...] = tuple((i, c.description) for i, c in CHECKS.items())
+CHECK_ID_SET = tuple(CHECKS)
+
+
+def _check_row(check_id: str) -> Check:
+    if check_id not in CHECKS:
+        raise UnknownCheckId(f"unknown check id {check_id!r}")
+    return CHECKS[check_id]
+
+
+def _admit(spec: CheckSpec, kind: str, G: FiniteGroup) -> tuple[WordExpr | None, ParsedTuple]:
+    """The word and tuple of `spec`, held to the word `kind` of its row (see
+    `Check`) on as many entries as the word has variables, or three for `-`;
+    any other word or arity is an input error that names the id."""
+    if (spec.word == "-") != (kind == "-"):
+        why = "needs a word, not '-'" if spec.word == "-" else f"takes no word, only '-', not {spec.word}"
+        raise PreconditionFailed(f"{spec.check_id} {why}")
+    word = None if kind == "-" else resolve_word(spec.word)[0]
+    tup = parse_tuple_spec(spec.tuple_spec, G)
+    arity = 3 if word is None else len(variables(word))
+    if len(tup.subgroups) != arity:
+        raise ArityMismatch(
+            f"{spec.check_id} with word {spec.word} needs {arity} tuple entries, got {len(tup.subgroups)}"
+        )
+    if kind == "ocw":
+        word = _require_ocw(word, spec.check_id)
+    elif kind != "-" and word != (gamma(arity) if kind == "gamma" else delta(max(1, arity.bit_length() - 1))):
+        shape = "gamma:r on r" if kind == "gamma" else "delta:k on 2^k"
+        raise PreconditionFailed(f"{spec.check_id} takes only {shape} tuple entries, not {spec.word}")
+    return word, tup
 
 
 def run_check(
@@ -522,22 +538,16 @@ def run_check(
     budget: int | None = None,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> CheckResult:
-    """Dispatch one check; resolution errors become failed results upstream."""
-    if spec.check_id not in _CHECK_TABLE:
-        raise UnknownCheckId(f"unknown check id {spec.check_id!r}")
+    """Hold `spec`'s word to its row and run the row's check; a budget
+    overrun is a `skip-budget` row, other errors propagate."""
+    row = _check_row(spec.check_id)
     group = G if G is not None else resolve_group(spec.group, cap)
-    if spec.word == "-" and spec.check_id != "L2.8":
-        raise VerbaError(f"{spec.check_id} needs a word; '-' stands for none in L2.8 only")
-    word = None if spec.word == "-" else resolve_word(spec.word)[0]
-    tup = parse_tuple_spec(spec.tuple_spec, group)
-    if word is not None and len(tup.subgroups) != len(variables(word)):
-        raise ArityMismatch(
-            f"word {spec.word} needs {len(variables(word))} tuple entries, got {len(tup.subgroups)}"
-        )
+    tree, tup = _admit(spec, row.kind, group)
     try:
-        return _CHECK_TABLE[spec.check_id](spec, group, word, tup, budget)
+        status, detail = row.run(group, tree, tup, budget)
     except BudgetExceeded as exc:
-        return _result(spec, "skip-budget", str(exc))
+        status, detail = "skip-budget", str(exc)
+    return _result(spec, status, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -570,41 +580,11 @@ class SuiteReport:
         return f"{len(self.rows)} checks: " + ", ".join(parts)
 
 
-def _words_for(check_id: str, G: FiniteGroup) -> list[str]:
-    small = G.order <= 24
-    if check_id in ("L2.1", "L2.3", "L2.5", "L2.6", "L2.2"):
-        return ["gamma:2", "gamma:3", "delta:2"]
-    if check_id == "L2.8":
-        return ["-"]
-    if check_id == "T2.10":
-        words = ["gamma:1", "gamma:2", "gamma:3"]
-        if G.order <= 16:
-            words.append("gamma:4")
-        return words
-    if check_id in ("T2.11-bound", "C2.12", "C2.13"):
-        return ["gamma:2", "gamma:3"]
-    if check_id == "L3.2":
-        return ["gamma:2", "delta:2"]
-    if check_id in ("T3.6", "T3.7-bound"):
-        return ["delta:1"] + (["delta:2"] if small else [])
-    if check_id in ("C3.8", "C3.9"):
-        return ["delta:2"] if small else ["delta:1"]
-    if check_id == "CONJ":
-        return list(PROBE_WORDS)
-    raise UnknownCheckId(check_id)
-
-
 def _require_seed(seed: int) -> None:
     """The seed picks the ncl(...) entries through numpy's generator, which
     takes no negative seed."""
     if seed < 0:
         raise VerbaError(f"seed must be at least 0, got {seed}")
-
-
-def _tuples_for(check_id: str, G: FiniteGroup, arity: int, seed: int) -> list[str]:
-    if check_id in ("T3.6", "T3.7-bound"):
-        return _distinct_specs(G, [",".join(["G"] * arity), ",".join(["derived"] * arity)])
-    return default_tuple_specs(G, arity, seed)
 
 
 def build_suite_specs(
@@ -614,8 +594,7 @@ def build_suite_specs(
     cap: int = DEFAULT_ORDER_CAP,
 ) -> tuple[list[CheckSpec], dict[str, FiniteGroup]]:
     for check_id in ids:
-        if check_id not in _CHECK_TABLE:
-            raise UnknownCheckId(f"unknown check id {check_id!r}")
+        _check_row(check_id)
     _require_seed(seed)
     groups: dict[str, FiniteGroup] = {}
     specs: list[CheckSpec] = []
@@ -623,11 +602,11 @@ def build_suite_specs(
         if gspec not in groups:
             groups[gspec] = resolve_group(gspec, cap)
         G = groups[gspec]
-        for check_id in CHECK_ID_SET:
+        for check_id, row in CHECKS.items():
             if check_id not in ids:
                 continue
-            for wspec in _words_for(check_id, G):
-                for tspec in _tuples_for(check_id, G, word_arity(wspec), seed):
+            for wspec in row.words(G.order):
+                for tspec in row.tuples(G, word_arity(wspec), seed):
                     specs.append(CheckSpec(check_id, gspec, wspec, tspec))
     return specs, groups
 
@@ -714,17 +693,6 @@ def survey(
                 m, verbal_order, mode = vs.size, sub.order, "exhaustive"
             except BudgetExceeded:
                 m, verbal_order, mode = 0, 0, "skipped"
-            rows.append(
-                SurveyRow(
-                    group=gspec,
-                    order=G.order,
-                    word=label,
-                    tuple_spec=tspec,
-                    m=m,
-                    verbal_order=verbal_order,
-                    mode=mode,
-                    seed=seed,
-                )
-            )
+            rows.append(SurveyRow(gspec, G.order, label, tspec, m, verbal_order, mode, seed))
     rows.sort(key=lambda r: (r.m, r.order, r.group, r.tuple_spec))
     return rows

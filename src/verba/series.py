@@ -212,10 +212,10 @@ def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
         entries_at[i] = tuple(entries)
         q_subgroups[i] = verbal_subgroup(word, [e.subgroup for e in entries], budget)
     top = q_subgroups[1]
-    q_subgroups[r + 1] = commutator_subgroup(top, top)
+    q_subgroups[r + 1] = commutator_subgroup(top, top, budget)
     p_subgroups: dict[int, Subset] = {r + 1: q_subgroups[r + 1]}
     for i in range(r, 0, -1):
-        p_subgroups[i] = subgroup_product(q_subgroups[i], p_subgroups[i + 1])
+        p_subgroups[i] = subgroup_product(q_subgroups[i], p_subgroups[i + 1], budget)
     _require(p_subgroups[1] == top, "chain top must equal the full verbal subgroup")
     terms = tuple(p_subgroups[i] for i in range(r + 1, 0, -1))
     factors = []
@@ -256,9 +256,9 @@ def _audit_gamma(subs: tuple[Subset, ...], terms: tuple[Subset, ...], budget) ->
     last = subs[r - 1]
     for i in range(1, r):
         fence = p_subgroups[i + 1]
-        left = commutator_subgroup(commutator_subgroup(q_star[i], last), q_star[i])
+        left = commutator_subgroup(commutator_subgroup(q_star[i], last, budget), q_star[i], budget)
         _require(left <= fence, f"[Q*_{i},N_r,Q*_{i}] escapes P_{i + 1}")
-        second = commutator_subgroup(p_star[i + 1], last)
+        second = commutator_subgroup(p_star[i + 1], last, budget)
         _require(second <= fence, f"[P*_{i + 1},N_r] escapes P_{i + 1}")
 
 
@@ -296,9 +296,9 @@ def _delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries
 def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
     if k == 1:
         n1, n2 = subs
-        v2 = commutator_subgroup(n1, n2)
-        v1 = commutator_subgroup(n1, v2)
-        v0 = commutator_subgroup(v2, v2)
+        v2 = commutator_subgroup(n1, n2, budget)
+        v1 = commutator_subgroup(n1, v2, budget)
+        v0 = commutator_subgroup(v2, v2, budget)
         _require(v0 <= v1 and v1 <= v2, "base chain must ascend")
         word = delta(1)
         bracket_entry = AnnotatedEntry(
@@ -322,27 +322,27 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     first = _delta(subs[:half], k - 1, budget)
     second = _delta(subs[half:], k - 1, budget)
     d1, d2 = first.top, second.top
-    dk = commutator_subgroup(d1, d2)
+    dk = commutator_subgroup(d1, d2, budget)
     _require(
         dk == verbal_subgroup(delta(k), subs, budget),
         "top of the chain must be the full verbal subgroup",
     )
-    a_sub = commutator_subgroup(d1, dk)
-    b_sub = commutator_subgroup(dk, d2)
-    v0 = commutator_subgroup(dk, dk)
+    a_sub = commutator_subgroup(d1, dk, budget)
+    b_sub = commutator_subgroup(dk, d2, budget)
+    v0 = commutator_subgroup(dk, dk, budget)
     _require(
-        commutator_subgroup(first.bottom, d2) <= a_sub,
+        commutator_subgroup(first.bottom, d2, budget) <= a_sub,
         "three-subgroup-lemma step fails on the right half",
     )
     _require(
-        commutator_subgroup(d1, second.bottom) <= b_sub,
+        commutator_subgroup(d1, second.bottom, budget) <= b_sub,
         "three-subgroup-lemma step fails on the left half",
     )
     _require(v0 <= a_sub, "derived subgroup of the top escapes the glueing term")
 
     # right half: positions t-s .. t
     right_terms = [
-        subgroup_product(commutator_subgroup(first.terms[i], d2), a_sub)
+        subgroup_product(commutator_subgroup(first.terms[i], d2, budget), a_sub, budget)
         for i in range(s + 1)
     ]
     _require(right_terms[0] == a_sub, "right half must start at the glueing term")
@@ -350,12 +350,12 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
 
     # auxiliary chain and left half: positions 0 .. t-s
     w_terms = [
-        subgroup_product(commutator_subgroup(d1, second.terms[i]), b_sub)
+        subgroup_product(commutator_subgroup(d1, second.terms[i], budget), b_sub, budget)
         for i in range(s + 1)
     ]
     _require(w_terms[-1] == dk, "auxiliary chain must end at the full verbal subgroup")
-    z_terms = [commutator_subgroup(d1, w) for w in w_terms]
-    left_terms = [v0] + [subgroup_product(z, v0) for z in z_terms]
+    z_terms = [commutator_subgroup(d1, w, budget) for w in w_terms]
+    left_terms = [v0] + [subgroup_product(z, v0, budget) for z in z_terms]
     _require(left_terms[-1] == a_sub, "left half must end at the glueing term")
 
     terms = tuple(left_terms) + tuple(right_terms[1:])
@@ -517,7 +517,7 @@ def verify_series(
     top_expected = verbal_subgroup(base_word, base_subs, budget)
     endpoints_ok = (
         series.top == top_expected
-        and series.bottom == commutator_subgroup(series.top, series.top)
+        and series.bottom == commutator_subgroup(series.top, series.top, budget)
     )
     reports: list[FactorReport] = []
     for f in series.factors:

@@ -15,14 +15,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_BUDGET, ProductSpace
-from .errors import ArityMismatch, BudgetExceeded, PreconditionFailed
+from .enumeration import ProductSpace
+from .errors import ArityMismatch, PreconditionFailed
 from .groups import (
     FiniteGroup,
     Subset,
     closure,
     commutator_subgroup,
     evaluate_arrays,
+    mesh,
     quotient,
     star_power,
     subgroup_product,
@@ -188,11 +189,7 @@ def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
 
 
 def _combine(op, a_vals, b_vals, budget):
-    size = a_vals.shape[0] * b_vals.shape[0]
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if size > limit:
-        raise BudgetExceeded(size, limit, "value-set combination")
-    return np.unique(op(a_vals[:, None], b_vals[None, :])).astype(np.int64)
+    return mesh(op, a_vals, b_vals, budget, "value-set combination").astype(np.int64)
 
 
 def enumerate_values(
@@ -321,7 +318,7 @@ def check_disjoint_split(
     whole = verbal_subgroup(w, subgroups, budget)
     left = verbal_subgroup(w.left, [env[v] for v in variables(w.left)], budget)
     right = verbal_subgroup(w.right, [env[v] for v in variables(w.right)], budget)
-    bracket = commutator_subgroup(left, right)
+    bracket = commutator_subgroup(left, right, budget)
     return SplitReport(equal=(whole == bracket), whole=whole, left=left, right=right)
 
 
@@ -658,11 +655,11 @@ def extended_width_sweep(
     return SweepReport(None, swept, None)
 
 
-def comm_congruence_modulus(K: Subset, L: Subset, N: Subset) -> Subset:
+def comm_congruence_modulus(K: Subset, L: Subset, N: Subset, budget: int | None = None) -> Subset:
     """The subgroup [K,N,K][L,N]."""
-    knk = commutator_subgroup(commutator_subgroup(K, N), K)
-    ln = commutator_subgroup(L, N)
-    return subgroup_product(knk, ln)
+    knk = commutator_subgroup(commutator_subgroup(K, N, budget), K, budget)
+    ln = commutator_subgroup(L, N, budget)
+    return subgroup_product(knk, ln, budget)
 
 
 def comm_congruence_sweep(
@@ -685,7 +682,7 @@ def comm_congruence_sweep(
     """
     for sub in (K, L, N):
         sub.require_normal()
-    modulus = comm_congruence_modulus(K, L, N)
+    modulus = comm_congruence_modulus(K, L, N, budget)
     lin = check_linearity(gamma(2), [K, N], 1, modulus, budget)
     if not lin.holds:
         ce = lin.counterexample

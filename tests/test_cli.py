@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -343,6 +344,59 @@ def test_non_ascii_digits_and_groups_over_the_cap_are_usage_errors(capsys, argv)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("check_id, word, tup", [
+    ("T2.10", "delta:2", None),  # the gamma:4 series would run on G,G,G,G
+    ("T2.11-bound", "delta:2", None),
+    ("T2.10", "[x2,x1]", None),
+    ("T3.6", "[x1,x2,x3,x4]", None),  # the delta:2 series would run
+    ("T3.7-bound", "[x1,x2,x3,x4]", None),
+    ("T3.6", "[[x1,x2],x3]", None),  # 3 entries: no delta word
+    ("T3.6", "x1", None),
+    ("L2.8", "[[x1,x2],x3]", "G,G,G"),  # the word was ignored
+    ("L2.8", "-", "G"),  # one entry ran as G,G,G
+    ("L2.8", "-", "G,G,G,G"),
+    ("L2.1", "-", "G,G"),
+    ("C2.12", "x1^2", None),
+])
+def test_a_word_off_its_checks_kind_is_a_usage_error_naming_the_id(capsys, check_id, word, tup):
+    argv = ["check", check_id, "--group", "sym:4", "--word", word] + (["--tuple", tup] if tup else [])
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {check_id} ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check_id, word", [
+    ("T2.10", "gamma:3"),
+    ("T2.10", "[[x1,x2],x3]"),
+    ("T2.11-bound", "gamma:2"),
+    ("T3.6", "delta:2"),
+    ("T3.6", "[x1,x2]"),  # delta:1, the same word as gamma:2
+    ("T3.7-bound", "delta:1"),
+    ("L2.8", "-"),
+])
+def test_a_word_of_its_checks_kind_runs(check_id, word):
+    code, out = run_cli(["check", check_id, "--group", "sym:3", "--word", word])
+    assert code == 0 and " pass " in out
+
+
+def test_a_series_word_runs_the_series_of_its_checks_kind():
+    # gamma:2 is delta:1: T3.6 prints the delta count, T2.10 the gamma one
+    _, delta_row = run_cli(["check", "T3.6", "--group", "sym:3", "--word", "gamma:2", "--format", "csv"])
+    _, gamma_row = run_cli(["check", "T2.10", "--group", "sym:3", "--word", "delta:1", "--format", "csv"])
+    assert ',pass,"t=2, orders' in delta_row and ',pass,"2 factors, orders' in gamma_row
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "delta", "--group", "sym:6", "--k", "1", "--budget", "1000"],
+    ["check", "L2.8", "--group", "sym:6", "--word", "-", "--budget", "1000"],
+])
+def test_budget_bounds_the_subgroup_meshes(capsys, argv):
+    # the first step of each is the 720 x 720 commutator mesh [S6,S6]
+    code, out = run_cli(argv)
+    assert code == 3
+    assert "commutator mesh needs 518400 tuples, budget is 1000" in out + capsys.readouterr().err
+
+
 def test_l28_check_without_a_word_matches_the_suite_row(tmp_path):
     catalog = tmp_path / "catalog.txt"
     catalog.write_text("sym:3\n")
@@ -384,10 +438,10 @@ def test_budget_exit_is_3():
 
 
 def test_verification_failure_exit_is_1(monkeypatch):
-    def fail(spec, G, word, tup, budget):
-        return harness._result(spec, "fail", "forced")
+    def fail(G, tree, tup, budget):
+        return "fail", "forced"
 
-    monkeypatch.setitem(harness._CHECK_TABLE, "L2.1", fail)
+    monkeypatch.setitem(harness.CHECKS, "L2.1", dataclasses.replace(harness.CHECKS["L2.1"], run=fail))
     code, out = run_cli(["suite", "--catalog", "/dev/null", "--ids", "L2.1"])
     assert code == 0  # empty catalog: nothing ran
     code, out = run_cli(["check", "L2.1", "--group", "sym:3", "--word", "gamma:2", "--tuple", "G,G"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from verba.errors import (
     BadIndex,
+    BudgetExceeded,
     NotAGroup,
     NotNormalSubset,
     OrderCapExceeded,
@@ -661,6 +662,23 @@ def test_subgroup_product_rejects_nonclosed(sym3):
     k = closure(sym3, [sym3.element_names.index("(1 3)")])
     with pytest.raises(ProductNotSubgroup):
         subgroup_product(h, k)
+
+
+def test_budget_bounds_every_subgroup_mesh(sym3, sym4):
+    full, a4 = sym4.full_subgroup(), sym4.derived_subgroup()
+    assert commutator_subgroup(full, full, 576) == a4  # a 24 x 24 mesh
+    with pytest.raises(BudgetExceeded, match="commutator mesh needs 576 tuples, budget is 575"):
+        commutator_subgroup(full, full, 575)
+    assert subgroup_product(a4, full, 288) == full
+    with pytest.raises(BudgetExceeded, match="subgroup product needs 288 tuples"):
+        subgroup_product(a4, full, 287)
+    # with neither factor normal, the 4-element set product meshes with itself
+    h = closure(sym3, [sym3.element_names.index("(1 2)")])
+    k = closure(sym3, [sym3.element_names.index("(1 3)")])
+    with pytest.raises(BudgetExceeded, match="subgroup product needs 16 tuples"):
+        subgroup_product(h, k, 15)
+    with pytest.raises(ProductNotSubgroup):
+        subgroup_product(h, k, 16)
 
 
 def test_subgroup_product_associative_on_normal_pool(sym4):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -10,9 +11,9 @@ from verba.errors import PreconditionFailed, UnknownCheckId, UnknownSpec, VerbaE
 from verba.harness import (
     CHECK_ID_SET,
     CHECK_IDS,
+    CHECKS,
     CheckSpec,
     DEFAULT_CATALOG,
-    _CHECK_TABLE,
     default_tuple_specs,
     parse_tuple_spec,
     resolve_group,
@@ -21,7 +22,7 @@ from verba.harness import (
     run_suite,
     survey,
 )
-from verba import harness, verbal
+from verba import cli, harness, verbal
 from verba.groups import evaluate
 from verba.verbal import (
     class_generating_subset,
@@ -39,9 +40,13 @@ SMALL_CATALOG = ["cyc:6", "sym:3", "quat:8"]
 
 
 def test_check_table_is_exhaustive():
-    assert set(_CHECK_TABLE) == set(CHECK_ID_SET)
-    assert len(CHECK_IDS) == 16
-    assert [i for i, _ in CHECK_IDS] == list(CHECK_ID_SET)
+    parser = argparse.ArgumentParser()
+    cli._add_arguments(parser, "check")
+    choices = next(a.choices for a in parser._actions if a.dest == "check_id")
+    assert len(CHECKS) == 16
+    assert list(CHECKS) == list(CHECK_ID_SET) == [i for i, _ in CHECK_IDS] == list(choices)
+    suite_ids = [r.check_id for r in run_suite(["sym:3"]).rows]
+    assert list(dict.fromkeys(suite_ids)) == list(CHECKS)
 
 
 def test_unknown_check_id():
@@ -268,7 +273,7 @@ def test_seeded_trivial_modulus_flips_l28(monkeypatch):
     assert run_check(spec, G=G).status == "pass"
 
     monkeypatch.setattr(
-        verbal, "comm_congruence_modulus", lambda K, L, N: K.group.trivial_subgroup()
+        verbal, "comm_congruence_modulus", lambda K, L, N, budget=None: K.group.trivial_subgroup()
     )
     rep = comm_congruence_sweep(full, full, full, None)
     y, z, ell, n = rep.counterexample

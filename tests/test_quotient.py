@@ -207,7 +207,7 @@ def test_quotient_congruence_matches_the_sweep_in_g():
     assert verdicts == {True: 4**3 + 6**3 + 6**3 + 7**3 + 7**3 + 3**3, False: 0}
 
 
-def _weak_modulus(K, L, N):
+def _weak_modulus(K, L, N, budget=None):
     """[K,N,K] alone, without [L,N]: the lemma can fail modulo it."""
     return commutator_subgroup(commutator_subgroup(K, N), K)
 
@@ -245,7 +245,7 @@ def test_linearity_failure_is_a_point_with_l_trivial(monkeypatch):
     """sym:3 modulo the trivial subgroup: [x,n] is not multiplicative in x,
     and the failure {x1: y, y: s, x2: n} is reported as (y, s, 0, n)."""
     monkeypatch.setattr(
-        verbal, "comm_congruence_modulus", lambda K, L, N: K.group.trivial_subgroup()
+        verbal, "comm_congruence_modulus", lambda K, L, N, budget=None: K.group.trivial_subgroup()
     )
     G = builtin_group("sym:3")
     full = G.full_subgroup()

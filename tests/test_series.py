@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from verba.errors import NotNormalSubset, PreconditionFailed
+from verba.errors import BudgetExceeded, NotNormalSubset, PreconditionFailed
 from verba.groups import builtin_group, closure, commutator_subgroup
 from verba.series import (
     build_delta_series,
@@ -250,3 +250,15 @@ def test_delta_generation_top_factor(sym4):
 
     vs = verbal_subgroup(f.word, [e.subgroup for e in f.entries])
     assert closure(sym4, np.flatnonzero(f.lower.mask | vs.mask)) == f.upper
+
+
+def test_series_builders_and_verify_series_take_the_budget_to_their_meshes():
+    full = builtin_group("sym:5").full_subgroup()
+    with pytest.raises(BudgetExceeded, match="commutator mesh needs 14400 tuples, budget is 100"):
+        build_delta_series([full, full], 1, budget=100)
+    # the value sets are kept from the build, so verifying meshes [A4,A4] first
+    G = builtin_group("sym:4")
+    series = build_gamma_series([G.full_subgroup()] * 2)
+    assert verify_series(series, budget=144).all_ok
+    with pytest.raises(BudgetExceeded, match="commutator mesh needs 144 tuples, budget is 143"):
+        verify_series(series, budget=143)

@@ -122,7 +122,7 @@ def test_failing_comm_congruence_does_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(
         verbal,
         "comm_congruence_modulus",
-        lambda K, L, N: commutator_subgroup(commutator_subgroup(K, N), K),
+        lambda K, L, N, budget=None: commutator_subgroup(commutator_subgroup(K, N), K),
     )
 
     def run():
