@@ -15,7 +15,17 @@ import numpy as np
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**8
-BLOCK = 1 << 20
+# Cells in the working set of every exhaustive kernel, read at call time; the
+# value is measured (README, "Performance notes").
+BLOCK = 1 << 16
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(rows) of BLOCK // width rows, one at least:
+    a block of `width`-cell rows holds BLOCK cells at most, or one longer row."""
+    step = max(1, BLOCK // max(width, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 class ProductSpace:
@@ -39,9 +49,8 @@ class ProductSpace:
         return [a[(flat // p) % n] for a, n, p in zip(self.axes, self.sizes, self.periods)]
 
     def blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
-        for start in range(0, self.size, BLOCK):
-            flat = np.arange(start, min(start + BLOCK, self.size), dtype=np.int64)
-            yield start, self.axis_values(flat)
+        for rows in row_blocks(self.size, 1):
+            yield rows.start, self.axis_values(np.arange(rows.start, rows.stop, dtype=np.int64))
 
     def first_failure(self, holds: Callable[[list[np.ndarray]], np.ndarray]) -> int | None:
         """Flat index of the first tuple at which `holds` is False, or None

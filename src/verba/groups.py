@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_BUDGET
+from .enumeration import DEFAULT_BUDGET, row_blocks
 from .errors import (
     BadIndex,
     BudgetExceeded,
@@ -32,9 +32,6 @@ DEFAULT_ORDER_CAP = 5040
 # int32), so `comm_arr` is one gather instead of five.  Larger groups use the
 # formula: at sym:7 the table alone would take about 100 MB.
 COMM_TABLE_LIMIT = 512
-# Table validation runs over blocks of about this many cells, so it holds one
-# block beyond the table, not copies or masks of the whole table.
-BLOCK_CELLS = 1 << 20
 
 
 class FiniteGroup:
@@ -127,18 +124,17 @@ class FiniteGroup:
 
     @property
     def element_names(self) -> list[str]:
-        """The given names, else cycle notation of `perm_images`, else the
-        indices; a name nobody reads is never built."""
+        """Every `element_name`, built on first use and kept."""
         if self._names is None:
-            self._names = (
-                [cycles_str(p) for p in self.perm_images]
-                if self.perm_images is not None
-                else [str(i) for i in range(self.order)]
-            )
+            self._names = [self.element_name(i) for i in range(self.order)]
         return self._names
 
     def element_name(self, i: int) -> str:
-        return self.element_names[i]
+        """The given name, else cycle notation of `perm_images`, else the
+        index; naming one element builds no other name."""
+        if self._names is not None:
+            return self._names[i]
+        return cycles_str(self.perm_images[i]) if self.perm_images is not None else str(i)
 
     def check_index(self, i: int) -> int:
         if not 0 <= i < self.order:
@@ -190,7 +186,8 @@ def _full_commutator_table(G: FiniteGroup) -> np.ndarray:
 
 
 def _center_subgroup(G: FiniteGroup) -> "Subset":
-    return Subset(G, (G.table == G.table.T).all(axis=1))
+    blocks = row_blocks(G.order, G.order)
+    return Subset(G, np.concatenate([(G.table[r] == G.table[:, r].T).all(axis=1) for r in blocks]))
 
 
 def _class_labels(G: FiniteGroup) -> np.ndarray:
@@ -214,16 +211,14 @@ def _derived_subgroup(G: FiniteGroup) -> "Subset":
     [a^g, b] = [a, b^(g^-1)]^g, so the class representatives (the least
     element of each class) stand in for the first operand."""
     reps = np.unique(G.cached("classes", None, _class_labels, G), return_index=True)[1]
-    comms = G.comm_arr(reps[:, None], np.arange(G.order)[None, :])
+    comms = mesh(G, G.comm_arr, reps, np.arange(G.order), None, "commutator mesh")
     return closure(G, np.flatnonzero(G.class_union(comms)))
 
 
-def _inverse_table(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.int32)
-    rows, cols = np.nonzero(table == 0)
-    inv[rows] = cols
-    return inv
+def _inverse_table(table: np.ndarray, e: int = 0) -> np.ndarray:
+    """``inv[a]``: the first b with ab = e, by row blocks of the table."""
+    blocks = row_blocks(table.shape[0], table.shape[0])
+    return np.concatenate([np.argmax(table[r] == e, axis=1) for r in blocks]).astype(np.int32)
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -242,9 +237,8 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
             tuple(map(int, bad)),
         )
     table = np.ascontiguousarray(table, dtype=np.int32)
-    step = max(1, BLOCK_CELLS // n)
     ident = np.arange(n, dtype=np.int32)
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    blocks = list(row_blocks(n, n))
     for kind, lines in (("row", lambda b: table[b]), ("column", lambda b: table[:, b].T)):
         for b in blocks:
             good = (np.sort(lines(b), axis=1) == ident).all(axis=1)
@@ -263,7 +257,7 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     e = int(both[0])
     # inverses: each row holds e once (a Latin square), at the one b with
     # ab = e, so a has a two-sided inverse iff that b also has ba = e
-    right_inv = np.concatenate([np.argmax(table[b] == e, axis=1) for b in blocks])
+    right_inv = _inverse_table(table, e)
     two_sided = table[right_inv, ident] == e
     if not two_sided.all():
         a = int(np.flatnonzero(~two_sided)[0])
@@ -291,23 +285,15 @@ def _check_associativity(table: np.ndarray, e: int) -> None:
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
     gens: list[int] = []
-    while True:
-        frontier = np.flatnonzero(reached)
-        while frontier.size and gens:
-            prods = np.unique(table[frontier[:, None], gens])
-            frontier = prods[~reached[prods]]
-            reached[frontier] = True
-        if reached.all():
-            break
+    while not _grow(table, np.array(gens, dtype=np.int64), reached).all():
         gens.append(int(np.flatnonzero(~reached)[0]))
-    rows = max(1, BLOCK_CELLS // n)  # x-rows per block
     for g in gens:
-        for start in range(0, n, rows):
-            left = table[table[start : start + rows, g]]  # (xg)y
-            right = np.take(table[start : start + rows], table[g], axis=1)  # x(gy)
+        for rows in row_blocks(n, n):
+            left = table[table[rows, g]]  # (xg)y
+            right = np.take(table[rows], table[g], axis=1)  # x(gy)
             if (left != right).any():
                 i, y = map(int, np.argwhere(left != right)[0])
-                x = start + i
+                x = rows.start + i
                 raise NotAGroup(f"associativity fails on ({x},{g},{y})", (x, g, y))
 
 
@@ -415,17 +401,24 @@ def _ball(G: FiniteGroup, seed_elems: np.ndarray, radius: int | None = None) -> 
     """Mask of the products of at most `radius` elements of the seed and
     their inverses, by breadth-first search from the identity; with no
     radius, the whole subgroup they generate."""
-    gens = np.unique(
-        np.concatenate([seed_elems, G.inverse_table[seed_elems]])
-    ).astype(np.int32)
+    gens = np.zeros(G.order, dtype=bool)
+    gens[seed_elems] = gens[G.inverse_table[seed_elems]] = True
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    frontier = np.array([0], dtype=np.int32)
+    return _grow(G.table, np.flatnonzero(gens), mask, radius)
+
+
+def _grow(table, gens: np.ndarray, mask: np.ndarray, radius: int | None = None) -> np.ndarray:
+    """`mask`, grown in place by right products with `gens`, breadth first
+    from all of it, for `radius` steps or, with None, until it is closed; a
+    full mask takes no further step."""
+    frontier = mask.nonzero()[0]
     steps = 0
-    while frontier.size and (radius is None or steps < radius):
-        prods = np.unique(G.table[frontier[:, None], gens[None, :]])
-        frontier = prods[~mask[prods]].astype(np.int32)
-        mask[frontier] = True
+    while frontier.size and not mask.all() and (radius is None or steps < radius):
+        hit = _scatter(mask.size, lambda x, y: table[x, y], frontier, gens)
+        hit &= ~mask
+        mask |= hit
+        frontier = hit.nonzero()[0]
         steps += 1
     return mask
 
@@ -460,14 +453,22 @@ def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
     return Subset(G, _ball(G, S.elements, n))
 
 
-def mesh(op, a: np.ndarray, b: np.ndarray, budget: int | None, what: str) -> np.ndarray:
-    """Sorted distinct op(x, y) over x in `a` and y in `b`.  The |a| x |b|
-    mesh is materialised, so it counts against the budget as a tuple space."""
+def mesh(G: FiniteGroup, op, a, b, budget: int | None, what: str) -> np.ndarray:
+    """Sorted distinct op(x, y) in G over x in `a` and y in `b`.  The |a| x |b|
+    mesh counts against the budget as a tuple space."""
     size = a.shape[0] * b.shape[0]
     limit = DEFAULT_BUDGET if budget is None else budget
     if size > limit:
         raise BudgetExceeded(size, limit, what)
-    return np.unique(op(a[:, None], b[None, :]))
+    return _scatter(G.order, op, a, b).nonzero()[0]
+
+
+def _scatter(n: int, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask over 0..n-1 of op(x, y) for x in `a` and y in `b`, a row block at a time."""
+    seen = np.zeros(n, dtype=bool)
+    for rows in row_blocks(a.shape[0], b.shape[0]):
+        seen[op(a[rows, None], b[None, :]).astype(np.intp)] = True  # intp scatters 2x faster
+    return seen
 
 
 def commutator_of_subsets(
@@ -476,7 +477,7 @@ def commutator_of_subsets(
     """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal subsets."""
     S.require_normal_subset()
     T.require_normal_subset()
-    return closure(G, mesh(G.comm_arr, S.elements, T.elements, budget, "commutator mesh"))
+    return closure(G, mesh(G, G.comm_arr, S.elements, T.elements, budget, "commutator mesh"))
 
 
 def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subset:
@@ -491,11 +492,11 @@ def subgroup_product(H: Subset, K: Subset, budget: int | None = None) -> Subset:
     if H.group is not K.group:
         raise BadIndex("subgroups of different groups")
     G = H.group
-    prods = mesh(G.mul_arr, H.elements, K.elements, budget, "subgroup product")
+    prods = mesh(G, G.mul_arr, H.elements, K.elements, budget, "subgroup product")
     mask = np.zeros(G.order, dtype=bool)
     mask[prods] = True
     if not (H.is_normal or K.is_normal):
-        closed = mesh(G.mul_arr, prods, prods, budget, "subgroup product")
+        closed = mesh(G, G.mul_arr, prods, prods, budget, "subgroup product")
         if closed.size != prods.size or not mask[closed].all():
             raise ProductNotSubgroup(
                 "neither factor is normal and the set product is not closed"

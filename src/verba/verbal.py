@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import ProductSpace
+from .enumeration import ProductSpace, row_blocks
 from .errors import ArityMismatch, PreconditionFailed
 from .groups import (
     FiniteGroup,
@@ -159,8 +159,9 @@ def _values(
     if isinstance(expr, Var):
         return sets[expr].elements.astype(np.int64)
     if isinstance(expr, (Inverse, Power)):
-        child = _value_set(expr.child, sets, group, budget).values
-        return np.unique(_image(expr, group, child)).astype(np.int64)
+        seen = np.zeros(group.order, dtype=bool)
+        seen[_image(expr, group, _value_set(expr.child, sets, group, budget).values)] = True
+        return np.flatnonzero(seen)
     children = _disjoint_children(expr)
     if children is None:
         return enumerate_values(expr, sets, budget)
@@ -168,7 +169,7 @@ def _values(
     vals = np.array([0], dtype=np.int64)  # the empty product
     for i, child in enumerate(children):
         side = _value_set(child, sets, group, budget).values
-        vals = side if i == 0 else _combine(op, vals, side, budget)
+        vals = side if i == 0 else _combine(group, op, vals, side, budget)
     return vals
 
 
@@ -188,8 +189,8 @@ def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
     return children if sum(map(len, leaves)) == len(set().union(*leaves)) else None
 
 
-def _combine(op, a_vals, b_vals, budget):
-    return mesh(op, a_vals, b_vals, budget, "value-set combination").astype(np.int64)
+def _combine(group, op, a_vals, b_vals, budget):
+    return mesh(group, op, a_vals, b_vals, budget, "value-set combination")
 
 
 def enumerate_values(
@@ -234,13 +235,17 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     sides = [_value_set(c, sets, group, None).values for c in children]
     lefts = sides[:1]  # lefts[i]: the values of the product of sides 0..i
     for side in sides[1:-1]:
-        lefts.append(np.unique(op(lefts[-1][:, None], side[None, :])))
+        lefts.append(_combine(group, op, lefts[-1], side, None))
     out: dict[Var, int] = {}
     for i in range(len(children) - 1, 0, -1):
         left, right = lefts[i - 1], sides[i]
-        flat = int(np.flatnonzero(op(left[:, None], right[None, :]).ravel() == value)[0])
-        out.update(_witness(children[i], sets, group, int(right[flat % right.size])))
-        value = int(left[flat // right.size])
+        for rows in row_blocks(left.size, right.size):  # the first hit, row-major
+            hit = np.flatnonzero(op(left[rows, None], right[None, :]) == value)
+            if hit.size:
+                break
+        row, col = divmod(int(hit[0]), right.size)
+        out.update(_witness(children[i], sets, group, int(right[col])))
+        value = int(left[rows.start + row])
     if children:
         out.update(_witness(children[0], sets, group, value))
     return out

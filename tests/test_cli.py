@@ -52,6 +52,21 @@ def test_eval_command():
     assert code == 0 and "(-1)" in out
 
 
+def test_eval_names_its_value_without_naming_every_element(monkeypatch):
+    built = []
+
+    def resolve(spec, cap):
+        built.append(harness.resolve_group(spec, cap))
+        return built[-1]
+
+    monkeypatch.setattr("verba.cli.resolve_group", resolve)
+    code, out = run_cli(["eval", "--group", "sym:6", "--word", "[x1,x2]", "--assign", "x1=1,x2=7"])
+    (G,) = built
+    assert code == 0 and G._names is None  # one name built, not 720
+    value = int(out.split()[0])
+    assert out == f"{value} ({G.element_names[value]})\n"
+
+
 def test_eval_non_numeric_index_is_a_usage_error(capsys):
     for bad in ("zz", "a1", "1.5", ""):
         code, out = run_cli(

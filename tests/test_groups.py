@@ -20,7 +20,7 @@ from verba.errors import (
     UnassignedVariable,
     UnknownSpec,
 )
-from verba import groups
+from verba import enumeration, groups
 from verba.groups import (
     Subset,
     builtin_group,
@@ -154,9 +154,9 @@ def _malformed_tables():
     ]
 
 
-@pytest.mark.parametrize("cells", [1, 30, 100, groups.BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [1, 30, 100, enumeration.BLOCK, 1 << 20])
 def test_validation_verdicts_do_not_depend_on_the_block_size(monkeypatch, cells):
-    monkeypatch.setattr(groups, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(enumeration, "BLOCK", cells)
     for table, message, witness in _malformed_tables():
         with pytest.raises(NotAGroup) as err:
             groups._validate_table(np.asarray(table))
@@ -207,6 +207,15 @@ def test_every_built_table_passes_validation_unrelabelled(name):
     # builders are trusted and not validated, so each is checked here
     G = BUILT_GROUPS[name]()
     assert np.array_equal(groups._validate_table(G.table), G.table)
+
+
+@pytest.mark.parametrize("name", list(BUILT_GROUPS))
+def test_one_element_name_is_its_entry_in_the_full_list(name):
+    G = BUILT_GROUPS[name]()
+    stored = G._names is not None
+    one_by_one = [G.element_name(i) for i in range(G.order)]
+    assert (G._names is not None) == stored  # naming one element stores no list
+    assert one_by_one == G.element_names
 
 
 def test_permutation_closure_s3():

@@ -4,7 +4,10 @@ Every exhaustive tuple search (linearity and the raw witness search)
 reports the first tuple, in row-major order, at which its predicate fails;
 Lemmas 2.5, 2.6 and 3.2 are decided from value sets and walk no tuples, and
 Lemma 2.8 by one linearity check and one value set.  These tests pin that
-the answer does not depend on the block size, and pin the gap group
+the answer does not depend on the block size, that the streamed kernels
+(`mesh`, the breadth-first `_ball` and the witness search) agree with
+full-mesh and set-arithmetic oracles at every block size and hold one block
+of memory, and pin the gap group
 `tests/groups/gap512.perm`, on which the value sets of gamma:2 and gamma:3
 are smaller than their verbal subgroups, through its suite golden and cheap
 sweep rows.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +28,26 @@ import verba.verbal as verbal
 from verba import enumeration
 from verba.cli import main
 from verba.enumeration import ProductSpace
-from verba.groups import Subset, builtin_group, commutator_subgroup
+from verba import groups
+from verba.groups import (
+    Subset,
+    builtin_group,
+    closure,
+    commutator_subgroup,
+    evaluate,
+    mesh,
+    star_power,
+)
 from verba.harness import CheckSpec, resolve_group, run_check
 from verba.verbal import (
     check_linearity,
     comm_congruence_sweep,
+    enumerate_values,
     value_set,
 )
-from verba.words import gamma, parse_word
+from verba.words import Commutator, gamma, parse_word, variables
+
+from .oracles import close_under_products, star_power_by_sets, table_ops
 
 REPO = Path(__file__).resolve().parents[1]
 GAP_GROUP = "tests/groups/gap512.perm"
@@ -54,7 +70,7 @@ def _first_false_by_product(axes, holds_at):
     return None
 
 
-@pytest.mark.parametrize("block", [7, enumeration.BLOCK])
+@pytest.mark.parametrize("block", [7, enumeration.BLOCK, 1 << 20])
 def test_first_failure_matches_itertools_product(monkeypatch, block):
     monkeypatch.setattr(enumeration, "BLOCK", block)
     rng = np.random.default_rng(16)
@@ -87,12 +103,17 @@ def test_first_failure_matches_itertools_product(monkeypatch, block):
     assert checked > 30
 
 
-def _at_block_sizes(monkeypatch, run):
+def _at_block_sizes(monkeypatch, run, expected=None):
     """`run()` at the default block size and at 7, which puts a block
-    boundary inside every space with more than 7 tuples."""
+    boundary inside every space with more than 7 tuples and between the
+    rows of every mesh with more than 7 cells; with `expected`, each run
+    must return it."""
     default = run()
     monkeypatch.setattr(enumeration, "BLOCK", 7)
-    return default, run()
+    small = run()
+    if expected is not None:
+        assert default == expected and small == expected
+    return default, small
 
 
 def test_failing_linearity_does_not_depend_on_the_block_size(monkeypatch):
@@ -146,6 +167,128 @@ def test_raw_witnesses_do_not_depend_on_the_block_size(monkeypatch):
 
     default, small = _at_block_sizes(monkeypatch, run)
     assert default == small and vs.size > 7
+
+
+# ---------------------------------------------------------------------------
+# streamed kernels
+# ---------------------------------------------------------------------------
+
+
+def _group_at(spec):
+    """A freshly built group, so no memo carries a result between block sizes."""
+    return resolve_group(str(REPO / spec) if spec == GAP_GROUP else spec)
+
+
+@pytest.mark.parametrize("spec", ["sym:6", GAP_GROUP, "alt:5", "heis:5", "dih:30"])
+def test_mesh_matches_the_full_mesh_at_every_block_size(monkeypatch, spec):
+    G = _group_at(spec)
+    rng = np.random.default_rng(23)
+    # single rows and columns, a last row block cut short at 7 cells (5 x 3
+    # is rows 2, 2, 1), rows wider than a block, and an empty side
+    shapes = [(1, 1), (5, 3), (9, 2), (40, 50), (G.order, 11), (3, G.order), (0, 4)]
+    pairs = [(rng.choice(G.order, a, replace=False), rng.choice(G.order, b, replace=False))
+             for a, b in shapes]
+    ops = [G.mul_arr, G.comm_arr]
+    expected = [np.unique(op(a[:, None], b[None, :])).tolist() for op in ops for a, b in pairs]
+    _at_block_sizes(
+        monkeypatch,
+        lambda: [mesh(G, op, a, b, None, "mesh").tolist() for op in ops for a, b in pairs],
+        expected,
+    )
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "heis:3", "dih:12", GAP_GROUP])
+def test_ball_closure_and_star_power_match_set_oracles_at_every_radius(monkeypatch, spec):
+    G = _group_at(spec)
+    t, inv = table_ops(G.table)
+    mul, inverse = (lambda a, b: int(t[a, b])), (lambda a: int(inv[a]))
+    rng = np.random.default_rng(11)
+    seeds = [[], [0], *(sorted(rng.choice(G.order, k, replace=False).tolist()) for k in (1, 2, 3))]
+    expected = []
+    for seed in seeds:
+        whole = sorted(close_under_products(set(seed) | {0}, mul, inverse))
+        balls = [sorted(star_power_by_sets(G.table, seed, 0))]
+        while balls[-1] != whole:  # every radius until the ball closes, and one more
+            balls.append(sorted(star_power_by_sets(G.table, seed, len(balls))))
+        balls.append(whole)
+        expected.append((whole, whole, balls))
+
+    def run():
+        H = _group_at(spec)
+        out = []
+        for seed, (_, _, balls) in zip(seeds, expected):
+            S = H.subset(seed)
+            ball = np.flatnonzero(groups._ball(H, S.elements)).tolist()
+            stars = [star_power(H, S, n).elements.tolist() for n in range(len(balls))]
+            out.append((ball, closure(H, seed).elements.tolist(), stars))
+        return out
+
+    _at_block_sizes(monkeypatch, run, expected)
+
+
+def _full_mesh_witness(op, sides, value):
+    """The witness of `value` for a product or commutator of distinct
+    variables with these ascending value arrays: partial products from full
+    `np.unique` meshes, then the first row-major hit in each full mesh, from
+    the last side back to the first."""
+    lefts = sides[:1]
+    for side in sides[1:-1]:
+        lefts.append(np.unique(op(lefts[-1][:, None], side[None, :])))
+    picks = []
+    for left, right in zip(reversed(lefts), reversed(sides[1:])):
+        flat = int(np.flatnonzero(op(left[:, None], right[None, :]).ravel() == value)[0])
+        picks.append(int(right[flat % right.size]))
+        value = int(left[flat // right.size])
+    return [value, *reversed(picks)]
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "dih:12"])
+def test_witnesses_match_the_full_mesh_search_at_every_block_size(monkeypatch, spec):
+    words = [parse_word(w) for w in ("x1*x2", "[x1,x2]", "x1*x2*x3", "x1*x2*x3*x4")]
+    G = _group_at(spec)
+    rng = np.random.default_rng(5)
+    # sides of 2 and 3 values put two or three rows in a block of 7 cells
+    sizes = [(3, 2, 4, 3)[: len(variables(w))] for w in words]
+    picks = [[sorted(rng.choice(G.order, k, replace=False).tolist()) for k in ks] for ks in sizes]
+    expected = []
+    for w, elems in zip(words, picks):
+        op = G.comm_arr if isinstance(w, Commutator) else G.mul_arr
+        sides = [np.array(e) for e in elems]
+        vals = value_set(w, [G.subset(e) for e in elems]).values.tolist()
+        expected.append([_full_mesh_witness(op, sides, v) for v in vals])
+
+    def run():
+        H = _group_at(spec)
+        out = []
+        for w, elems in zip(words, picks):
+            vs = value_set(w, [H.subset(e) for e in elems])
+            found = [vs.witness(v) for v in vs.values]
+            assert all(evaluate(w, H, f) == v for f, v in zip(found, vs.values))
+            out.append([list(f.values()) for f in found])
+        return out
+
+    _at_block_sizes(monkeypatch, run, expected)
+
+
+def _peak_mb(run) -> float:
+    """Peak MB that `run()` allocates, as tracemalloc sees it: numpy reports
+    its array buffers there."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_kernels_hold_one_block_of_memory():
+    # 120^3 tuples swept, and a 720 x 720 commutator mesh (formula, no table)
+    sym5, sym6 = builtin_group("sym:5"), builtin_group("sym:6")
+    env = {v: sym5.full_subgroup() for v in variables(gamma(3))}
+    sym5.comm_arr(0, 0)  # the commutator table is the group's, built before
+    assert _peak_mb(lambda: enumerate_values(gamma(3), env, None)) < 8
+    elems = sym6.full_subgroup().elements
+    assert _peak_mb(lambda: mesh(sym6, sym6.comm_arr, elems, elems, None, "commutator mesh")) < 2
 
 
 # ---------------------------------------------------------------------------
