@@ -20,6 +20,13 @@ DEFAULT_BUDGET = 10**8
 BLOCK = 1 << 16
 
 
+def require_budget(size: int, budget: int | None, what: str) -> None:
+    """Refuse `size` units of work over `budget`, DEFAULT_BUDGET with None."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if size > limit:
+        raise BudgetExceeded(size, limit, what)
+
+
 def row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of range(rows) of BLOCK // width rows, one at least:
     a block of `width`-cell rows holds BLOCK cells at most, or one longer row."""
@@ -40,9 +47,7 @@ class ProductSpace:
             self.size *= s
 
     def require_within(self, budget: int | None, what: str = "enumeration") -> "ProductSpace":
-        limit = DEFAULT_BUDGET if budget is None else budget
-        if self.size > limit:
-            raise BudgetExceeded(self.size, limit, what)
+        require_budget(self.size, budget, what)
         return self
 
     def axis_values(self, flat: np.ndarray) -> list[np.ndarray]:

@@ -13,10 +13,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import DEFAULT_BUDGET, row_blocks
+from .enumeration import require_budget, row_blocks
 from .errors import (
     BadIndex,
-    BudgetExceeded,
     NotAGroup,
     NotNormal,
     NotNormalSubset,
@@ -277,17 +276,11 @@ def _check_associativity(table: np.ndarray, e: int) -> None:
     Semigroups* I, section 1.2), exact in O(n^2 |gens|).
 
     The elements g with (xg)y = x(gy) for all x, y are closed under products,
-    so it is enough to test a set of g whose products reach every element.
-    `gens` is picked greedily: the least element not yet reached, until the
-    right products of the identity by `gens` cover the table.
+    so it is enough to test a set of g whose products reach every element:
+    `greedy_generators` over all elements, in order, from the identity.
     """
     n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[e] = True
-    gens: list[int] = []
-    while not _grow(table, np.array(gens, dtype=np.int64), reached).all():
-        gens.append(int(np.flatnonzero(~reached)[0]))
-    for g in gens:
+    for g in greedy_generators(table, np.arange(n), e).tolist():
         for rows in row_blocks(n, n):
             left = table[table[rows, g]]  # (xg)y
             right = np.take(table[rows], table[g], axis=1)  # x(gy)
@@ -423,6 +416,21 @@ def _grow(table, gens: np.ndarray, mask: np.ndarray, radius: int | None = None) 
     return mask
 
 
+def greedy_generators(table: np.ndarray, axis: np.ndarray, e: int = 0) -> np.ndarray:
+    """The elements of `axis`, in order, that the right products of `e` by
+    the ones taken before them do not reach, the reached mask grown in place
+    as each is taken, until it holds all of `axis`.  With `e` the identity
+    and `axis` listing a subgroup, it is a generating set of that subgroup,
+    empty for the trivial one."""
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while (unreached := np.flatnonzero(~reached[axis])).size:
+        gens.append(int(axis[unreached[0]]))
+        _grow(table, np.array(gens), reached)
+    return np.array(gens, dtype=axis.dtype)
+
+
 def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     """Smallest normal subgroup containing `seed`: the closure of the
     conjugacy classes that meet it."""
@@ -456,10 +464,7 @@ def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
 def mesh(G: FiniteGroup, op, a, b, budget: int | None, what: str) -> np.ndarray:
     """Sorted distinct op(x, y) in G over x in `a` and y in `b`.  The |a| x |b|
     mesh counts against the budget as a tuple space."""
-    size = a.shape[0] * b.shape[0]
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if size > limit:
-        raise BudgetExceeded(size, limit, what)
+    require_budget(a.shape[0] * b.shape[0], budget, what)
     return _scatter(G.order, op, a, b).nonzero()[0]
 
 

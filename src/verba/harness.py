@@ -304,16 +304,20 @@ def _check_disjoint(G, tree, tup, budget) -> tuple[str, str]:
 
 
 def _check_substitution(G, tree, tup, budget) -> tuple[str, str]:
-    vars_ = variables(tree)
+    r = len(variables(tree))
     worst = ""
-    for combo in range(2 ** len(vars_)):
-        exps = [_SUBSTITUTION_EXPONENTS[(combo >> i) & 1] for i in range(len(vars_))]
-        args = [Power(v, e) for v, e in zip(vars_, exps)]
-        rep = check_substitution(tree, args, G, budget)
+    for combo in range(2**r):
+        exps = tuple(_SUBSTITUTION_EXPONENTS[(combo >> i) & 1] for i in range(r))
+        rep = _power_substitution(tree, exps, G, budget)
         if not rep.equal:
-            return "fail", f"exponents {tuple(exps)}: {rep.direct_order} != {rep.composed_order}"
+            return "fail", f"exponents {exps}: {rep.direct_order} != {rep.composed_order}"
         worst = f"last orders {rep.direct_order}={rep.composed_order}"
-    return "pass", f"{2 ** len(vars_)} exponent patterns; {worst}"
+    return "pass", f"{2**r} exponent patterns; {worst}"
+
+
+def _power_substitution(tree, exps, G, budget):
+    """`check_substitution` of `tree` with its i-th variable x raised to exps[i]."""
+    return check_substitution(tree, [Power(v, e) for v, e in zip(variables(tree), exps)], G, budget)
 
 
 def _check_generators(G, tree, tup, budget) -> tuple[str, str]:
@@ -382,16 +386,22 @@ def _check_bound(kind, G, tree, tup, budget) -> tuple[str, str]:
     return _verdict(rep.all_ok, f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}")
 
 
-def _check_concise_on_normal(G, tree, tup, budget) -> tuple[str, str]:
-    """Value set computed two independent ways; its closure is the verbal subgroup."""
-    sets = tup.subgroups
-    vs = value_set(tree, sets, budget)
-    direct = _value_set_by_direct_enumeration(tree, sets, budget)
-    if direct is not None and not np.array_equal(direct, vs.values):
-        return "fail", "factorised and direct value sets differ"
+def _gap(G, tree, tup, budget):
+    """(w{N}, the subgroup it generates, ok) over `tup.subgroups`: ok says
+    that subgroup is the verbal subgroup on `tup.generators` (Lemma 2.3 for
+    a `set:` entry), its order divides |G| and it holds every value."""
+    vs = value_set(tree, tup.subgroups, budget)
     sub = closure(G, vs.members)
     verbal = verbal_subgroup(tree, tup.generators, budget)
-    ok = sub == verbal and G.order % sub.order == 0 and bool(sub.mask[vs.values].all())
+    return vs, sub, sub == verbal and G.order % sub.order == 0 and bool(sub.mask[vs.values].all())
+
+
+def _check_concise_on_normal(G, tree, tup, budget) -> tuple[str, str]:
+    """Value set computed two independent ways; its closure is the verbal subgroup."""
+    direct = _value_set_by_direct_enumeration(tree, tup.subgroups, budget)
+    vs, sub, ok = _gap(G, tree, tup, budget)
+    if direct is not None and not np.array_equal(direct, vs.values):
+        return "fail", "factorised and direct value sets differ"
     return _verdict(ok, f"m={vs.size} |w(N)|={sub.order}")
 
 
@@ -407,12 +417,10 @@ def _value_set_by_direct_enumeration(expr, sets, budget) -> np.ndarray | None:
 
 def _check_power_words(G, tree, tup, budget) -> tuple[str, str]:
     """Non-commutator argument words x^e: composition matches substitution."""
-    vars_ = variables(tree)
-    exps = [_SUBSTITUTION_EXPONENTS[i % 2] for i in range(len(vars_))]
-    args = [Power(v, e) for v, e in zip(vars_, exps)]
-    rep = check_substitution(tree, args, G, budget)
+    exps = tuple(_SUBSTITUTION_EXPONENTS[i % 2] for i in range(len(variables(tree))))
+    rep = _power_substitution(tree, exps, G, budget)
     sep = "=" if rep.direct_order == rep.composed_order else " != "
-    return _verdict(rep.equal, f"exponents {tuple(exps)}, orders {rep.direct_order}{sep}{rep.composed_order}")
+    return _verdict(rep.equal, f"exponents {exps}, orders {rep.direct_order}{sep}{rep.composed_order}")
 
 
 def _check_extended_width(G, tree, tup, budget) -> tuple[str, str]:
@@ -426,13 +434,15 @@ def _check_extended_width(G, tree, tup, budget) -> tuple[str, str]:
     return "pass", f"{len(ext)} extended words x {len(mvecs)} multiplicity vectors"
 
 
-def _check_probe(G, tree, tup, budget) -> tuple[str, str]:
+def _probe_word(tree: WordExpr) -> WordExpr:
     if len(variables(tree)) > 7:
         raise PreconditionFailed("probe words are capped at 7 leaves")
-    vs = value_set(tree, tup.subgroups, budget)
-    sub = closure(G, vs.members)
-    verbal = verbal_subgroup(tree, tup.generators, budget)
-    return _verdict(sub == verbal and G.order % sub.order == 0, f"m={vs.size} |w(N)|={sub.order}")
+    return tree
+
+
+def _check_probe(G, tree, tup, budget) -> tuple[str, str]:
+    vs, sub, ok = _gap(G, _probe_word(tree), tup, budget)
+    return _verdict(ok, f"m={vs.size} |w(N)|={sub.order}")
 
 
 def _series_tuples(G: FiniteGroup, arity: int, seed: int) -> list[str]:
@@ -675,18 +685,16 @@ def survey(
     _require_seed(seed)
     word, label = resolve_word(word_spec)
     tree = _require_ocw(word, "probe" if probe else "survey")
-    leaves = len(variables(tree))
-    if probe and leaves > 7:
-        raise PreconditionFailed("probe words are capped at 7 leaves")
+    if probe:
+        _probe_word(tree)
     rows: list[SurveyRow] = []
     for gspec in catalog:
         G = resolve_group(gspec, cap)
-        for tspec in default_tuple_specs(G, leaves, seed):
+        for tspec in default_tuple_specs(G, len(variables(tree)), seed):
             tup = parse_tuple_spec(tspec, G)
             try:
-                vs = value_set(tree, tup.subgroups, budget)
-                sub = closure(G, vs.members)
-                if probe and sub != verbal_subgroup(tree, tup.generators, budget):
+                vs, sub, ok = _gap(G, tree, tup, budget)
+                if probe and not ok:
                     raise InternalInvariantViolation(
                         f"{gspec} {tspec}: value-set closure differs from verbal subgroup"
                     )

@@ -11,7 +11,7 @@ InternalInvariantViolation (it would mean a bug in this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,15 +34,15 @@ from .verbal import (
 from .words import (
     Var,
     WordExpr,
-    Y_FAMILY,
     comm,
     delta,
     extension_degree,
     gamma,
-    render,
+    max_y,
     shift_x,
     substitute,
     variables,
+    x_shift,
     xvar,
     y_renumbering,
     yvar,
@@ -124,15 +124,7 @@ def _canonical_factor(
     """Renumber y-variables canonically and sort entries into variable order."""
     mapping = y_renumbering(word_raw)
     word = substitute(word_raw, mapping) if mapping else word_raw
-    renamed = [
-        AnnotatedEntry(
-            var=mapping.get(e.var, e.var),
-            subgroup=e.subgroup,
-            source=e.source,
-            components=e.components,
-        )
-        for e in entries_raw
-    ]
+    renamed = [replace(e, var=mapping.get(e.var, e.var)) for e in entries_raw]
     renamed.sort(key=lambda e: e.var)
     word_vars = set(variables(word))
     _require(
@@ -384,10 +376,7 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
         shifted_word, shifted_entries, shifted_linear = _shift_annotation(
             sub_factor, half
         )
-        y_top = max(
-            (v.index for v in variables(shifted_word) if v.family == Y_FAMILY), default=0
-        )
-        y_block = _pure_y_delta(k - 1, y_top)
+        y_block = _pure_y_delta(k - 1, max_y(shifted_word))
         w_word = comm(y_block, shifted_word)
         w_entries = [
             AnnotatedEntry(var=v, subgroup=subs[c - 1], source=xvar(1), components=(c,))
@@ -443,21 +432,13 @@ def _shift_annotation(
     factor: SeriesFactor, offset: int
 ) -> tuple[WordExpr, list[AnnotatedEntry], Var]:
     """Move a factor built on local positions 1..2^(k-1) to global positions."""
-    word = shift_x(factor.word, offset)
-    entries = []
-    for e in factor.entries:
-        var = xvar(e.var.index + offset) if e.var.family == "x" else e.var
-        entries.append(
-            AnnotatedEntry(
-                var=var,
-                subgroup=e.subgroup,
-                source=e.source,
-                components=tuple(c + offset for c in e.components),
-            )
-        )
-    lin = factor.linear_var
-    lin = xvar(lin.index + offset) if lin.family == "x" else lin
-    return word, entries, lin
+    mapping = x_shift(factor.word, offset)
+    entries = [
+        replace(e, var=mapping.get(e.var, e.var), components=tuple(c + offset for c in e.components))
+        for e in factor.entries
+    ]
+    linear = mapping.get(factor.linear_var, factor.linear_var)
+    return substitute(factor.word, mapping), entries, linear
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +449,11 @@ def _shift_annotation(
 @dataclass
 class FactorReport:
     index: int
-    provenance: str
-    word: str
     lower_order: int
     upper_order: int
     containment_ok: bool
     generation_ok: bool
     extension_ok: bool
-    degree: int
     recognized_degree: int | None
     degree_ok: bool
     linearity: LinearityReport
@@ -493,9 +471,6 @@ class FactorReport:
 
 @dataclass
 class SeriesReport:
-    kind: str
-    parameter: int
-    group: str
     factor_count: int
     endpoints_ok: bool
     factors: list[FactorReport]
@@ -550,23 +525,17 @@ def verify_series(
         reports.append(
             FactorReport(
                 index=f.index,
-                provenance=f.provenance,
-                word=render(f.word),
                 lower_order=f.lower.order,
                 upper_order=f.upper.order,
                 containment_ok=containment_ok,
                 generation_ok=generation_ok,
                 extension_ok=extension_ok,
-                degree=f.degree,
                 recognized_degree=recognized,
                 degree_ok=degree_ok,
                 linearity=linearity,
             )
         )
     return SeriesReport(
-        kind=series.kind,
-        parameter=series.parameter,
-        group=G.label,
         factor_count=len(series.factors),
         endpoints_ok=endpoints_ok,
         factors=reports,
@@ -580,7 +549,6 @@ def verify_series(
 
 @dataclass
 class BoundRow:
-    factor: int
     base_values: int  # m
     observed: int
     bound: int
@@ -590,9 +558,6 @@ class BoundRow:
 
 @dataclass
 class BoundReport:
-    kind: str
-    parameter: int
-    group: str
     base_values: int
     rows: list[BoundRow]
 
@@ -643,7 +608,6 @@ def generator_bound_report(
             bound = m ** (depth ** (2**k) * 2 ** (k - 1))
         rows.append(
             BoundRow(
-                factor=f.index,
                 base_values=m,
                 observed=observed,
                 bound=bound,
@@ -652,9 +616,6 @@ def generator_bound_report(
             )
         )
     return BoundReport(
-        kind=series.kind,
-        parameter=series.parameter,
-        group=G.label,
         base_values=m,
         rows=rows,
     )

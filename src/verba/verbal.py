@@ -23,6 +23,7 @@ from .groups import (
     closure,
     commutator_subgroup,
     evaluate_arrays,
+    greedy_generators,
     mesh,
     quotient,
     star_power,
@@ -332,7 +333,6 @@ class SubstitutionReport:
     equal: bool
     direct_order: int
     composed_order: int
-    argument_orders: tuple[int, ...]
 
 
 def check_substitution(
@@ -363,7 +363,6 @@ def _check_substitution(w, args, G, budget) -> SubstitutionReport:
         equal=(direct == composed),
         direct_order=direct.order,
         composed_order=composed.order,
-        argument_orders=tuple(s.order for s in arg_groups),
     )
 
 
@@ -426,7 +425,9 @@ def check_linearity(
     in H and every s in a generating set S of H makes f a homomorphism: the
     good s are closed under products (Light's argument), and in a finite
     group the products of S reach all of H.  So the second pivot axis runs
-    over a greedy S only.  A failing quotient tuple is lifted back to G
+    over `greedy_generators` of H only; for a trivial H that is empty, and
+    no tuple needs testing, as an outer commutator word with one variable
+    at 1 takes the value 1, so f(1) = 1.  A failing quotient tuple is lifted back to G
     through the first value or element of each coset, in enumeration order,
     and `ValueSet.witness`, so the counterexample is an assignment in G.
     `space` counts the quotient tuples, |siblings| x |H| x |S|.
@@ -445,7 +446,7 @@ def check_linearity(
     labels, Q = quotient(modulus)
     sib_axes = [_coset_images(labels, vs.values) for vs in sib_sets]
     pivot_axis, pivot_lift = _coset_images(labels, env[pivot].elements)
-    gens = _greedy_generators(Q, pivot_axis)
+    gens = greedy_generators(Q.table, pivot_axis)
     space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, gens])
     space.require_within(budget, f"linearity of {render(w)} in position {position}")
 
@@ -463,25 +464,6 @@ def check_linearity(
         counterexample.update({str(var): e for var, e in vs.witness(value).items()})
     counterexample[str(pivot)], counterexample["y"] = elems[-2:]
     return LinearityReport(space=space.size, holds=False, counterexample=counterexample)
-
-
-def _greedy_generators(Q: FiniteGroup, axis: np.ndarray) -> np.ndarray:
-    """The elements of `axis`, in order, that are not in the closure of the
-    ones taken before them: a generating set of the subgroup `axis` lists.
-
-    For the trivial subgroup it is empty.  Then no tuple is tested, and none
-    needs to be: an outer commutator word takes the value 1 when one of its
-    variables is 1, so f(1) = 1 and f is a homomorphism on {1}.
-    """
-    gens: list[int] = []
-    reached = closure(Q, gens)
-    for a in axis.tolist():
-        if reached.order == axis.size:
-            break
-        if not reached.mask[a]:
-            gens.append(a)
-            reached = closure(Q, gens)
-    return np.array(gens, dtype=axis.dtype)
 
 
 def _coset_images(labels: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -548,8 +548,13 @@ def canonical_y(w: WordExpr) -> WordExpr:
     return substitute(w, mapping) if mapping else w
 
 
+def x_shift(w: WordExpr, offset: int) -> dict[Var, Var]:
+    """x(i + offset) for each x-variable x(i) of `w`."""
+    return {v: xvar(v.index + offset) for v in variables(w) if v.family == X_FAMILY}
+
+
 def shift_x(w: WordExpr, offset: int) -> WordExpr:
-    mapping = {v: xvar(v.index + offset) for v in variables(w) if v.family == X_FAMILY}
+    mapping = x_shift(w, offset)
     return substitute(w, mapping) if mapping else w
 
 
@@ -583,7 +588,8 @@ def _fresh_y(w: WordExpr, above: int) -> WordExpr:
     return substitute(w, mapping) if mapping else w
 
 
-def _max_y(w: WordExpr) -> int:
+def max_y(w: WordExpr) -> int:
+    """The greatest y-index of `w`, 0 without y-variables."""
     return max((v.index for v in variables(w) if v.family == Y_FAMILY), default=0)
 
 
@@ -620,7 +626,7 @@ def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> tuple[WordExpr,
             return out
         found: set[WordExpr] = set()
         for q in ext(base, deg - 1):
-            top = _max_y(q)
+            top = max_y(q)
             for shape in shapes:
                 p = _fresh_y(shape, top)
                 found.add(canonical_y(comm(p, q)))
@@ -630,7 +636,7 @@ def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> tuple[WordExpr,
                 mb = deg - la
                 for p in ext(base.left, la):
                     for q in ext(base.right, mb):
-                        q2 = _fresh_y(q, _max_y(p))
+                        q2 = _fresh_y(q, max_y(p))
                         found.add(canonical_y(comm(p, q2)))
         out = frozenset(found)
         memo[key] = out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -804,3 +805,14 @@ def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
         assert proc.returncode == code, proc.stderr
         assert run_cli(argv) == (code, proc.stdout)
         assert capsys.readouterr().err == proc.stderr
+
+
+# The digest `perfbench/expected/suite_seed0.json` records for the same CSV.
+SUITE_SEED0_SHA256 = "423c0996544f83b7561bd09d3ee32b247afbe55057d564a10c14d87bb4ad1130"
+
+
+def test_seed0_suite_csv_is_byte_identical():
+    """The default suite at seed 0 prints the pinned CSV byte for byte."""
+    code, out = run_cli(["suite", "--format", "csv", "--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SEED0_SHA256

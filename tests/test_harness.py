@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from verba.harness import (
     CHECKS,
     CheckSpec,
     DEFAULT_CATALOG,
+    PROBE_WORDS,
     default_tuple_specs,
     parse_tuple_spec,
     resolve_group,
@@ -197,6 +199,30 @@ def test_probe_seven_leaf_word_small_groups():
     rows = survey(["sym:3"], "[[x1,x2,x3],[[x4,x5],[x6,x7]]]", seed=0, probe=True)
     assert rows
     assert {r.tuple_spec for r in rows if r.mode == "exhaustive"}
+
+
+def _gap_detail(check_id: str, row) -> tuple[int, int]:
+    """(m, |w(N)|) from the `m=... |w(N)|=...` detail of a C2.12 or CONJ row."""
+    res = run_check(CheckSpec(check_id, row.group, row.word, row.tuple_spec))
+    assert res.status == "pass", res
+    m, order = re.fullmatch(r"m=(\d+) \|w\(N\)\|=(\d+)", res.detail).groups()
+    return int(m), int(order)
+
+
+@pytest.mark.parametrize(
+    "check_id, word, probe", [("C2.12", "gamma:2", False)] + [("CONJ", w, True) for w in PROBE_WORDS]
+)
+def test_survey_and_check_rows_share_the_gap(check_id, word, probe):
+    """Survey, probe, C2.12 and CONJ read w{N} and w(N) from one computation,
+    so on every catalog group and shared tuple their numbers agree."""
+    rows = survey(DEFAULT_CATALOG, word, seed=0, probe=probe)
+    assert len(rows) == sum(
+        len(default_tuple_specs(resolve_group(g), len(variables(resolve_word(word)[0])), 0))
+        for g in DEFAULT_CATALOG
+    )
+    for row in rows:
+        assert row.mode == "exhaustive"
+        assert _gap_detail(check_id, row) == (row.m, row.verbal_order), row
 
 
 def test_probe_rejects_eight_leaves():
@@ -392,7 +418,7 @@ def test_shuffled_leaves_pass(check_id, group):
 
 def test_power_word_failure_shows_both_orders(monkeypatch):
     def unequal(w, args, G, budget=None):
-        return verbal.SubstitutionReport(False, 4, 1, (1,) * len(args))
+        return verbal.SubstitutionReport(False, 4, 1)
 
     monkeypatch.setattr(harness, "check_substitution", unequal)
     for check_id in ("C2.13", "C3.9"):

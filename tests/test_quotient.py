@@ -7,7 +7,14 @@ import pytest
 
 import verba.verbal as verbal
 from verba.errors import BudgetExceeded
-from verba.groups import builtin_group, closure, commutator_subgroup, evaluate, quotient
+from verba.groups import (
+    builtin_group,
+    closure,
+    commutator_subgroup,
+    evaluate,
+    greedy_generators,
+    quotient,
+)
 from verba.harness import (
     DEFAULT_CATALOG,
     CheckSpec,
@@ -125,7 +132,7 @@ def test_greedy_generators_generate_the_pivot_image():
             labels, Q = quotient(modulus)
             for N in (G.full_subgroup(), G.derived_subgroup(), G.center()):
                 axis = verbal._coset_images(labels, N.elements)[0]
-                gens = verbal._greedy_generators(Q, axis)
+                gens = greedy_generators(Q.table, axis)
                 assert set(np.flatnonzero(closure(Q, gens).mask)) == set(axis.tolist())
                 # each generator lies outside the closure of those before it
                 for i in range(len(gens)):

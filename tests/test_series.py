@@ -143,9 +143,9 @@ def test_delta_series_words_do_not_depend_on_group(sym4):
 def test_delta_series_degrees_within_bound(sym4):
     series = build_delta_series(full_normal_tuple(sym4, 4), 2)
     report = verify_series(series)
-    for f in report.factors:
+    for factor, f in zip(series.factors, report.factors):
         assert f.degree_ok and f.recognized_degree is not None
-        assert f.recognized_degree <= f.degree <= 1
+        assert f.recognized_degree <= factor.degree <= 1
 
 
 def test_delta_factors_are_abelian_sections(sym4):

@@ -246,7 +246,10 @@ def test_substitution_examples(sym3, sym4, quat8):
     rep = check_substitution(gamma(2), [parse_word("x1^2"), parse_word("x2^3")], sym4)
     assert rep.equal
     rep = check_substitution(gamma(2), [parse_word("x1^2"), parse_word("x2^2")], quat8)
-    assert rep.equal and rep.direct_order == 1 and rep.argument_orders == (2, 2)
+    assert rep.equal and rep.direct_order == 1
+    # the argument subgroups u_i(G): squares generate the order-2 centre of quat:8
+    squares = [verbal_subgroup(parse_word(u), [quat8.full_subgroup()]) for u in ("x1^2", "x2^2")]
+    assert [s.order for s in squares] == [2, 2]
 
 
 # ---------------------------------------------------------------------------
