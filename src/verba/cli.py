@@ -360,6 +360,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.budget = _budget(args)
         if args.budget < 1:
             raise VerbaError("budget must be at least 1")
+        if getattr(args, "cap", 1) < 1:
+            raise VerbaError("cap must be at least 1")
         return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

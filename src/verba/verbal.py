@@ -48,19 +48,24 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueSet:
     """Exact set of word values over a tuple of subsets.
 
-    `subsets[i]` is the range of variables(word)[i].  Only the values are
-    kept: `witness` searches for a preimage of one value when a failure
-    report asks for it.
+    `subsets[i]` is the range of variables(word)[i].  The value-set memo
+    keeps only the member Subset, one per word text and subset masks; a
+    ValueSet is a per-call view of it carrying the caller's word and
+    subsets.  `values` are the members' sorted elements, and `witness`
+    searches for a preimage of one value when a failure report asks for it.
     """
 
     word: WordExpr
     subsets: tuple[Subset, ...]
-    values: np.ndarray  # sorted ascending
     members: Subset
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.members.elements  # sorted ascending
 
     @property
     def size(self) -> int:
@@ -107,8 +112,8 @@ def value_set_over(
 ) -> ValueSet:
     """Values of `w` with each variable ranging over its subset in `env`.
 
-    The finished ValueSet is memoised on the group by word text and subset
-    masks, so equal words over equal subsets share one result.
+    The member Subset is memoised on the group by word text and subset
+    masks, so equal words over equal subsets share one `members`.
     """
     vars_ = variables(w)
     missing = [v for v in vars_ if v not in env]
@@ -116,7 +121,8 @@ def value_set_over(
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
     if not vars_:
         raise ArityMismatch(f"word {render(w)} has no variables")
-    return _value_set(w, env, env[vars_[0]].group, budget)
+    members = _value_set(w, env, env[vars_[0]].group, budget)
+    return ValueSet(w, tuple(map(env.__getitem__, vars_)), members)
 
 
 def _value_set(
@@ -124,9 +130,9 @@ def _value_set(
     sets: Mapping[Var, Subset],
     group: FiniteGroup,
     budget: int | None,
-) -> ValueSet:
-    """`value_set_over` without the input checks.  This is the one value-set
-    memo: sub-words of a word are kept in it too."""
+) -> Subset:
+    """The members of `value_set_over`, without the input checks.  This is
+    the one value-set memo: sub-words of a word are kept in it too."""
     memo_key = (render(expr), tuple(sets[v].key for v in variables(expr)))
     return group.cached("value_set", memo_key, _build_value_set, expr, sets, group, budget)
 
@@ -136,17 +142,10 @@ def _build_value_set(
     sets: Mapping[Var, Subset],
     group: FiniteGroup,
     budget: int | None,
-) -> ValueSet:
-    vals = _values(expr, sets, group, budget)
+) -> Subset:
     mask = np.zeros(group.order, dtype=bool)
-    mask[vals] = True
-    vals.setflags(write=False)
-    return ValueSet(
-        word=expr,
-        subsets=tuple(sets[v] for v in variables(expr)),
-        values=vals,
-        members=Subset(group, mask),
-    )
+    mask[_values(expr, sets, group, budget)] = True
+    return Subset(group, mask)
 
 
 def _values(
@@ -158,10 +157,10 @@ def _values(
     """Sorted distinct values of `expr`.  Sub-words come from the value-set
     memo."""
     if isinstance(expr, Var):
-        return sets[expr].elements.astype(np.int64)
+        return sets[expr].elements
     if isinstance(expr, (Inverse, Power)):
         seen = np.zeros(group.order, dtype=bool)
-        seen[_image(expr, group, _value_set(expr.child, sets, group, budget).values)] = True
+        seen[_image(expr, group, _value_set(expr.child, sets, group, budget).elements)] = True
         return np.flatnonzero(seen)
     children = _disjoint_children(expr)
     if children is None:
@@ -169,7 +168,7 @@ def _values(
     op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
     vals = np.array([0], dtype=np.int64)  # the empty product
     for i, child in enumerate(children):
-        side = _value_set(child, sets, group, budget).values
+        side = _value_set(child, sets, group, budget).elements
         vals = side if i == 0 else _combine(group, op, vals, side, budget)
     return vals
 
@@ -218,7 +217,7 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     if isinstance(expr, Var):
         return {expr: value}
     if isinstance(expr, (Inverse, Power)):
-        child = _value_set(expr.child, sets, group, None).values
+        child = _value_set(expr.child, sets, group, None).elements
         first = int(np.flatnonzero(_image(expr, group, child) == value)[0])
         return _witness(expr.child, sets, group, int(child[first]))
     children = _disjoint_children(expr)
@@ -233,7 +232,7 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
             raise KeyError(value)
         return dict(zip(vars_, space.tuple_at(flat)))
     op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-    sides = [_value_set(c, sets, group, None).values for c in children]
+    sides = [_value_set(c, sets, group, None).elements for c in children]
     lefts = sides[:1]  # lefts[i]: the values of the product of sides 0..i
     for side in sides[1:-1]:
         lefts.append(_combine(group, op, lefts[-1], side, None))

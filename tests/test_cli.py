@@ -448,6 +448,22 @@ def test_deeply_nested_word_is_a_usage_error(capsys):
             assert err.startswith("error: syntax error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["values", "--group", "cyc:3", "--word", "gamma:2"],
+        ["check", "L2.1", "--group", "sym:3", "--word", "gamma:2", "--tuple", "G,G"],
+        ["series", "gamma", "--group", "sym:3", "--tuple", "G,G"],
+        ["suite", "--catalog", "/dev/null"],
+    ],
+)
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_1_is_a_usage_error(argv, cap, capsys):
+    assert run_cli([*argv, "--cap", cap]) == (2, "")
+    assert capsys.readouterr().err == "error: cap must be at least 1\n"
+    assert run_cli([*argv, "--cap", "1" if argv[0] == "suite" else "6"])[0] == 0
+
+
 def test_budget_exit_is_3():
     code, _ = run_cli(["values", "--group", "sym:4", "--word", "x1*x2*x1", "--budget", "10"])
     assert code == 3

@@ -5,7 +5,9 @@ computation."""
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from verba.harness import (
     run_suite,
 )
 from verba.series import build_delta_series, build_gamma_series
-from verba.verbal import check_substitution, class_generating_subset
+from verba.verbal import check_substitution, class_generating_subset, value_set
 from verba.words import (
     EXTENDED_CACHE_SIZE,
     WORD_CACHE_SIZE,
@@ -272,6 +274,29 @@ def test_class_generating_subset_memo_matches_a_fresh_computation():
         assert fresh is not subset
         assert fresh.key == subset.key
         assert closure(G, fresh) == N
+
+
+def test_value_set_memo_keeps_one_member_subset_per_value_set():
+    G = builtin_group("dih:8")
+    full, derived = G.full_subgroup(), G.derived_subgroup()
+    for w in (gamma(2), gamma(3), delta(2), parse_word("x1^2*[x2,x1]^-1"), parse_word("x1*x2*x1")):
+        value_set(w, [full, derived, full, derived][: len(variables(w))])
+    hits = [hit for (kind, _), hit in G._memo.items() if kind == "value_set"]
+    assert hits and all(isinstance(hit, Subset) and hit.group is G for hit in hits)
+    # the memo keeps no word alive: a view carries its caller's word
+    dropped = parse_word("[x1^3,x2*x3]")
+    ref = weakref.ref(dropped)
+    assert value_set(dropped, [full] * 3).word is dropped
+    del dropped
+    gc.collect()
+    assert ref() is None
+    # equal-text words over equal subsets: two views, one members Subset
+    a, b = parse_word("[[x1,x2],x3]"), gamma(3)
+    va = value_set(a, [full, derived, full])
+    vb = value_set(b, [G.full_subgroup(), Subset(G, derived.mask), full])
+    assert va is not vb and va.word is a and vb.word is b
+    assert va.members is vb.members
+    assert va.values is va.members.elements and va.size == va.members.order
 
 
 def test_parsed_tuple_memo_per_group():
