@@ -58,8 +58,8 @@ class FiniteGroup:
         self.perm_images = list(perm_images) if perm_images is not None else None
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, class generating subsets, closures,
-        # star powers, quotients, series, parsed tuple specs, commutator
-        # table, class labels, center and derived subgroup.
+        # star powers, commutator subgroups, quotients, series, parsed tuple
+        # specs, commutator table, class labels, center and derived subgroup.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -159,9 +159,12 @@ class FiniteGroup:
         mask[0] = True
         return Subset(self, mask)
 
+    def class_labels(self) -> np.ndarray:
+        return self.cached("classes", None, _class_labels, self)
+
     def class_union(self, elements: Sequence[int] | np.ndarray) -> np.ndarray:
         """Mask of the union of the conjugacy classes that meet `elements`."""
-        labels = self.cached("classes", None, _class_labels, self)
+        labels = self.class_labels()
         hit = np.zeros(self.order, dtype=bool)
         hit[labels[elements]] = True
         return hit[labels]
@@ -206,12 +209,8 @@ def _class_labels(G: FiniteGroup) -> np.ndarray:
 
 
 def _derived_subgroup(G: FiniteGroup) -> "Subset":
-    """The closure of every commutator.  They form a union of classes, as
-    [a^g, b] = [a, b^(g^-1)]^g, so the class representatives (the least
-    element of each class) stand in for the first operand."""
-    reps = np.unique(G.cached("classes", None, _class_labels, G), return_index=True)[1]
-    comms = mesh(G, G.comm_arr, reps, np.arange(G.order), None, "commutator mesh")
-    return closure(G, np.flatnonzero(G.class_union(comms)))
+    full = G.full_subgroup()
+    return commutator_subgroup(full, full)
 
 
 def _inverse_table(table: np.ndarray, e: int = 0) -> np.ndarray:
@@ -479,10 +478,21 @@ def _scatter(n: int, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def commutator_of_subsets(
     G: FiniteGroup, S: Subset, T: Subset, budget: int | None = None
 ) -> Subset:
-    """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal subsets."""
+    """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal
+    subsets.  The |S| x |T| mesh counts against the budget, even on a memo hit."""
     S.require_normal_subset()
     T.require_normal_subset()
-    return closure(G, mesh(G, G.comm_arr, S.elements, T.elements, budget, "commutator mesh"))
+    require_budget(S.order * T.order, budget, "commutator mesh")
+    return G.cached("commutator", (S.key, T.key), _commutator, G, S, T)
+
+
+def _commutator(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
+    """The closure of every [s, t].  They form a union of classes, as
+    [s^g, t] = [s, t^(g^-1)]^g with T normal, so the least element of each
+    class of S stands in for all of S."""
+    reps = S.elements[np.unique(G.class_labels()[S.elements], return_index=True)[1]]
+    comms = _scatter(G.order, G.comm_arr, reps, T.elements)
+    return closure(G, np.flatnonzero(G.class_union(comms)))
 
 
 def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subset:

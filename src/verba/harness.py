@@ -374,7 +374,7 @@ def _series(kind: str, tup: ParsedTuple, budget, audit=False) -> LinearSeries:
 def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
     series = _series(kind, tup, budget, audit=G.order <= 48)
     rep = verify_series(series, budget=budget)
-    count = f"{rep.factor_count} factors" if series.kind == "gamma" else f"t={rep.factor_count}"
+    count = f"{len(rep.factors)} factors" if series.kind == "gamma" else f"t={len(rep.factors)}"
     detail = f"{count}, orders {[t.order for t in series.terms]}"
     if not rep.all_ok:
         detail += f"; failing factors {[f.index for f in rep.factors if not f.ok]}"

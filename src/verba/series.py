@@ -471,7 +471,6 @@ class FactorReport:
 
 @dataclass
 class SeriesReport:
-    factor_count: int
     endpoints_ok: bool
     factors: list[FactorReport]
 
@@ -535,11 +534,7 @@ def verify_series(
                 linearity=linearity,
             )
         )
-    return SeriesReport(
-        factor_count=len(series.factors),
-        endpoints_ok=endpoints_ok,
-        factors=reports,
-    )
+    return SeriesReport(endpoints_ok=endpoints_ok, factors=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +544,6 @@ def verify_series(
 
 @dataclass
 class BoundRow:
-    base_values: int  # m
     observed: int
     bound: int
     star_depth: int | None
@@ -607,15 +601,6 @@ def generator_bound_report(
                     depth = max(depth, d)
             bound = m ** (depth ** (2**k) * 2 ** (k - 1))
         rows.append(
-            BoundRow(
-                base_values=m,
-                observed=observed,
-                bound=bound,
-                star_depth=depth,
-                ok=observed <= bound,
-            )
+            BoundRow(observed=observed, bound=bound, star_depth=depth, ok=observed <= bound)
         )
-    return BoundReport(
-        base_values=m,
-        rows=rows,
-    )
+    return BoundReport(base_values=m, rows=rows)

@@ -628,6 +628,43 @@ def test_derived_subgroup_matches_the_full_commutator_mesh(spec):
         assert set(map(int, D.elements)) == commutator_closure(G.table, everything, everything)
 
 
+@pytest.mark.parametrize("name", ["sym:4", "dih:8", "heis:3", "cyc:3 x quat:8", "sym:6", "gap512.perm"])
+def test_commutator_of_subsets_matches_the_full_mesh(name):
+    """Every ordered pair from a pool of normal subgroups: G, its derived
+    subgroup and center, and the normal closure of the least element of each
+    class (classes from the oracle).  The seed of [S, T] is every distinct
+    [s, t] of the full S x T mesh, by raw table gathers, and below order 720
+    its elements match set arithmetic, which is symmetric in S and T."""
+    G = BUILT_GROUPS[name]()
+    pool = [G.full_subgroup(), G.derived_subgroup(), G.center()]
+    pool += [normal_closure(G, [min(c)]) for c in conjugacy_classes(G.table)]
+    pool = list({S.key: S for S in pool}.values())
+    t, inv = table_ops(G.table)
+    oracle = {}
+    for S in pool:
+        for T in pool:
+            C = commutator_of_subsets(G, S, T)
+            a, b = np.meshgrid(S.elements, T.elements, indexing="ij")
+            assert C.generators == tuple(np.unique(t[t[inv[a], inv[b]], t[a, b]]).tolist())
+            if G.order < 720:
+                pair = frozenset((S.key, T.key))
+                if pair not in oracle:
+                    oracle[pair] = commutator_closure(G.table, S.elements, T.elements)
+                assert set(map(int, C.elements)) == oracle[pair]
+
+
+def test_commutator_subgroup_is_built_once_per_pair(monkeypatch):
+    G = builtin_group("sym:4")  # private: its comm_arr is counted below
+    H, K = G.derived_subgroup(), normal_closure(G, [G.element_names.index("(1 2)")])
+    calls = []
+    real = G.comm_arr
+    monkeypatch.setattr(G, "comm_arr", lambda a, b: calls.append(1) or real(a, b))
+    first = commutator_subgroup(H, K)
+    assert calls and first.order == 12
+    calls.clear()
+    assert commutator_subgroup(H, K) is first and not calls
+
+
 @pytest.mark.parametrize(
     "elements, index",
     [([2**70], 2**70), ([-1], -1), ([3, -(2**70), 99], -(2**70)), ([0, 24, 25], 24),
