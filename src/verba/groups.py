@@ -59,7 +59,7 @@ class FiniteGroup:
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, class generating subsets, closures,
         # star powers, commutator subgroups, quotients, series, parsed tuple
-        # specs, commutator table, class labels, center and derived subgroup.
+        # specs, commutator table, class labels and derived subgroup.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -88,17 +88,17 @@ class FiniteGroup:
     def power(self, a: int, e: int) -> int:
         return int(self.pow_arr(a, e))
 
-    # -- array operations ----------------------------------------------------
+    # -- array operations, all that code outside this class uses of the table -
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
 
+    def inv_arr(self, a: np.ndarray) -> np.ndarray:
+        return self.inverse_table[a]
+
     def comm_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ct = self._commutator_table()
-        if ct is not None:
-            return ct[a, b]
-        t = self.table
-        return t[t[t[self.inverse_table[a], self.inverse_table[b]], a], b]
+        return _bracket(self, a, b) if ct is None else ct[a, b]
 
     def _commutator_table(self) -> np.ndarray | None:
         """``ct[a, b] = [a, b]``, built on first use for orders up to
@@ -170,7 +170,9 @@ class FiniteGroup:
         return hit[labels]
 
     def center(self) -> "Subset":
-        return self.cached("center", None, _center_subgroup, self)
+        """The union of the classes of one element each."""
+        labels = self.class_labels()
+        return Subset(self, np.bincount(labels)[labels] == 1)
 
     def derived_subgroup(self) -> "Subset":
         return self.cached("derived", None, _derived_subgroup, self)
@@ -179,30 +181,29 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
+def _bracket(G: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = a^-1 b^-1 a b, the one place the commutator convention is written."""
+    return G.mul_arr(G.mul_arr(G.mul_arr(G.inv_arr(a), G.inv_arr(b)), a), b)
+
+
 def _full_commutator_table(G: FiniteGroup) -> np.ndarray:
-    t, inv = G.table, G.inverse_table
     idx = np.arange(G.order, dtype=np.int32)
-    ct = t[t[t[inv[:, None], inv[None, :]], idx[:, None]], idx[None, :]]
+    ct = _bracket(G, idx[:, None], idx[None, :])
     ct.setflags(write=False)
     return ct
 
 
-def _center_subgroup(G: FiniteGroup) -> "Subset":
-    blocks = row_blocks(G.order, G.order)
-    return Subset(G, np.concatenate([(G.table[r] == G.table[:, r].T).all(axis=1) for r in blocks]))
-
-
 def _class_labels(G: FiniteGroup) -> np.ndarray:
     """``labels[g]`` numbers the conjugacy class of g, classes in order of
-    their least element, so the identity's class is 0.  Each class costs one
-    gather: ``t[t[inv, e], idx]`` is ``g^-1 e g`` for every g."""
-    t, inv = G.table, G.inverse_table
+    their least element, so the identity's class is 0.  Each class costs two
+    products, ``g^-1 e g`` for every g at once."""
     idx = np.arange(G.order, dtype=np.int32)
+    inv = G.inv_arr(idx)
     labels = np.full(G.order, -1, dtype=np.int32)
     count = 0
     for e in range(G.order):
         if labels[e] < 0:
-            labels[t[t[inv, e], idx]] = count
+            labels[G.mul_arr(G.mul_arr(inv, e), idx)] = count
             count += 1
     labels.setflags(write=False)
     return labels
@@ -279,7 +280,7 @@ def _check_associativity(table: np.ndarray, e: int) -> None:
     `greedy_generators` over all elements, in order, from the identity.
     """
     n = table.shape[0]
-    for g in greedy_generators(table, np.arange(n), e).tolist():
+    for g in greedy_generators(lambda x, y: table[x, y], n, np.arange(n), e).tolist():
         for rows in row_blocks(n, n):
             left = table[table[rows, g]]  # (xg)y
             right = np.take(table[rows], table[g], axis=1)  # x(gy)
@@ -394,20 +395,20 @@ def _ball(G: FiniteGroup, seed_elems: np.ndarray, radius: int | None = None) -> 
     their inverses, by breadth-first search from the identity; with no
     radius, the whole subgroup they generate."""
     gens = np.zeros(G.order, dtype=bool)
-    gens[seed_elems] = gens[G.inverse_table[seed_elems]] = True
+    gens[seed_elems] = gens[G.inv_arr(seed_elems)] = True
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    return _grow(G.table, np.flatnonzero(gens), mask, radius)
+    return _grow(G.mul_arr, np.flatnonzero(gens), mask, radius)
 
 
-def _grow(table, gens: np.ndarray, mask: np.ndarray, radius: int | None = None) -> np.ndarray:
-    """`mask`, grown in place by right products with `gens`, breadth first
-    from all of it, for `radius` steps or, with None, until it is closed; a
-    full mask takes no further step."""
+def _grow(op, gens: np.ndarray, mask: np.ndarray, radius: int | None = None) -> np.ndarray:
+    """`mask`, grown in place by right products ``op(x, g)`` with `gens`,
+    breadth first from all of it, for `radius` steps or, with None, until it
+    is closed; a full mask takes no further step."""
     frontier = mask.nonzero()[0]
     steps = 0
     while frontier.size and not mask.all() and (radius is None or steps < radius):
-        hit = _scatter(mask.size, lambda x, y: table[x, y], frontier, gens)
+        hit = _scatter(mask.size, op, frontier, gens)
         hit &= ~mask
         mask |= hit
         frontier = hit.nonzero()[0]
@@ -415,18 +416,18 @@ def _grow(table, gens: np.ndarray, mask: np.ndarray, radius: int | None = None) 
     return mask
 
 
-def greedy_generators(table: np.ndarray, axis: np.ndarray, e: int = 0) -> np.ndarray:
-    """The elements of `axis`, in order, that the right products of `e` by
-    the ones taken before them do not reach, the reached mask grown in place
-    as each is taken, until it holds all of `axis`.  With `e` the identity
-    and `axis` listing a subgroup, it is a generating set of that subgroup,
-    empty for the trivial one."""
-    reached = np.zeros(table.shape[0], dtype=bool)
+def greedy_generators(op, n: int, axis: np.ndarray, e: int = 0) -> np.ndarray:
+    """The elements of `axis`, in order, that right products `op` of `e` by
+    the ones taken before them do not reach in 0..n-1, the reached mask grown
+    in place as each is taken, until it holds all of `axis`.  With `e` the
+    identity and `axis` listing a subgroup, it is a generating set of that
+    subgroup, empty for the trivial one."""
+    reached = np.zeros(n, dtype=bool)
     reached[e] = True
     gens: list[int] = []
     while (unreached := np.flatnonzero(~reached[axis])).size:
         gens.append(int(axis[unreached[0]]))
-        _grow(table, np.array(gens), reached)
+        _grow(op, np.array(gens), reached)
     return np.array(gens, dtype=axis.dtype)
 
 
@@ -539,10 +540,10 @@ def _quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:
     reps: list[int] = []
     for g in range(G.order):
         if labels[g] < 0:
-            labels[G.table[g, P.elements]] = len(reps)
+            labels[G.mul_arr(g, P.elements)] = len(reps)
             reps.append(g)
     r = np.array(reps, dtype=np.int32)
-    table = labels[G.table[r[:, None], r[None, :]]]
+    table = labels[G.mul_arr(r[:, None], r[None, :])]
     return labels, FiniteGroup(table, label=f"{G.label}/P")
 
 
@@ -566,7 +567,7 @@ def evaluate_arrays(
         except KeyError:
             raise UnassignedVariable(f"no value for variable {w}") from None
     if isinstance(w, Inverse):
-        return G.inverse_table[evaluate_arrays(w.child, G, assignment)]
+        return G.inv_arr(evaluate_arrays(w.child, G, assignment))
     if isinstance(w, Power):
         return G.pow_arr(evaluate_arrays(w.child, G, assignment), w.exponent)
     if isinstance(w, Product):
@@ -574,7 +575,7 @@ def evaluate_arrays(
             return np.asarray(0)
         out = evaluate_arrays(w.factors[0], G, assignment)
         for f in w.factors[1:]:
-            out = G.table[out, evaluate_arrays(f, G, assignment)]
+            out = G.mul_arr(out, evaluate_arrays(f, G, assignment))
         return out
     a = evaluate_arrays(w.left, G, assignment)
     b = evaluate_arrays(w.right, G, assignment)
@@ -702,9 +703,8 @@ def cycles_str(p: tuple[int, ...]) -> str:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> FiniteGroup:
     n, m = A.order, B.order
-    table = (A.table[:, None, :, None].astype(np.int64) * m + B.table[None, :, None, :]).reshape(
-        n * m, n * m
-    )
+    a, b = np.divmod(np.arange(n * m), m)
+    table = A.mul_arr(a[:, None], a[None, :]) * m + B.mul_arr(b[:, None], b[None, :])
     names = [f"({A.element_names[i]},{B.element_names[j]})" for i in range(n) for j in range(m)]
     return FiniteGroup(table, label=label or f"{A.label} x {B.label}", element_names=names)
 

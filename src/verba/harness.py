@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -612,11 +612,13 @@ def build_suite_specs(
         if gspec not in groups:
             groups[gspec] = resolve_group(gspec, cap)
         G = groups[gspec]
+        # one call per (tuples function, arity) on G, shared by every row using it
+        tuples = cache(lambda specs_of, arity: specs_of(G, arity, seed))
         for check_id, row in CHECKS.items():
             if check_id not in ids:
                 continue
             for wspec in row.words(G.order):
-                for tspec in row.tuples(G, word_arity(wspec), seed):
+                for tspec in tuples(row.tuples, word_arity(wspec)):
                     specs.append(CheckSpec(check_id, gspec, wspec, tspec))
     return specs, groups
 

@@ -175,7 +175,7 @@ def _values(
 
 def _image(expr: Inverse | Power, group: FiniteGroup, vals: np.ndarray) -> np.ndarray:
     if isinstance(expr, Inverse):
-        return group.inverse_table[vals]
+        return group.inv_arr(vals)
     return group.pow_arr(vals, expr.exponent)
 
 
@@ -203,7 +203,7 @@ def enumerate_values(
     evaluator, so it doubles as an independent cross-check of it.
     """
     vars_ = variables(expr)
-    space = ProductSpace([env[v].elements.astype(np.int64) for v in vars_])
+    space = ProductSpace([env[v].elements for v in vars_])
     space.require_within(budget, f"value set of {render(expr)}")
     group = env[vars_[0]].group
     seen = np.zeros(group.order, dtype=bool)
@@ -223,7 +223,7 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     children = _disjoint_children(expr)
     if children is None:
         vars_ = variables(expr)
-        space = ProductSpace([sets[v].elements.astype(np.int64) for v in vars_])
+        space = ProductSpace([sets[v].elements for v in vars_])
         # the first tuple failing "!= value" is the first taking the value
         flat = space.first_failure(
             lambda cols: evaluate_arrays(expr, group, dict(zip(vars_, cols))) != value
@@ -445,7 +445,7 @@ def check_linearity(
     labels, Q = quotient(modulus)
     sib_axes = [_coset_images(labels, vs.values) for vs in sib_sets]
     pivot_axis, pivot_lift = _coset_images(labels, env[pivot].elements)
-    gens = greedy_generators(Q.table, pivot_axis)
+    gens = greedy_generators(Q.mul_arr, Q.order, pivot_axis)
     space = ProductSpace([axis for axis, _ in sib_axes] + [pivot_axis, gens])
     space.require_within(budget, f"linearity of {render(w)} in position {position}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 from pathlib import Path
 
@@ -755,6 +756,53 @@ def test_center(quat8, sym4):
     assert sym4.center().order == 1
     c6 = builtin_group("cyc:6")
     assert c6.center().order == 6
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG + ("sym:6", "gap512.perm"))
+def test_center_classes_and_commutators_match_the_oracles(name):
+    """The center is every element whose table row equals its column; class
+    label c is the c-th oracle class in order of least element; and
+    ``comm_arr`` of every pair is a^-1 b^-1 (ab), all from the raw table."""
+    G = BUILT_GROUPS[name]()
+    t, inv = table_ops(G.table)
+    central = {a for a in range(G.order) if (t[a] == t[:, a]).all()}
+    assert set(map(int, G.center().elements)) == central
+    labels = G.class_labels()
+    classes = sorted(conjugacy_classes(G.table), key=min)
+    assert labels.max() == len(classes) - 1
+    for number, members in enumerate(classes):
+        assert set(map(int, np.flatnonzero(labels == number))) == members
+    a, b = np.meshgrid(np.arange(G.order), np.arange(G.order), indexing="ij")
+    assert np.array_equal(G.comm_arr(a, b), t[t[inv[a], inv[b]], t[a, b]])
+
+
+def table_reads_outside_finite_group(src: Path) -> list[tuple[str, int]]:
+    """(file, line) of every read of a `.table` or `.inverse_table` attribute
+    in the modules under `src`, outside the body of `class FiniteGroup`."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "FiniteGroup"
+            for node in ast.walk(cls)
+        }
+        found |= {
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("table", "inverse_table")
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside
+        }
+    return sorted(found)
+
+
+def test_only_finite_group_reads_its_table():
+    """Everything outside `FiniteGroup` multiplies, inverts and brackets
+    through its array methods, so the table format is known in one class."""
+    assert table_reads_outside_finite_group(Path(groups.__file__).parent) == []
 
 
 def test_vectorised_evaluation_matches_scalar(sym4):

@@ -132,7 +132,7 @@ def test_greedy_generators_generate_the_pivot_image():
             labels, Q = quotient(modulus)
             for N in (G.full_subgroup(), G.derived_subgroup(), G.center()):
                 axis = verbal._coset_images(labels, N.elements)[0]
-                gens = greedy_generators(Q.table, axis)
+                gens = greedy_generators(Q.mul_arr, Q.order, axis)
                 assert set(np.flatnonzero(closure(Q, gens).mask)) == set(axis.tolist())
                 # each generator lies outside the closure of those before it
                 for i in range(len(gens)):
