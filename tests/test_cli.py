@@ -702,6 +702,19 @@ def test_help_usage_and_error_texts_are_pinned(monkeypatch, pin):
     assert _captured(lambda: main(pin["argv"])) == (pin["code"], pin["stdout"], pin["stderr"])
 
 
+# `verba series … --format csv` run from the repo root: every factor's word,
+# entries, linear@, degree, provenance and section, which the suite CSV never
+# prints, and two budget overruns, whose text names the first budgeted call
+# that overran.
+SERIES_TABLES = json.loads((REPO / "tests" / "golden" / "series_tables.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", SERIES_TABLES, ids=[" ".join(p["argv"][1:-2]) for p in SERIES_TABLES])
+def test_series_tables_are_pinned(monkeypatch, pin):
+    monkeypatch.chdir(REPO)
+    assert _captured(lambda: main(pin["argv"])) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
 def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices[name]
