@@ -47,7 +47,6 @@ from .groups import (
     subgroup_product,
 )
 from .harness import (
-    CHECK_IDS,
     CheckResult,
     CheckSpec,
     DEFAULT_CATALOG,

@@ -31,6 +31,7 @@ from .harness import (
     resolve_word,
     run_check,
     run_suite,
+    series_parameter,
     series_variables,
     survey,
     word_arity,
@@ -253,8 +254,7 @@ def _cmd_series(args) -> int:
     n = args.r if args.kind == "gamma" else args.k
     subgroups = None if args.tuple_spec is None else parse_tuple_spec(args.tuple_spec, G).subgroups
     if n is None:
-        arity = 2 if subgroups is None else len(subgroups)
-        n = arity if args.kind == "gamma" else max(1, arity.bit_length() - 1)
+        n = series_parameter(args.kind, 2 if subgroups is None else len(subgroups))
     arity = series_variables(args.kind, n)
     if arity is None:
         raise VerbaError(f"{args.kind}:{n} needs 1 to {MAX_WORD_DEPTH + 1} variables")
@@ -282,7 +282,7 @@ def _cmd_series(args) -> int:
                 "entries": ",".join(str(e.subgroup.order) for e in f.entries),
                 "linear@": f.linear_position,
                 "degree": f.degree,
-                "section": f"{fr.upper_order}/{fr.lower_order}",
+                "section": f"{f.upper.order}/{f.lower.order}",
                 "checks": "ok" if fr.ok else "FAIL",
                 "linearity": fr.linearity.verdict,
             }

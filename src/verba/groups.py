@@ -58,8 +58,9 @@ class FiniteGroup:
         self.perm_images = list(perm_images) if perm_images is not None else None
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, class generating subsets, closures,
-        # star powers, commutator subgroups, quotients, series, parsed tuple
-        # specs, commutator table, class labels and derived subgroup.
+        # star powers, commutator subgroups (the derived subgroup among
+        # them), quotients, series, parsed tuple specs, commutator table and
+        # class labels.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -175,7 +176,9 @@ class FiniteGroup:
         return Subset(self, np.bincount(labels)[labels] == 1)
 
     def derived_subgroup(self) -> "Subset":
-        return self.cached("derived", None, _derived_subgroup, self)
+        """[G, G], kept by the `commutator` memo under the full mask twice."""
+        full = self.full_subgroup()
+        return commutator_subgroup(full, full)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -207,11 +210,6 @@ def _class_labels(G: FiniteGroup) -> np.ndarray:
             count += 1
     labels.setflags(write=False)
     return labels
-
-
-def _derived_subgroup(G: FiniteGroup) -> "Subset":
-    full = G.full_subgroup()
-    return commutator_subgroup(full, full)
 
 
 def _inverse_table(table: np.ndarray, e: int = 0) -> np.ndarray:

@@ -159,6 +159,12 @@ def series_variables(kind: str, n: int) -> int | None:
     return int(leaves) if 1 <= leaves <= MAX_WORD_DEPTH + 1 else None
 
 
+def series_parameter(kind: str, arity: int) -> int:
+    """The r or k of the `kind` series on `arity` tuple entries: r = arity,
+    or k = floor(log2 arity), at least 1."""
+    return arity if kind == "gamma" else max(1, arity.bit_length() - 1)
+
+
 def word_arity(text: str) -> int:
     """The number of tuple entries a row with word spec `text` takes: the
     word's variables, or 3 for `-`, L2.8's (K, L, N)."""
@@ -368,7 +374,7 @@ def _series(kind: str, tup: ParsedTuple, budget, audit=False) -> LinearSeries:
     as delta:1 and gamma:2 are the same word."""
     if kind == "gamma":
         return build_gamma_series(tup.subgroups, budget, audit=audit)
-    return build_delta_series(tup.subgroups, len(tup.subgroups).bit_length() - 1, budget)
+    return build_delta_series(tup.subgroups, series_parameter(kind, len(tup.subgroups)), budget)
 
 
 def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
@@ -377,7 +383,7 @@ def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
     count = f"{len(rep.factors)} factors" if series.kind == "gamma" else f"t={len(rep.factors)}"
     detail = f"{count}, orders {[t.order for t in series.terms]}"
     if not rep.all_ok:
-        detail += f"; failing factors {[f.index for f in rep.factors if not f.ok]}"
+        detail += f"; failing factors {[f.index for f, fr in zip(series.factors, rep.factors) if not fr.ok]}"
     return _verdict(rep.all_ok, detail)
 
 
@@ -510,7 +516,6 @@ CHECKS: dict[str, Check] = {
                   _check_probe, "ocw", lambda n: PROBE_WORDS),
 }
 
-CHECK_IDS: tuple[tuple[str, str], ...] = tuple((i, c.description) for i, c in CHECKS.items())
 CHECK_ID_SET = tuple(CHECKS)
 
 
@@ -536,7 +541,7 @@ def _admit(spec: CheckSpec, kind: str, G: FiniteGroup) -> tuple[WordExpr | None,
         )
     if kind == "ocw":
         word = _require_ocw(word, spec.check_id)
-    elif kind != "-" and word != (gamma(arity) if kind == "gamma" else delta(max(1, arity.bit_length() - 1))):
+    elif kind != "-" and word != (gamma if kind == "gamma" else delta)(series_parameter(kind, arity)):
         shape = "gamma:r on r" if kind == "gamma" else "delta:k on 2^k"
         raise PreconditionFailed(f"{spec.check_id} takes only {shape} tuple entries, not {spec.word}")
     return word, tup

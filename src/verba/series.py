@@ -112,16 +112,16 @@ def _leaf_entry(j: int, sub: Subset) -> AnnotatedEntry:
 
 
 def _canonical_factor(
+    terms: Sequence[Subset],
     index: int,
-    lower: Subset,
-    upper: Subset,
     word_raw: WordExpr,
     entries_raw: Sequence[AnnotatedEntry],
     linear_var: Var,
     degree: int,
     provenance: str,
 ) -> SeriesFactor:
-    """Renumber y-variables canonically and sort entries into variable order."""
+    """Factor `index` of the ascending chain `terms`, its y-variables
+    renumbered canonically and its entries sorted into variable order."""
     mapping = y_renumbering(word_raw)
     word = substitute(word_raw, mapping) if mapping else word_raw
     renamed = [replace(e, var=mapping.get(e.var, e.var)) for e in entries_raw]
@@ -135,8 +135,8 @@ def _canonical_factor(
     position = next(i for i, e in enumerate(renamed, start=1) if e.var == lin)
     return SeriesFactor(
         index=index,
-        lower=lower,
-        upper=upper,
+        lower=terms[index - 1],
+        upper=terms[index],
         word=word,
         entries=tuple(renamed),
         linear_position=position,
@@ -184,50 +184,28 @@ def build_gamma_series(
 def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
     r = len(subs)
     word = gamma(r)
-    q_subgroups: dict[int, Subset] = {}
-    entries_at: dict[int, tuple[AnnotatedEntry, ...]] = {}
+    entries_at: list[tuple[AnnotatedEntry, ...]] = []  # Q_i's tuple at i - 1
+    q_subgroups: list[Subset] = []  # Q_i at i - 1
     for i in range(1, r + 1):
         gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
-        entries = []
-        for j in range(1, r + 1):
-            if j == i:
-                entries.append(
-                    AnnotatedEntry(
-                        var=xvar(i),
-                        subgroup=gamma_i,
-                        source=gamma(i),
-                        components=tuple(range(1, i + 1)),
-                    )
-                )
-            else:
-                entries.append(_leaf_entry(j, subs[j - 1]))
-        entries_at[i] = tuple(entries)
-        q_subgroups[i] = verbal_subgroup(word, [e.subgroup for e in entries], budget)
-    top = q_subgroups[1]
-    q_subgroups[r + 1] = commutator_subgroup(top, top, budget)
-    p_subgroups: dict[int, Subset] = {r + 1: q_subgroups[r + 1]}
-    for i in range(r, 0, -1):
-        p_subgroups[i] = subgroup_product(q_subgroups[i], p_subgroups[i + 1], budget)
-    _require(p_subgroups[1] == top, "chain top must equal the full verbal subgroup")
-    terms = tuple(p_subgroups[i] for i in range(r + 1, 0, -1))
-    factors = []
-    for j in range(1, r + 1):
-        i = r + 1 - j
-        factors.append(
-            _canonical_factor(
-                index=j,
-                lower=p_subgroups[i + 1],
-                upper=p_subgroups[i],
-                word_raw=word,
-                entries_raw=entries_at[i],
-                linear_var=xvar(i),
-                degree=0,
-                provenance="gamma",
-            )
+        gamma_entry = AnnotatedEntry(
+            var=xvar(i), subgroup=gamma_i, source=gamma(i), components=tuple(range(1, i + 1))
         )
-    return LinearSeries(
-        kind="gamma", parameter=r, base=subs, terms=terms, factors=tuple(factors)
+        entries = tuple(gamma_entry if j == i else _leaf_entry(j, sub) for j, sub in enumerate(subs, start=1))
+        entries_at.append(entries)
+        q_subgroups.append(verbal_subgroup(word, [e.subgroup for e in entries], budget))
+    top = q_subgroups[0]
+    # ascending: P_{r+1} = [Q_1, Q_1], then P_i = Q_i P_{i+1} for i = r, ..., 1
+    terms = [commutator_subgroup(top, top, budget)]
+    for q in reversed(q_subgroups):
+        terms.append(subgroup_product(q, terms[-1], budget))
+    _require(terms[-1] == top, "chain top must equal the full verbal subgroup")
+    # factor j is P_{i+1} <= P_i with i = r + 1 - j, linear in x_i
+    factors = tuple(
+        _canonical_factor(terms, j, word, entries_at[r - j], xvar(r + 1 - j), 0, "gamma")
+        for j in range(1, r + 1)
     )
+    return LinearSeries(kind="gamma", parameter=r, base=subs, terms=tuple(terms), factors=factors)
 
 
 def _audit_gamma(subs: tuple[Subset, ...], terms: tuple[Subset, ...], budget) -> None:
@@ -235,22 +213,20 @@ def _audit_gamma(subs: tuple[Subset, ...], terms: tuple[Subset, ...], budget) ->
     r = len(subs)
     if r < 2:
         return
-    # both chains ascend: terms[pos] = P_{r+1-pos}, starred.terms[pos] = P*_{r-pos}
-    p_subgroups = {r + 1 - pos: term for pos, term in enumerate(terms)}
     starred = build_gamma_series(subs[: r - 1], budget)
-    p_star = {r - pos: starred.terms[pos] for pos in range(r)}
-    q_star: dict[int, Subset] = {}
+    q_star: list[Subset] = []  # Q*_i at i - 1
     for i in range(1, r):
         gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
         tuple_i = list(subs[: r - 1])
         tuple_i[i - 1] = gamma_i
-        q_star[i] = verbal_subgroup(gamma(r - 1), tuple_i, budget)
+        q_star.append(verbal_subgroup(gamma(r - 1), tuple_i, budget))
     last = subs[r - 1]
-    for i in range(1, r):
-        fence = p_subgroups[i + 1]
-        left = commutator_subgroup(commutator_subgroup(q_star[i], last, budget), q_star[i], budget)
+    for i, q in enumerate(q_star, start=1):
+        # both chains ascend: terms[r - i] = P_{i+1}, starred.terms[r - 1 - i] = P*_{i+1}
+        fence = terms[r - i]
+        left = commutator_subgroup(commutator_subgroup(q, last, budget), q, budget)
         _require(left <= fence, f"[Q*_{i},N_r,Q*_{i}] escapes P_{i + 1}")
-        second = commutator_subgroup(p_star[i + 1], last, budget)
+        second = commutator_subgroup(starred.terms[r - 1 - i], last, budget)
         _require(second <= fence, f"[P*_{i + 1},N_r] escapes P_{i + 1}")
 
 
@@ -296,17 +272,16 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
         bracket_entry = AnnotatedEntry(
             var=xvar(2), subgroup=v2, source=delta(1), components=(1, 2)
         )
+        terms = (v0, v1, v2)
         factors = (
             _canonical_factor(
-                1, v0, v1, word, [_leaf_entry(1, n1), bracket_entry], xvar(2), 0, "delta-base"
+                terms, 1, word, [_leaf_entry(1, n1), bracket_entry], xvar(2), 0, "delta-base"
             ),
             _canonical_factor(
-                2, v1, v2, word, [_leaf_entry(1, n1), _leaf_entry(2, n2)], xvar(1), 0, "delta-base"
+                terms, 2, word, [_leaf_entry(1, n1), _leaf_entry(2, n2)], xvar(1), 0, "delta-base"
             ),
         )
-        return LinearSeries(
-            kind="delta", parameter=1, base=subs, terms=(v0, v1, v2), factors=factors
-        )
+        return LinearSeries(kind="delta", parameter=1, base=subs, terms=terms, factors=factors)
 
     half = 2 ** (k - 1)
     s = delta_series_length(k - 1)
@@ -364,11 +339,7 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
             var=y0, subgroup=dk, source=delta(k), components=tuple(range(1, 2**k + 1))
         )
     ]
-    factors.append(
-        _canonical_factor(
-            1, terms[0], terms[1], word_top, entries_top, y0, 1, "delta-top"
-        )
-    )
+    factors.append(_canonical_factor(terms, 1, word_top, entries_top, y0, 1, "delta-top"))
 
     # left factors 2 .. t-s, built from the second half's factors, shifted
     for j in range(2, t - s + 1):
@@ -386,14 +357,7 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
         v_entries = [_leaf_entry(j2, subs[j2 - 1]) for j2 in range(1, half + 1)] + w_entries
         factors.append(
             _canonical_factor(
-                j,
-                terms[j - 1],
-                terms[j],
-                v_word,
-                v_entries,
-                shifted_linear,
-                sub_factor.degree + 1,
-                "delta-left",
+                terms, j, v_word, v_entries, shifted_linear, sub_factor.degree + 1, "delta-left"
             )
         )
 
@@ -406,14 +370,8 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
         ]
         factors.append(
             _canonical_factor(
-                t - s + i,
-                terms[t - s + i - 1],
-                terms[t - s + i],
-                word_raw,
-                entries_raw,
-                sub_factor.linear_var,
-                sub_factor.degree,
-                "delta-right",
+                terms, t - s + i, word_raw, entries_raw,
+                sub_factor.linear_var, sub_factor.degree, "delta-right",
             )
         )
 
@@ -448,9 +406,8 @@ def _shift_annotation(
 
 @dataclass
 class FactorReport:
-    index: int
-    lower_order: int
-    upper_order: int
+    """The checks on one factor of a series, in the series' factor order."""
+
     containment_ok: bool
     generation_ok: bool
     extension_ok: bool
@@ -523,9 +480,6 @@ def verify_series(
         )
         reports.append(
             FactorReport(
-                index=f.index,
-                lower_order=f.lower.order,
-                upper_order=f.upper.order,
                 containment_ok=containment_ok,
                 generation_ok=generation_ok,
                 extension_ok=extension_ok,

@@ -559,7 +559,10 @@ def shift_x(w: WordExpr, offset: int) -> WordExpr:
 
 
 def is_pure_y(w: WordExpr) -> bool:
-    return all(v.family == Y_FAMILY for v in variables(w))
+    """True when every variable of `w` is a y-variable; `variables` lists the
+    x-family first, so the first variable decides."""
+    vars_ = variables(w)
+    return not vars_ or vars_[0].family == Y_FAMILY
 
 
 def _y_shapes(max_leaves: int) -> list[WordExpr]:
@@ -659,7 +662,9 @@ def extension_degree(v: WordExpr, w: WordExpr) -> int | None:
         if candidate is not None and (best is None or candidate < best):
             best = candidate
 
-    if v == w:
+    # the stored texts name an outer commutator word exactly; `==` on the
+    # trees would recurse through both at every level
+    if render(v) == render(w):
         return 0
     if isinstance(v, Var):
         return None

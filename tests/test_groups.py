@@ -629,6 +629,12 @@ def test_derived_subgroup_matches_the_full_commutator_mesh(spec):
         assert set(map(int, D.elements)) == commutator_closure(G.table, everything, everything)
 
 
+def test_derived_subgroup_is_the_commutator_memo_entry(sym4):
+    full = sym4.full_subgroup()
+    assert sym4.derived_subgroup() is commutator_subgroup(full, full)
+    assert "derived" not in {kind for kind, _ in sym4._memo}
+
+
 @pytest.mark.parametrize("name", ["sym:4", "dih:8", "heis:3", "cyc:3 x quat:8", "sym:6", "gap512.perm"])
 def test_commutator_of_subsets_matches_the_full_mesh(name):
     """Every ordered pair from a pool of normal subgroups: G, its derived

@@ -11,7 +11,6 @@ import pytest
 from verba.errors import PreconditionFailed, UnknownCheckId, UnknownSpec, VerbaError
 from verba.harness import (
     CHECK_ID_SET,
-    CHECK_IDS,
     CHECKS,
     CheckSpec,
     DEFAULT_CATALOG,
@@ -41,12 +40,21 @@ from .oracles import element_order
 SMALL_CATALOG = ["cyc:6", "sym:3", "quat:8"]
 
 
+def test_series_parameter_is_r_or_floor_log2_of_the_arity():
+    floor_log2 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 7: 2, 8: 3, 64: 6}
+    for arity, k in floor_log2.items():
+        assert harness.series_parameter("gamma", arity) == arity
+        assert harness.series_parameter("delta", arity) == k
+    for k in range(1, 7):
+        assert harness.series_parameter("delta", harness.series_variables("delta", k)) == k
+
+
 def test_check_table_is_exhaustive():
     parser = argparse.ArgumentParser()
     cli._add_arguments(parser, "check")
     choices = next(a.choices for a in parser._actions if a.dest == "check_id")
     assert len(CHECKS) == 16
-    assert list(CHECKS) == list(CHECK_ID_SET) == [i for i, _ in CHECK_IDS] == list(choices)
+    assert list(CHECKS) == list(CHECK_ID_SET) == list(choices)
     suite_ids = [r.check_id for r in run_suite(["sym:3"]).rows]
     assert list(dict.fromkeys(suite_ids)) == list(CHECKS)
 

@@ -403,6 +403,12 @@ def test_extension_degree_matches_the_oracle_recursion():
                 assert extension_degree(v, base) == k
 
 
+@given(_any_word)
+@settings(max_examples=150, deadline=None)
+def test_is_pure_y_matches_every_variable(word):
+    assert words.is_pure_y(word) == all(v.family == "y" for v in variables(word))
+
+
 def test_ocw_comm_rejects_repeats():
     with pytest.raises(DisjointnessViolation):
         comm(x1, x1)
