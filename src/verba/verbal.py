@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import ProductSpace, row_blocks
+from .enumeration import ProductSpace, require_budget, row_blocks
 from .errors import ArityMismatch, PreconditionFailed
 from .groups import (
     FiniteGroup,
@@ -52,8 +52,8 @@ from .words import (
 class ValueSet:
     """Exact set of word values over a tuple of subsets.
 
-    `subsets[i]` is the range of variables(word)[i].  The value-set memo
-    keeps only the member Subset, one per word text and subset masks; a
+    `subsets[i]` is the range of variables(word)[i].  The group keeps one
+    member `Subset` per distinct set, whatever word and subsets gave it; a
     ValueSet is a per-call view of it carrying the caller's word and
     subsets.  `values` are the members' sorted elements, and `witness`
     searches for a preimage of one value when a failure report asks for it.
@@ -113,7 +113,7 @@ def value_set_over(
     """Values of `w` with each variable ranging over its subset in `env`.
 
     The member Subset is memoised on the group by word text and subset
-    masks, so equal words over equal subsets share one `members`.
+    masks, and equal sets share one `members`.
     """
     vars_ = variables(w)
     missing = [v for v in vars_ if v not in env]
@@ -131,8 +131,9 @@ def _value_set(
     group: FiniteGroup,
     budget: int | None,
 ) -> Subset:
-    """The members of `value_set_over`, without the input checks.  This is
-    the one value-set memo: sub-words of a word are kept in it too."""
+    """The members of `value_set_over`, without the input checks: one
+    member `Subset` per distinct set.  This is the one value-set memo,
+    keyed by word text and subset masks; sub-words are kept in it too."""
     memo_key = (render(expr), tuple(sets[v].key for v in variables(expr)))
     return group.cached("value_set", memo_key, _build_value_set, expr, sets, group, budget)
 
@@ -143,9 +144,33 @@ def _build_value_set(
     group: FiniteGroup,
     budget: int | None,
 ) -> Subset:
+    """The members of `expr`, one `Subset` per distinct set on the group
+    (memo kind `set`).  A node whose children share no variables folds its
+    children's members left to right through `_pair`."""
+    children = _disjoint_children(expr)
+    if children:
+        op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
+        members = _value_set(children[0], sets, group, budget)
+        for child in children[1:]:
+            members = _pair(group, op, members, _value_set(child, sets, group, budget), budget)
+        return members
+    return _intern(group, _values(expr, sets, group, budget))
+
+
+def _intern(group: FiniteGroup, vals: np.ndarray) -> Subset:
+    """The group's one `Subset` holding `vals` (memo kind `set`)."""
     mask = np.zeros(group.order, dtype=bool)
-    mask[_values(expr, sets, group, budget)] = True
-    return Subset(group, mask)
+    mask[vals] = True
+    return group.cached("set", mask.tobytes(), Subset, group, mask)
+
+
+def _pair(group: FiniteGroup, op, A: Subset, B: Subset, budget: int | None) -> Subset:
+    """The set of op(a, b) over a in A and b in B, meshed once per operand
+    pair (memo kind `combine`).  The |A| x |B| mesh counts against the
+    budget, even on a memo hit."""
+    require_budget(A.order * B.order, budget, "value-set combination")
+    key = (op, A.key, B.key)
+    return group.cached("combine", key, lambda: _intern(group, _combine(group, op, A.elements, B.elements, budget)))
 
 
 def _values(
@@ -154,23 +179,17 @@ def _values(
     group: FiniteGroup,
     budget: int | None,
 ) -> np.ndarray:
-    """Sorted distinct values of `expr`.  Sub-words come from the value-set
+    """The values, repeats allowed, of a node `_build_value_set` does not
+    fold: a variable, an inverse or power, the empty product, or a node
+    whose children share a variable.  Sub-words come from the value-set
     memo."""
     if isinstance(expr, Var):
         return sets[expr].elements
     if isinstance(expr, (Inverse, Power)):
-        seen = np.zeros(group.order, dtype=bool)
-        seen[_image(expr, group, _value_set(expr.child, sets, group, budget).elements)] = True
-        return np.flatnonzero(seen)
-    children = _disjoint_children(expr)
-    if children is None:
+        return _image(expr, group, _value_set(expr.child, sets, group, budget).elements)
+    if _disjoint_children(expr) is None:
         return enumerate_values(expr, sets, budget)
-    op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-    vals = np.array([0], dtype=np.int64)  # the empty product
-    for i, child in enumerate(children):
-        side = _value_set(child, sets, group, budget).elements
-        vals = side if i == 0 else _combine(group, op, vals, side, budget)
-    return vals
+    return np.array([0], dtype=np.int64)  # the empty product
 
 
 def _image(expr: Inverse | Power, group: FiniteGroup, vals: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Lookups that replace recomputation: the commutator table and the memos for
 class subsets, extended words, gamma/delta trees, parsed tuple specs, star
-powers, built series and substitution reports, each against a fresh
-computation."""
+powers, built series, substitution reports and interned value sets and
+their operand-pair meshes, each against a fresh computation."""
 
 from __future__ import annotations
 
 import gc
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +298,98 @@ def test_value_set_memo_keeps_one_member_subset_per_value_set():
     assert va is not vb and va.word is a and vb.word is b
     assert va.members is vb.members
     assert va.values is va.members.elements and va.size == va.members.order
+
+
+# the value-set engine against its raw sweep, over every kind of tuple entry
+VS_GROUPS = ("dih:8", "sym:4", "cyc:3 x quat:8", "sym:5", "gap512.perm")
+VS_WORDS = ("gamma:2", "gamma:3", "delta:2", "[x1^2,x2]", "x1*x2*x1", "x1^2*[x2,x1]^-1", "[[x1,y1],x2]", "[[y1,x1],x2]")
+GROUP_DIR = Path(__file__).parent / "groups"
+RAW_CAP = 200_000  # nominal tuples of each raw cross-check, to keep the test quick
+VS_KINDS = ("value_set", "set", "combine")
+
+
+def _entry_pool(G):
+    """Normal subgroups, star powers and class generating subsets of G."""
+    normals = [G.full_subgroup(), G.derived_subgroup(), G.center(), normal_closure(G, [G.order - 1])]
+    classes = [class_generating_subset(N) for N in normals]
+    stars = [star_power(G, S, 2) for S in classes]
+    return normals + stars + classes
+
+
+@pytest.mark.parametrize("spec", VS_GROUPS)
+def test_value_sets_match_the_raw_sweep_with_one_subset_per_set(spec):
+    G = harness.resolve_group(str(GROUP_DIR / spec) if spec.endswith(".perm") else spec)
+    pool = _entry_pool(G)
+    for text in VS_WORDS:
+        w = harness.resolve_word(text)[0]
+        vars_ = variables(w)
+        tuples = [[S] * len(vars_) for S in pool]
+        tuples += [[pool[(i + j) % len(pool)] for j in range(len(vars_))] for i in range(len(pool))]
+        checked = 0
+        for tup in tuples:
+            if np.prod([S.order for S in tup], dtype=float) > RAW_CAP:
+                continue
+            raw = verbal.enumerate_values(w, dict(zip(vars_, tup)), None)
+            assert np.array_equal(value_set(w, tup).values, raw), (spec, text)
+            checked += 1
+        assert checked, (spec, text)
+    by_mask: dict[bytes, set[int]] = {}
+    for hit in [hit for (kind, _), hit in G._memo.items() if kind in VS_KINDS]:
+        assert isinstance(hit, Subset) and hit.group is G
+        by_mask.setdefault(hit.key, set()).add(id(hit))
+    assert all(len(ids) == 1 for ids in by_mask.values())
+    assert {key for (kind, key) in G._memo if kind == "set"} == set(by_mask)
+
+
+def test_a_word_whose_children_have_known_sets_meshes_nothing(monkeypatch):
+    G = builtin_group("sym:4")
+    full = G.full_subgroup()
+    calls = []
+    real = verbal._combine
+    monkeypatch.setattr(verbal, "_combine", lambda *args: calls.append(1) or real(*args))
+    first = value_set(gamma(3), [full] * 3)
+    assert len(calls) == 2
+    # [x1,x2]^-1 is a new text with the set of [x1,x2]: the outer node's
+    # operand pair is the one gamma(3) meshed
+    second = value_set(parse_word("[[x1,x2]^-1,x3]"), [full] * 3)
+    assert len(calls) == 2
+    assert second.members is first.members
+    # a product over a pair that was commutated is meshed afresh
+    assert value_set(parse_word("x1*x2"), [full] * 2).size == 24
+    assert len(calls) == 3
+
+
+def _value_set_kinds(G):
+    return {(kind, key) for (kind, key) in G._memo if kind in VS_KINDS}
+
+
+def test_a_combine_memo_hit_is_charged_the_full_mesh():
+    G, fresh = builtin_group("sym:4"), builtin_group("sym:4")
+    value_set(gamma(2), [G.full_subgroup()] * 2)
+    assert ("combine", (G.comm_arr, G.full_subgroup().key, G.full_subgroup().key)) in G._memo
+    before = _value_set_kinds(G)
+    swapped = parse_word("[x2,x1]")  # a new text over the pair gamma(2) meshed
+    with pytest.raises(BudgetExceeded) as hit:
+        value_set(swapped, [G.full_subgroup()] * 2, budget=24 * 24 - 1)
+    with pytest.raises(BudgetExceeded) as miss:
+        value_set(swapped, [fresh.full_subgroup()] * 2, budget=24 * 24 - 1)
+    assert str(hit.value) == str(miss.value) and "value-set combination" in str(hit.value)
+    assert _value_set_kinds(G) == before
+    assert value_set(swapped, [G.full_subgroup()] * 2, budget=24 * 24).size == 12
+
+
+def test_a_value_set_build_that_raises_stores_nothing():
+    G = builtin_group("sym:4")
+    full, derived = G.full_subgroup(), G.derived_subgroup()
+    value_set(gamma(2), [full, derived])  # x1 over G and x2 over A4 are memoised
+    before = _value_set_kinds(G)
+    for word, tup, budget in [
+        ("[x2,x1]", [full, derived], 12 * 24 - 1),  # a new pair, refused before its mesh
+        ("x1*x2*x1", [full, derived], 24 * 12 - 1),  # a raw sweep
+    ]:
+        with pytest.raises(BudgetExceeded):
+            value_set(parse_word(word), tup, budget=budget)
+        assert _value_set_kinds(G) == before
 
 
 def test_parsed_tuple_memo_per_group():
