@@ -10,7 +10,9 @@ full-mesh and set-arithmetic oracles at every block size and hold one block
 of memory, and pin the gap group
 `tests/groups/gap512.perm`, on which the value sets of gamma:2 and gamma:3
 are smaller than their verbal subgroups, through its suite golden and cheap
-sweep rows.
+sweep rows, and the group `tests/groups/dgap1920.perm` of order 1920, on
+which the value set of delta:2 is smaller than its verbal subgroup, through
+the same golden.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .oracles import close_under_products, star_power_by_sets, table_ops
 
 REPO = Path(__file__).resolve().parents[1]
 GAP_GROUP = "tests/groups/gap512.perm"
+DGAP_GROUP = "tests/groups/dgap1920.perm"
 # every check id but T2.10, whose gamma:3 G,G,G row needs more than the default
 # budget on this group
 GAP_IDS = "L2.1,L2.2,L2.3,L2.5,L2.6,L2.8,T2.11-bound,C2.12,C2.13,L3.2,T3.6,T3.7-bound,C3.8,C3.9,CONJ"
@@ -339,10 +342,15 @@ def test_gap_suite_matches_the_golden(tmp_path, monkeypatch):
     golden = (REPO / "tests" / "golden" / "suite_gap_seed0.csv").read_text(encoding="utf-8")
     assert _gap_suite(tmp_path) == golden
     *rows, summary = golden.splitlines()[1:]
-    assert summary == "144 checks: pass=144" and all(",pass," in r for r in rows)
+    assert summary == "277 checks: pass=277" and all(",pass," in r for r in rows)
     # the gap: value sets smaller than the verbal subgroups they generate
     assert 'C2.12,tests/groups/gap512.perm,gamma:2,"G,G",exhaustive,pass,m=62 |w(N)|=64' in rows
     assert 'C2.12,tests/groups/gap512.perm,gamma:3,"G,G,G",exhaustive,pass,m=30 |w(N)|=32' in rows
+    # on dgap1920 the commutators of G' miss 120 of its 960 elements, so
+    # delta:2 over G gaps as [x1,x2] over G' does
+    assert 'C3.8,tests/groups/dgap1920.perm,delta:1,"derived,derived",exhaustive,pass,m=840 |w(N)|=960' in rows
+    row = run_check(CheckSpec("C3.8", DGAP_GROUP, "delta:2", "G,G,G,G"))
+    assert (row.status, row.detail) == ("pass", "m=840 |w(N)|=960")
 
 
 def test_readme_regenerates_the_gap_golden_with_its_ids():
@@ -372,6 +380,26 @@ def test_c2_12_gap_rows_see_a_value_set_taken_for_its_closure(tmp_path, monkeypa
     )
     *rows, _ = _gap_suite(tmp_path, "C2.12", code=1).splitlines()[1:]
     failed = [r for r in rows if ",fail," in r]
-    assert len(failed) == 4 and len(rows) == 10
+    assert len(failed) == 7 and len(rows) == 19
+    assert 'C2.12,tests/groups/dgap1920.perm,gamma:2,"derived,derived",exhaustive,fail,m=840 |w(N)|=840' in failed
     assert 'C2.12,tests/groups/gap512.perm,gamma:2,"G,G",exhaustive,fail,m=62 |w(N)|=62' in failed
     assert 'C2.12,tests/groups/gap512.perm,gamma:3,"G,G,G",exhaustive,fail,m=30 |w(N)|=30' in failed
+
+
+def test_conj_and_c38_gap_rows_see_a_value_set_taken_for_its_closure(monkeypatch):
+    """The seeded fault above, on CONJ and C3.8: on dgap1920 exactly the
+    rows with m = 840 < 960 fail, each probe word among them, and on sym:4,
+    where every value set is its verbal subgroup, no row does."""
+    monkeypatch.chdir(REPO)
+    real = harness.closure
+    monkeypatch.setattr(
+        harness, "closure", lambda G, seed: seed if isinstance(seed, Subset) else real(G, seed)
+    )
+    rows = harness.run_suite([DGAP_GROUP, "sym:4"], ids=["CONJ", "C3.8"]).rows
+    failed = [r for r in rows if r.status == "fail"]
+    assert all(r.group == DGAP_GROUP and r.detail == "m=840 |w(N)|=840" for r in failed)
+    assert {r.check_id for r in failed} == {"CONJ", "C3.8"}
+    assert {r.word for r in failed if r.check_id == "CONJ"} == set(harness.PROBE_WORDS)
+    assert len(failed) == 6 and any(r.group == "sym:4" for r in rows)
+    row = run_check(CheckSpec("C3.8", DGAP_GROUP, "delta:2", "G,G,G,G"))
+    assert (row.status, row.detail) == ("fail", "m=840 |w(N)|=840")
