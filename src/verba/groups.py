@@ -57,10 +57,10 @@ class FiniteGroup:
         self._names = list(element_names) if element_names is not None else None
         self.perm_images = list(perm_images) if perm_images is not None else None
         # One memo for the life of the group, read and written only by
-        # `cached`, holds its value sets, class generating subsets, closures,
-        # star powers, commutator subgroups (the derived subgroup among
-        # them), quotients, series, parsed tuple specs, commutator table and
-        # class labels.
+        # `cached`, holds its value sets, interned sets and the set products
+        # of operand pairs (the seeds of [S, T], the value-set pairs and HK),
+        # class generating subsets, closures, star powers, quotients, series,
+        # parsed tuple specs, commutator table and class labels.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -164,7 +164,7 @@ class FiniteGroup:
         return self.cached("classes", None, _class_labels, self)
 
     def class_union(self, elements: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Mask of the union of the conjugacy classes that meet `elements`."""
+        """Mask of the union of the classes that meet `elements`, indices or a mask."""
         labels = self.class_labels()
         hit = np.zeros(self.order, dtype=bool)
         hit[labels[elements]] = True
@@ -176,7 +176,7 @@ class FiniteGroup:
         return Subset(self, np.bincount(labels)[labels] == 1)
 
     def derived_subgroup(self) -> "Subset":
-        """[G, G], kept by the `commutator` memo under the full mask twice."""
+        """[G, G]: a repeat reads the closure of the same pair product."""
         full = self.full_subgroup()
         return commutator_subgroup(full, full)
 
@@ -327,7 +327,7 @@ class Subset:
 
     @property
     def order(self) -> int:
-        return int(self.mask.sum())
+        return len(self.elements)
 
     @property
     def key(self) -> bytes:
@@ -474,24 +474,41 @@ def _scatter(n: int, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return seen
 
 
-def commutator_of_subsets(
-    G: FiniteGroup, S: Subset, T: Subset, budget: int | None = None
-) -> Subset:
+def interned(G: FiniteGroup, elements: np.ndarray) -> Subset:
+    """The group's one `Subset` of `elements`, indices or a mask over G
+    (memo kind `set`): equal sets share one `elements` and normality test."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[elements] = True
+    return G.cached("set", mask.tobytes(), Subset, G, mask)
+
+
+def set_product(G: FiniteGroup, op, A: Subset, B: Subset, budget: int | None, what: str) -> Subset:
+    """The `interned` set of op(a, b) over a in A and b in B, `op` being
+    `G.mul_arr` or `G.comm_arr`, built once per operand pair (memo kind
+    `combine`); the |A| x |B| mesh counts against the budget as `what`, even
+    on a memo hit.  For normal A and B the set is a class union, and as
+    op(a^g, b) = op(a, b^(g^-1))^g with b^(g^-1) in B, it is the class union
+    of op(r, b) over r the least element of each class of A.  Otherwise
+    every pair is meshed."""
+    if A.group is not G or B.group is not G:
+        raise BadIndex("subset belongs to a different group")
+    require_budget(A.order * B.order, budget, what)
+    return G.cached("combine", (op, A.key, B.key), _set_product, G, op, A, B)
+
+
+def _set_product(G: FiniteGroup, op, A: Subset, B: Subset) -> Subset:
+    if A.is_normal and B.is_normal:
+        reps = A.elements[np.unique(G.class_labels()[A.elements], return_index=True)[1]]
+        return interned(G, G.class_union(_scatter(G.order, op, reps, B.elements)))
+    return interned(G, _scatter(G.order, op, A.elements, B.elements))
+
+
+def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset, budget: int | None = None) -> Subset:
     """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal
     subsets.  The |S| x |T| mesh counts against the budget, even on a memo hit."""
     S.require_normal_subset()
     T.require_normal_subset()
-    require_budget(S.order * T.order, budget, "commutator mesh")
-    return G.cached("commutator", (S.key, T.key), _commutator, G, S, T)
-
-
-def _commutator(G: FiniteGroup, S: Subset, T: Subset) -> Subset:
-    """The closure of every [s, t].  They form a union of classes, as
-    [s^g, t] = [s, t^(g^-1)]^g with T normal, so the least element of each
-    class of S stands in for all of S."""
-    reps = S.elements[np.unique(G.class_labels()[S.elements], return_index=True)[1]]
-    comms = _scatter(G.order, G.comm_arr, reps, T.elements)
-    return closure(G, np.flatnonzero(G.class_union(comms)))
+    return closure(G, set_product(G, G.comm_arr, S, T, budget, "commutator mesh"))
 
 
 def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subset:
@@ -503,19 +520,13 @@ def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subs
 
 def subgroup_product(H: Subset, K: Subset, budget: int | None = None) -> Subset:
     """The set product HK, which must again be a subgroup."""
-    if H.group is not K.group:
-        raise BadIndex("subgroups of different groups")
     G = H.group
-    prods = mesh(G, G.mul_arr, H.elements, K.elements, budget, "subgroup product")
-    mask = np.zeros(G.order, dtype=bool)
-    mask[prods] = True
+    HK = set_product(G, G.mul_arr, H, K, budget, "subgroup product")
     if not (H.is_normal or K.is_normal):
-        closed = mesh(G, G.mul_arr, prods, prods, budget, "subgroup product")
-        if closed.size != prods.size or not mask[closed].all():
-            raise ProductNotSubgroup(
-                "neither factor is normal and the set product is not closed"
-            )
-    return Subset(G, mask)
+        closed = mesh(G, G.mul_arr, HK.elements, HK.elements, budget, "subgroup product")
+        if closed.size != HK.order or not HK.mask[closed].all():
+            raise ProductNotSubgroup("neither factor is normal and the set product is not closed")
+    return HK
 
 
 def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import ProductSpace, require_budget, row_blocks
-from .errors import ArityMismatch, PreconditionFailed
+from .enumeration import ProductSpace, row_blocks
+from .errors import ArityMismatch, BadIndex, PreconditionFailed
 from .groups import (
     FiniteGroup,
     Subset,
@@ -24,8 +24,9 @@ from .groups import (
     commutator_subgroup,
     evaluate_arrays,
     greedy_generators,
-    mesh,
+    interned,
     quotient,
+    set_product,
     star_power,
     subgroup_product,
 )
@@ -112,8 +113,8 @@ def value_set_over(
 ) -> ValueSet:
     """Values of `w` with each variable ranging over its subset in `env`.
 
-    The member Subset is memoised on the group by word text and subset
-    masks, and equal sets share one `members`.
+    The member Subset is memoised on the group, one group for all of `env`,
+    by word text and subset masks, and equal sets share one `members`.
     """
     vars_ = variables(w)
     missing = [v for v in vars_ if v not in env]
@@ -121,8 +122,11 @@ def value_set_over(
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
     if not vars_:
         raise ArityMismatch(f"word {render(w)} has no variables")
-    members = _value_set(w, env, env[vars_[0]].group, budget)
-    return ValueSet(w, tuple(map(env.__getitem__, vars_)), members)
+    subsets = tuple(map(env.__getitem__, vars_))
+    group = subsets[0].group
+    if any(S.group is not group for S in subsets):
+        raise BadIndex("subset belongs to a different group")
+    return ValueSet(w, subsets, _value_set(w, env, group, budget))
 
 
 def _value_set(
@@ -144,33 +148,18 @@ def _build_value_set(
     group: FiniteGroup,
     budget: int | None,
 ) -> Subset:
-    """The members of `expr`, one `Subset` per distinct set on the group
-    (memo kind `set`).  A node whose children share no variables folds its
-    children's members left to right through `_pair`."""
+    """The members of `expr`, the group's `interned` set of its values.  A
+    node whose children share no variables folds its children's members
+    left to right through `set_product`."""
     children = _disjoint_children(expr)
     if children:
         op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
         members = _value_set(children[0], sets, group, budget)
         for child in children[1:]:
-            members = _pair(group, op, members, _value_set(child, sets, group, budget), budget)
+            child_members = _value_set(child, sets, group, budget)
+            members = set_product(group, op, members, child_members, budget, "value-set combination")
         return members
-    return _intern(group, _values(expr, sets, group, budget))
-
-
-def _intern(group: FiniteGroup, vals: np.ndarray) -> Subset:
-    """The group's one `Subset` holding `vals` (memo kind `set`)."""
-    mask = np.zeros(group.order, dtype=bool)
-    mask[vals] = True
-    return group.cached("set", mask.tobytes(), Subset, group, mask)
-
-
-def _pair(group: FiniteGroup, op, A: Subset, B: Subset, budget: int | None) -> Subset:
-    """The set of op(a, b) over a in A and b in B, meshed once per operand
-    pair (memo kind `combine`).  The |A| x |B| mesh counts against the
-    budget, even on a memo hit."""
-    require_budget(A.order * B.order, budget, "value-set combination")
-    key = (op, A.key, B.key)
-    return group.cached("combine", key, lambda: _intern(group, _combine(group, op, A.elements, B.elements, budget)))
+    return interned(group, _values(expr, sets, group, budget))
 
 
 def _values(
@@ -206,10 +195,6 @@ def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
     children = list(expr.factors) if isinstance(expr, Product) else [expr.left, expr.right]
     leaves = [variables(c) for c in children]  # each without repeats
     return children if sum(map(len, leaves)) == len(set().union(*leaves)) else None
-
-
-def _combine(group, op, a_vals, b_vals, budget):
-    return mesh(group, op, a_vals, b_vals, budget, "value-set combination")
 
 
 def enumerate_values(
@@ -251,13 +236,13 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
             raise KeyError(value)
         return dict(zip(vars_, space.tuple_at(flat)))
     op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-    sides = [_value_set(c, sets, group, None).elements for c in children]
-    lefts = sides[:1]  # lefts[i]: the values of the product of sides 0..i
+    sides = [_value_set(c, sets, group, None) for c in children]
+    lefts = sides[:1]  # lefts[i]: the members of the product of sides 0..i
     for side in sides[1:-1]:
-        lefts.append(_combine(group, op, lefts[-1], side, None))
+        lefts.append(set_product(group, op, lefts[-1], side, None, "value-set combination"))
     out: dict[Var, int] = {}
     for i in range(len(children) - 1, 0, -1):
-        left, right = lefts[i - 1], sides[i]
+        left, right = lefts[i - 1].elements, sides[i].elements
         for rows in row_blocks(left.size, right.size):  # the first hit, row-major
             hit = np.flatnonzero(op(left[rows, None], right[None, :]) == value)
             if hit.size:

@@ -42,6 +42,7 @@ from verba.groups import (
     subgroup_product,
 )
 from verba.harness import DEFAULT_CATALOG
+from verba.verbal import class_generating_subset, value_set
 from verba.words import delta, gamma, reduce_word, variables, xvar
 
 from .oracles import (
@@ -196,9 +197,8 @@ BUILT_GROUPS = {
     spec: functools.partial(builtin_group, spec)
     for spec in DEFAULT_CATALOG + ("sym:5", "sym:6", "alt:5", "alt:6")
 }
-BUILT_GROUPS["gap512.perm"] = lambda: load_group_file(
-    str(Path(__file__).parent / "groups" / "gap512.perm")
-)
+for _name in ("gap512.perm", "dgap1920.perm"):
+    BUILT_GROUPS[_name] = functools.partial(load_group_file, str(Path(__file__).parent / "groups" / _name))
 BUILT_GROUPS["dih:4 x alt:4"] = lambda: direct_product(builtin_group("dih:4"), builtin_group("alt:4"))
 BUILT_GROUPS["sym:4/V4"] = _sym4_mod_v4
 
@@ -635,29 +635,51 @@ def test_derived_subgroup_is_the_commutator_memo_entry(sym4):
     assert "derived" not in {kind for kind, _ in sym4._memo}
 
 
-@pytest.mark.parametrize("name", ["sym:4", "dih:8", "heis:3", "cyc:3 x quat:8", "sym:6", "gap512.perm"])
+@pytest.mark.parametrize(
+    "name", ["sym:4", "dih:8", "heis:3", "cyc:3 x quat:8", "sym:6", "gap512.perm", "dgap1920.perm"]
+)
 def test_commutator_of_subsets_matches_the_full_mesh(name):
-    """Every ordered pair from a pool of normal subgroups: G, its derived
-    subgroup and center, and the normal closure of the least element of each
-    class (classes from the oracle).  The seed of [S, T] is every distinct
-    [s, t] of the full S x T mesh, by raw table gathers, and below order 720
-    its elements match set arithmetic, which is symmetric in S and T."""
+    """Every ordered pair from a pool of normal subsets: G, its derived
+    subgroup and center, the normal closure of the least element of each
+    class, and the class generating subsets of G and G' with their second
+    star powers.  Each `set_product`, over `mul_arr` and over `comm_arr`, is
+    every distinct value of the full S x T mesh by raw table gathers, and so
+    is the seed of [S, T]; below order 720 the elements of [S, T] between
+    normal subgroups match set arithmetic, which is symmetric in S and T.  A
+    non-normal pair, {1, x} for x outside the center against G, takes the
+    full-mesh branch."""
     G = BUILT_GROUPS[name]()
-    pool = [G.full_subgroup(), G.derived_subgroup(), G.center()]
-    pool += [normal_closure(G, [min(c)]) for c in conjugacy_classes(G.table)]
-    pool = list({S.key: S for S in pool}.values())
+    reps = np.unique(G.class_labels(), return_index=True)[1]
+    normals = [G.full_subgroup(), G.derived_subgroup(), G.center()]
+    normals += [normal_closure(G, [r]) for r in reps]
+    normals = list({S.key: S for S in normals}.values())
+    subsets = [class_generating_subset(N) for N in normals[:2]]
+    pool = list({S.key: S for S in normals + subsets + [star_power(G, S, 2) for S in subsets]}.values())
     t, inv = table_ops(G.table)
+    raw = [(G.mul_arr, lambda a, b: t[a, b]), (G.comm_arr, lambda a, b: t[t[inv[a], inv[b]], t[a, b]])]
+
+    def full_mesh(gathers, S, T):
+        seen = np.zeros(G.order, dtype=bool)
+        seen[gathers(S.elements[:, None], T.elements[None, :])] = True
+        return np.flatnonzero(seen)
+
+    outside = G.subset([0, int(np.flatnonzero(~G.center().mask)[0])])
+    assert not outside.is_normal
+    pairs = [(S, T) for S in pool for T in pool] + [(outside, G.full_subgroup())]
     oracle = {}
-    for S in pool:
-        for T in pool:
-            C = commutator_of_subsets(G, S, T)
-            a, b = np.meshgrid(S.elements, T.elements, indexing="ij")
-            assert C.generators == tuple(np.unique(t[t[inv[a], inv[b]], t[a, b]]).tolist())
-            if G.order < 720:
-                pair = frozenset((S.key, T.key))
-                if pair not in oracle:
-                    oracle[pair] = commutator_closure(G.table, S.elements, T.elements)
-                assert set(map(int, C.elements)) == oracle[pair]
+    for S, T in pairs:
+        for op, gathers in raw:  # comm_arr last, so `values` is the commutators below
+            values = full_mesh(gathers, S, T)
+            assert np.array_equal(groups.set_product(G, op, S, T, None, "mesh").elements, values)
+        if S is outside:
+            continue
+        C = commutator_of_subsets(G, S, T)
+        assert C.generators == tuple(values.tolist())
+        if G.order < 720 and S in normals and T in normals:
+            pair = frozenset((S.key, T.key))
+            if pair not in oracle:
+                oracle[pair] = commutator_closure(G.table, S.elements, T.elements)
+            assert set(map(int, C.elements)) == oracle[pair]
 
 
 def test_commutator_subgroup_is_built_once_per_pair(monkeypatch):
@@ -693,6 +715,22 @@ def test_commutator_requires_normal_subsets(quat8):
     i_only = quat8.subset([quat8.element_names.index("i")])
     with pytest.raises(NotNormalSubset):
         commutator_of_subsets(quat8, i_only, quat8.full_subgroup())
+
+
+def test_subsets_of_another_group_are_rejected(sym3):
+    """Unchecked, a sym:3 value set over a cyc:6 entry reads its indices as
+    sym:3 elements, one over quat:8 indexes past sym:3, and the commutator
+    of a cyc:6 subset with sym:3 is a subset of sym:3 of order 3."""
+    cyc6 = builtin_group("cyc:6")
+    calls = [
+        lambda: value_set(gamma(2), [sym3.full_subgroup(), cyc6.full_subgroup()]),
+        lambda: value_set(gamma(2), [sym3.full_subgroup(), builtin_group("quat:8").full_subgroup()]),
+        lambda: commutator_of_subsets(sym3, cyc6.full_subgroup(), sym3.full_subgroup()),
+        lambda: subgroup_product(sym3.full_subgroup(), cyc6.full_subgroup()),
+    ]
+    for call in calls:
+        with pytest.raises(BadIndex, match="^subset belongs to a different group$"):
+            call()
 
 
 def test_commutator_symmetric(sym4):

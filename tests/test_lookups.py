@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import verba.groups as groups_mod
 import verba.harness as harness
 import verba.series as series_mod
 import verba.verbal as verbal
@@ -344,9 +345,9 @@ def test_value_sets_match_the_raw_sweep_with_one_subset_per_set(spec):
 def test_a_word_whose_children_have_known_sets_meshes_nothing(monkeypatch):
     G = builtin_group("sym:4")
     full = G.full_subgroup()
-    calls = []
-    real = verbal._combine
-    monkeypatch.setattr(verbal, "_combine", lambda *args: calls.append(1) or real(*args))
+    calls = []  # builds of a set product, that is misses of its memo
+    real = groups_mod._set_product
+    monkeypatch.setattr(groups_mod, "_set_product", lambda *args: calls.append(1) or real(*args))
     first = value_set(gamma(3), [full] * 3)
     assert len(calls) == 2
     # [x1,x2]^-1 is a new text with the set of [x1,x2]: the outer node's
