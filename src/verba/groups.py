@@ -59,8 +59,9 @@ class FiniteGroup:
         # One memo for the life of the group, read and written only by
         # `cached`, holds its value sets, interned sets and the set products
         # of operand pairs (the seeds of [S, T], the value-set pairs and HK),
-        # class generating subsets, closures, star powers, quotients, series,
-        # parsed tuple specs, commutator table and class labels.
+        # class generating subsets, star powers (closures being those of no
+        # radius), quotients, series, parsed tuple specs, commutator table
+        # and class labels.
         self._memo: dict = {}
 
     def cached(self, kind: str, key, build, *args):
@@ -293,9 +294,10 @@ class Subset:
 
     A subgroup is a subset closed under products, so subsets and subgroups
     share this one type.  `order` is the number of elements.  `generators`
-    is the seed of a `closure` result (empty otherwise), and normality
-    (closure under conjugation) is worked out once, on first use, as a
-    class-union test.
+    is the sorted seed of a `closure` or `star_power` result (empty
+    otherwise), and normality (closure under conjugation) is worked out
+    once, on first use, as a class-union test.  Entries taking a subset of
+    one group check it with `own`.
     """
 
     __slots__ = ("group", "mask", "generators", "_elements", "_key", "_normal")
@@ -345,7 +347,7 @@ class Subset:
         return hash((id(self.group), self.key))
 
     def __le__(self, other: "Subset") -> bool:
-        return bool(other.mask[self.elements].all())
+        return bool(own(self.group, other).mask[self.elements].all())
 
     @property
     def is_normal(self) -> bool:
@@ -374,18 +376,43 @@ class Subset:
 # ---------------------------------------------------------------------------
 
 
+def own(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
+    """`seed` as a `Subset` of G: a subset of G as it is, indices through
+    `G.subset`.  Every entry that takes subsets of one group checks them
+    here, so a subset of another group raises the one BadIndex."""
+    if not isinstance(seed, Subset):
+        return G.subset(seed)
+    if seed.group is not G:
+        raise BadIndex("subset belongs to a different group")
+    return seed
+
+
 def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
-    """Smallest subgroup containing `seed`, by breadth-first products.
+    """Smallest subgroup containing `seed`: its star power of unbounded
+    radius, under the same memo; `generators` is the sorted, distinct seed."""
+    return _star_power(G, own(G, seed), None)
 
-    Results are memoised on the group by seed; `generators` is the sorted,
-    distinct seed.
+
+def star_power(G: FiniteGroup, S: Subset | Iterable[int], n: int) -> Subset:
+    """Products of length at most n over S and its inverses.
+
+    The identity (empty product) is always included, so star powers are
+    monotone in n and stabilise at `closure(G, S)`.
     """
-    seed_elems = _seed_elements(G, seed)
-    return G.cached("closure", seed_elems.tobytes(), _closure, G, seed_elems)
+    if n < 0:
+        raise ValueError("star power needs n >= 0")
+    return _star_power(G, own(G, S), n)
 
 
-def _closure(G: FiniteGroup, seed_elems: np.ndarray) -> Subset:
-    return Subset(G, _ball(G, seed_elems), generators=tuple(int(g) for g in seed_elems))
+def _star_power(G: FiniteGroup, S: Subset, radius: int | None) -> Subset:
+    """`star_power` or, with no radius, `closure` of S, under one memo kind
+    (`star_power`) keyed by (mask of S, radius), with S's elements as the
+    result's `generators`."""
+    return G.cached("star_power", (S.key, radius), _seeded_ball, G, S, radius)
+
+
+def _seeded_ball(G: FiniteGroup, S: Subset, radius: int | None) -> Subset:
+    return Subset(G, _ball(G, S.elements, radius), generators=tuple(S.elements.tolist()))
 
 
 def _ball(G: FiniteGroup, seed_elems: np.ndarray, radius: int | None = None) -> np.ndarray:
@@ -432,31 +459,7 @@ def greedy_generators(op, n: int, axis: np.ndarray, e: int = 0) -> np.ndarray:
 def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     """Smallest normal subgroup containing `seed`: the closure of the
     conjugacy classes that meet it."""
-    return closure(G, Subset(G, G.class_union(_seed_elements(G, seed))))
-
-
-def _seed_elements(G: FiniteGroup, seed: Subset | Iterable[int]) -> np.ndarray:
-    if isinstance(seed, Subset):
-        if seed.group is not G:
-            raise BadIndex("subset belongs to a different group")
-        return seed.elements
-    return G.subset(seed).elements
-
-
-def star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
-    """Products of length at most n over S and its inverses.
-
-    The identity (empty product) is always included, so star powers are
-    monotone in n and stabilise at the subgroup generated by S.  Results are
-    memoised on the group by (mask of S, n).
-    """
-    if n < 0:
-        raise ValueError("star power needs n >= 0")
-    return G.cached("star_power", (S.key, n), _star_power, G, S, n)
-
-
-def _star_power(G: FiniteGroup, S: Subset, n: int) -> Subset:
-    return Subset(G, _ball(G, S.elements, n))
+    return closure(G, Subset(G, G.class_union(own(G, seed).mask)))
 
 
 def mesh(G: FiniteGroup, op, a, b, budget: int | None, what: str) -> np.ndarray:
@@ -490,8 +493,7 @@ def set_product(G: FiniteGroup, op, A: Subset, B: Subset, budget: int | None, wh
     op(a^g, b) = op(a, b^(g^-1))^g with b^(g^-1) in B, it is the class union
     of op(r, b) over r the least element of each class of A.  Otherwise
     every pair is meshed."""
-    if A.group is not G or B.group is not G:
-        raise BadIndex("subset belongs to a different group")
+    A, B = own(G, A), own(G, B)
     require_budget(A.order * B.order, budget, what)
     return G.cached("combine", (op, A.key, B.key), _set_product, G, op, A, B)
 

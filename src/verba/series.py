@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InternalInvariantViolation, NotNormal, PreconditionFailed
 from .groups import (
     Subset,
     closure,
     commutator_subgroup,
+    own,
     star_power,
     subgroup_product,
 )
@@ -152,10 +151,8 @@ def _canonical_factor(
 
 def _normal_tuple(T: Sequence[Subset]) -> tuple[Subset, ...]:
     """T as a tuple, checked to hold normal subgroups of one group."""
-    T = tuple(T)
+    T = tuple(own(T[0].group, sub) for sub in T)
     for pos, sub in enumerate(T, start=1):
-        if sub.group is not T[0].group:
-            raise PreconditionFailed(f"entry {pos} belongs to a different group")
         if not sub.is_normal:
             raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
     return T
@@ -454,8 +451,7 @@ def verify_series(
     for f in series.factors:
         containment_ok = f.lower <= f.upper
         vs = value_set_over(f.word, {e.var: e.subgroup for e in f.entries}, budget)
-        union = np.asarray(f.lower.mask | vs.members.mask)
-        generation_ok = closure(G, np.flatnonzero(union)) == f.upper
+        generation_ok = closure(G, Subset(G, f.lower.mask | vs.members.mask)) == f.upper
         extension_ok = len(f.entries) >= len(base_subs)
         for e in f.entries:
             expected = verbal_subgroup(

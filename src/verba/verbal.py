@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .enumeration import ProductSpace, row_blocks
-from .errors import ArityMismatch, BadIndex, PreconditionFailed
+from .errors import ArityMismatch, PreconditionFailed
 from .groups import (
     FiniteGroup,
     Subset,
@@ -25,6 +25,7 @@ from .groups import (
     evaluate_arrays,
     greedy_generators,
     interned,
+    own,
     quotient,
     set_product,
     star_power,
@@ -98,12 +99,15 @@ def value_set(
 ) -> ValueSet:
     """Values of `w` as its variables range over `subsets` positionally:
     subsets[i] goes to variables(w)[i]."""
+    return value_set_over(w, _positional(w, subsets), budget)
+
+
+def _positional(w: WordExpr, subsets: Sequence[Subset]) -> dict[Var, Subset]:
+    """``variables(w)[i] -> subsets[i]``, once `subsets` holds one subset per variable."""
     vars_ = variables(w)
     if len(subsets) != len(vars_):
-        raise ArityMismatch(
-            f"word {render(w)} has {len(vars_)} variables, got {len(subsets)} subsets"
-        )
-    return value_set_over(w, dict(zip(vars_, subsets)), budget)
+        raise ArityMismatch(f"word {render(w)} has {len(vars_)} variables, got {len(subsets)} subsets")
+    return dict(zip(vars_, subsets))
 
 
 def value_set_over(
@@ -122,10 +126,8 @@ def value_set_over(
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
     if not vars_:
         raise ArityMismatch(f"word {render(w)} has no variables")
-    subsets = tuple(map(env.__getitem__, vars_))
-    group = subsets[0].group
-    if any(S.group is not group for S in subsets):
-        raise BadIndex("subset belongs to a different group")
+    group = env[vars_[0]].group
+    subsets = tuple(own(group, env[v]) for v in vars_)
     return ValueSet(w, subsets, _value_set(w, env, group, budget))
 
 
@@ -150,7 +152,10 @@ def _build_value_set(
 ) -> Subset:
     """The members of `expr`, the group's `interned` set of its values.  A
     node whose children share no variables folds its children's members
-    left to right through `set_product`."""
+    left to right through `set_product`.  Otherwise a variable takes its
+    subset, an inverse or power the images of its child's members, a node
+    whose children share a variable one raw sweep, and the empty product
+    the identity.  Sub-words come from the value-set memo."""
     children = _disjoint_children(expr)
     if children:
         op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
@@ -159,26 +164,15 @@ def _build_value_set(
             child_members = _value_set(child, sets, group, budget)
             members = set_product(group, op, members, child_members, budget, "value-set combination")
         return members
-    return interned(group, _values(expr, sets, group, budget))
-
-
-def _values(
-    expr: WordExpr,
-    sets: Mapping[Var, Subset],
-    group: FiniteGroup,
-    budget: int | None,
-) -> np.ndarray:
-    """The values, repeats allowed, of a node `_build_value_set` does not
-    fold: a variable, an inverse or power, the empty product, or a node
-    whose children share a variable.  Sub-words come from the value-set
-    memo."""
     if isinstance(expr, Var):
-        return sets[expr].elements
-    if isinstance(expr, (Inverse, Power)):
-        return _image(expr, group, _value_set(expr.child, sets, group, budget).elements)
-    if _disjoint_children(expr) is None:
-        return enumerate_values(expr, sets, budget)
-    return np.array([0], dtype=np.int64)  # the empty product
+        values = sets[expr].elements
+    elif isinstance(expr, (Inverse, Power)):
+        values = _image(expr, group, _value_set(expr.child, sets, group, budget).elements)
+    elif children is None:
+        values = enumerate_values(expr, sets, budget)
+    else:
+        values = np.array([0], dtype=np.int64)  # the empty product
+    return interned(group, values)
 
 
 def _image(expr: Inverse | Power, group: FiniteGroup, vals: np.ndarray) -> np.ndarray:
@@ -273,12 +267,12 @@ def _class_generating_subset(N: Subset) -> Subset:
     G = N.group
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    have = closure(G, [])
+    have = G.trivial_subgroup()
     for e in N.elements:
         if have.mask[e]:
             continue
         mask |= G.class_union([e])
-        have = closure(G, np.flatnonzero(mask))
+        have = closure(G, Subset(G, mask))
         if have == N:
             break
     return Subset(G, mask)
@@ -320,10 +314,7 @@ def check_disjoint_split(
     each side takes the subgroups on its own variables."""
     if not isinstance(w, Commutator):
         raise PreconditionFailed("word must be a commutator")
-    vars_ = variables(w)
-    if len(subgroups) != len(vars_):
-        raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
-    env = dict(zip(vars_, subgroups))
+    env = _positional(w, subgroups)
     whole = verbal_subgroup(w, subgroups, budget)
     left = verbal_subgroup(w.left, [env[v] for v in variables(w.left)], budget)
     right = verbal_subgroup(w.right, [env[v] for v in variables(w.right)], budget)
@@ -436,13 +427,11 @@ def check_linearity(
     `space` counts the quotient tuples, |siblings| x |H| x |S|.
     """
     modulus.require_normal()
-    vars_ = variables(w)
-    if len(subgroups) != len(vars_):
-        raise ArityMismatch(f"{len(vars_)} variables vs {len(subgroups)} subgroups")
+    env = _positional(w, [own(modulus.group, sub) for sub in subgroups])
+    vars_ = list(env)
     if not 1 <= position <= len(vars_):
         raise PreconditionFailed("position out of range")
     pivot = vars_[position - 1]
-    env = dict(zip(vars_, subgroups))
 
     path = spine_decompose(w, pivot)
     sib_sets = [value_set_over(sub, env, budget) for sub, _ in path]
@@ -539,9 +528,7 @@ def star_membership_sweep(
 
 def _require_normal_subsets(w: WordExpr, subsets: Sequence[Subset]) -> tuple[Var, ...]:
     """The variables of `w`, once `subsets` holds one normal subset for each."""
-    vars_ = variables(w)
-    if len(subsets) != len(vars_):
-        raise ArityMismatch(f"{len(vars_)} variables vs {len(subsets)} subsets")
+    vars_ = tuple(_positional(w, subsets))
     for S in subsets:
         S.require_normal_subset()
     return vars_

@@ -42,7 +42,7 @@ from verba.groups import (
     subgroup_product,
 )
 from verba.harness import DEFAULT_CATALOG
-from verba.verbal import class_generating_subset, value_set
+from verba.verbal import check_linearity, class_generating_subset, value_set
 from verba.words import delta, gamma, reduce_word, variables, xvar
 
 from .oracles import (
@@ -717,16 +717,27 @@ def test_commutator_requires_normal_subsets(quat8):
         commutator_of_subsets(quat8, i_only, quat8.full_subgroup())
 
 
-def test_subsets_of_another_group_are_rejected(sym3):
+def test_subsets_of_another_group_are_rejected(sym3, sym4, quat8):
     """Unchecked, a sym:3 value set over a cyc:6 entry reads its indices as
     sym:3 elements, one over quat:8 indexes past sym:3, and the commutator
-    of a cyc:6 subset with sym:3 is a subset of sym:3 of order 3."""
-    cyc6 = builtin_group("cyc:6")
+    of a cyc:6 subset with sym:3 is a subset of sym:3 of order 3.  Before
+    `groups.own`, the star power of quat:8 in sym:4 had order 16, linearity
+    held on sym:4 modulo a dih:12 subgroup and on a dih:12 sibling modulo
+    a sym:4 one, indexed past quat:8 modulo its center, and sym:4 was a
+    subset of dih:12."""
+    cyc6, dih12 = builtin_group("cyc:6"), builtin_group("dih:12")
+    F = sym4.full_subgroup()
     calls = [
         lambda: value_set(gamma(2), [sym3.full_subgroup(), cyc6.full_subgroup()]),
-        lambda: value_set(gamma(2), [sym3.full_subgroup(), builtin_group("quat:8").full_subgroup()]),
+        lambda: value_set(gamma(2), [sym3.full_subgroup(), quat8.full_subgroup()]),
         lambda: commutator_of_subsets(sym3, cyc6.full_subgroup(), sym3.full_subgroup()),
         lambda: subgroup_product(sym3.full_subgroup(), cyc6.full_subgroup()),
+        lambda: star_power(sym4, quat8.full_subgroup(), 2),
+        lambda: check_linearity(gamma(2), [F, F], 1, dih12.derived_subgroup()),
+        lambda: check_linearity(gamma(2), [F, dih12.full_subgroup()], 1, sym4.derived_subgroup()),
+        lambda: check_linearity(gamma(2), [F, F], 1, quat8.center()),
+        lambda: F <= dih12.full_subgroup(),
+        lambda: closure(sym4, quat8.center()),
     ]
     for call in calls:
         with pytest.raises(BadIndex, match="^subset belongs to a different group$"):

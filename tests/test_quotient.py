@@ -8,12 +8,14 @@ import pytest
 import verba.verbal as verbal
 from verba.errors import BudgetExceeded
 from verba.groups import (
+    Subset,
     builtin_group,
     closure,
     commutator_subgroup,
     evaluate,
     greedy_generators,
     quotient,
+    star_power,
 )
 from verba.harness import (
     DEFAULT_CATALOG,
@@ -319,11 +321,17 @@ def test_memoised_closure_matches_the_oracle():
 
     for seed in ([3], [5, 1], [7, 11, 2], [1, 5]):
         first = closure(G, seed)
-        again = closure(G, np.array(seed))
-        assert again is first
+        # indices, an array, a Subset and an equal Subset object: one entry
+        for again in (np.array(seed), G.subset(seed), Subset(G, G.subset(seed).mask)):
+            assert closure(G, again) is first
         assert first.generators == tuple(sorted(set(seed)))
         want = close_under_products(seed, mul, inv)
         assert set(map(int, first.elements)) == want
+        # the radius-0 star power {1} of the same seed is an entry of its own
+        zero = star_power(G, G.subset(seed), 0)
+        assert zero.order == 1 and zero is not first and closure(G, seed) is first
+    # [5, 1] and [1, 5] are one seed: three closures and three radius-0 balls
+    assert sum(kind == "star_power" for kind, _ in G._memo) == 6
 
 
 def test_value_set_memo_ignores_word_identity():

@@ -11,6 +11,7 @@ from verba import verbal
 from verba.enumeration import ProductSpace
 from verba.errors import (
     ArityMismatch,
+    BadIndex,
     BudgetExceeded,
     NotNormal,
     NotNormalSubset,
@@ -96,8 +97,17 @@ def test_value_set_normal_when_inputs_normal(sym4):
 
 
 def test_value_set_arity_mismatch(sym3):
-    with pytest.raises(ArityMismatch):
-        value_set(gamma(2), full_tuple(sym3, 3))
+    # every entry that maps a tuple onto the word's variables says it alike
+    three = full_tuple(sym3, 3)
+    calls = [
+        lambda: value_set(gamma(2), three),
+        lambda: check_disjoint_split(gamma(2), three),
+        lambda: check_linearity(gamma(2), three, 1, sym3.trivial_subgroup()),
+        lambda: star_membership_sweep(gamma(2), three, None),
+    ]
+    for call in calls:
+        with pytest.raises(ArityMismatch, match=r"^word \[x1,x2\] has 2 variables, got 3 subsets$"):
+            call()
 
 
 def test_value_set_budget_literal(sym4):
@@ -184,7 +194,7 @@ def test_normal_tuple_rejects_non_normal(sym3, quat8):
         build_gamma_series([swap])
     with pytest.raises(NotNormal):
         build_delta_series([sym3.full_subgroup(), swap], 1)
-    with pytest.raises(PreconditionFailed, match="different group"):
+    with pytest.raises(BadIndex, match="^subset belongs to a different group$"):
         build_gamma_series([sym3.full_subgroup(), quat8.full_subgroup()])
 
 
