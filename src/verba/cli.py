@@ -87,7 +87,6 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         common(p, word=False)
         p.add_argument("--r", type=int, default=None, help="gamma length (default: tuple arity)")
         p.add_argument("--k", type=int, default=None, help="delta depth (default: log2 of tuple arity)")
-        p.add_argument("--audit", action="store_true", help="check construction-internal containments")
     elif name == "check":
         p.add_argument("check_id", choices=list(CHECK_ID_SET))
         common(p)
@@ -242,13 +241,13 @@ def _cmd_verbal(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    """gamma takes r = --r and --audit, delta k = --k, and the other kind's
-    flag is a usage error; r or k defaults to what --tuple fits (2 entries
-    without it), and the tuple defaults to G in each entry."""
+    """gamma takes r = --r, delta k = --k, and the other kind's flag is a
+    usage error; r or k defaults to what --tuple fits (2 entries without
+    it), and the tuple defaults to G in each entry."""
     if args.kind == "gamma" and args.k is not None:
         raise VerbaError("--k is the delta depth; series gamma takes --r")
-    if args.kind == "delta" and (args.r is not None or args.audit):
-        raise VerbaError("--r and --audit apply to series gamma; series delta takes --k")
+    if args.kind == "delta" and args.r is not None:
+        raise VerbaError("--r applies to series gamma; series delta takes --k")
     G = resolve_group(args.group, args.cap)
     budget = args.budget
     n = args.r if args.kind == "gamma" else args.k
@@ -263,7 +262,7 @@ def _cmd_series(args) -> int:
     elif len(subgroups) != arity:
         raise VerbaError(f"{args.kind}:{n} needs {arity} tuple entries, --tuple has {len(subgroups)}")
     if args.kind == "gamma":
-        series = build_gamma_series(subgroups, budget, audit=args.audit)
+        series = build_gamma_series(subgroups, budget)
     else:
         series = build_delta_series(subgroups, n, budget)
     report = verify_series(series, budget=budget)

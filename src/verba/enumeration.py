@@ -39,9 +39,6 @@ class ProductSpace:
     def __init__(self, axes: Sequence[np.ndarray]):
         self.axes = [np.asarray(a) for a in axes]
         self.sizes = [int(a.shape[0]) for a in self.axes]
-        self.periods = [1] * len(self.axes)
-        for j in range(len(self.axes) - 2, -1, -1):
-            self.periods[j] = self.periods[j + 1] * self.sizes[j + 1]
         self.size = 1
         for s in self.sizes:
             self.size *= s
@@ -51,7 +48,7 @@ class ProductSpace:
         return self
 
     def axis_values(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [a[(flat // p) % n] for a, n, p in zip(self.axes, self.sizes, self.periods)]
+        return [a[i] for a, i in zip(self.axes, np.unravel_index(flat, self.sizes))]
 
     def blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
         for rows in row_blocks(self.size, 1):

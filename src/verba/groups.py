@@ -24,7 +24,7 @@ from .errors import (
     UnassignedVariable,
     UnknownSpec,
 )
-from .words import Inverse, Power, Product, Var, WordExpr
+from .words import Power, Product, Var, WordExpr
 
 DEFAULT_ORDER_CAP = 5040
 # Groups up to this order keep an n-by-n commutator table (at most 1 MiB of
@@ -577,8 +577,6 @@ def evaluate_arrays(
             return np.asarray(assignment[w])
         except KeyError:
             raise UnassignedVariable(f"no value for variable {w}") from None
-    if isinstance(w, Inverse):
-        return G.inv_arr(evaluate_arrays(w.child, G, assignment))
     if isinstance(w, Power):
         return G.pow_arr(evaluate_arrays(w.child, G, assignment), w.exponent)
     if isinstance(w, Product):

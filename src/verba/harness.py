@@ -369,16 +369,16 @@ def _check_comm_congruence(G, tree, tup, budget) -> tuple[str, str]:
     return "pass", f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={rep.modulus.order} ({rep.swept} tuples)"
 
 
-def _series(kind: str, tup: ParsedTuple, budget, audit=False) -> LinearSeries:
+def _series(kind: str, tup: ParsedTuple, budget) -> LinearSeries:
     """The series of the row's kind over `tup`: the kind comes from the row,
     as delta:1 and gamma:2 are the same word."""
     if kind == "gamma":
-        return build_gamma_series(tup.subgroups, budget, audit=audit)
+        return build_gamma_series(tup.subgroups, budget)
     return build_delta_series(tup.subgroups, series_parameter(kind, len(tup.subgroups)), budget)
 
 
 def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
-    series = _series(kind, tup, budget, audit=G.order <= 48)
+    series = _series(kind, tup, budget)
     rep = verify_series(series, budget=budget)
     count = f"{len(rep.factors)} factors" if series.kind == "gamma" else f"t={len(rep.factors)}"
     detail = f"{count}, orders {[t.order for t in series.terms]}"

@@ -158,31 +158,31 @@ def _normal_tuple(T: Sequence[Subset]) -> tuple[Subset, ...]:
     return T
 
 
-def build_gamma_series(
-    T: Sequence[Subset], budget: int | None = None, audit: bool = False
-) -> LinearSeries:
+def build_gamma_series(T: Sequence[Subset], budget: int | None = None) -> LinearSeries:
     """Chain P_{r+1} <= ... <= P_1 with factor i generated by the word on the
     tuple whose i-th entry is the length-i left-normed verbal subgroup.
 
-    With `audit`, the containments between this chain and the length-(r-1)
-    one are checked, also when the series comes from the memo.  The series
-    is kept on the group by ("gamma", r, subgroup masks)."""
+    The series is kept on the group by ("gamma", r, subgroup masks); the
+    containments between its chain and the length-(r-1) one are checked
+    once, when it is built."""
     r = len(T)
     if r < 1:
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
     T = _normal_tuple(T)
     key = ("gamma", r, tuple(sub.key for sub in T))
-    series = T[0].group.cached("series", key, _build_gamma, T, budget)
-    if audit:
-        _audit_gamma(T, series.terms, budget)
-    return series
+    return T[0].group.cached("series", key, _build_gamma, T, budget)
 
 
-def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
+def _gamma_chain(
+    subs: tuple[Subset, ...], budget: int | None
+) -> tuple[list[tuple[AnnotatedEntry, ...]], list[Subset], list[Subset]]:
+    """For the length-r tuple `subs`: the annotated tuple of each Q_i, whose
+    i-th entry is the length-i verbal subgroup, and Q_i = gamma_r on it (both
+    at i - 1), and the ascending chain P_{r+1} = [Q_1, Q_1], then
+    P_i = Q_i P_{i+1} for i = r, ..., 1, whose top P_1 must be Q_1."""
     r = len(subs)
-    word = gamma(r)
-    entries_at: list[tuple[AnnotatedEntry, ...]] = []  # Q_i's tuple at i - 1
-    q_subgroups: list[Subset] = []  # Q_i at i - 1
+    entries_at: list[tuple[AnnotatedEntry, ...]] = []
+    q_subgroups: list[Subset] = []
     for i in range(1, r + 1):
         gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
         gamma_entry = AnnotatedEntry(
@@ -190,40 +190,40 @@ def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
         )
         entries = tuple(gamma_entry if j == i else _leaf_entry(j, sub) for j, sub in enumerate(subs, start=1))
         entries_at.append(entries)
-        q_subgroups.append(verbal_subgroup(word, [e.subgroup for e in entries], budget))
-    top = q_subgroups[0]
-    # ascending: P_{r+1} = [Q_1, Q_1], then P_i = Q_i P_{i+1} for i = r, ..., 1
-    terms = [commutator_subgroup(top, top, budget)]
+        q_subgroups.append(verbal_subgroup(gamma(r), [e.subgroup for e in entries], budget))
+    terms = [commutator_subgroup(q_subgroups[0], q_subgroups[0], budget)]
     for q in reversed(q_subgroups):
         terms.append(subgroup_product(q, terms[-1], budget))
-    _require(terms[-1] == top, "chain top must equal the full verbal subgroup")
+    _require(terms[-1] == q_subgroups[0], "chain top must equal the full verbal subgroup")
+    return entries_at, q_subgroups, terms
+
+
+def _build_gamma(subs: tuple[Subset, ...], budget: int | None) -> LinearSeries:
+    r = len(subs)
+    entries_at, _, terms = _gamma_chain(subs, budget)
+    _audit_gamma(subs, terms, budget)
     # factor j is P_{i+1} <= P_i with i = r + 1 - j, linear in x_i
     factors = tuple(
-        _canonical_factor(terms, j, word, entries_at[r - j], xvar(r + 1 - j), 0, "gamma")
+        _canonical_factor(terms, j, gamma(r), entries_at[r - j], xvar(r + 1 - j), 0, "gamma")
         for j in range(1, r + 1)
     )
     return LinearSeries(kind="gamma", parameter=r, base=subs, terms=tuple(terms), factors=factors)
 
 
-def _audit_gamma(subs: tuple[Subset, ...], terms: tuple[Subset, ...], budget) -> None:
-    """Containments used between the length-r and length-(r-1) chains."""
+def _audit_gamma(subs: tuple[Subset, ...], terms: list[Subset], budget: int | None) -> None:
+    """Containments used between the length-r chain `terms` and the chain
+    P* of the first r - 1 entries, with its Q*_i."""
     r = len(subs)
     if r < 2:
         return
-    starred = build_gamma_series(subs[: r - 1], budget)
-    q_star: list[Subset] = []  # Q*_i at i - 1
-    for i in range(1, r):
-        gamma_i = verbal_subgroup(gamma(i), subs[:i], budget)
-        tuple_i = list(subs[: r - 1])
-        tuple_i[i - 1] = gamma_i
-        q_star.append(verbal_subgroup(gamma(r - 1), tuple_i, budget))
+    _, q_star, starred = _gamma_chain(subs[: r - 1], budget)
     last = subs[r - 1]
     for i, q in enumerate(q_star, start=1):
-        # both chains ascend: terms[r - i] = P_{i+1}, starred.terms[r - 1 - i] = P*_{i+1}
+        # both chains ascend: terms[r - i] = P_{i+1}, starred[r - 1 - i] = P*_{i+1}
         fence = terms[r - i]
         left = commutator_subgroup(commutator_subgroup(q, last, budget), q, budget)
         _require(left <= fence, f"[Q*_{i},N_r,Q*_{i}] escapes P_{i + 1}")
-        second = commutator_subgroup(starred.terms[r - 1 - i], last, budget)
+        second = commutator_subgroup(starred[r - 1 - i], last, budget)
         _require(second <= fence, f"[P*_{i + 1},N_r] escapes P_{i + 1}")
 
 

@@ -33,7 +33,6 @@ from .groups import (
 )
 from .words import (
     Commutator,
-    Inverse,
     Power,
     Product,
     Var,
@@ -79,10 +78,10 @@ class ValueSet:
 
         The search descends the word.  At a node whose children share no
         variables it takes the first row-major pair of the sides' ascending
-        values that gives the value; at an inverse or a power, the least
-        child value mapping to it; at any other node, the first tuple of its
-        raw assignment space.  The set's build already enumerated each of
-        these under the budget, so the search takes no budget of its own.
+        values that gives the value; at a power, the least child value
+        mapping to it; at any other node, the first tuple of its raw
+        assignment space.  The set's build already enumerated each of these
+        under the budget, so the search takes no budget of its own.
         """
         value = int(value)
         if not self.members.mask[value]:
@@ -126,9 +125,12 @@ def value_set_over(
         raise ArityMismatch(f"no subset assigned to variable {missing[0]}")
     if not vars_:
         raise ArityMismatch(f"word {render(w)} has no variables")
-    group = env[vars_[0]].group
-    subsets = tuple(own(group, env[v]) for v in vars_)
-    return ValueSet(w, subsets, _value_set(w, env, group, budget))
+    subsets = tuple(env[v] for v in vars_)
+    for v, s in zip(vars_, subsets):
+        if not isinstance(s, Subset):
+            raise PreconditionFailed(f"value sets take Subsets; {v} got a {type(s).__name__}")
+        own(subsets[0].group, s)
+    return ValueSet(w, subsets, _value_set(w, env, subsets[0].group, budget))
 
 
 def _value_set(
@@ -153,9 +155,9 @@ def _build_value_set(
     """The members of `expr`, the group's `interned` set of its values.  A
     node whose children share no variables folds its children's members
     left to right through `set_product`.  Otherwise a variable takes its
-    subset, an inverse or power the images of its child's members, a node
-    whose children share a variable one raw sweep, and the empty product
-    the identity.  Sub-words come from the value-set memo."""
+    subset, a power the images of its child's members, a node whose
+    children share a variable one raw sweep, and the empty product the
+    identity.  Sub-words come from the value-set memo."""
     children = _disjoint_children(expr)
     if children:
         op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
@@ -166,19 +168,13 @@ def _build_value_set(
         return members
     if isinstance(expr, Var):
         values = sets[expr].elements
-    elif isinstance(expr, (Inverse, Power)):
-        values = _image(expr, group, _value_set(expr.child, sets, group, budget).elements)
+    elif isinstance(expr, Power):
+        values = group.pow_arr(_value_set(expr.child, sets, group, budget).elements, expr.exponent)
     elif children is None:
         values = enumerate_values(expr, sets, budget)
     else:
         values = np.array([0], dtype=np.int64)  # the empty product
     return interned(group, values)
-
-
-def _image(expr: Inverse | Power, group: FiniteGroup, vals: np.ndarray) -> np.ndarray:
-    if isinstance(expr, Inverse):
-        return group.inv_arr(vals)
-    return group.pow_arr(vals, expr.exponent)
 
 
 def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
@@ -214,9 +210,9 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
     """`ValueSet.witness` for the sub-word `expr`, which takes `value`."""
     if isinstance(expr, Var):
         return {expr: value}
-    if isinstance(expr, (Inverse, Power)):
+    if isinstance(expr, Power):
         child = _value_set(expr.child, sets, group, None).elements
-        first = int(np.flatnonzero(_image(expr, group, child) == value)[0])
+        first = int(np.flatnonzero(group.pow_arr(child, expr.exponent) == value)[0])
         return _witness(expr.child, sets, group, int(child[first]))
     children = _disjoint_children(expr)
     if children is None:

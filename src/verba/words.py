@@ -95,14 +95,6 @@ def _atomish(w: "WordExpr") -> str:
 
 
 @dataclass(frozen=True)
-class Inverse:
-    child: "WordExpr"
-
-    def __post_init__(self):
-        _store(self, f"{_atomish(self.child)}^-1", self.child._vars, (self.child,))
-
-
-@dataclass(frozen=True)
 class Power:
     child: "WordExpr"
     exponent: int
@@ -137,7 +129,7 @@ class Commutator:
         _store(self, f"[{self.left._text},{self.right._text}]", vars_, children, ocw)
 
 
-WordExpr = Union[Var, Inverse, Power, Product, Commutator]
+WordExpr = Union[Var, Power, Product, Commutator]
 
 
 def variables(w: WordExpr) -> tuple[Var, ...]:
@@ -338,8 +330,6 @@ def _letter_count(w: WordExpr) -> int:
     """Number of letters `_expand` returns for `w`."""
     if isinstance(w, Var):
         return 1
-    if isinstance(w, Inverse):
-        return _letter_count(w.child)
     if isinstance(w, Power):
         return abs(w.exponent) * _letter_count(w.child)
     if isinstance(w, Product):
@@ -350,8 +340,6 @@ def _letter_count(w: WordExpr) -> int:
 def _expand(w: WordExpr) -> list[tuple[Var, int]]:
     if isinstance(w, Var):
         return [(w, 1)]
-    if isinstance(w, Inverse):
-        return [(v, -s) for v, s in reversed(_expand(w.child))]
     if isinstance(w, Power):
         if w.exponent == 0:
             return []
@@ -391,8 +379,6 @@ def exponent_sum(w: WordExpr, var: Var) -> int:
     """Signed occurrence count of `var`; commutator subtrees contribute 0."""
     if isinstance(w, Var):
         return 1 if w == var else 0
-    if isinstance(w, Inverse):
-        return -exponent_sum(w.child, var)
     if isinstance(w, Power):
         return w.exponent * exponent_sum(w.child, var)
     if isinstance(w, Product):
@@ -507,8 +493,6 @@ def substitute(w: WordExpr, mapping: Mapping[Var, WordExpr]) -> WordExpr:
     def walk(u: WordExpr) -> WordExpr:
         if isinstance(u, Var):
             return mapping.get(u, u)
-        if isinstance(u, Inverse):
-            return Inverse(walk(u.child))
         if isinstance(u, Power):
             return Power(walk(u.child), u.exponent)
         if isinstance(u, Product):

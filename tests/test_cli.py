@@ -160,7 +160,7 @@ def test_series_command_lists_five_factors():
 
 
 def test_series_gamma_command():
-    code, out = run_cli(["series", "gamma", "--group", "sym:3", "--r", "2", "--audit"])
+    code, out = run_cli(["series", "gamma", "--group", "sym:3", "--r", "2"])
     assert code == 0 and "2 factors" in out
 
 
@@ -179,7 +179,6 @@ def test_series_rejects_non_positive_r():
     ["delta", "--group", "sym:3", "--tuple", "G,G", "--k", "2"],
     ["delta", "--group", "sym:3", "--r", "5"],  # the other kind's parameter
     ["gamma", "--group", "sym:3", "--k", "5"],
-    ["delta", "--group", "sym:3", "--audit"],
 ])
 def test_series_parameters_off_range_or_off_the_tuple_are_usage_errors(capsys, argv):
     code, out = run_cli(["series", *argv])
@@ -304,6 +303,8 @@ def test_malformed_group_file_is_a_usage_error(tmp_path, capsys, text):
     ["series", "gamma", "--group", "sym:3", "--mode", "sampled", "--seed", "9"],
     ["values", "--group", "sym:3", "--word", "gamma:2", "--seed", "1"],
     ["eval", "--group", "sym:3", "--word", "gamma:2", "--assign", "x1=1,x2=2", "--format", "csv"],
+    ["series", "gamma", "--group", "sym:3", "--r", "2", "--audit"],
+    ["series", "delta", "--group", "sym:3", "--audit"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_cli(argv)[0] == 2

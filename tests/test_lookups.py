@@ -17,6 +17,7 @@ import verba.groups as groups_mod
 import verba.harness as harness
 import verba.series as series_mod
 import verba.verbal as verbal
+from verba.cli import main
 from verba.errors import (
     BadIndex,
     BudgetExceeded,
@@ -238,25 +239,44 @@ def test_bound_rows_reuse_the_series_with_their_class_subsets(monkeypatch):
         assert [t.key for t in fresh.terms] == [t.key for t in built.terms]
 
 
-def test_an_audit_failure_flips_a_series_row_served_by_the_memo(monkeypatch):
-    G = builtin_group("sym:4")
+def _fail_the_audit(monkeypatch):
+    """Make every containment of the gamma-series audit fail."""
+    real_require = series_mod._require
+
+    def audit_fails(cond, message):
+        real_require(cond and "escapes P_" not in message, message)
+
+    monkeypatch.setattr(series_mod, "_require", audit_fails)
+
+
+def test_a_failed_audit_stores_no_series(monkeypatch):
+    G = builtin_group("sym:4")  # cold: no series built yet
     spec = CheckSpec("T2.10", "sym:4", "gamma:3", "G,G,G")
-    assert run_check(spec, G=G).status == "pass"  # builds, audits and stores the series
     builds = []
-    real_build, real_require = series_mod._build_gamma, series_mod._require
+    real_build = series_mod._build_gamma
 
     def counting_build(T, budget):
         builds.append(T)
         return real_build(T, budget)
 
-    def audit_fails(cond, message):
-        real_require(cond and "escapes P_" not in message, message)
-
     monkeypatch.setattr(series_mod, "_build_gamma", counting_build)
-    monkeypatch.setattr(series_mod, "_require", audit_fails)
-    with pytest.raises(InternalInvariantViolation, match="escapes P_"):
-        run_check(spec, G=G)
-    assert not builds  # the series and the audit's shorter series both came from the memo
+    _fail_the_audit(monkeypatch)
+    for calls in (1, 2, 3):
+        with pytest.raises(InternalInvariantViolation, match="escapes P_"):
+            run_check(spec, G=G)
+        assert len(builds) == calls  # nothing came from the memo
+    assert not any(kind == "series" for kind, _ in G._memo)
+
+
+def test_the_audit_covers_plain_cli_calls_and_large_groups(monkeypatch, capsys):
+    _fail_the_audit(monkeypatch)
+    assert main(["series", "gamma", "--group", "sym:4", "--r", "3"]) == 1
+    assert capsys.readouterr().err.startswith("internal invariant violated: ")
+    rows = run_suite([str(GROUP_DIR / "gap512.perm")], ids=["T2.10"]).rows
+    for row in rows:
+        expected = "pass" if row.word == "gamma:1" else "fail"
+        assert row.status == expected, row
+    assert sum(row.word == "gamma:2" for row in rows) == 5
 
 
 def test_class_generating_subset_memo_matches_a_fresh_computation():

@@ -33,7 +33,7 @@ def class_subsets(G, r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_gamma_series_structure(r, quat8):
-    series = build_gamma_series(full_normal_tuple(quat8, r), audit=True)
+    series = build_gamma_series(full_normal_tuple(quat8, r))
     assert len(series.factors) == r
     assert series.top == verbal_subgroup(gamma(r), [quat8.full_subgroup()] * r)
     assert series.bottom == commutator_subgroup(series.top, series.top)
@@ -55,7 +55,7 @@ def test_gamma_series_quat_chain(quat8):
 
 
 def test_gamma_series_sym4_r3(sym4):
-    series = build_gamma_series(full_normal_tuple(sym4, 3), audit=True)
+    series = build_gamma_series(full_normal_tuple(sym4, 3))
     assert series.top.order == 12
     report = verify_series(series)
     assert report.all_ok

@@ -110,6 +110,19 @@ def test_value_set_arity_mismatch(sym3):
             call()
 
 
+def test_value_sets_take_subsets_not_index_lists(sym3):
+    full = sym3.full_subgroup()
+    x1, x2 = variables(gamma(2))
+    calls = [
+        lambda: value_set(gamma(2), [[0, 1], [0, 1]]),
+        lambda: value_set(gamma(2), [full, [0, 1]]),
+        lambda: value_set_over(gamma(2), {x1: [0, 1], x2: full}),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionFailed, match=r"^value sets take Subsets; x\d got a list$"):
+            call()
+
+
 def test_value_set_budget_literal(sym4):
     with pytest.raises(BudgetExceeded):
         value_set_over(

@@ -17,7 +17,6 @@ from verba.errors import (
 from verba.words import (
     MAX_WORD_DEPTH,
     Commutator,
-    Inverse,
     Power,
     Product,
     Var,
@@ -143,15 +142,13 @@ def _plain_render(w):
         return f"[{_plain_render(w.left)},{_plain_render(w.right)}]"
     if isinstance(w, Product):
         return "*".join(atomish(f) for f in w.factors) if w.factors else "()"
-    if isinstance(w, Power):
-        return f"{atomish(w.child)}^{w.exponent}"
-    return f"{atomish(w.child)}^-1"
+    return f"{atomish(w.child)}^{w.exponent}"
 
 
 def _plain_vars(w):
     if isinstance(w, Var):
         return {w}
-    if isinstance(w, (Inverse, Power)):
+    if isinstance(w, Power):
         return _plain_vars(w.child)
     if isinstance(w, Product):
         return set().union(*map(_plain_vars, w.factors))
@@ -163,7 +160,7 @@ def _plain_vars(w):
 def test_stored_render_and_variables_match_recursion(word):
     assert render(word) == _plain_render(word)
     assert variables(word) == tuple(sorted(_plain_vars(word)))
-    for wrapped in (Inverse(word), Product((word, word)), Product(())):
+    for wrapped in (Power(word, -1), Product((word, word)), Product(())):
         assert render(wrapped) == _plain_render(wrapped)
         assert variables(wrapped) == tuple(sorted(_plain_vars(wrapped)))
 
@@ -174,7 +171,7 @@ def test_stored_render_and_variables_match_recursion(word):
 
 
 def test_reduce_cancellation():
-    assert reduce_word(Product((x1, Inverse(x1)))).letters == ()
+    assert reduce_word(Product((x1, Power(x1, -1)))).letters == ()
     assert reduce_word(parse_word("[x1,x1]")).letters == ()
     assert reduce_word(parse_word("x1^0")).letters == ()
 
@@ -187,7 +184,6 @@ def test_reduce_commutator_convention():
 _any_word = st.recursive(
     st.builds(Var, st.sampled_from("xy"), st.integers(1, 4)),
     lambda children: st.one_of(
-        st.builds(Inverse, children),
         st.builds(Power, children, st.integers(-3, 3)),
         st.builds(Commutator, children, children),
         st.builds(
