@@ -16,7 +16,6 @@ from .errors import (
     InternalInvariantViolation,
     NotAGroup,
     NotNormal,
-    NotNormalSubset,
     OrderCapExceeded,
     PowerConditionFailed,
     PreconditionFailed,
@@ -34,7 +33,6 @@ from .groups import (
     Subset,
     builtin_group,
     closure,
-    commutator_of_subsets,
     commutator_subgroup,
     direct_product,
     evaluate,

@@ -47,12 +47,8 @@ class UnassignedVariable(VerbaError):
     """A word was evaluated without a value for one of its variables."""
 
 
-class NotNormalSubset(VerbaError):
-    """An operation required a conjugation-closed subset."""
-
-
 class NotNormal(VerbaError):
-    """An operation required a normal subgroup."""
+    """An operation required a normal subgroup or a conjugation-closed subset."""
 
 
 class ProductNotSubgroup(VerbaError):

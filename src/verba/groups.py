@@ -18,7 +18,6 @@ from .errors import (
     BadIndex,
     NotAGroup,
     NotNormal,
-    NotNormalSubset,
     OrderCapExceeded,
     ProductNotSubgroup,
     UnassignedVariable,
@@ -357,14 +356,7 @@ class Subset:
 
     def require_normal(self) -> "Subset":
         if not self.is_normal:
-            raise NotNormal(f"subgroup of order {self.order} is not normal")
-        return self
-
-    def require_normal_subset(self) -> "Subset":
-        if not self.is_normal:
-            raise NotNormalSubset(
-                f"subset of {self.group.label} is not closed under conjugation"
-            )
+            raise NotNormal(f"subset of {self.group.label} is not closed under conjugation")
         return self
 
     def __repr__(self) -> str:
@@ -462,13 +454,6 @@ def normal_closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     return closure(G, Subset(G, G.class_union(own(G, seed).mask)))
 
 
-def mesh(G: FiniteGroup, op, a, b, budget: int | None, what: str) -> np.ndarray:
-    """Sorted distinct op(x, y) in G over x in `a` and y in `b`.  The |a| x |b|
-    mesh counts against the budget as a tuple space."""
-    require_budget(a.shape[0] * b.shape[0], budget, what)
-    return _scatter(G.order, op, a, b).nonzero()[0]
-
-
 def _scatter(n: int, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask over 0..n-1 of op(x, y) for x in `a` and y in `b`, a row block at a time."""
     seen = np.zeros(n, dtype=bool)
@@ -505,30 +490,22 @@ def _set_product(G: FiniteGroup, op, A: Subset, B: Subset) -> Subset:
     return interned(G, _scatter(G.order, op, A.elements, B.elements))
 
 
-def commutator_of_subsets(G: FiniteGroup, S: Subset, T: Subset, budget: int | None = None) -> Subset:
-    """Subgroup generated by commutators [s,t]; equals [<S>,<T>] for normal
-    subsets.  The |S| x |T| mesh counts against the budget, even on a memo hit."""
-    S.require_normal_subset()
-    T.require_normal_subset()
-    return closure(G, set_product(G, G.comm_arr, S, T, budget, "commutator mesh"))
-
-
 def commutator_subgroup(H: Subset, K: Subset, budget: int | None = None) -> Subset:
-    """[H,K] for normal subgroups H, K of the same group."""
-    H.require_normal()
-    K.require_normal()
-    return commutator_of_subsets(H.group, H, K, budget)
+    """Subgroup generated by the commutators [h,k] of two normal subsets of
+    one group: [H,K] for normal subgroups, and [<H>,<K>] for normal subsets.
+    The |H| x |K| mesh counts against the budget, even on a memo hit."""
+    G = H.group
+    seed = set_product(G, G.comm_arr, H.require_normal(), K.require_normal(), budget, "commutator mesh")
+    return closure(G, seed)
 
 
 def subgroup_product(H: Subset, K: Subset, budget: int | None = None) -> Subset:
     """The set product HK, which must again be a subgroup."""
     G = H.group
     HK = set_product(G, G.mul_arr, H, K, budget, "subgroup product")
-    if not (H.is_normal or K.is_normal):
-        closed = mesh(G, G.mul_arr, HK.elements, HK.elements, budget, "subgroup product")
-        if closed.size != HK.order or not HK.mask[closed].all():
-            raise ProductNotSubgroup("neither factor is normal and the set product is not closed")
-    return HK
+    if H.is_normal or K.is_normal or set_product(G, G.mul_arr, HK, HK, budget, "subgroup product") == HK:
+        return HK
+    raise ProductNotSubgroup("neither factor is normal and the set product is not closed")
 
 
 def quotient(P: Subset) -> tuple[np.ndarray, FiniteGroup]:

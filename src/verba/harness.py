@@ -20,7 +20,6 @@ from .errors import (
     BadIndex,
     BudgetExceeded,
     InternalInvariantViolation,
-    NotNormal,
     PowerConditionFailed,
     PreconditionFailed,
     UnknownCheckId,
@@ -220,7 +219,7 @@ def _parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
             m = re.fullmatch(r"set:\(?([\d,\s]*)\)?;n=(\d+)", part)
             if not m:
                 raise UnknownSpec(f"cannot parse tuple entry {part!r}")
-            subset = G.subset(_int_list(m.group(1))).require_normal_subset()
+            subset = G.subset(_int_list(m.group(1))).require_normal()
             sub = closure(G, subset)
             n = int(m.group(2))
             if not subset.mask[G.pow_arr(sub.elements, n)].all():
@@ -229,8 +228,6 @@ def _parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
                 )
         else:
             raise UnknownSpec(f"unknown tuple entry {part!r}")
-        if not sub.is_normal:
-            raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
         subgroups.append(sub)
         generators.append(sub if subset is None else subset)
     return ParsedTuple(tuple(subgroups), tuple(generators), tuple(labels))

@@ -526,7 +526,7 @@ def _require_normal_subsets(w: WordExpr, subsets: Sequence[Subset]) -> tuple[Var
     """The variables of `w`, once `subsets` holds one normal subset for each."""
     vars_ = tuple(_positional(w, subsets))
     for S in subsets:
-        S.require_normal_subset()
+        S.require_normal()
     return vars_
 
 

@@ -335,6 +335,9 @@ def test_usage_errors_are_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
     assert run_cli(["values", "--group", "nosuch:7", "--word", "gamma:2"])[0] == 2
     assert run_cli(["values", "--group", "sym:3", "--word", "x1**"])[0] == 2
+    capsys.readouterr()
+    assert run_cli(["values", "--group", "sym:3", "--word", "x1", "--tuple", "set:(1);n=2"]) == (2, "")
+    assert capsys.readouterr().err == "error: subset of sym:3 is not closed under conjugation\n"
     assert run_cli(["nonsense"])[0] == 2
     assert run_cli([])[0] == 2
     assert run_cli(["check", "L9.9", "--group", "sym:3", "--word", "gamma:2"])[0] == 2

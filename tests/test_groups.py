@@ -15,7 +15,7 @@ from verba.errors import (
     BadIndex,
     BudgetExceeded,
     NotAGroup,
-    NotNormalSubset,
+    NotNormal,
     OrderCapExceeded,
     ProductNotSubgroup,
     UnassignedVariable,
@@ -26,7 +26,6 @@ from verba.groups import (
     Subset,
     builtin_group,
     closure,
-    commutator_of_subsets,
     commutator_subgroup,
     cycles_str,
     direct_product,
@@ -606,11 +605,11 @@ def test_star_power_monotone_and_bounded(sym4):
 
 def test_commutator_of_subsets(quat8, sym3):
     full = quat8.full_subgroup()
-    assert commutator_of_subsets(quat8, full, full).order == 2
+    assert commutator_subgroup(full, full).order == 2
     one = quat8.subset([0])
-    assert commutator_of_subsets(quat8, full, one).order == 1
+    assert commutator_subgroup(full, one).order == 1
     a3 = sym3.derived_subgroup()
-    assert commutator_of_subsets(sym3, a3, a3).order == 1
+    assert commutator_subgroup(a3, a3).order == 1
 
 
 @pytest.mark.parametrize("spec", list(DEFAULT_CATALOG) + ["sym:5", "sym:6"])
@@ -673,7 +672,7 @@ def test_commutator_of_subsets_matches_the_full_mesh(name):
             assert np.array_equal(groups.set_product(G, op, S, T, None, "mesh").elements, values)
         if S is outside:
             continue
-        C = commutator_of_subsets(G, S, T)
+        C = commutator_subgroup(S, T)
         assert C.generators == tuple(values.tolist())
         if G.order < 720 and S in normals and T in normals:
             pair = frozenset((S.key, T.key))
@@ -713,8 +712,8 @@ def test_subset_takes_lists_arrays_and_iterators(sym4):
 
 def test_commutator_requires_normal_subsets(quat8):
     i_only = quat8.subset([quat8.element_names.index("i")])
-    with pytest.raises(NotNormalSubset):
-        commutator_of_subsets(quat8, i_only, quat8.full_subgroup())
+    with pytest.raises(NotNormal):
+        commutator_subgroup(i_only, quat8.full_subgroup())
 
 
 def test_subsets_of_another_group_are_rejected(sym3, sym4, quat8):
@@ -730,7 +729,7 @@ def test_subsets_of_another_group_are_rejected(sym3, sym4, quat8):
     calls = [
         lambda: value_set(gamma(2), [sym3.full_subgroup(), cyc6.full_subgroup()]),
         lambda: value_set(gamma(2), [sym3.full_subgroup(), quat8.full_subgroup()]),
-        lambda: commutator_of_subsets(sym3, cyc6.full_subgroup(), sym3.full_subgroup()),
+        lambda: commutator_subgroup(cyc6.full_subgroup(), sym3.full_subgroup()),
         lambda: subgroup_product(sym3.full_subgroup(), cyc6.full_subgroup()),
         lambda: star_power(sym4, quat8.full_subgroup(), 2),
         lambda: check_linearity(gamma(2), [F, F], 1, dih12.derived_subgroup()),
@@ -757,6 +756,17 @@ def test_subgroup_product(sym3):
     assert subgroup_product(a3, a3) == a3
     swap = closure(sym3, [sym3.element_names.index("(1 2)")])
     assert subgroup_product(swap, a3).order == 6
+
+
+def test_subgroup_product_of_two_non_normal_factors(sym4):
+    # <(1 2)><(3 4)> is a subgroup of order 4, though neither factor is normal
+    h = closure(sym4, [sym4.element_names.index("(1 2)")])
+    k = closure(sym4, [sym4.element_names.index("(3 4)")])
+    assert not (h.is_normal or k.is_normal)
+    assert subgroup_product(h, k) == closure(sym4, h.elements.tolist() + k.elements.tolist())
+    assert subgroup_product(h, k, 16).order == 4
+    with pytest.raises(BudgetExceeded, match="subgroup product needs 16 tuples"):
+        subgroup_product(h, k, 15)
 
 
 def test_subgroup_product_rejects_nonclosed(sym3):
@@ -858,6 +868,31 @@ def test_only_finite_group_reads_its_table():
     """Everything outside `FiniteGroup` multiplies, inverts and brackets
     through its array methods, so the table format is known in one class."""
     assert table_reads_outside_finite_group(Path(groups.__file__).parent) == []
+
+
+def unused_imports(src: Path) -> list[tuple[str, str]]:
+    """(file, name) of every name that a module under `src`, other than
+    `__init__.py`, which imports to re-export, imports and never reads."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [(path.name, name) for name in imported if name not in read]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """A deletion that leaves its import behind fails here."""
+    assert unused_imports(Path(groups.__file__).parent) == []
 
 
 def test_vectorised_evaluation_matches_scalar(sym4):

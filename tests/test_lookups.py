@@ -22,7 +22,7 @@ from verba.errors import (
     BadIndex,
     BudgetExceeded,
     InternalInvariantViolation,
-    NotNormalSubset,
+    NotNormal,
     UnknownSpec,
 )
 from verba.groups import (
@@ -430,7 +430,7 @@ def test_parsed_tuple_memo_per_group():
 
 @pytest.mark.parametrize(
     "text, error",
-    [("G,bogus", UnknownSpec), ("ncl(99)", BadIndex), ("set:(1);n=2", NotNormalSubset)],
+    [("G,bogus", UnknownSpec), ("ncl(99)", BadIndex), ("set:(1);n=2", NotNormal)],
 )
 def test_malformed_tuple_specs_raise_on_every_call(text, error):
     G = builtin_group("sym:4")

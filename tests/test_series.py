@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
-from verba.errors import BudgetExceeded, NotNormalSubset, PreconditionFailed
-from verba.groups import builtin_group, closure, commutator_subgroup
+import verba.series as series_mod
+from verba.errors import BudgetExceeded, NotNormal, PreconditionFailed
+from verba.groups import Subset, builtin_group, closure, commutator_subgroup
+from verba.harness import CheckSpec, parse_tuple_spec, resolve_group, run_check
 from verba.series import (
     build_delta_series,
     build_gamma_series,
@@ -13,7 +18,7 @@ from verba.series import (
     generator_bound_report,
     verify_series,
 )
-from verba.verbal import class_generating_subset, verbal_subgroup
+from verba.verbal import LinearityReport, class_generating_subset, verbal_subgroup
 from verba.words import gamma, render
 
 
@@ -237,7 +242,7 @@ def test_bounds_require_subsets(quat8):
     with pytest.raises(PreconditionFailed):
         generator_bound_report(series, [quat8.trivial_subgroup()] * 2)
     not_normal = quat8.subset([2])  # {i}; i is conjugate to -i
-    with pytest.raises(NotNormalSubset):
+    with pytest.raises(NotNormal):
         generator_bound_report(series, [not_normal] * 2)
 
 
@@ -262,3 +267,52 @@ def test_series_builders_and_verify_series_take_the_budget_to_their_meshes():
     assert verify_series(series, budget=144).all_ok
     with pytest.raises(BudgetExceeded, match="commutator mesh needs 144 tuples, budget is 143"):
         verify_series(series, budget=143)
+
+
+# ---------------------------------------------------------------------------
+# trivial factors: linearity from the value set
+# ---------------------------------------------------------------------------
+
+
+def test_a_value_set_shrunk_into_the_lower_term_still_fails_generation(monkeypatch):
+    """A factor whose values lie in its lower term is linear there without a
+    sweep, so a seeded fault that shrinks a non-trivial factor's value set
+    into its lower term passes linearity, and generation fails the row."""
+    G = resolve_group("sym:4")
+    spec = CheckSpec("T2.10", "sym:4", "gamma:2", "G,G")
+    assert run_check(spec, G=G).status == "pass"
+    series = build_gamma_series(parse_tuple_spec("G,G", G).subgroups)
+    target = series.factors[0]
+    assert target.lower.order == 4 and target.upper.order == 12
+    env = {e.var: e.subgroup for e in target.entries}
+    real = series_mod.value_set_over
+
+    def shrunk(w, subs, budget=None):
+        vs = real(w, subs, budget)
+        if subs != env:
+            return vs
+        return SimpleNamespace(members=Subset(G, vs.members.mask & target.lower.mask))
+
+    monkeypatch.setattr(series_mod, "value_set_over", shrunk)
+    first = verify_series(series).factors[0]
+    assert not first.generation_ok and first.linearity == LinearityReport(space=0, holds=True)
+    row = run_check(spec, G=G)
+    assert row.status == "fail" and row.detail.endswith("; failing factors [1]")
+
+
+def test_trivial_factors_are_never_swept(monkeypatch):
+    # every factor of this row lies in its lower term, so none needs a sweep
+    def swept(*args, **kwargs):
+        raise AssertionError("check_linearity called on a trivial factor")
+
+    monkeypatch.setattr(series_mod, "check_linearity", swept)
+    path = str(Path(__file__).resolve().parent / "groups" / "dgap1920.perm")
+    G = resolve_group(path)
+    series = build_gamma_series(parse_tuple_spec("G,derived,center", G).subgroups)
+    assert all(f.linearity.space == 0 for f in verify_series(series).factors)
+    assert run_check(CheckSpec("T2.10", path, "gamma:3", "G,derived,center"), G=G).status == "pass"
+
+
+def test_a_non_trivial_factor_is_still_swept(sym4):
+    series = build_gamma_series(full_normal_tuple(sym4, 2))
+    assert any(f.linearity.space > 0 for f in verify_series(series).factors)

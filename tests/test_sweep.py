@@ -5,9 +5,9 @@ reports the first tuple, in row-major order, at which its predicate fails;
 Lemmas 2.5, 2.6 and 3.2 are decided from value sets and walk no tuples, and
 Lemma 2.8 by one linearity check and one value set.  These tests pin that
 the answer does not depend on the block size, that the streamed kernels
-(`mesh`, the breadth-first `_ball` and the witness search) agree with
-full-mesh and set-arithmetic oracles at every block size and hold one block
-of memory, and pin the gap group
+(`_scatter`, the kernel of every `set_product`, the breadth-first `_ball`
+and the witness search) agree with full-mesh and set-arithmetic oracles at
+every block size and hold one block of memory, and pin the gap group
 `tests/groups/gap512.perm`, on which the value sets of gamma:2 and gamma:3
 are smaller than their verbal subgroups, through its suite golden and cheap
 sweep rows, and the group `tests/groups/dgap1920.perm` of order 1920, on
@@ -37,7 +37,6 @@ from verba.groups import (
     closure,
     commutator_subgroup,
     evaluate,
-    mesh,
     star_power,
 )
 from verba.harness import CheckSpec, resolve_group, run_check
@@ -195,7 +194,7 @@ def test_mesh_matches_the_full_mesh_at_every_block_size(monkeypatch, spec):
     expected = [np.unique(op(a[:, None], b[None, :])).tolist() for op in ops for a, b in pairs]
     _at_block_sizes(
         monkeypatch,
-        lambda: [mesh(G, op, a, b, None, "mesh").tolist() for op in ops for a, b in pairs],
+        lambda: [np.flatnonzero(groups._scatter(G.order, op, a, b)).tolist() for op in ops for a, b in pairs],
         expected,
     )
 
@@ -291,7 +290,7 @@ def test_exhaustive_kernels_hold_one_block_of_memory():
     sym5.comm_arr(0, 0)  # the commutator table is the group's, built before
     assert _peak_mb(lambda: enumerate_values(gamma(3), env, None)) < 8
     elems = sym6.full_subgroup().elements
-    assert _peak_mb(lambda: mesh(sym6, sym6.comm_arr, elems, elems, None, "commutator mesh")) < 2
+    assert _peak_mb(lambda: np.flatnonzero(groups._scatter(sym6.order, sym6.comm_arr, elems, elems))) < 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from verba.errors import (
     BadIndex,
     BudgetExceeded,
     NotNormal,
-    NotNormalSubset,
     PowerConditionFailed,
     PreconditionFailed,
     UnknownSpec,
@@ -212,7 +211,7 @@ def test_normal_tuple_rejects_non_normal(sym3, quat8):
 
 
 def test_normal_tuple_rejects_non_generating_subset(sym3):
-    subset = sym3.subset([0]).require_normal_subset()
+    subset = sym3.subset([0]).require_normal()
     series = build_gamma_series([sym3.full_subgroup()])
     with pytest.raises(PreconditionFailed, match="does not generate"):
         generator_bound_report(series, [subset])
@@ -298,7 +297,7 @@ def test_star_membership_quat(quat8):
 
 def test_star_membership_sweep_gamma3(sym4):
     s = sym4.subset([i for i in range(24) if element_order(i, sym4.mul, 0) == 3])
-    s.require_normal_subset()
+    s.require_normal()
     star = star_power(sym4, s, 4)
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -313,7 +312,7 @@ def test_star_membership_sweep_gamma3(sym4):
 def test_star_membership_precondition(sym3):
     swap = sym3.subset([sym3.element_names.index("(1 2)")])
     s = class_generating_subset(sym3.full_subgroup())
-    with pytest.raises(NotNormalSubset):
+    with pytest.raises(NotNormal):
         star_membership_sweep(gamma(2), [s, swap], None)
     with pytest.raises(ArityMismatch):
         star_membership_sweep(gamma(2), [s], None)
@@ -326,7 +325,7 @@ def test_width_examples(sym4):
     transpositions = sym4.subset(
         [i for i in range(24) if sum(1 for a, b in enumerate(sym4.perm_images[i]) if a != b) == 2]
     )
-    transpositions.require_normal_subset()
+    transpositions.require_normal()
     sets = [transpositions, transpositions]
     # a product of two transpositions against one at m = (2, 1), two
     # transpositions at (1, 1), and a transposition against the identity at
@@ -345,7 +344,7 @@ def test_width_precondition(sym4):
     with pytest.raises(ArityMismatch):
         width_sweep(gamma(2), [s, s], [(1, 1, 1)], None)
     swap = sym4.subset([1])
-    with pytest.raises(NotNormalSubset):
+    with pytest.raises(NotNormal):
         width_sweep(gamma(2), [s, swap], [(1, 1)], None)
 
 
