@@ -47,22 +47,48 @@ class ProductSpace:
         require_budget(self.size, budget, what)
         return self
 
-    def axis_values(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [a[i] for a, i in zip(self.axes, np.unravel_index(flat, self.sizes))]
-
     def blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
-        for rows in row_blocks(self.size, 1):
-            yield rows.start, self.axis_values(np.arange(rows.start, rows.stop, dtype=np.int64))
+        """The tuples in row-major blocks, as (flat index of the first tuple,
+        one column per axis).  A block is a run of k consecutive index
+        combinations of the leading axes, as many as fit in BLOCK cells with
+        the whole trailing axes t..n; only the leading indices are decoded,
+        each trailing column is its axis reshaped, and the columns broadcast
+        to (k, s_t, ..., s_n), so a sub-word that reads fewer axes is
+        evaluated on its smaller shape.  A last axis longer than BLOCK is cut
+        into slices of BLOCK entries."""
+        if not self.size:
+            return
+        sizes = self.sizes
+        lead, tail = len(sizes) - 1, sizes[-1]  # axes[lead:] are trailing, with tail cells
+        while lead and tail * sizes[lead - 1] <= BLOCK:
+            lead -= 1
+            tail *= sizes[lead]
+        ndim = 1 + len(sizes) - lead
+        first, *others = [
+            a.reshape((1,) * j + (-1,) + (1,) * (ndim - 1 - j))
+            for j, a in enumerate(self.axes[lead:], start=1)
+        ]
+        step, combos = max(1, BLOCK // tail), self.size // tail
+        for a in range(0, combos, step):
+            index = np.unravel_index(np.arange(a, min(a + step, combos)), sizes[:lead]) if lead else ()
+            cols = [axis[i].reshape((-1,) + (1,) * (ndim - 1)) for axis, i in zip(self.axes, index)]
+            for c in range(0, sizes[lead], BLOCK):  # one slice unless tail > BLOCK
+                yield a * tail + c, cols + [first[:, c : c + BLOCK], *others]
 
     def first_failure(self, holds: Callable[[list[np.ndarray]], np.ndarray]) -> int | None:
         """Flat index of the first tuple at which `holds` is False, or None
-        if it holds on all of them.  `holds` maps the axis columns of a block
-        to one boolean per tuple."""
+        if it holds on all of them.  `holds` maps the columns of a block to
+        booleans that broadcast to the block, and may leave an axis it
+        ignores at length 1."""
         for start, cols in self.blocks():
-            bad = np.flatnonzero(~holds(cols))
-            if bad.size:
-                return start + int(bad[0])
+            bad = ~holds(cols)
+            first = int(bad.argmax())  # the first True in row-major order, if any
+            if bad.flat[first]:
+                shape = np.broadcast(*cols).shape
+                if bad.shape != shape:
+                    first = int(np.broadcast_to(bad, shape).argmax())
+                return start + first
         return None
 
     def tuple_at(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(c[0]) for c in self.axis_values(np.array([flat])))
+        return tuple(int(a[i]) for a, i in zip(self.axes, np.unravel_index(flat, self.sizes)))

@@ -109,15 +109,20 @@ class FiniteGroup:
         return self.cached("comm_table", None, _full_commutator_table, self)
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
-        if e < 0:
-            a, e = self.inverse_table[a], -e
-        out = np.zeros_like(np.asarray(a))
+        """a^e by squaring from the lowest set bit of |e| to the top one, so
+        e = 1 gathers nothing and e = -1 only the inverse."""
         base = np.asarray(a)
-        while e:
+        if e < 0:
+            base, e = self.inverse_table[base], -e
+        if not e:
+            return np.zeros_like(base)
+        while not e & 1:
+            base, e = self.table[base, base], e >> 1
+        out = base
+        while e := e >> 1:
+            base = self.table[base, base]
             if e & 1:
                 out = self.table[out, base]
-            base = self.table[base, base]
-            e >>= 1
         return out
 
     # -- subsets and naming ----------------------------------------------------

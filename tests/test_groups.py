@@ -393,6 +393,21 @@ def test_evaluate_respects_reduction(sym3, data):
     assert direct == reduced
 
 
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_pow_arr_matches_repeated_products(spec):
+    G = builtin_group(spec)
+    x = np.arange(G.order, dtype=np.int32)
+    for e in range(-5, 6):
+        factor = x if e > 0 else G.inv_arr(x)
+        expected = np.zeros_like(x)
+        for _ in range(abs(e)):
+            expected = G.mul_arr(expected, factor)
+        assert np.array_equal(G.pow_arr(x, e), expected), e
+        for a in x:  # 0-d scalars
+            power = G.pow_arr(a, e)
+            assert np.ndim(power) == 0 and power == expected[a], (e, a)
+
+
 def test_permutation_table_matches_oracle(sym4):
     # spot-check the Cayley table against independent tuple composition
     images = sym4.perm_images

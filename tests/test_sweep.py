@@ -17,13 +17,17 @@ the same golden.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verba.harness as harness
 import verba.verbal as verbal
@@ -88,10 +92,10 @@ def test_first_failure_matches_itertools_product(monkeypatch, block):
                 continue
             bad = None if target is None else space.tuple_at(target)
 
-            def holds(cols, bad=bad):
+            def holds(cols, bad=bad):  # block columns broadcast together
                 if bad is None:
-                    return np.ones(cols[0].shape, dtype=bool)
-                return ~np.all([c == b for c, b in zip(cols, bad)], axis=0)
+                    return np.ones(np.broadcast_shapes(*(c.shape for c in cols)), dtype=bool)
+                return ~np.all(np.broadcast_arrays(*(c == b for c, b in zip(cols, bad))), axis=0)
 
             expected = _first_false_by_product(axes, lambda p, bad=bad: p != bad)
             assert space.first_failure(holds) == expected == target, (shape, target)
@@ -103,6 +107,53 @@ def test_first_failure_matches_itertools_product(monkeypatch, block):
         expected = _first_false_by_product(axes, lambda p: sum(p) % 3 != 0)
         assert space.first_failure(parity) == expected, shape
     assert checked > 30
+
+
+@st.composite
+def _spaces(draw):
+    """(BLOCK, axis sizes) with 1-5 axes, some empty, and at times one axis
+    longer than BLOCK beside short ones, so that every space stays small
+    enough to list with itertools.product."""
+    block = draw(st.sampled_from([7, enumeration.BLOCK]))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        sizes = [min(s, 2) for s in sizes[:3]] if block > 7 else sizes
+        sizes[draw(st.integers(0, len(sizes) - 1))] = block + draw(st.integers(1, 3))
+    return block, sizes
+
+
+@given(_spaces(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_broadcast_to_the_rows_of_the_product(space_shape, data):
+    block, sizes = space_shape
+    axes = [np.arange(n, dtype=np.int64) * (i + 2) for i, n in enumerate(sizes)]
+    product = np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(-1, len(sizes))
+    with mock.patch.object(enumeration, "BLOCK", block):
+        space = ProductSpace(axes)
+        rows, flat = [], 0
+        for start, cols in space.blocks():
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
+            assert start == flat and 0 < np.prod(shape) <= block, (start, shape)
+            rows.append(np.stack([c.ravel() for c in np.broadcast_arrays(*cols)], axis=1))
+            flat += int(np.prod(shape))
+        listed = np.concatenate(rows) if rows else np.empty((0, len(sizes)), dtype=np.int64)
+        assert np.array_equal(listed, product)
+        # a predicate reading only the axes in `read` fails where they take
+        # the values of one product tuple
+        read = data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
+        target = product[data.draw(st.integers(0, len(product) - 1))] if len(product) else None
+        expected = None
+        if target is not None:
+            expected = int(np.flatnonzero((product[:, sorted(read)] == target[sorted(read)]).all(axis=1))[0])
+
+        def holds(cols):
+            if target is None:
+                return np.ones((), dtype=bool)
+            return ~functools.reduce(np.logical_and, (cols[i] == target[i] for i in read))
+
+        assert space.first_failure(holds) == expected
+        if expected is not None:
+            assert space.tuple_at(expected) == tuple(product[expected])
 
 
 def _at_block_sizes(monkeypatch, run, expected=None):
