@@ -308,6 +308,44 @@ def test_builtin_errors():
             builtin_group(spec, cap=5)
 
 
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("cyc:0", (UnknownSpec, "cyc:n needs n >= 1")),
+        ("dih:0", (UnknownSpec, "dih:n needs n >= 1")),
+        ("sym:0", (UnknownSpec, "sym:n needs n >= 1")),
+        ("alt:0", (UnknownSpec, "alt:n needs n >= 1")),
+        ("quat:7", (UnknownSpec, "only quat:8 is available")),
+        ("quat:99999", (UnknownSpec, "only quat:8 is available")),
+        ("heis:0", (UnknownSpec, "heis:0 not supported (prime <= 7 required)")),
+        ("heis:4", (UnknownSpec, "heis:4 not supported (prime <= 7 required)")),
+        ("heis:100", (OrderCapExceeded, "order 1000000 exceeds cap 5040")),
+        ("foo:3", (UnknownSpec, "unknown group kind 'foo'")),
+        ("cyc:6000", (OrderCapExceeded, "order 6000 exceeds cap 5040")),
+        ("dih:3000", (OrderCapExceeded, "order 6000 exceeds cap 5040")),
+        ("sym:8", (OrderCapExceeded, "permutation closure exceeded order cap 5040")),
+        ("alt:1", ("alt:1", 1)),
+        ("alt:2", ("alt:2", 1)),
+        ("alt:3", ("alt:3", 3)),
+        ("sym:1", ("sym:1", 1)),
+        ("cyc:1", ("cyc:1", 1)),
+        ("quat:8", ("quat:8", 8)),
+        ("heis:7", ("heis:7", 343)),
+        ("cyc:2 x sym:3", ("cyc:2 x sym:3", 12)),
+    ],
+)
+def test_builtin_spec_edges(spec, expected):
+    """Each edge spec gives its label and order, or its error type and
+    message: the n >= 1 check comes before the cap, the quat:8 check
+    before it too, and the cap before heis's prime check."""
+    try:
+        G = builtin_group(spec)
+    except (UnknownSpec, OrderCapExceeded) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert (G.label, G.order) == expected
+
+
 def test_heisenberg_is_nonabelian_of_exponent_p():
     h = builtin_group("heis:3")
     assert h.derived_subgroup().order == 3
