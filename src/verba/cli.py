@@ -31,12 +31,11 @@ from .harness import (
     resolve_word,
     run_check,
     run_suite,
-    series_parameter,
     series_variables,
     survey,
     word_arity,
 )
-from .series import build_delta_series, build_gamma_series, verify_series
+from .series import build_series, series_parameter, verify_series
 from .verbal import value_set, verbal_subgroup
 from .words import (
     MAX_WORD_DEPTH,
@@ -261,10 +260,7 @@ def _cmd_series(args) -> int:
         subgroups = [G.full_subgroup()] * arity
     elif len(subgroups) != arity:
         raise VerbaError(f"{args.kind}:{n} needs {arity} tuple entries, --tuple has {len(subgroups)}")
-    if args.kind == "gamma":
-        series = build_gamma_series(subgroups, budget)
-    else:
-        series = build_delta_series(subgroups, n, budget)
+    series = build_series(args.kind, subgroups, budget)
     report = verify_series(series, budget=budget)
     lines = [
         f"{args.kind} series on {G.label}, parameter {series.parameter}: "

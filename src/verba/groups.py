@@ -384,6 +384,13 @@ def own(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     return seed
 
 
+def normal_tuple(subsets: Sequence[Subset]) -> tuple[Subset, ...]:
+    """`subsets` as a tuple of normal subsets of the first one's group, each
+    through `own` and `Subset.require_normal`: the one check of a tuple the
+    paper's words and series take."""
+    return tuple(own(subsets[0].group, S).require_normal() for S in subsets)
+
+
 def closure(G: FiniteGroup, seed: Subset | Iterable[int]) -> Subset:
     """Smallest subgroup containing `seed`: its star power of unbounded
     radius, under the same memo; `generators` is the sorted, distinct seed."""
@@ -788,38 +795,21 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if not m:
         raise UnknownSpec(f"cannot parse group spec {spec!r}")
     kind, n = m.group(1), int(m.group(2))
-    if kind == "cyc":
-        if n < 1:
-            raise UnknownSpec("cyc:n needs n >= 1")
-        if n > cap:
-            raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
-        return _cyclic(n)
-    if kind == "dih":
-        if n < 1:
-            raise UnknownSpec("dih:n needs n >= 1")
-        if 2 * n > cap:
-            raise OrderCapExceeded(f"order {2 * n} exceeds cap {cap}")
-        return _dihedral(n)
-    if kind == "sym":
-        if n < 1:
-            raise UnknownSpec("sym:n needs n >= 1")
-        g = group_from_permutations(_symmetric_gens(n), max(n, 1), label=f"sym:{n}", cap=cap)
-        return g
-    if kind == "alt":
-        if n < 1:
-            raise UnknownSpec("alt:n needs n >= 1")
-        g = group_from_permutations(_alternating_gens(n), max(n, 1), label=f"alt:{n}", cap=cap)
-        return g
-    if kind == "quat":
-        if n != 8:
-            raise UnknownSpec("only quat:8 is available")
-        if n > cap:
-            raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
-        return _quaternion8()
-    if kind == "heis":
-        if n**3 > cap:
-            raise OrderCapExceeded(f"order {n**3} exceeds cap {cap}")
-        return _heisenberg(n)
+    if kind in ("cyc", "dih", "sym", "alt") and n < 1:
+        raise UnknownSpec(f"{kind}:n needs n >= 1")
+    if kind in ("sym", "alt"):
+        gens = _symmetric_gens(n) if kind == "sym" else _alternating_gens(n)
+        return group_from_permutations(gens, n, label=f"{kind}:{n}", cap=cap)
+    if kind == "quat" and n != 8:
+        raise UnknownSpec("only quat:8 is available")
+    # the table-built kinds: (builder of n, order)
+    tables = {"cyc": (_cyclic, n), "dih": (_dihedral, 2 * n),
+              "quat": (lambda _: _quaternion8(), 8), "heis": (_heisenberg, n**3)}
+    if kind in tables:
+        build, order = tables[kind]
+        if order > cap:
+            raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+        return build(n)
     raise UnknownSpec(f"unknown group kind {kind!r}")
 
 

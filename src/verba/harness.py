@@ -36,13 +36,7 @@ from .groups import (
     load_group_file,
     normal_closure,
 )
-from .series import (
-    LinearSeries,
-    build_delta_series,
-    build_gamma_series,
-    generator_bound_report,
-    verify_series,
-)
+from .series import build_series, generator_bound_report, series_parameter, verify_series
 from .verbal import (
     check_disjoint_split,
     check_substitution,
@@ -158,12 +152,6 @@ def series_variables(kind: str, n: int) -> int | None:
     return int(leaves) if 1 <= leaves <= MAX_WORD_DEPTH + 1 else None
 
 
-def series_parameter(kind: str, arity: int) -> int:
-    """The r or k of the `kind` series on `arity` tuple entries: r = arity,
-    or k = floor(log2 arity), at least 1."""
-    return arity if kind == "gamma" else max(1, arity.bit_length() - 1)
-
-
 def word_arity(text: str) -> int:
     """The number of tuple entries a row with word spec `text` takes: the
     word's variables, or 3 for `-`, L2.8's (K, L, N)."""
@@ -252,12 +240,12 @@ def _split_entries(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
+    """The comma-separated element indices of `text`; an empty index is an error."""
     out = []
-    for tok in re.split(r"[,\s]+", text.strip()):
-        if tok:
-            if not tok.isdecimal():
-                raise BadIndex(f"element index {tok!r} is not a number")
-            out.append(int(tok))
+    for tok in text.split(","):
+        if not tok.strip().isdecimal():
+            raise BadIndex(f"element index {tok.strip()!r} is not a number")
+        out.append(int(tok))
     return out
 
 
@@ -366,16 +354,8 @@ def _check_comm_congruence(G, tree, tup, budget) -> tuple[str, str]:
     return "pass", f"|K|={K.order} |L|={L.order} |N|={N.order} modulus={rep.modulus.order} ({rep.swept} tuples)"
 
 
-def _series(kind: str, tup: ParsedTuple, budget) -> LinearSeries:
-    """The series of the row's kind over `tup`: the kind comes from the row,
-    as delta:1 and gamma:2 are the same word."""
-    if kind == "gamma":
-        return build_gamma_series(tup.subgroups, budget)
-    return build_delta_series(tup.subgroups, series_parameter(kind, len(tup.subgroups)), budget)
-
-
 def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
-    series = _series(kind, tup, budget)
+    series = build_series(kind, tup.subgroups, budget)
     rep = verify_series(series, budget=budget)
     count = f"{len(rep.factors)} factors" if series.kind == "gamma" else f"t={len(rep.factors)}"
     detail = f"{count}, orders {[t.order for t in series.terms]}"
@@ -385,7 +365,8 @@ def _check_series(kind, G, tree, tup, budget) -> tuple[str, str]:
 
 
 def _check_bound(kind, G, tree, tup, budget) -> tuple[str, str]:
-    rep = generator_bound_report(_series(kind, tup, budget), _class_generating_subsets(tup), budget)
+    series = build_series(kind, tup.subgroups, budget)
+    rep = generator_bound_report(series, _class_generating_subsets(tup), budget)
     return _verdict(rep.all_ok, f"m={rep.base_values}, observed {[r.observed for r in rep.rows]}")
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import InternalInvariantViolation, NotNormal, PreconditionFailed
+from .errors import InternalInvariantViolation, PreconditionFailed
 from .groups import (
     Subset,
     closure,
     commutator_subgroup,
-    own,
+    normal_tuple,
     star_power,
     subgroup_product,
 )
@@ -144,18 +144,24 @@ def _canonical_factor(
     )
 
 
+def series_parameter(kind: str, arity: int) -> int:
+    """The r or k of the `kind` series on `arity` tuple entries: r = arity,
+    or k = floor(log2 arity), at least 1."""
+    return arity if kind == "gamma" else max(1, arity.bit_length() - 1)
+
+
+def build_series(kind: str, T: Sequence[Subset], budget: int | None = None) -> LinearSeries:
+    """The `kind` series ("gamma" or "delta") on T, its r or k read from
+    len(T) by `series_parameter`: the kind is named, not read from a word,
+    as delta(1) and gamma(2) are the same word."""
+    if kind == "gamma":
+        return build_gamma_series(T, budget)
+    return build_delta_series(T, series_parameter(kind, len(T)), budget)
+
+
 # ---------------------------------------------------------------------------
 # lower central series
 # ---------------------------------------------------------------------------
-
-
-def _normal_tuple(T: Sequence[Subset]) -> tuple[Subset, ...]:
-    """T as a tuple, checked to hold normal subgroups of one group."""
-    T = tuple(own(T[0].group, sub) for sub in T)
-    for pos, sub in enumerate(T, start=1):
-        if not sub.is_normal:
-            raise NotNormal(f"entry {pos} (order {sub.order}) is not normal")
-    return T
 
 
 def build_gamma_series(T: Sequence[Subset], budget: int | None = None) -> LinearSeries:
@@ -168,7 +174,7 @@ def build_gamma_series(T: Sequence[Subset], budget: int | None = None) -> Linear
     r = len(T)
     if r < 1:
         raise PreconditionFailed("gamma series needs a tuple of length >= 1")
-    T = _normal_tuple(T)
+    T = normal_tuple(T)
     key = ("gamma", r, tuple(sub.key for sub in T))
     return T[0].group.cached("series", key, _build_gamma, T, budget)
 
@@ -244,7 +250,7 @@ def build_delta_series(
         raise PreconditionFailed("delta series needs k >= 1")
     if len(T) != 2**k:
         raise PreconditionFailed(f"delta series at k={k} needs a tuple of length {2**k}")
-    return _delta(_normal_tuple(T), k, budget)
+    return _delta(normal_tuple(T), k, budget)
 
 
 def _delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
@@ -515,8 +521,8 @@ def generator_bound_report(
     depth actually needed to cover the per-entry generating sets.
     """
     G = series.base[0].group
+    sets = normal_tuple(sets)
     for pos, (S, N) in enumerate(zip(sets, series.base), start=1):
-        S.require_normal()
         if closure(G, S) != N:
             raise PreconditionFailed(
                 f"entry {pos}: generating subset does not generate the subgroup"

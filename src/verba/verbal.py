@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import ProductSpace, row_blocks
+from .enumeration import ProductSpace
 from .errors import ArityMismatch, PreconditionFailed
 from .groups import (
     FiniteGroup,
@@ -25,6 +25,7 @@ from .groups import (
     evaluate_arrays,
     greedy_generators,
     interned,
+    normal_tuple,
     own,
     quotient,
     set_product,
@@ -232,14 +233,11 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
         lefts.append(set_product(group, op, lefts[-1], side, None, "value-set combination"))
     out: dict[Var, int] = {}
     for i in range(len(children) - 1, 0, -1):
-        left, right = lefts[i - 1].elements, sides[i].elements
-        for rows in row_blocks(left.size, right.size):  # the first hit, row-major
-            hit = np.flatnonzero(op(left[rows, None], right[None, :]) == value)
-            if hit.size:
-                break
-        row, col = divmod(int(hit[0]), right.size)
-        out.update(_witness(children[i], sets, group, int(right[col])))
-        value = int(left[rows.start + row])
+        space = ProductSpace([lefts[i - 1].elements, sides[i].elements])
+        # the first pair failing "!= value", row-major, is the first giving it
+        flat = space.first_failure(lambda cols: op(*cols) != value)
+        value, right = space.tuple_at(flat)
+        out.update(_witness(children[i], sets, group, right))
     if children:
         out.update(_witness(children[0], sets, group, value))
     return out
@@ -525,8 +523,7 @@ def star_membership_sweep(
 def _require_normal_subsets(w: WordExpr, subsets: Sequence[Subset]) -> tuple[Var, ...]:
     """The variables of `w`, once `subsets` holds one normal subset for each."""
     vars_ = tuple(_positional(w, subsets))
-    for S in subsets:
-        S.require_normal()
+    normal_tuple(subsets)
     return vars_
 
 
@@ -587,45 +584,38 @@ def extended_width_sweep(
     mvecs = [tuple(m) for m in multiplicities]
     if any(len(m) != len(vars_) for m in mvecs):
         raise ArityMismatch(f"need one multiplicity per variable of {render(w)}")
-    members = []
-    for v in extensions:
-        k = extension_degree(v, w)
-        if k is None:
-            raise PreconditionFailed(f"{render(v)} is not an extension of {render(w)}")
-        members.append((v, k))
+    degrees = [extension_degree(v, w) for v in extensions]
+    if None in degrees:
+        raise PreconditionFailed(f"{render(extensions[degrees.index(None)])} is not an extension of {render(w)}")
     base = value_set(w, subsets, budget)
     G = base.members.group
     full = G.full_subgroup()
 
-    def starred(mvec):
-        return {x: star_power(G, S, m) for x, S, m in zip(vars_, subsets, mvec)}
-
-    def values_at(v, sets):
-        return value_set_over(v, {u: sets.get(u, full) for u in variables(v)}, budget)
+    def sweep(passes):
+        """The first (extension, vector, value set, star power) of `passes`,
+        (vector, multiplier) pairs, whose values escape the (multiplier 2^k)
+        star power of w{S}, else None; with the values tested before it."""
+        swept = 0
+        for mvec, mult in passes:
+            sets = {x: star_power(G, S, m) for x, S, m in zip(vars_, subsets, mvec)}
+            for v, k in zip(extensions, degrees):
+                vs = value_set_over(v, {u: sets.get(u, full) for u in variables(v)}, budget)
+                star = star_power(G, base.members, mult * 2**k)
+                if not star.mask[vs.values].all():
+                    return (v, mvec, vs, star), swept
+                swept += vs.size
+        return None, swept
 
     if mvecs:
-        wide = starred(tuple(map(max, zip(*mvecs))))
-        low = min(map(math.prod, mvecs))
-        swept = 0
-        for v, k in members:
-            vs = values_at(v, wide)
-            if not star_power(G, base.members, low * 2**k).mask[vs.values].all():
-                break
-            swept += vs.size
-        else:
+        escape, swept = sweep([(tuple(map(max, zip(*mvecs))), min(map(math.prod, mvecs)))])
+        if escape is None:
             return SweepReport(None, swept, None)
-    swept = 0
-    for mvec in mvecs:
-        sets = starred(mvec)
-        for v, k in members:
-            star = star_power(G, base.members, math.prod(mvec) * 2**k)
-            vs = values_at(v, sets)
-            escape = _first_escape(vs, star)
-            if escape is not None:
-                i, value, wit = escape
-                return SweepReport((v, mvec, value, wit), swept + i, None)
-            swept += vs.size
-    return SweepReport(None, swept, None)
+    escape, swept = sweep((mvec, math.prod(mvec)) for mvec in mvecs)
+    if escape is None:
+        return SweepReport(None, swept, None)
+    v, mvec, vs, star = escape
+    i, value, wit = _first_escape(vs, star)
+    return SweepReport((v, mvec, value, wit), swept + i, None)
 
 
 def comm_congruence_modulus(K: Subset, L: Subset, N: Subset, budget: int | None = None) -> Subset:
@@ -653,8 +643,7 @@ def comm_congruence_sweep(
     combination.  `swept` is |K|^2 |L∩K| |N| on a pass, and on a failure
     the linearity space, plus the escaping value's index for the kernel.
     """
-    for sub in (K, L, N):
-        sub.require_normal()
+    K, L, N = normal_tuple([K, L, N])
     modulus = comm_congruence_modulus(K, L, N, budget)
     lin = check_linearity(gamma(2), [K, N], 1, modulus, budget)
     if not lin.holds:

@@ -108,6 +108,18 @@ def test_empty_tuple_entry_is_a_usage_error(capsys, tuple_spec, word):
     assert (code, out, err) == (2, "", "error: unknown tuple entry ''\n")
 
 
+@pytest.mark.parametrize("entry, index", [
+    ("ncl()", ""), ("ncl(1,)", ""), ("ncl(,1)", ""), ("ncl(1,,2)", ""),
+    ("set:(0,,3);n=1", ""), ("set:();n=1", ""), ("ncl(1 2)", "1 2"),
+])
+def test_empty_element_index_is_a_usage_error(capsys, entry, index):
+    """Indices are split at commas alone, so an empty or space-separated
+    index is no index; `ncl(1, 2)` still reads 1 and 2."""
+    code, out = run_cli(["values", "--group", "sym:3", "--word", "x1", "--tuple", entry])
+    err = capsys.readouterr().err
+    assert (code, out, err) == (2, "", f"error: element index {index!r} is not a number\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["values", "--group", "sym:3", "--word", "gamma:2"],
     ["verbal", "--group", "sym:3", "--word", "gamma:2"],

@@ -103,6 +103,8 @@ def test_parse_tuple_spec_set_entry():
     assert tup.subgroups[0].order == 4 and tup.generators[0].order == 4
     tup = parse_tuple_spec("set:(0,2,6);n=4", c8)
     assert tup.subgroups[0].order == 4 and tup.generators[0].order == 3
+    spaced = parse_tuple_spec("set:( 0, 2 ,6 );n=4", c8)  # spaces around an index are allowed
+    assert (spaced.subgroups, spaced.generators) == (tup.subgroups, tup.generators)
 
 
 def test_default_tuple_specs_deterministic(sym4):

@@ -8,17 +8,26 @@ from types import SimpleNamespace
 import pytest
 
 import verba.series as series_mod
-from verba.errors import BudgetExceeded, NotNormal, PreconditionFailed
+from verba.errors import BadIndex, BudgetExceeded, NotNormal, PreconditionFailed
 from verba.groups import Subset, builtin_group, closure, commutator_subgroup
 from verba.harness import CheckSpec, parse_tuple_spec, resolve_group, run_check
 from verba.series import (
     build_delta_series,
     build_gamma_series,
+    build_series,
     delta_series_length,
     generator_bound_report,
     verify_series,
 )
-from verba.verbal import LinearityReport, class_generating_subset, verbal_subgroup
+from verba.verbal import (
+    LinearityReport,
+    class_generating_subset,
+    comm_congruence_sweep,
+    extended_width_sweep,
+    star_membership_sweep,
+    verbal_subgroup,
+    width_sweep,
+)
 from verba.words import gamma, render
 
 
@@ -244,6 +253,40 @@ def test_bounds_require_subsets(quat8):
     not_normal = quat8.subset([2])  # {i}; i is conjugate to -i
     with pytest.raises(NotNormal):
         generator_bound_report(series, [not_normal] * 2)
+
+
+# every entry point taking a tuple of normal subsets, called on (G, S)
+NORMAL_TUPLE_CALLERS = {
+    "build_gamma_series": lambda G, S: build_gamma_series([G, S]),
+    "build_delta_series": lambda G, S: build_delta_series([G, S], 1),
+    "star_membership_sweep": lambda G, S: star_membership_sweep(gamma(2), [G, S], None),
+    "width_sweep": lambda G, S: width_sweep(gamma(2), [G, S], [(1, 1)], None),
+    "extended_width_sweep": lambda G, S: extended_width_sweep([gamma(2)], gamma(2), [G, S], [(1, 1)], None),
+    "comm_congruence_sweep": lambda G, S: comm_congruence_sweep(G, S, G, None),
+    "generator_bound_report": lambda G, S: generator_bound_report(build_gamma_series([G, G]), [G, S]),
+}
+
+
+@pytest.mark.parametrize("caller", NORMAL_TUPLE_CALLERS)
+def test_every_normal_tuple_entry_gives_one_error(caller):
+    """A non-normal entry raises the one NotNormal, and an entry of
+    another group the one BadIndex, whichever entry point takes them."""
+    S3 = builtin_group("sym:3")
+    full, call = S3.full_subgroup(), NORMAL_TUPLE_CALLERS[caller]
+    with pytest.raises(NotNormal, match=r"^subset of sym:3 is not closed under conjugation$"):
+        call(full, closure(S3, [2]))  # <(1 2)>
+    with pytest.raises(BadIndex, match="^subset belongs to a different group$"):
+        call(full, builtin_group("sym:3").full_subgroup())
+
+
+def test_build_series_is_the_kinds_own_memoised_series(sym4):
+    full = sym4.full_subgroup()
+    assert build_series("gamma", [full] * 3) is build_gamma_series([full] * 3)
+    assert build_series("delta", [full] * 4) is build_delta_series([full] * 4, 2)
+    # gamma(2) and delta(1) are one word on [x1,x2], but two series
+    two = [build_series(kind, [full] * 2) for kind in ("gamma", "delta")]
+    assert [(s.kind, s.parameter) for s in two] == [("gamma", 2), ("delta", 1)]
+    assert two[0] is build_gamma_series([full] * 2) and two[1] is build_delta_series([full] * 2, 1)
 
 
 def test_delta_generation_top_factor(sym4):
