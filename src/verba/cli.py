@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
     VerbaError,
+    as_int,
 )
 from .groups import DEFAULT_ORDER_CAP, evaluate
 from .harness import (
@@ -137,10 +138,7 @@ def _budget(args) -> int:
     env = os.environ.get("VERBA_BUDGET")
     if not env:
         return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise VerbaError(f"VERBA_BUDGET {env!r} is not a number") from None
+    return as_int(env, VerbaError(f"VERBA_BUDGET {env!r} is not a number"))
 
 
 def _emit(lines: str, out: str | None) -> None:
@@ -201,10 +199,7 @@ def _cmd_eval(args) -> int:
             raise VerbaError(f"{name.strip()!r} is not a variable of the word {render(expr)}")
         if var in assignment:
             raise VerbaError(f"variable {var} is assigned more than once")
-        try:
-            index = int(idx)
-        except ValueError:
-            raise BadIndex(f"element index {idx.strip()!r} is not a number") from None
+        index = as_int(idx, BadIndex(f"element index {idx.strip()!r} is not a number"))
         assignment[var] = G.check_index(index)
     val = evaluate(expr, G, assignment)
     _emit(f"{val} ({G.element_name(val)})\n", args.out)

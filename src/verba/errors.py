@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `as_int`, which raises one."""
 
 from __future__ import annotations
 
@@ -82,3 +82,12 @@ class UnknownCheckId(VerbaError):
 
 class InternalInvariantViolation(VerbaError):
     """A containment that is a theorem failed; indicates a bug here."""
+
+
+def as_int(text: str, error: VerbaError) -> int:
+    """int(text), raising `error` where int refuses the text: a malformed
+    number, or one past Python's limit on the digits it converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error from None

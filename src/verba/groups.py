@@ -22,6 +22,7 @@ from .errors import (
     ProductNotSubgroup,
     UnassignedVariable,
     UnknownSpec,
+    as_int,
 )
 from .words import Power, Product, Var, WordExpr
 
@@ -668,10 +669,11 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     img = list(range(degree))
     if text in ("", "()", "e", "id"):
         return tuple(img)
+    bad = NotAGroup(f"cannot parse cycle notation {text!r}")
     if not re.fullmatch(r"(\s*\([\d,\s]*\)\s*)+", text):
-        raise NotAGroup(f"cannot parse cycle notation {text!r}")
+        raise bad
     for cyc in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(s) for s in re.split(r"[,\s]+", cyc.strip()) if s]
+        pts = [as_int(s, bad) for s in re.split(r"[,\s]+", cyc.strip()) if s]
         if any(p < 1 or p > degree for p in pts):
             raise BadIndex(f"cycle point outside 1..{degree}: ({cyc})")
         if len(set(pts)) != len(pts):
@@ -792,9 +794,10 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         out.label = spec
         return out
     m = re.fullmatch(r"([a-z]+):(\d+)", spec)
+    bad = UnknownSpec(f"cannot parse group spec {spec!r}")
     if not m:
-        raise UnknownSpec(f"cannot parse group spec {spec!r}")
-    kind, n = m.group(1), int(m.group(2))
+        raise bad
+    kind, n = m.group(1), as_int(m.group(2), bad)
     if kind in ("cyc", "dih", "sym", "alt") and n < 1:
         raise UnknownSpec(f"{kind}:n needs n >= 1")
     if kind in ("sym", "alt"):

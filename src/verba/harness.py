@@ -26,6 +26,7 @@ from .errors import (
     UnknownSpec,
     VerbaError,
     WordSyntaxError,
+    as_int,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -205,11 +206,12 @@ def _parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
             sub = normal_closure(G, _int_list(part[4:-1]))
         elif part.startswith("set:"):
             m = re.fullmatch(r"set:\(?([\d,\s]*)\)?;n=(\d+)", part)
+            bad = UnknownSpec(f"cannot parse tuple entry {part!r}")
             if not m:
-                raise UnknownSpec(f"cannot parse tuple entry {part!r}")
+                raise bad
             subset = G.subset(_int_list(m.group(1))).require_normal()
             sub = closure(G, subset)
-            n = int(m.group(2))
+            n = as_int(m.group(2), bad)
             if not subset.mask[G.pow_arr(sub.elements, n)].all():
                 raise PowerConditionFailed(
                     f"entry {pos}: some {n}-th power escapes the subset"
@@ -243,9 +245,10 @@ def _int_list(text: str) -> list[int]:
     """The comma-separated element indices of `text`; an empty index is an error."""
     out = []
     for tok in text.split(","):
+        bad = BadIndex(f"element index {tok.strip()!r} is not a number")
         if not tok.strip().isdecimal():
-            raise BadIndex(f"element index {tok.strip()!r} is not a number")
-        out.append(int(tok))
+            raise bad
+        out.append(as_int(tok, bad))
     return out
 
 

@@ -37,13 +37,10 @@ from .words import (
     delta,
     extension_degree,
     gamma,
-    max_y,
-    shift_x,
+    shift,
     substitute,
     variables,
-    x_shift,
     xvar,
-    y_renumbering,
     yvar,
 )
 
@@ -113,31 +110,27 @@ def _leaf_entry(j: int, sub: Subset) -> AnnotatedEntry:
 def _canonical_factor(
     terms: Sequence[Subset],
     index: int,
-    word_raw: WordExpr,
-    entries_raw: Sequence[AnnotatedEntry],
+    word: WordExpr,
+    entries: Sequence[AnnotatedEntry],
     linear_var: Var,
     degree: int,
     provenance: str,
 ) -> SeriesFactor:
-    """Factor `index` of the ascending chain `terms`, its y-variables
-    renumbered canonically and its entries sorted into variable order."""
-    mapping = y_renumbering(word_raw)
-    word = substitute(word_raw, mapping) if mapping else word_raw
-    renamed = [replace(e, var=mapping.get(e.var, e.var)) for e in entries_raw]
-    renamed.sort(key=lambda e: e.var)
+    """Factor `index` of the ascending chain `terms`, its entries sorted
+    into variable order; `word` comes numbered as it was built."""
+    entries = sorted(entries, key=lambda e: e.var)
     word_vars = set(variables(word))
     _require(
-        word_vars == {e.var for e in renamed} and len(renamed) == len(word_vars),
+        word_vars == {e.var for e in entries} and len(entries) == len(word_vars),
         "annotation entries do not match the word's variables",
     )
-    lin = mapping.get(linear_var, linear_var)
-    position = next(i for i, e in enumerate(renamed, start=1) if e.var == lin)
+    position = next(i for i, e in enumerate(entries, start=1) if e.var == linear_var)
     return SeriesFactor(
         index=index,
         lower=terms[index - 1],
         upper=terms[index],
         word=word,
-        entries=tuple(renamed),
+        entries=tuple(entries),
         linear_position=position,
         degree=degree,
         provenance=provenance,
@@ -328,10 +321,11 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
         _require(low <= high, "chain must ascend")
 
     factors: list[SeriesFactor] = []
+    right_half = shift(delta(k - 1), half)
 
     # factor 1: linear in the fresh y-component ranging over the top subgroup
     y0 = yvar(1)
-    word_top = comm(delta(k - 1), comm(y0, shift_x(delta(k - 1), half)))
+    word_top = comm(delta(k - 1), comm(y0, right_half))
     entries_top = [_leaf_entry(j, subs[j - 1]) for j in range(1, 2**k + 1)] + [
         AnnotatedEntry(
             var=y0, subgroup=dk, source=delta(k), components=tuple(range(1, 2**k + 1))
@@ -340,12 +334,13 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     factors.append(_canonical_factor(terms, 1, word_top, entries_top, y0, 1, "delta-top"))
 
     # left factors 2 .. t-s, built from the second half's factors, shifted
+    # past the first half and the y-block y1..y(half) that precedes them
+    y_block = _pure_y_delta(k - 1)
     for j in range(2, t - s + 1):
         sub_factor = second.factors[j - 2]
         shifted_word, shifted_entries, shifted_linear = _shift_annotation(
             sub_factor, half
         )
-        y_block = _pure_y_delta(k - 1, max_y(shifted_word))
         w_word = comm(y_block, shifted_word)
         w_entries = [
             AnnotatedEntry(var=v, subgroup=subs[c - 1], source=xvar(1), components=(c,))
@@ -362,13 +357,13 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     # right factors t-s+1 .. t, from the first half's factors
     for i in range(1, s + 1):
         sub_factor = first.factors[i - 1]
-        word_raw = comm(sub_factor.word, shift_x(delta(k - 1), half))
-        entries_raw = list(sub_factor.entries) + [
+        word_right = comm(sub_factor.word, right_half)
+        entries_right = list(sub_factor.entries) + [
             _leaf_entry(half + j2, subs[half + j2 - 1]) for j2 in range(1, half + 1)
         ]
         factors.append(
             _canonical_factor(
-                terms, t - s + i, word_raw, entries_raw,
+                terms, t - s + i, word_right, entries_right,
                 sub_factor.linear_var, sub_factor.degree, "delta-right",
             )
         )
@@ -378,23 +373,26 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     )
 
 
-def _pure_y_delta(k: int, above: int) -> WordExpr:
-    """delta(k) with its x-variables turned into fresh y-variables."""
+def _pure_y_delta(k: int) -> WordExpr:
+    """delta(k) with x1..x(2^k) turned into y1..y(2^k)."""
     word = delta(k)
-    return substitute(word, {v: yvar(above + v.index) for v in variables(word)})
+    return substitute(word, {v: yvar(v.index) for v in variables(word)})
 
 
 def _shift_annotation(
     factor: SeriesFactor, offset: int
 ) -> tuple[WordExpr, list[AnnotatedEntry], Var]:
-    """Move a factor built on local positions 1..2^(k-1) to global positions."""
-    mapping = x_shift(factor.word, offset)
+    """Move every variable and component of a factor `offset` indices up:
+    its x-variables from local positions 1..2^(k-1) to global ones, its
+    y-variables above the y-block of that many."""
+    word = shift(factor.word, offset)
+    # a shift keeps the order of `variables`, so position i names the same one
+    moved = dict(zip(variables(factor.word), variables(word)))
     entries = [
-        replace(e, var=mapping.get(e.var, e.var), components=tuple(c + offset for c in e.components))
+        replace(e, var=moved[e.var], components=tuple(c + offset for c in e.components))
         for e in factor.entries
     ]
-    linear = mapping.get(factor.linear_var, factor.linear_var)
-    return substitute(factor.word, mapping), entries, linear
+    return word, entries, moved[factor.linear_var]
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
     DisjointnessViolation,
+    PreconditionFailed,
     UnknownVariableFamily,
     WordSyntaxError,
+    as_int,
 )
 
 X_FAMILY = "x"
@@ -176,7 +178,7 @@ def _lex(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", as_int(text[i:j], WordSyntaxError("number is too long", i)), i))
             i = j
             continue
         if c.isalpha():
@@ -189,7 +191,7 @@ def _lex(text: str) -> list[_Token]:
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError(f"variable {c!r} needs an index", i)
-            idx = int(text[i + 1 : j])
+            idx = as_int(text[i + 1 : j], WordSyntaxError("variable index is too long", i))
             if idx <= 0:
                 raise WordSyntaxError("variable indices are positive", i)
             tokens.append(("var", Var(c, idx), i))
@@ -474,8 +476,11 @@ def substitute(w: WordExpr, mapping: Mapping[Var, WordExpr]) -> WordExpr:
     """Put mapping[x] in place of each variable x of `w` it names.
 
     The images of the variables of `w` (a variable the mapping does not name
-    is its own image) must be pairwise disjoint in variables.
+    is its own image) must be pairwise disjoint in variables.  An empty
+    mapping returns `w` itself.
     """
+    if not mapping:
+        return w
     vars_ = variables(w)
     unknown = [v for v in mapping if v not in vars_]
     if unknown:
@@ -502,44 +507,17 @@ def substitute(w: WordExpr, mapping: Mapping[Var, WordExpr]) -> WordExpr:
     return walk(w)
 
 
+def shift(w: WordExpr, offset: int, family: str | None = None) -> WordExpr:
+    """`w` with each variable (only those of `family`, when given) moved
+    `offset` indices up its own family."""
+    return substitute(
+        w, {v: Var(v.family, v.index + offset) for v in variables(w) if family in (None, v.family)}
+    )
+
+
 # ---------------------------------------------------------------------------
 # extended words
 # ---------------------------------------------------------------------------
-
-
-def _leaves(w: WordExpr) -> Iterator[Var]:
-    """The variables of an outer commutator word in tree order, left to right."""
-    if isinstance(w, Var):
-        yield w
-    else:
-        yield from _leaves(w.left)
-        yield from _leaves(w.right)
-
-
-def y_renumbering(w: WordExpr) -> dict[Var, Var]:
-    """y1, y2, ... for the y-variables of `w`, in order of first appearance
-    left to right in the tree; empty when `w` has no y-variable."""
-    mapping: dict[Var, Var] = {}
-    for v in _leaves(w):
-        if v.family == Y_FAMILY and v not in mapping:
-            mapping[v] = yvar(len(mapping) + 1)
-    return mapping
-
-
-def canonical_y(w: WordExpr) -> WordExpr:
-    """Renumber y-variables as y1, y2, ... in order of first appearance."""
-    mapping = y_renumbering(w)
-    return substitute(w, mapping) if mapping else w
-
-
-def x_shift(w: WordExpr, offset: int) -> dict[Var, Var]:
-    """x(i + offset) for each x-variable x(i) of `w`."""
-    return {v: xvar(v.index + offset) for v in variables(w) if v.family == X_FAMILY}
-
-
-def shift_x(w: WordExpr, offset: int) -> WordExpr:
-    mapping = x_shift(w, offset)
-    return substitute(w, mapping) if mapping else w
 
 
 def is_pure_y(w: WordExpr) -> bool:
@@ -569,15 +547,16 @@ def _y_shapes(max_leaves: int) -> list[WordExpr]:
     return shapes
 
 
-def _fresh_y(w: WordExpr, above: int) -> WordExpr:
-    """Shift the y-indices of `w` so they all exceed `above`."""
-    mapping = {v: yvar(v.index + above) for v in variables(w) if v.family == Y_FAMILY}
-    return substitute(w, mapping) if mapping else w
-
-
 def max_y(w: WordExpr) -> int:
     """The greatest y-index of `w`, 0 without y-variables."""
     return max((v.index for v in variables(w) if v.family == Y_FAMILY), default=0)
+
+
+def _join(p: WordExpr, q: WordExpr) -> Commutator:
+    """[p, q] with the y-variables of q moved above those of p: two words
+    whose y-variables are y1, y2, ... in order of first appearance give one
+    that numbers them the same way."""
+    return comm(p, shift(q, max_y(p), Y_FAMILY))
 
 
 # Distinct (word, degree, shape bound) inputs kept by `enumerate_extended`.
@@ -590,41 +569,40 @@ def enumerate_extended(w: WordExpr, k: int, shape_bound: int) -> tuple[WordExpr,
 
     Inserted y-words range over all outer commutator shapes with at most
     `shape_bound` leaves (the full definition quantifies over all of them;
-    the bound keeps the set finite).  Fresh y-variables take the smallest
-    unused indices left to right, and members are deduplicated under
-    canonical y-renumbering.  Results are cached for the process by
-    (word, k, shape_bound); words and the result are frozen, so equal words
-    share one result.
+    the bound keeps the set finite).  Members are joined by `_join`, so each
+    numbers its y-variables y1, y2, ... in order of first appearance, and
+    `w` may have none: they are the variables an extension inserts.  Results
+    are cached for the process by (word, k, shape_bound); words and the
+    result are frozen, so equal words share one result.
     """
     if k < 0:
         raise ValueError("extension degree must be >= 0")
     if shape_bound < 1:
         raise ValueError("shape bound must be >= 1")
+    if max_y(w):
+        raise PreconditionFailed(
+            f"extension base {render(w)} has a y-variable; extensions insert the y-variables"
+        )
     shapes = _y_shapes(shape_bound)
     memo: dict[tuple[WordExpr, int], frozenset[WordExpr]] = {}
 
     def ext(base: WordExpr, deg: int) -> frozenset[WordExpr]:
+        if deg == 0:
+            return frozenset([base])
         key = (base, deg)
         if key in memo:
             return memo[key]
-        if deg == 0:
-            out = frozenset([canonical_y(base)])
-            memo[key] = out
-            return out
         found: set[WordExpr] = set()
         for q in ext(base, deg - 1):
-            top = max_y(q)
             for shape in shapes:
-                p = _fresh_y(shape, top)
-                found.add(canonical_y(comm(p, q)))
-                found.add(canonical_y(comm(q, p)))
+                found.add(_join(shape, q))
+                found.add(_join(q, shape))
         if not isinstance(base, Var):
             for la in range(deg + 1):
                 mb = deg - la
                 for p in ext(base.left, la):
                     for q in ext(base.right, mb):
-                        q2 = _fresh_y(q, max_y(p))
-                        found.add(canonical_y(comm(p, q2)))
+                        found.add(_join(p, q))
         out = frozenset(found)
         memo[key] = out
         return out

@@ -10,6 +10,7 @@ import io
 import json
 import sys
 import time
+from pathlib import Path
 
 from verba.cli import main as cli_main
 from verba.groups import builtin_group, commutator_subgroup
@@ -156,7 +157,7 @@ def test_criterion_6_generator_count_bound():
 
 
 def test_criterion_7_pinned_values():
-    golden = json.load(open("tests/golden/pinned_verbal_orders.json"))
+    golden = json.loads(Path("tests/golden/pinned_verbal_orders.json").read_text())
     oracle = pinned_verbal_orders()
     computed = {}
     for spec in ("quat:8", "sym:3", "sym:4", "alt:4"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -220,6 +221,29 @@ def test_element_indices_of_any_size_outside_the_group_are_usage_errors(capsys, 
     code, out = run_cli(["check", "L2.3", "--group", "sym:4", "--word", word, "--tuple", tup])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: element index {index} outside 0..23\n"
+
+
+LONG = "9" * 5000  # past the 4,300 digits Python's int converts from text
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["values", "--group", f"cyc:{LONG}", "--word", "x1"], f"cannot parse group spec 'cyc:{LONG}'"),
+    (["values", "--group", "sym:3", "--word", f"x{LONG}"], "syntax error at position 0: variable index is too long"),
+    (["parse", f"x{LONG}"], "syntax error at position 0: variable index is too long"),
+    (["values", "--group", "sym:3", "--word", f"x1^{LONG}"], "syntax error at position 3: number is too long"),
+    (["parse", f"x1^{LONG}"], "syntax error at position 3: number is too long"),
+    (["values", "--group", "sym:3", "--word", "x1", "--tuple", f"ncl({LONG})"],
+     f"element index '{LONG}' is not a number"),
+    (["values", "--group", "sym:3", "--word", "x1", "--tuple", f"set:(0);n={LONG}"],
+     f"cannot parse tuple entry 'set:(0);n={LONG}'"),
+    (["values", "--group", "{perm}", "--word", "x1"], f"cannot parse cycle notation '(1 {LONG})'"),
+], ids=["cyc", "values-index", "parse-index", "values-exponent", "parse-exponent", "ncl", "set-n", "perm-point"])
+def test_numbers_past_pythons_digit_limit_are_usage_errors(tmp_path, capsys, argv, error):
+    """Each site gives the error it gives a malformed number, not a traceback."""
+    perm = tmp_path / "long.grp"
+    perm.write_text(f"perm 3 1\n(1 {LONG})\n")
+    code, out = run_cli([a.replace("{perm}", str(perm)) for a in argv])
+    assert (code, out, capsys.readouterr().err) == (2, "", f"error: {error}\n")
 
 
 def test_check_command():
@@ -483,6 +507,42 @@ def test_cap_below_1_is_a_usage_error(argv, cap, capsys):
 def test_budget_exit_is_3():
     code, _ = run_cli(["values", "--group", "sym:4", "--word", "x1*x2*x1", "--budget", "10"])
     assert code == 3
+
+
+def test_survey_rows_over_the_budget_are_skipped_with_exit_3(tmp_path):
+    catalog = tmp_path / "sym4.txt"
+    catalog.write_text("sym:4\n")
+    code, out = run_cli(["survey", "--word", "gamma:2", "--catalog", str(catalog), "--budget", "10", "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 3
+    skipped = [r for r in rows if r["mode"] == "skipped"]
+    assert skipped and all(r["m"] == "0" for r in skipped)
+
+
+def test_budget_0_is_a_usage_error(capsys):
+    assert run_cli(["values", "--group", "sym:3", "--word", "x1", "--budget", "0"]) == (2, "")
+    assert capsys.readouterr().err == "error: budget must be at least 1\n"
+
+
+def test_missing_files_are_io_errors(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    for argv in (
+        ["values", "--group", "sym:3", "--word", "x1", "--out", str(missing / "out.txt")],
+        ["suite", "--catalog", str(missing / "catalog.txt")],
+    ):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err.startswith("io error: ")
+
+
+@pytest.mark.parametrize("word", ["[y1,x1]", "[x1,y1]"])
+def test_an_extension_base_with_a_y_variable_is_a_usage_error(capsys, word):
+    """Extensions insert the y-variables, so L3.2 refuses a word that has
+    one; L2.6, which inserts none, still runs on it."""
+    argv = ["--group", "sym:4", "--word", word]
+    assert run_cli(["check", "L3.2", *argv]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: extension base {word} has a y-variable; extensions insert the y-variables\n"
+    assert run_cli(["check", "L2.6", *argv])[0] == 0
 
 
 def test_verification_failure_exit_is_1(monkeypatch):

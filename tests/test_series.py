@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,6 +187,59 @@ def test_delta_series_nontrivial_interior_factor(sym4):
     assert f2.provenance == "delta-left" and f2.linear_position == 4
     assert [e.subgroup.order for e in f2.entries] == [24, 24, 12, 4, 24, 24]
     assert verify_series(series).all_ok
+
+
+# Seeded corruptions of a built series: each must flip its own flag of
+# `verify_series`, and with it `all_ok`.
+
+
+@pytest.fixture(scope="module")
+def jump_series(sym4):
+    """The (G, G, A, A) delta series on sym:4, whose factor 2 jumps 1 -> 4."""
+    a4 = sym4.derived_subgroup()
+    return build_delta_series([sym4.full_subgroup(), sym4.full_subgroup(), a4, a4], 2)
+
+
+def _with_factor(series, i, **changes):
+    factors = list(series.factors)
+    factors[i] = replace(factors[i], **changes)
+    return replace(series, factors=tuple(factors))
+
+
+def _with_entry(series, i, **changes):
+    f = series.factors[i]
+    return _with_factor(series, i, entries=(replace(f.entries[0], **changes), *f.entries[1:]))
+
+
+def test_verify_series_sees_a_wrong_top_term(sym4, jump_series):
+    assert verify_series(jump_series).all_ok
+    bad = replace(jump_series, terms=(*jump_series.terms[:-1], sym4.full_subgroup()))
+    report = verify_series(bad)
+    assert not report.endpoints_ok and not report.all_ok
+    assert all(f.ok for f in report.factors)
+
+
+def test_verify_series_sees_a_factor_upside_down(jump_series):
+    f = jump_series.factors[1]
+    assert f.lower != f.upper
+    report = verify_series(_with_factor(jump_series, 1, lower=f.upper, upper=f.lower))
+    assert report.endpoints_ok
+    assert not report.factors[1].containment_ok and not report.all_ok
+
+
+def test_verify_series_sees_an_entry_over_another_subgroup(sym4, jump_series):
+    # entry x1 of factor 1 ranges over N_1 = G, its base entry
+    report = verify_series(_with_entry(jump_series, 0, subgroup=sym4.derived_subgroup()))
+    assert report.endpoints_ok and report.factors[0].containment_ok
+    assert not report.factors[0].extension_ok and not report.all_ok
+
+
+def test_verify_series_sees_an_entry_fed_by_another_component(jump_series):
+    # x1 read from N_2 = G: the same subgroup as N_1, so only the component
+    # check can see it
+    report = verify_series(_with_entry(jump_series, 0, components=(2,)))
+    assert report.factors[0].generation_ok
+    assert not report.factors[0].extension_ok and not report.all_ok
 
 
 def test_delta_series_trivial_group():

@@ -11,6 +11,7 @@ from verba.errors import (
     ArityMismatch,
     BudgetExceeded,
     DisjointnessViolation,
+    PreconditionFailed,
     UnknownVariableFamily,
     WordSyntaxError,
 )
@@ -20,7 +21,6 @@ from verba.words import (
     Power,
     Product,
     Var,
-    canonical_y,
     classify_outer_commutator,
     comm,
     delta,
@@ -372,12 +372,39 @@ def test_ext_monotone_composition():
         for p in enumerate_extended(alpha, la, 2):
             for q in enumerate_extended(beta, mb, 2):
                 # make the halves y-disjoint the same way the enumerator does
-                shift = {
-                    v: yvar(v.index + 10)
-                    for v in variables(q)
-                    if v.family == "y"
-                }
-                assert canonical_y(comm(p, substitute(q, shift))) in whole
+                assert comm(p, words.shift(q, words.max_y(p), "y")) in whole
+
+
+def _tree_order(w):
+    """The variables of an outer commutator word, left to right in its tree."""
+    return [w] if isinstance(w, Var) else _tree_order(w.left) + _tree_order(w.right)
+
+
+@pytest.mark.parametrize("base", [x1, gamma(3), delta(2), parse_word("[x2,[x3,x1]]")])
+def test_ext_members_number_y_in_order_of_first_appearance(base):
+    for k in (1, 2):
+        for member in enumerate_extended(base, k, 2):
+            ys = [v for v in _tree_order(member) if v.family == "y"]
+            assert ys == [yvar(i) for i in range(1, len(ys) + 1)]
+
+
+@pytest.mark.parametrize("text", ["y1", "[y1,x1]", "[x1,y1]", "[[x1,x2],y3]"])
+def test_ext_refuses_a_base_with_a_y_variable(text):
+    with pytest.raises(PreconditionFailed, match="has a y-variable"):
+        enumerate_extended(parse_word(text), 1, 2)
+
+
+def test_shift_moves_every_variable_or_one_family():
+    word = parse_word("[[x1,y2],x3]")
+    assert words.shift(word, 4) == parse_word("[[x5,y6],x7]")
+    assert words.shift(word, 4, "y") == parse_word("[[x1,y6],x3]")
+    assert words.shift(word, 2, "x") == parse_word("[[x3,y2],x5]")
+    assert words.shift(parse_word("[x1,x2]"), 3, "y") == parse_word("[x1,x2]")
+
+
+def test_substitute_with_an_empty_mapping_is_the_word():
+    word = parse_word("[x1^2,x2]*x1")
+    assert substitute(word, {}) is word
 
 
 def test_extension_degree_recognizer():
