@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,27 @@ def test_value_set_witnesses_are_preimages_in_their_subsets(word, spec):
         assert list(wit) == list(vars_)
         assert evaluate(word, G, wit) == v
         assert all(s.mask[wit[x]] for x, s in zip(vars_, subsets))
+
+
+# Values and the witness of each, following the word's variables, for
+# products of three and four factors over every entry G and every entry
+# derived, recorded by the engine that folded a product's factors left to
+# right; each row is (group, entry, word, values, witnesses).
+WITNESS_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "value_set_witnesses.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "pin", WITNESS_GOLDEN, ids=[f"{p['group']} {p['entry']} {p['word']}" for p in WITNESS_GOLDEN]
+)
+def test_value_sets_and_witnesses_are_pinned(pin):
+    G = builtin_group(pin["group"])
+    word = parse_word(pin["word"])
+    tup = parse_tuple_spec(",".join([pin["entry"]] * len(variables(word))), G)
+    vs = value_set(word, list(tup.subgroups))
+    assert vs.values.tolist() == pin["values"]
+    assert [list(vs.witness(v).values()) for v in vs.values] == pin["witnesses"]
 
 
 # ---------------------------------------------------------------------------
