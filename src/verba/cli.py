@@ -16,17 +16,18 @@ from typing import Sequence
 
 from .enumeration import DEFAULT_BUDGET
 from .errors import (
-    BadIndex,
     BudgetExceeded,
     InternalInvariantViolation,
     VerbaError,
     as_int,
+    clip,
 )
 from .groups import DEFAULT_ORDER_CAP, evaluate
 from .harness import (
     CHECK_ID_SET,
     CheckSpec,
     DEFAULT_CATALOG,
+    element_index,
     parse_tuple_spec,
     resolve_group,
     resolve_word,
@@ -138,7 +139,7 @@ def _budget(args) -> int:
     env = os.environ.get("VERBA_BUDGET")
     if not env:
         return DEFAULT_BUDGET
-    return as_int(env, VerbaError(f"VERBA_BUDGET {env!r} is not a number"))
+    return as_int(env, VerbaError(f"VERBA_BUDGET {clip(env)!r} is not a number"))
 
 
 def _emit(lines: str, out: str | None) -> None:
@@ -196,11 +197,10 @@ def _cmd_eval(args) -> int:
         name, _, idx = part.strip().partition("=")
         var = parse_word(name)
         if var not in variables(expr):
-            raise VerbaError(f"{name.strip()!r} is not a variable of the word {render(expr)}")
+            raise VerbaError(f"{clip(name.strip())!r} is not a variable of the word {clip(render(expr))}")
         if var in assignment:
             raise VerbaError(f"variable {var} is assigned more than once")
-        index = as_int(idx, BadIndex(f"element index {idx.strip()!r} is not a number"))
-        assignment[var] = G.check_index(index)
+        assignment[var] = G.check_index(element_index(idx))
     val = evaluate(expr, G, assignment)
     _emit(f"{val} ({G.element_name(val)})\n", args.out)
     return EXIT_OK

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and `as_int`, which raises one."""
+"""Exception types shared across the package, `as_int`, which raises one,
+and `clip`, which cuts the input an error message echoes."""
 
 from __future__ import annotations
 
@@ -91,3 +92,9 @@ def as_int(text: str, error: VerbaError) -> int:
         return int(text)
     except ValueError:
         raise error from None
+
+
+def clip(text: str) -> str:
+    """`text` as an error message echoes it: whole up to 40 characters, else
+    its first 40 and "...", so one long token cannot flood a message."""
+    return text if len(text) <= 40 else text[:40] + "..."

@@ -23,6 +23,7 @@ from .errors import (
     UnassignedVariable,
     UnknownSpec,
     as_int,
+    clip,
 )
 from .words import Power, Product, Var, WordExpr
 
@@ -75,8 +76,6 @@ class FiniteGroup:
         return out
 
     # -- scalar operations ---------------------------------------------------
-
-    identity = 0
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -144,7 +143,7 @@ class FiniteGroup:
 
     def check_index(self, i: int) -> int:
         if not 0 <= i < self.order:
-            raise BadIndex(f"element index {i} outside 0..{self.order - 1}")
+            raise BadIndex(f"element index {clip(str(i))} outside 0..{self.order - 1}")
         return i
 
     def subset(self, elements: Iterable[int] | np.ndarray) -> "Subset":
@@ -669,15 +668,15 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     img = list(range(degree))
     if text in ("", "()", "e", "id"):
         return tuple(img)
-    bad = NotAGroup(f"cannot parse cycle notation {text!r}")
+    bad = NotAGroup(f"cannot parse cycle notation {clip(text)!r}")
     if not re.fullmatch(r"(\s*\([\d,\s]*\)\s*)+", text):
         raise bad
     for cyc in re.findall(r"\(([^()]*)\)", text):
         pts = [as_int(s, bad) for s in re.split(r"[,\s]+", cyc.strip()) if s]
         if any(p < 1 or p > degree for p in pts):
-            raise BadIndex(f"cycle point outside 1..{degree}: ({cyc})")
+            raise BadIndex(f"cycle point outside 1..{degree}: ({clip(cyc)})")
         if len(set(pts)) != len(pts):
-            raise NotAGroup(f"repeated point in cycle ({cyc})")
+            raise NotAGroup(f"repeated point in cycle ({clip(cyc)})")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = b - 1
     return tuple(img)
@@ -701,12 +700,12 @@ def cycles_str(p: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, label: str | None = None) -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     n, m = A.order, B.order
     a, b = np.divmod(np.arange(n * m), m)
     table = A.mul_arr(a[:, None], a[None, :]) * m + B.mul_arr(b[:, None], b[None, :])
     names = [f"({A.element_names[i]},{B.element_names[j]})" for i in range(n) for j in range(m)]
-    return FiniteGroup(table, label=label or f"{A.label} x {B.label}", element_names=names)
+    return FiniteGroup(table, label=f"{A.label} x {B.label}", element_names=names)
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -794,7 +793,7 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         out.label = spec
         return out
     m = re.fullmatch(r"([a-z]+):(\d+)", spec)
-    bad = UnknownSpec(f"cannot parse group spec {spec!r}")
+    bad = UnknownSpec(f"cannot parse group spec {clip(spec)!r}")
     if not m:
         raise bad
     kind, n = m.group(1), as_int(m.group(2), bad)
@@ -813,10 +812,10 @@ def builtin_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if order > cap:
             raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
         return build(n)
-    raise UnknownSpec(f"unknown group kind {kind!r}")
+    raise UnknownSpec(f"unknown group kind {clip(kind)!r}")
 
 
-def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP, label: str | None = None) -> FiniteGroup:
+def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Read a group from the plain-text cayley/perm file format.
 
     Every malformed file raises `NotAGroup`: a bad header, a missing or
@@ -829,10 +828,9 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP, label: str | None =
     kind, *params = lines[0].split()
     wanted = {"cayley": 1, "perm": 2}.get(kind)
     if wanted is None:
-        raise NotAGroup(f"{path}: unknown header {lines[0]!r}")
+        raise NotAGroup(f"{path}: unknown header {clip(lines[0])!r}")
     if len(params) < wanted:
-        raise NotAGroup(f"{path}: header {lines[0]!r} needs {wanted} number(s)")
-    name = label or path
+        raise NotAGroup(f"{path}: header {clip(lines[0])!r} needs {wanted} number(s)")
     if kind == "cayley":
         (n,) = _file_ints(path, params[:1])
         rows = [_file_ints(path, ln.split()) for ln in lines[1 : n + 1]]
@@ -841,16 +839,14 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP, label: str | None =
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotAGroup(f"{path}: table row {i} has {len(row)} entries, expected {n}")
-        return group_from_cayley(rows, label=name)
+        return group_from_cayley(rows, label=path)
     degree, count = _file_ints(path, params[:2])
     gens = [parse_cycles(ln, degree) for ln in lines[1 : count + 1]]
     if len(gens) != count:
         raise NotAGroup(f"{path}: expected {count} generators, got {len(gens)}")
-    return group_from_permutations(gens, degree, label=name, cap=cap)
+    return group_from_permutations(gens, degree, label=path, cap=cap)
 
 
 def _file_ints(path: str, tokens: Sequence[str]) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise NotAGroup(f"{path}: expected numbers, got {' '.join(tokens)!r}") from None
+    bad = NotAGroup(f"{path}: expected numbers, got {clip(' '.join(tokens))!r}")
+    return [as_int(tok, bad) for tok in tokens]

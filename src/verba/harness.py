@@ -27,6 +27,7 @@ from .errors import (
     VerbaError,
     WordSyntaxError,
     as_int,
+    clip,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -206,7 +207,7 @@ def _parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
             sub = normal_closure(G, _int_list(part[4:-1]))
         elif part.startswith("set:"):
             m = re.fullmatch(r"set:\(?([\d,\s]*)\)?;n=(\d+)", part)
-            bad = UnknownSpec(f"cannot parse tuple entry {part!r}")
+            bad = UnknownSpec(f"cannot parse tuple entry {clip(part)!r}")
             if not m:
                 raise bad
             subset = G.subset(_int_list(m.group(1))).require_normal()
@@ -217,7 +218,7 @@ def _parse_tuple_spec(text: str, G: FiniteGroup) -> ParsedTuple:
                     f"entry {pos}: some {n}-th power escapes the subset"
                 )
         else:
-            raise UnknownSpec(f"unknown tuple entry {part!r}")
+            raise UnknownSpec(f"unknown tuple entry {clip(part)!r}")
         subgroups.append(sub)
         generators.append(sub if subset is None else subset)
     return ParsedTuple(tuple(subgroups), tuple(generators), tuple(labels))
@@ -242,14 +243,18 @@ def _split_entries(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    """The comma-separated element indices of `text`; an empty index is an error."""
-    out = []
-    for tok in text.split(","):
-        bad = BadIndex(f"element index {tok.strip()!r} is not a number")
-        if not tok.strip().isdecimal():
-            raise bad
-        out.append(as_int(tok, bad))
-    return out
+    """The comma-separated element indices of `text`."""
+    return [element_index(tok) for tok in text.split(",")]
+
+
+def element_index(text: str) -> int:
+    """One element index of a tuple spec or of `eval --assign`: decimal
+    digits, spaces around them allowed; an empty index, a sign or an
+    underscore is no index."""
+    bad = BadIndex(f"element index {clip(text.strip())!r} is not a number")
+    if not text.strip().isdecimal():
+        raise bad
+    return as_int(text, bad)
 
 
 def default_tuple_specs(G: FiniteGroup, r: int, seed: int) -> list[str]:
@@ -508,7 +513,7 @@ CHECK_ID_SET = tuple(CHECKS)
 
 def _check_row(check_id: str) -> Check:
     if check_id not in CHECKS:
-        raise UnknownCheckId(f"unknown check id {check_id!r}")
+        raise UnknownCheckId(f"unknown check id {clip(check_id)!r}")
     return CHECKS[check_id]
 
 

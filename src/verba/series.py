@@ -238,18 +238,15 @@ def delta_series_length(k: int) -> int:
 def build_delta_series(
     T: Sequence[Subset], k: int, budget: int | None = None
 ) -> LinearSeries:
-    """The ascending chain V_0 <= ... <= V_t, t = 2^k + 2^(k-1) - 1."""
+    """The ascending chain V_0 <= ... <= V_t, t = 2^k + 2^(k-1) - 1, kept on
+    the group by ("delta", k, subgroup masks)."""
     if k < 1:
         raise PreconditionFailed("delta series needs k >= 1")
     if len(T) != 2**k:
         raise PreconditionFailed(f"delta series at k={k} needs a tuple of length {2**k}")
-    return _delta(normal_tuple(T), k, budget)
-
-
-def _delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
-    """The delta series, kept on the group by ("delta", k, subgroup masks)."""
-    key = ("delta", k, tuple(sub.key for sub in subs))
-    return subs[0].group.cached("series", key, _build_delta, subs, k, budget)
+    T = normal_tuple(T)
+    key = ("delta", k, tuple(sub.key for sub in T))
+    return T[0].group.cached("series", key, _build_delta, T, k, budget)
 
 
 def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
@@ -277,8 +274,8 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     half = 2 ** (k - 1)
     s = delta_series_length(k - 1)
     t = delta_series_length(k)
-    first = _delta(subs[:half], k - 1, budget)
-    second = _delta(subs[half:], k - 1, budget)
+    first = build_delta_series(subs[:half], k - 1, budget)
+    second = build_delta_series(subs[half:], k - 1, budget)
     d1, d2 = first.top, second.top
     dk = commutator_subgroup(d1, d2, budget)
     _require(

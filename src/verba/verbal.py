@@ -77,8 +77,9 @@ class ValueSet:
         """An assignment of the word's variables, each in its subset, at
         which the word takes `value`.
 
-        The search descends the word.  At a node whose children share no
-        variables it takes the first row-major pair of the sides' ascending
+        The search descends the word.  At a node with two sides, a
+        commutator's or a product's leading factors and last factor, it
+        takes the first row-major pair of the sides' ascending memoised
         values that gives the value; at a power, the least child value
         mapping to it; at any other node, the first tuple of its raw
         assignment space.  The set's build already enumerated each of these
@@ -154,38 +155,42 @@ def _build_value_set(
     budget: int | None,
 ) -> Subset:
     """The members of `expr`, the group's `interned` set of its values.  A
-    node whose children share no variables folds its children's members
-    left to right through `set_product`.  Otherwise a variable takes its
-    subset, a power the images of its child's members, a node whose
-    children share a variable one raw sweep, and the empty product the
-    identity.  Sub-words come from the value-set memo."""
-    children = _disjoint_children(expr)
-    if children:
+    node with two `_sides` is one `set_product` of their members.  Otherwise
+    a variable takes its subset, a power the images of its child's members,
+    a word with variables one raw sweep, and the empty product the identity.
+    Sub-words, a product's leading factors among them, come from the
+    value-set memo."""
+    sides = _sides(expr)
+    if sides:
+        left, right = (_value_set(side, sets, group, budget) for side in sides)
         op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-        members = _value_set(children[0], sets, group, budget)
-        for child in children[1:]:
-            child_members = _value_set(child, sets, group, budget)
-            members = set_product(group, op, members, child_members, budget, "value-set combination")
-        return members
+        return set_product(group, op, left, right, budget, "value-set combination")
     if isinstance(expr, Var):
         values = sets[expr].elements
     elif isinstance(expr, Power):
         values = group.pow_arr(_value_set(expr.child, sets, group, budget).elements, expr.exponent)
-    elif children is None:
+    elif variables(expr):
         values = enumerate_values(expr, sets, budget)
     else:
         values = np.array([0], dtype=np.int64)  # the empty product
     return interned(group, values)
 
 
-def _disjoint_children(expr: WordExpr) -> list[WordExpr] | None:
-    """The children of a commutator or product node, left to right, if no
-    two of them share a variable; None for any other node."""
-    if not isinstance(expr, (Commutator, Product)):
+def _sides(expr: WordExpr) -> tuple[WordExpr, WordExpr] | None:
+    """The two sides of a commutator, or a product's leading factors, as
+    one product word, and its last factor, when no two children of the node
+    share a variable; None for any other node and the empty product."""
+    if isinstance(expr, Commutator):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, Product) and expr.factors:
+        children = expr.factors
+    else:
         return None
-    children = list(expr.factors) if isinstance(expr, Product) else [expr.left, expr.right]
     leaves = [variables(c) for c in children]  # each without repeats
-    return children if sum(map(len, leaves)) == len(set().union(*leaves)) else None
+    if sum(map(len, leaves)) != len(set().union(*leaves)):
+        return None
+    *lead, last = children
+    return (lead[0] if len(lead) == 1 else Product(tuple(lead))), last
 
 
 def enumerate_values(
@@ -215,32 +220,20 @@ def _witness(expr, sets, group, value) -> dict[Var, int]:
         child = _value_set(expr.child, sets, group, None).elements
         first = int(np.flatnonzero(group.pow_arr(child, expr.exponent) == value)[0])
         return _witness(expr.child, sets, group, int(child[first]))
-    children = _disjoint_children(expr)
-    if children is None:
-        vars_ = variables(expr)
-        space = ProductSpace([sets[v].elements for v in vars_])
-        # the first tuple failing "!= value" is the first taking the value
-        flat = space.first_failure(
-            lambda cols: evaluate_arrays(expr, group, dict(zip(vars_, cols))) != value
-        )
-        if flat is None:
-            raise KeyError(value)
-        return dict(zip(vars_, space.tuple_at(flat)))
-    op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
-    sides = [_value_set(c, sets, group, None) for c in children]
-    lefts = sides[:1]  # lefts[i]: the members of the product of sides 0..i
-    for side in sides[1:-1]:
-        lefts.append(set_product(group, op, lefts[-1], side, None, "value-set combination"))
-    out: dict[Var, int] = {}
-    for i in range(len(children) - 1, 0, -1):
-        space = ProductSpace([lefts[i - 1].elements, sides[i].elements])
+    sides = _sides(expr)
+    if sides:
+        op = group.mul_arr if isinstance(expr, Product) else group.comm_arr
+        space = ProductSpace([_value_set(side, sets, group, None).elements for side in sides])
         # the first pair failing "!= value", row-major, is the first giving it
         flat = space.first_failure(lambda cols: op(*cols) != value)
-        value, right = space.tuple_at(flat)
-        out.update(_witness(children[i], sets, group, right))
-    if children:
-        out.update(_witness(children[0], sets, group, value))
-    return out
+    elif variables(expr):  # each variable a side: the first tuple of the raw space giving it
+        sides = variables(expr)
+        space = ProductSpace([sets[v].elements for v in sides])
+        flat = space.first_failure(lambda cols: evaluate_arrays(expr, group, dict(zip(sides, cols))) != value)
+    else:
+        return {}  # the empty product
+    point = space.tuple_at(flat)
+    return {v: e for side, part in zip(sides, point) for v, e in _witness(side, sets, group, part).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -227,23 +227,68 @@ LONG = "9" * 5000  # past the 4,300 digits Python's int converts from text
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["values", "--group", f"cyc:{LONG}", "--word", "x1"], f"cannot parse group spec 'cyc:{LONG}'"),
+    (["values", "--group", f"cyc:{LONG}", "--word", "x1"], f"cannot parse group spec 'cyc:{'9' * 36}...'"),
     (["values", "--group", "sym:3", "--word", f"x{LONG}"], "syntax error at position 0: variable index is too long"),
     (["parse", f"x{LONG}"], "syntax error at position 0: variable index is too long"),
     (["values", "--group", "sym:3", "--word", f"x1^{LONG}"], "syntax error at position 3: number is too long"),
     (["parse", f"x1^{LONG}"], "syntax error at position 3: number is too long"),
     (["values", "--group", "sym:3", "--word", "x1", "--tuple", f"ncl({LONG})"],
-     f"element index '{LONG}' is not a number"),
+     f"element index '{'9' * 40}...' is not a number"),
     (["values", "--group", "sym:3", "--word", "x1", "--tuple", f"set:(0);n={LONG}"],
-     f"cannot parse tuple entry 'set:(0);n={LONG}'"),
-    (["values", "--group", "{perm}", "--word", "x1"], f"cannot parse cycle notation '(1 {LONG})'"),
-], ids=["cyc", "values-index", "parse-index", "values-exponent", "parse-exponent", "ncl", "set-n", "perm-point"])
+     f"cannot parse tuple entry 'set:(0);n={'9' * 30}...'"),
+    (["values", "--group", "{perm}", "--word", "x1"], f"cannot parse cycle notation '(1 {'9' * 37}...'"),
+    (["eval", "--group", "sym:3", "--word", "x1", "--assign", f"x1={LONG}"],
+     f"element index '{'9' * 40}...' is not a number"),
+], ids=["cyc", "values-index", "parse-index", "values-exponent", "parse-exponent", "ncl", "set-n", "perm-point",
+        "assign"])
 def test_numbers_past_pythons_digit_limit_are_usage_errors(tmp_path, capsys, argv, error):
-    """Each site gives the error it gives a malformed number, not a traceback."""
+    """Each site gives the error it gives a malformed number, not a
+    traceback, and echoes 40 characters of the input at most."""
     perm = tmp_path / "long.grp"
     perm.write_text(f"perm 3 1\n(1 {LONG})\n")
     code, out = run_cli([a.replace("{perm}", str(perm)) for a in argv])
     assert (code, out, capsys.readouterr().err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["values", "--group", f"{'a' * 5000}:3", "--word", "x1"],
+    ["values", "--group", "sym:3", "--word", "x1", "--tuple", f"ncl({LONG[:4000]})"],
+    ["values", "--group", "sym:3", "--word", "x1", "--tuple", f"foo{LONG}"],
+    ["values", "--group", "{perm}", "--word", "x1"],
+    ["values", "--group", "{cayley}", "--word", "x1"],
+    ["eval", "--group", "sym:3", "--word", "x1", "--assign", f"x1={LONG[:4000]}"],
+    ["eval", "--group", "sym:3", "--word", "x1", "--assign", f"x{LONG[:4000]}=1"],
+], ids=["spec-kind", "ncl-outside", "entry", "perm-point", "cayley-row", "assign-outside", "assign-name"])
+def test_errors_echo_a_long_input_cut_short(tmp_path, capsys, argv):
+    """A message quotes at most 40 characters of any one input it echoes,
+    on the paths a number within Python's digit limit takes too."""
+    perm = tmp_path / "long.grp"
+    perm.write_text(f"perm 3 1\n(1 {LONG[:4000]})\n")
+    cayley = tmp_path / "long.tbl"
+    cayley.write_text(f"cayley 2\n0 1\n1 {LONG}\n")
+    code, out = run_cli([a.replace("{perm}", str(perm)).replace("{cayley}", str(cayley)) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ") and len(err) < 90 + len(str(tmp_path)), err
+
+
+@pytest.mark.parametrize("index", ["+1", "1_0", "-1", "0x1"])
+def test_eval_and_tuple_specs_refuse_the_same_element_indices(capsys, index):
+    """`--assign` reads an index by the tuple-spec rule: decimal digits
+    only, so neither entry takes a sign, an underscore or a base prefix."""
+    error = f"error: element index {index!r} is not a number\n"
+    for argv in (
+        ["eval", "--group", "sym:3", "--word", "x1", "--assign", f"x1={index}"],
+        ["values", "--group", "sym:3", "--word", "x1", "--tuple", f"ncl({index})"],
+    ):
+        code, out = run_cli(argv)
+        assert (code, out, capsys.readouterr().err) == (2, "", error), argv
+
+
+def test_eval_and_tuple_specs_take_spaces_around_an_index(capsys):
+    assert run_cli(["eval", "--group", "sym:3", "--word", "x1", "--assign", "x1= 1 "]) == (0, "1 ((2 3))\n")
+    code, out = run_cli(["values", "--group", "sym:3", "--word", "x1", "--tuple", "ncl( 1 )"])
+    assert code == 0 and out.endswith("  6  () (2 3) (1 2) (1 2 3) (1 3 2) (1 3)\n")
 
 
 def test_check_command():

@@ -59,6 +59,15 @@ def test_check_table_is_exhaustive():
     assert list(dict.fromkeys(suite_ids)) == list(CHECKS)
 
 
+def test_check_id_set_is_the_sixteen_default_ids_in_suite_order():
+    """The default suite CSV and the benchmark's suite digest run these
+    ids; a new check id must not join them unnoticed."""
+    assert CHECK_ID_SET == (
+        "L2.1", "L2.2", "L2.3", "L2.5", "L2.6", "L2.8", "T2.10", "T2.11-bound",
+        "C2.12", "C2.13", "L3.2", "T3.6", "T3.7-bound", "C3.8", "C3.9", "CONJ",
+    )
+
+
 def test_unknown_check_id():
     with pytest.raises(UnknownCheckId):
         run_check(CheckSpec("L9.9", "sym:3", "gamma:2", "G,G"))

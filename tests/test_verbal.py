@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from verba import verbal
+from verba import enumeration, verbal
 from verba.enumeration import ProductSpace
 from verba.errors import (
     ArityMismatch,
@@ -185,6 +185,19 @@ def test_value_sets_and_witnesses_are_pinned(pin):
     vs = value_set(word, list(tup.subgroups))
     assert vs.values.tolist() == pin["values"]
     assert [list(vs.witness(v).values()) for v in vs.values] == pin["witnesses"]
+
+
+def test_the_witness_search_takes_no_budget(monkeypatch):
+    """The search reads each node's memoised sides, so a default budget
+    below the 12 x 12 mesh of x1^2*x2^2 refuses no witness of a set built
+    under a larger budget."""
+    monkeypatch.setattr(enumeration, "DEFAULT_BUDGET", 100)
+    G = builtin_group("sym:4")
+    word = parse_word("x1^2*x2^2*x3^2")
+    vs = value_set(word, full_tuple(G, 3), budget=10**6)
+    assert vs.size == 12
+    for v in vs.values:
+        assert evaluate(word, G, vs.witness(v)) == v
 
 
 # ---------------------------------------------------------------------------
