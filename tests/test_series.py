@@ -11,7 +11,14 @@ import pytest
 import verba.series as series_mod
 from verba.errors import BadIndex, BudgetExceeded, NotNormal, PreconditionFailed
 from verba.groups import Subset, builtin_group, closure, commutator_subgroup
-from verba.harness import CheckSpec, parse_tuple_spec, resolve_group, run_check
+from verba.harness import (
+    DEFAULT_CATALOG,
+    CheckSpec,
+    default_tuple_specs,
+    parse_tuple_spec,
+    resolve_group,
+    run_check,
+)
 from verba.series import (
     build_delta_series,
     build_gamma_series,
@@ -341,6 +348,34 @@ def test_build_series_is_the_kinds_own_memoised_series(sym4):
     two = [build_series(kind, [full] * 2) for kind in ("gamma", "delta")]
     assert [(s.kind, s.parameter) for s in two] == [("gamma", 2), ("delta", 1)]
     assert two[0] is build_gamma_series([full] * 2) and two[1] is build_delta_series([full] * 2, 1)
+
+
+GROUPS_DIR = Path(__file__).resolve().parent / "groups"
+DELTA1_TUPLES = [
+    (group, spec)
+    for group in DEFAULT_CATALOG
+    for spec in default_tuple_specs(resolve_group(group), 2, 0)
+] + [
+    (str(GROUPS_DIR / name), spec)
+    for name in ("gap512.perm", "dgap1920.perm")
+    for spec in ("G,G", "derived,derived")
+]
+
+
+@pytest.mark.parametrize("group,spec", DELTA1_TUPLES)
+def test_delta1_series_is_the_gamma2_series(group, spec):
+    """delta(1) = gamma(2) = [x1,x2]: the two series share their chain and
+    every factor but for the kind, the parameter and the provenance."""
+    T = parse_tuple_spec(spec, resolve_group(group)).subgroups
+    d, g = build_delta_series(T, 1), build_gamma_series(T)
+    assert (d.kind, d.parameter, g.kind, g.parameter) == ("delta", 1, "gamma", 2)
+    assert d.base == g.base and d.terms == g.terms
+
+    def shape(f):
+        return (f.word, f.entries, f.linear_position, f.degree, f.lower, f.upper)
+
+    assert [shape(f) for f in d.factors] == [shape(f) for f in g.factors]
+    assert {f.provenance for f in d.factors} == {"delta-base"}
 
 
 def test_delta_generation_top_factor(sym4):
