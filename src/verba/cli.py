@@ -59,6 +59,22 @@ SURVEY_HEADER = ["group", "order", "word", "tuple", "m", "verbal_order", "mode",
 SUITE_HEADER = ["check", "group", "word", "tuple", "mode", "status", "detail"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors cut each input they echo through
+    `clip`: a whole argument, or the value after its option name."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        parts = {part for a in args for part in (a, a[2:], a.partition("=")[2]) if len(part) > 40}
+        self._echoes = sorted(parts, key=len, reverse=True)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for text in self._echoes:
+            message = message.replace(repr(text), repr(clip(text))).replace(text, clip(text))
+        super().error(message)
+
+
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     """Add subcommand `name`'s arguments to `p`."""
     def common(p, group=True, word=True, tup=True, seed=False, fmt=True):
@@ -102,7 +118,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     """The full tree, whose usage line, help and errors are the top-level ones."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="verba",
         description="Word values and verbal subgroups on normal subgroups of finite groups.",
     )
@@ -117,7 +133,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     builds it; the full tree, whose usage line heads the top-level errors, is
     built only when no subcommand comes first or arguments are left over."""
     if argv and argv[0] in _COMMANDS:
-        p = argparse.ArgumentParser(prog=f"verba {argv[0]}")
+        p = _Parser(prog=f"verba {argv[0]}")
         _add_arguments(p, argv[0])
         args, extra = p.parse_known_args(argv[1:])
         if not extra:
@@ -251,6 +267,8 @@ def _cmd_series(args) -> int:
     arity = series_variables(args.kind, n)
     if arity is None:
         raise VerbaError(f"{args.kind}:{n} needs 1 to {MAX_WORD_DEPTH + 1} variables")
+    if n < 1:  # delta:0 = x1 is a word, but the series starts at k = 1
+        raise VerbaError(f"series delta takes k >= 1, not k={n}")
     if subgroups is None:
         subgroups = [G.full_subgroup()] * arity
     elif len(subgroups) != arity:

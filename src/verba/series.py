@@ -251,29 +251,12 @@ def build_delta_series(
 
 def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> LinearSeries:
     if k == 1:
-        n1, n2 = subs
-        v2 = commutator_subgroup(n1, n2, budget)
-        v1 = commutator_subgroup(n1, v2, budget)
-        v0 = commutator_subgroup(v2, v2, budget)
-        _require(v0 <= v1 and v1 <= v2, "base chain must ascend")
-        word = delta(1)
-        bracket_entry = AnnotatedEntry(
-            var=xvar(2), subgroup=v2, source=delta(1), components=(1, 2)
-        )
-        terms = (v0, v1, v2)
-        factors = (
-            _canonical_factor(
-                terms, 1, word, [_leaf_entry(1, n1), bracket_entry], xvar(2), 0, "delta-base"
-            ),
-            _canonical_factor(
-                terms, 2, word, [_leaf_entry(1, n1), _leaf_entry(2, n2)], xvar(1), 0, "delta-base"
-            ),
-        )
-        return LinearSeries(kind="delta", parameter=1, base=subs, terms=terms, factors=factors)
+        # delta(1) = gamma(2) = [x1,x2]: the same chain and factors
+        base = build_gamma_series(subs, budget)
+        factors = tuple(replace(f, provenance="delta-base") for f in base.factors)
+        return replace(base, kind="delta", parameter=1, factors=factors)
 
     half = 2 ** (k - 1)
-    s = delta_series_length(k - 1)
-    t = delta_series_length(k)
     first = build_delta_series(subs[:half], k - 1, budget)
     second = build_delta_series(subs[half:], k - 1, budget)
     d1, d2 = first.top, second.top
@@ -295,18 +278,18 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     )
     _require(v0 <= a_sub, "derived subgroup of the top escapes the glueing term")
 
-    # right half: positions t-s .. t
+    # right half: [P, D2] A over the first half's terms P, from A up to D_k
     right_terms = [
-        subgroup_product(commutator_subgroup(first.terms[i], d2, budget), a_sub, budget)
-        for i in range(s + 1)
+        subgroup_product(commutator_subgroup(p, d2, budget), a_sub, budget)
+        for p in first.terms
     ]
     _require(right_terms[0] == a_sub, "right half must start at the glueing term")
     _require(right_terms[-1] == dk, "right half must end at the full verbal subgroup")
 
-    # auxiliary chain and left half: positions 0 .. t-s
+    # auxiliary chain over the second half's terms, and the left half up to A
     w_terms = [
-        subgroup_product(commutator_subgroup(d1, second.terms[i], budget), b_sub, budget)
-        for i in range(s + 1)
+        subgroup_product(commutator_subgroup(d1, p, budget), b_sub, budget)
+        for p in second.terms
     ]
     _require(w_terms[-1] == dk, "auxiliary chain must end at the full verbal subgroup")
     z_terms = [commutator_subgroup(d1, w, budget) for w in w_terms]
@@ -317,63 +300,36 @@ def _build_delta(subs: tuple[Subset, ...], k: int, budget: int | None) -> Linear
     for low, high in zip(terms, terms[1:]):
         _require(low <= high, "chain must ascend")
 
+    leaves = [_leaf_entry(j, sub) for j, sub in enumerate(subs, start=1)]
+    left_half, right_half = delta(k - 1), shift(delta(k - 1), half)
     factors: list[SeriesFactor] = []
-    right_half = shift(delta(k - 1), half)
 
-    # factor 1: linear in the fresh y-component ranging over the top subgroup
+    def add(word: WordExpr, entries, linear_var: Var, degree: int, provenance: str) -> None:
+        index = len(factors) + 1
+        factors.append(_canonical_factor(terms, index, word, entries, linear_var, degree, provenance))
+
+    # the top factor: linear in the fresh y-component ranging over D_k
     y0 = yvar(1)
-    word_top = comm(delta(k - 1), comm(y0, right_half))
-    entries_top = [_leaf_entry(j, subs[j - 1]) for j in range(1, 2**k + 1)] + [
-        AnnotatedEntry(
-            var=y0, subgroup=dk, source=delta(k), components=tuple(range(1, 2**k + 1))
-        )
-    ]
-    factors.append(_canonical_factor(terms, 1, word_top, entries_top, y0, 1, "delta-top"))
-
-    # left factors 2 .. t-s, built from the second half's factors, shifted
-    # past the first half and the y-block y1..y(half) that precedes them
-    y_block = _pure_y_delta(k - 1)
-    for j in range(2, t - s + 1):
-        sub_factor = second.factors[j - 2]
-        shifted_word, shifted_entries, shifted_linear = _shift_annotation(
-            sub_factor, half
-        )
-        w_word = comm(y_block, shifted_word)
-        w_entries = [
-            AnnotatedEntry(var=v, subgroup=subs[c - 1], source=xvar(1), components=(c,))
-            for v, c in zip(variables(y_block), range(1, half + 1))
-        ] + shifted_entries
-        v_word = comm(delta(k - 1), w_word)
-        v_entries = [_leaf_entry(j2, subs[j2 - 1]) for j2 in range(1, half + 1)] + w_entries
-        factors.append(
-            _canonical_factor(
-                terms, j, v_word, v_entries, shifted_linear, sub_factor.degree + 1, "delta-left"
-            )
-        )
-
-    # right factors t-s+1 .. t, from the first half's factors
-    for i in range(1, s + 1):
-        sub_factor = first.factors[i - 1]
-        word_right = comm(sub_factor.word, right_half)
-        entries_right = list(sub_factor.entries) + [
-            _leaf_entry(half + j2, subs[half + j2 - 1]) for j2 in range(1, half + 1)
-        ]
-        factors.append(
-            _canonical_factor(
-                terms, t - s + i, word_right, entries_right,
-                sub_factor.linear_var, sub_factor.degree, "delta-right",
-            )
-        )
-
-    return LinearSeries(
-        kind="delta", parameter=k, base=subs, terms=terms, factors=tuple(factors)
+    y0_entry = AnnotatedEntry(
+        var=y0, subgroup=dk, source=delta(k), components=tuple(range(1, 2**k + 1))
     )
+    add(comm(left_half, comm(y0, right_half)), leaves + [y0_entry], y0, 1, "delta-top")
 
+    # left factors, from the second half's factors shifted past the first
+    # half and the y-block y1..y(half), over the first half's subgroups
+    y_block = substitute(left_half, {v: yvar(v.index) for v in variables(left_half)})
+    y_entries = [replace(e, var=yvar(e.var.index)) for e in leaves[:half]]
+    for f in second.factors:
+        word, entries, linear_var = _shift_annotation(f, half)
+        entries = leaves[:half] + y_entries + entries
+        add(comm(left_half, comm(y_block, word)), entries, linear_var, f.degree + 1, "delta-left")
 
-def _pure_y_delta(k: int) -> WordExpr:
-    """delta(k) with x1..x(2^k) turned into y1..y(2^k)."""
-    word = delta(k)
-    return substitute(word, {v: yvar(v.index) for v in variables(word)})
+    # right factors, from the first half's factors against the second half
+    for f in first.factors:
+        entries = list(f.entries) + leaves[half:]
+        add(comm(f.word, right_half), entries, f.linear_var, f.degree, "delta-right")
+
+    return LinearSeries(kind="delta", parameter=k, base=subs, terms=terms, factors=tuple(factors))
 
 
 def _shift_annotation(

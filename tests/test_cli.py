@@ -200,6 +200,14 @@ def test_series_parameters_off_range_or_off_the_tuple_are_usage_errors(capsys, a
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tup", [[], ["--tuple", "G"], ["--tuple", "G,G"]])
+def test_series_delta_at_k0_is_a_usage_error_naming_k0(capsys, tup):
+    # delta:0 = x1 is a word, but no series: the error names the k given
+    code, out = run_cli(["series", "delta", "--group", "sym:3", "--k", "0", *tup])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: series delta takes k >= 1, not k=0\n"
+
+
 def test_verbal_takes_set_entries_as_the_value_domain(capsys):
     # x1^2 over the subset {(), (1 2), (1 3), (2 3)} takes only the value 1,
     # over the group it generates the squares of the 3-cycles as well
@@ -270,6 +278,22 @@ def test_errors_echo_a_long_input_cut_short(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: ") and len(err) < 90 + len(str(tmp_path)), err
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["check", "a" * 5000, "--group", "sym:3", "--word", "x1"], "a" * 40),
+    (["series", "gamma", "--group", "sym:3", "--r", LONG], LONG[:40]),
+    (["values", "--group", "sym:3", "--word", "x1", "--bogus" + "b" * 5000], "--bogus" + "b" * 33),
+    (["suite", "--format", "c" * 5000], "c" * 40),
+    (["suite", "--format=" + "c" * 5000], "c" * 40),
+    (["parse", "-h" + "b" * 5000], "b" * 40),
+], ids=["choice", "int", "unrecognized", "option-choice", "option=value", "flag-with-value"])
+def test_argparse_errors_echo_a_long_input_cut_short(capsys, argv, echo):
+    """argparse's own errors, like verba's, quote 40 characters of an input."""
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1000 and f"{echo}..." in err, err
 
 
 @pytest.mark.parametrize("index", ["+1", "1_0", "-1", "0x1"])
@@ -487,15 +511,16 @@ def test_a_series_word_runs_the_series_of_its_checks_kind():
     assert ',pass,"t=2, orders' in delta_row and ',pass,"2 factors, orders' in gamma_row
 
 
-@pytest.mark.parametrize("argv", [
-    ["series", "delta", "--group", "sym:6", "--k", "1", "--budget", "1000"],
-    ["check", "L2.8", "--group", "sym:6", "--word", "-", "--budget", "1000"],
-])
-def test_budget_bounds_the_subgroup_meshes(capsys, argv):
-    # the first step of each is the 720 x 720 commutator mesh [S6,S6]
+@pytest.mark.parametrize("argv,mesh", [
+    (["series", "delta", "--group", "sym:6", "--k", "1", "--budget", "1000"], "value-set combination"),
+    (["check", "L2.8", "--group", "sym:6", "--word", "-", "--budget", "1000"], "commutator mesh"),
+], ids=["argv0", "argv1"])
+def test_budget_bounds_the_subgroup_meshes(capsys, argv, mesh):
+    # the first step of each is a 720 x 720 mesh over (S6, S6): the value set
+    # of [x1,x2] for the delta:1 (= gamma:2) series, [S6,S6] for L2.8
     code, out = run_cli(argv)
     assert code == 3
-    assert "commutator mesh needs 518400 tuples, budget is 1000" in out + capsys.readouterr().err
+    assert f"{mesh} needs 518400 tuples, budget is 1000" in out + capsys.readouterr().err
 
 
 def test_l28_check_without_a_word_matches_the_suite_row(tmp_path):

@@ -391,7 +391,7 @@ def test_delta_generation_top_factor(sym4):
 
 def test_series_builders_and_verify_series_take_the_budget_to_their_meshes():
     full = builtin_group("sym:5").full_subgroup()
-    with pytest.raises(BudgetExceeded, match="commutator mesh needs 14400 tuples, budget is 100"):
+    with pytest.raises(BudgetExceeded, match="value-set combination needs 14400 tuples, budget is 100"):
         build_delta_series([full, full], 1, budget=100)
     # the value sets are kept from the build, so verifying meshes [A4,A4] first
     G = builtin_group("sym:4")
