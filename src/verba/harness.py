@@ -271,6 +271,57 @@ def default_tuple_specs(G: FiniteGroup, r: int, seed: int) -> list[str]:
     return _distinct_specs(G, specs)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int) -> Callable[[int], int]:
+    """numpy `SeedSequence`'s 32-bit hash; its constant runs on from call to call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def pcg64_picks(entropy: Sequence[int], order: int, r: int) -> list[int]:
+    """The picks of `r` calls of `numpy.random.default_rng(entropy).integers(1,
+    order)` on one generator, for ints >= 0 and order >= 2.
+
+    `SeedSequence` hashes the 32-bit words of the ints into a 4-word pool and
+    expands it to PCG64's 128-bit state and increment.  PCG64 is O'Neill's LCG
+    with XSL-RR output, two 32-bit draws to an output, low half first; Lemire's
+    method maps a draw onto the range, rejecting the few that would bias it.
+    Only numpy's path for a range below 2^32 is ported: a group order is
+    bounded by its n×n table, so it never gets there.
+    """
+    words = [v >> 32 * i & _M32 for v in entropy for i in range(max(1, -(-v.bit_length() // 32)))]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)] + words[4:]
+    for src, dst in [(s, d) for s in range(len(pool)) for d in range(4) if s != d]:
+        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _M32
+        pool[dst] = x ^ x >> 16  # the pool is pool[:4]; the rest is entropy past it
+    out = _hashmix(0x8B51F9DD, 0x58F38DED)
+    s = [out(pool[i % 4]) for i in range(8)]  # the four 64-bit words, low half first
+    seed, seq = (s[i + 1] << 96 | s[i] << 64 | s[i + 3] << 32 | s[i + 2] for i in (0, 4))
+    inc = (seq << 1 | 1) & _M128
+    def uint32s(state: int):
+        while True:
+            state = (state * _PCG64_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64
+            yield from (x & _M32, x >> 32)
+    draws = uint32s(((inc + seed) * _PCG64_MULT + inc) & _M128)  # as srandom leaves it
+    span, picks = order - 1, []
+    for _ in range(r):
+        m = next(draws) * span if span > 1 else 0
+        while m & _M32 < (1 << 32) % span:
+            m = next(draws) * span
+        picks.append(1 + (m >> 32))
+    return picks
+
+
 def _distinct_specs(G: FiniteGroup, specs: list[str]) -> list[str]:
     """`specs` less each one naming the same subgroups as an earlier one."""
     seen, out = set(), []

@@ -5,8 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verba.errors import PreconditionFailed, UnknownCheckId, UnknownSpec, VerbaError
 from verba.harness import (
@@ -17,6 +21,7 @@ from verba.harness import (
     PROBE_WORDS,
     default_tuple_specs,
     parse_tuple_spec,
+    pcg64_picks,
     resolve_group,
     resolve_word,
     run_check,
@@ -131,6 +136,56 @@ def test_default_tuple_specs_dedupe():
     specs = default_tuple_specs(c6, 2, seed=0)
     # abelian: center == G, so the center tuple collapses into the G tuple
     assert "center,center" not in specs
+
+
+def _numpy_picks(entropy: list[int], order: int, r: int) -> list[int]:
+    """The ncl(...) picks as `default_tuple_specs` first drew them."""
+    rng = np.random.default_rng(entropy)
+    return [int(rng.integers(1, order)) for _ in range(r)]
+
+
+PERM_GROUPS = [str(p) for p in sorted((Path(__file__).resolve().parent / "groups").glob("*.perm"))]
+
+
+def test_pcg64_picks_are_numpys_default_rng_stream():
+    """`pcg64_picks` gives the picks of `np.random.default_rng([seed, |G|,
+    *label bytes]).integers(1, |G|)`, the draw the suite's ncl(...) entries
+    came from.  This records where the picks come from; what pins them is
+    the goldens: the seed-0 suite CSV digest, criterion 8, the gap catalog
+    and the survey.  Every pick lies in 1..|G|-1."""
+    for spec in [*DEFAULT_CATALOG, *PERM_GROUPS]:
+        G = resolve_group(spec)
+        if G.order < 2:  # cyc:1: default_tuple_specs draws no ncl(...) entry
+            continue
+        for seed in (0, 1, 42, 2**32, 2**64 + 5, 10**60):
+            entropy = [seed, G.order, *G.label.encode()]
+            for r in range(1, 5):
+                picks = pcg64_picks(entropy, G.order, r)
+                assert picks == _numpy_picks(entropy, G.order, r), (spec, seed, r)
+                assert all(1 <= p < G.order for p in picks)
+
+
+def test_pcg64_picks_at_order_2_draw_nothing_and_give_1():
+    for seed in (0, 7, 2**70):
+        rng = np.random.default_rng([seed, 2, *b"cyc:2"])
+        before = rng.bit_generator.state
+        assert [int(rng.integers(1, 2)) for _ in range(3)] == [1, 1, 1]
+        assert rng.bit_generator.state == before  # numpy draws nothing here
+        assert pcg64_picks([seed, 2, *b"cyc:2"], 2, 3) == [1, 1, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**200),
+    order=st.integers(2, 5040),
+    label=st.one_of(st.text(), st.sampled_from([*PERM_GROUPS, "tests/groups/gap_catalog.txt", "ℤ/2 × ✓"])),
+    r=st.integers(1, 4),
+)
+def test_pcg64_picks_match_numpy_on_any_seed_order_and_label(seed, order, label, r):
+    entropy = [seed, order, *label.encode()]
+    picks = pcg64_picks(entropy, order, r)
+    assert picks == _numpy_picks(entropy, order, r)
+    assert all(1 <= p < order for p in picks)
 
 
 def test_run_check_vacuous_trivial_group():
