@@ -265,8 +265,7 @@ def default_tuple_specs(G: FiniteGroup, r: int, seed: int) -> list[str]:
     cycle = ["G", "derived", "center"]
     specs.append(",".join(cycle[i % 3] for i in range(r)))
     if G.order > 1:
-        rng = np.random.default_rng([seed, G.order, *G.label.encode()])
-        picks = [int(rng.integers(1, G.order)) for _ in range(r)]
+        picks = pcg64_picks([seed, G.order, *G.label.encode()], G.order, r)
         specs.append(",".join(f"ncl({p})" for p in picks))
     return _distinct_specs(G, specs)
 
@@ -286,7 +285,7 @@ def _hashmix(const: int, mult: int) -> Callable[[int], int]:
 
 
 def pcg64_picks(entropy: Sequence[int], order: int, r: int) -> list[int]:
-    """The picks of `r` calls of `numpy.random.default_rng(entropy).integers(1,
+    """The picks of `r` calls of numpy's `default_rng(entropy).integers(1,
     order)` on one generator, for ints >= 0 and order >= 2.
 
     `SeedSequence` hashes the 32-bit words of the ints into a 4-word pool and

@@ -982,6 +982,33 @@ def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
         assert capsys.readouterr().err == proc.stderr
 
 
+_NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+from verba.cli import main
+catalog = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["suite", "--catalog", catalog, "--ids", "L2.1,T2.10"]),
+        main(["survey", "--catalog", catalog, "--word", "gamma:2"]),
+    ]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_suite_and_survey_never_load_numpy_random(tmp_path):
+    """The ncl(...) picks are drawn in verba itself: a fresh process that runs
+    a suite and a survey, both drawing them, never imports numpy.random."""
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("sym:3\ndih:4\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, str(catalog)],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
+
+
 # The digest `perfbench/expected/suite_seed0.json` records for the same CSV.
 SUITE_SEED0_SHA256 = "423c0996544f83b7561bd09d3ee32b247afbe55057d564a10c14d87bb4ad1130"
 
