@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from .oracles import (
     conjugacy_classes,
     dih_element,
     dih_mul,
+    element_order,
     evaluate_letters,
     heis_element,
     heis_mul,
@@ -444,6 +446,19 @@ def test_pow_arr_matches_repeated_products(spec):
         for a in x:  # 0-d scalars
             power = G.pow_arr(a, e)
             assert np.ndim(power) == 0 and power == expected[a], (e, a)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_power_sets_depend_only_on_the_gcd_with_the_exponent(spec):
+    """{x^n : x in G} = {x^gcd(n,e) : x in G} for e = exp(G), read from
+    element orders, and every n in +-1..+-2e: the power words of a group are
+    finitely many, one for each divisor of e."""
+    G = builtin_group(spec)
+    x = np.arange(G.order)
+    e = math.lcm(*(element_order(a, G.mul, 0) for a in range(G.order)))
+    for n in [*range(1, 2 * e + 1), *range(-2 * e, 0)]:
+        powers = np.unique(G.pow_arr(x, n))
+        assert np.array_equal(powers, np.unique(G.pow_arr(x, math.gcd(n, e)))), n
 
 
 def test_permutation_table_matches_oracle(sym4):
